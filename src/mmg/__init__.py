@@ -7,11 +7,7 @@ from .engine import (
     GameState,
     RunRecords,
     TickRecord,
-    aggregate_demand,
-    choose_active_strategy,
     init_game,
-    minority_action,
-    payoff,
     run,
     step,
 )
@@ -44,15 +40,7 @@ from .experiments import (
     summarize_run,
 )
 from .rng import game_rng, subseed
-from .strategies import (
-    Endowment,
-    History,
-    StrategyTable,
-    draw_strategies,
-    encode_action,
-    evaluate_strategy,
-    update_history,
-)
+from .strategies import Endowment, draw_strategies
 
 __all__ = [
     "__version__",
@@ -63,8 +51,6 @@ __all__ = [
     "RunRecords",
     "TickRecord",
     "Endowment",
-    "History",
-    "StrategyTable",
     "CriticalFluctuation",
     "ModeThresholds",
     "MuHistogram",
@@ -73,23 +59,17 @@ __all__ = [
     "RunSummary",
     "SweepPoint",
     "SweepSpec",
-    "aggregate_demand",
     "big_small_markets",
-    "choose_active_strategy",
     "classify_mode",
     "detect_critical_history",
     "draw_strategies",
-    "encode_action",
     "ensemble_run",
     "estimate_critical_q",
-    "evaluate_strategy",
     "figure_dataset",
     "fluctuation_frequency",
     "game_rng",
     "init_game",
-    "minority_action",
     "mu_histogram",
-    "payoff",
     "predicted_irregular",
     "predicted_occupancies",
     "q_sweep",
@@ -101,5 +81,4 @@ __all__ = [
     "subseed",
     "summarize_run",
     "switch_series",
-    "update_history",
 ]

@@ -27,7 +27,6 @@ from .experiments import (
 )
 from .io import (
     ParsedConfig,
-    emit_records,
     format_number,
     make_manifest,
     parse_config,

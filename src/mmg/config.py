@@ -108,6 +108,8 @@ class GameConfig:
     def validate(self) -> None:
         if self.n_agents < 1:
             raise ConfigError(f"N: must be >= 1, got {self.n_agents}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.n_markets < 1:
             raise ConfigError(f"K: must be >= 1, got {self.n_markets}")
         if self.n_strategies < 1:

@@ -12,16 +12,22 @@ agents whose active market changed since the previous tick is recorded.
 
 Randomness is consumed in a pinned order: at init, endowment bits, then
 uniform initial utilities (when enabled), then one initial history per
-market; per tick, one draw per tie-broken agent in agent index order
-(random tie-breaking only), then one coin per balanced market in market
-index order (coin rule only). A (config, seed) pair therefore determines
-the full trajectory bit for bit.
+market; per tick, one draw in ``[0, n)`` per agent tied between n
+maximizers, in agent index order, picking among them in flat (market,
+slot) order (random tie-breaking only), then one coin per balanced market
+in market index order (coin rule only). A (config, seed) pair therefore
+determines the full trajectory bit for bit.
+
+``step`` works on whole arrays of agents and is the only implementation of
+the tick; there are no per-agent helpers. The plain-Python per-agent loop
+in ``tests/reference.py`` follows the same order and random stream and
+serves as its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -34,10 +40,6 @@ __all__ = [
     "RunRecords",
     "GameState",
     "init_game",
-    "choose_active_strategy",
-    "aggregate_demand",
-    "minority_action",
-    "payoff",
     "step",
     "run",
 ]
@@ -53,7 +55,6 @@ class TickRecord:
     minority: np.ndarray  # (K,) winning action per market
     history: np.ndarray  # (K,) history value the tick was played at
     n_switched: int  # agents whose active market changed vs previous tick
-    choices: np.ndarray | None = None  # (N, 3) market, slot, action; heavy trace
 
 
 @dataclass(eq=False)
@@ -150,45 +151,6 @@ def init_game(cfg: GameConfig) -> GameState:
     )
 
 
-def aggregate_demand(actions: "list[int] | np.ndarray") -> int:
-    """Signed sum of actions: surplus of +1 over -1 choices."""
-    return int(np.sum(actions)) if len(actions) else 0
-
-
-def minority_action(
-    demand: int,
-    rng: np.random.Generator | None = None,
-    rule: str = "coin",
-) -> int:
-    """Winning action -sign(demand); balanced demand falls to ``rule``."""
-    if demand > 0:
-        return -1
-    if demand < 0:
-        return 1
-    if rule == "plus-one":
-        return 1
-    if rule == "coin":
-        if rng is None:
-            raise ValueError("coin rule needs a generator to resolve zero demand")
-        return int(2 * rng.integers(0, 2) - 1)
-    raise ConfigError(f"zero_demand: unknown rule {rule!r}")
-
-
-def payoff(action: int, demand: int, kind: str, n_agents: int | None = None) -> float:
-    """Reward ``-action * g(demand)`` of one strategy for one tick."""
-    if kind == "linear":
-        g = float(demand)
-    elif kind == "sign":
-        g = float(np.sign(demand))
-    elif kind == "scaled":
-        if not n_agents:
-            raise ValueError("scaled payoff needs n_agents")
-        g = demand / n_agents
-    else:
-        raise ConfigError(f"payoff: unknown kind {kind!r}")
-    return -action * g
-
-
 def _gain(demand: np.ndarray, cfg: GameConfig) -> np.ndarray:
     if cfg.payoff == "linear":
         return demand.astype(np.float64)
@@ -223,27 +185,7 @@ def _choose_all(state: GameState) -> np.ndarray:
     return choice
 
 
-def choose_active_strategy(state: GameState, agent: int) -> tuple[int, int, int]:
-    """(market, slot, action) of the agent's highest-utility strategy.
-
-    Under random tie-breaking a tie consumes one draw from the game
-    generator, exactly as the full tick loop would for this agent.
-    """
-    s = state.config.n_strategies
-    util = np.where(
-        state.choice_mask[agent], state.utilities[agent].reshape(-1), -np.inf
-    )
-    maximizers = np.flatnonzero(util == util.max())
-    if len(maximizers) == 1 or state.config.tie_break == "lowest-index":
-        flat = int(maximizers[0])
-    else:
-        flat = int(maximizers[state.rng.integers(0, len(maximizers))])
-    market, slot = divmod(flat, s)
-    action = int(state.tables[agent, market, slot, state.histories[market]])
-    return market, slot, action
-
-
-def step(state: GameState, record_choices: bool = False) -> TickRecord:
+def step(state: GameState) -> TickRecord:
     """Advance the game by one tick and return its observables."""
     cfg = state.config
     n, k_markets, s = state.utilities.shape
@@ -284,10 +226,6 @@ def step(state: GameState, record_choices: bool = False) -> TickRecord:
         n_switched = int((market != state.last_market).sum())
     state.last_market = market
 
-    choices = None
-    if record_choices:
-        choices = np.stack([market, choice % s, action.astype(np.int64)], axis=1)
-
     record = TickRecord(
         t=state.t,
         occupancy=occupancy,
@@ -295,48 +233,32 @@ def step(state: GameState, record_choices: bool = False) -> TickRecord:
         minority=minority.astype(np.int64),
         history=mu,
         n_switched=n_switched,
-        choices=choices,
     )
     state.t += 1
     return record
 
 
-def run(
-    cfg: GameConfig,
-    ticks: int,
-    sink: Callable[[TickRecord], None] | None = None,
-    collect: bool = True,
-    record_choices: bool = False,
-) -> RunRecords | None:
-    """Play ``ticks`` ticks from a fresh game.
-
-    Each record is handed to ``sink`` before the next tick begins. With
-    ``collect=False`` nothing is accumulated (bounded memory); otherwise
-    the full columnar record of the run is returned.
-    """
+def run(cfg: GameConfig, ticks: int) -> RunRecords:
+    """Play ``ticks`` ticks from a fresh game and return the columnar record."""
     if ticks < 1:
         raise ConfigError(f"T: must be >= 1, got {ticks}")
     state = init_game(cfg)
     k_markets = cfg.n_markets
-    if collect:
-        out = RunRecords(
-            memory=cfg.memory,
-            t=np.empty(ticks, dtype=np.int64),
-            occupancy=np.empty((ticks, k_markets), dtype=np.int64),
-            demand=np.empty((ticks, k_markets), dtype=np.int64),
-            minority=np.empty((ticks, k_markets), dtype=np.int64),
-            history=np.empty((ticks, k_markets), dtype=np.int64),
-            n_switched=np.empty(ticks, dtype=np.int64),
-        )
+    out = RunRecords(
+        memory=cfg.memory,
+        t=np.empty(ticks, dtype=np.int64),
+        occupancy=np.empty((ticks, k_markets), dtype=np.int64),
+        demand=np.empty((ticks, k_markets), dtype=np.int64),
+        minority=np.empty((ticks, k_markets), dtype=np.int64),
+        history=np.empty((ticks, k_markets), dtype=np.int64),
+        n_switched=np.empty(ticks, dtype=np.int64),
+    )
     for i in range(ticks):
-        rec = step(state, record_choices=record_choices)
-        if collect:
-            out.t[i] = rec.t
-            out.occupancy[i] = rec.occupancy
-            out.demand[i] = rec.demand
-            out.minority[i] = rec.minority
-            out.history[i] = rec.history
-            out.n_switched[i] = rec.n_switched
-        if sink is not None:
-            sink(rec)
-    return out if collect else None
+        rec = step(state)
+        out.t[i] = rec.t
+        out.occupancy[i] = rec.occupancy
+        out.demand[i] = rec.demand
+        out.minority[i] = rec.minority
+        out.history[i] = rec.history
+        out.n_switched[i] = rec.n_switched
+    return out

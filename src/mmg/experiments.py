@@ -133,7 +133,8 @@ def ensemble_run(
                 )
             )
         except Exception as exc:  # noqa: BLE001 - per-seed isolation is the contract
-            out.append(RunSummary(run_index=i, seed=child, error=str(exc)))
+            error = f"{type(exc).__name__}: {exc}"
+            out.append(RunSummary(run_index=i, seed=child, error=error))
     return out
 
 

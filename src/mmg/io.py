@@ -14,7 +14,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "RunManifest",
     "parse_config",
     "render_records",
-    "emit_records",
     "parse_records",
     "render_table",
     "format_number",
@@ -260,18 +259,11 @@ def render_records(records: RunRecords | Iterable[TickRecord], fmt: str = "csv")
     raise ValueError(f"unknown record format {fmt!r}")
 
 
-def emit_records(
-    records: RunRecords | Iterable[TickRecord], fmt: str = "csv", sink: IO[str] | None = None
-) -> str:
-    """Write records to ``sink`` (when given) and return the rendered text."""
-    text = render_records(records, fmt)
-    if sink is not None:
-        sink.write(text)
-    return text
+def parse_records(text: str, fmt: str = "csv", *, memory: int) -> RunRecords:
+    """Inverse of render_records; render(parse(render(x))) == render(x).
 
-
-def parse_records(text: str, fmt: str = "csv", memory: int = 5) -> RunRecords:
-    """Inverse of render_records; render(parse(render(x))) == render(x)."""
+    The records do not carry the memory length, so the caller names it.
+    """
     ticks: list[TickRecord] = []
     if fmt == "csv":
         lines = [ln for ln in text.splitlines() if ln]

@@ -183,8 +183,8 @@ def relaxation_time(
     min_stay: int = 50,
 ) -> int | None:
     """First tick from which every occupancy stays in the +-belt*N band
-    around one of the split levels N/2**s and N(1 - 1/2**s) until the end
-    of the recorded range.
+    around one of the split levels of ``predicted_occupancies`` for the
+    records' K markets until the end of the recorded range.
 
     "Forever" is only checkable to the end of the run; to keep a lucky
     final tick from counting as stabilization, the terminal in-band
@@ -192,12 +192,10 @@ def relaxation_time(
     """
     if not 0 < belt < 1:
         raise ValueError(f"belt must be in (0, 1), got {belt}")
-    low = n_agents / (1 << n_strategies)
-    high = n_agents - low
+    levels = np.array(predicted_occupancies(n_agents, records.n_markets, n_strategies))
     tol = belt * n_agents
-    occ = records.occupancy
-    near = (np.abs(occ - low) <= tol) | (np.abs(occ - high) <= tol)
-    ok = near.all(axis=1)
+    near = np.abs(records.occupancy[:, :, None] - levels) <= tol
+    ok = near.any(axis=2).all(axis=1)
     if ok.all():
         tau = 0
     else:

@@ -1,11 +1,12 @@
-"""Market histories and strategy tables.
+"""Strategy tables and their seeded draw.
 
 A history packs the last ``m`` winning (minority) decisions on one market
 into an integer in ``[0, 2**m)``: +1 encodes to bit 1, -1 to bit 0, and the
-newest decision enters as the least significant bit. A strategy is a lookup
-table assigning an action in {-1, +1} to each of the ``2**m`` histories.
-Both conventions are arbitrary but pinned so that a seed fully determines a
-game.
+newest decision enters as the least significant bit (the engine keeps one
+per market). A strategy is a lookup table assigning an action in {-1, +1}
+to each of the ``2**m`` histories; a game's tables live in one array,
+``Endowment.actions``. Both conventions are arbitrary but pinned so that a
+seed fully determines a game.
 """
 
 from __future__ import annotations
@@ -14,74 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "History",
-    "StrategyTable",
-    "Endowment",
-    "encode_action",
-    "evaluate_strategy",
-    "update_history",
-    "draw_strategies",
-]
-
-
-def encode_action(action: int) -> int:
-    """Map an action in {-1, +1} to its history bit (0 or 1)."""
-    if action == 1:
-        return 1
-    if action == -1:
-        return 0
-    raise ValueError(f"action must be -1 or +1, got {action!r}")
-
-
-@dataclass(frozen=True)
-class History:
-    """Rolling record of the last ``m`` minority decisions, as an integer."""
-
-    bits: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"memory length must be >= 1, got {self.m}")
-        if not 0 <= self.bits < (1 << self.m):
-            raise ValueError(f"history bits {self.bits} out of range for m={self.m}")
-
-
-def update_history(h: History, winner: int) -> History:
-    """Shift ``winner`` into ``h`` as the newest (least significant) bit."""
-    bit = encode_action(winner)
-    return History(((h.bits << 1) | bit) & ((1 << h.m) - 1), h.m)
-
-
-@dataclass(eq=False)
-class StrategyTable:
-    """Lookup table from history value to an action in {-1, +1}."""
-
-    actions: np.ndarray  # (2**m,) int8, entries in {-1, +1}
-    market_id: int = 0
-
-    @property
-    def m(self) -> int:
-        return int(np.log2(len(self.actions)))
-
-    @classmethod
-    def from_bits(cls, bits: int, m: int, market_id: int = 0) -> "StrategyTable":
-        """Build a table from a ``2**m``-bit mask; bit i gives the action at history i."""
-        acts = np.array([2 * ((bits >> i) & 1) - 1 for i in range(1 << m)], dtype=np.int8)
-        return cls(actions=acts, market_id=market_id)
-
-    def evaluate(self, h: History) -> int:
-        return evaluate_strategy(self, h)
-
-
-def evaluate_strategy(table: StrategyTable, h: History) -> int:
-    """Action of ``table`` at history ``h``; pure lookup."""
-    if len(table.actions) != (1 << h.m):
-        raise ValueError(
-            f"table has {len(table.actions)} entries, history expects {1 << h.m}"
-        )
-    return int(table.actions[h.bits])
+__all__ = ["Endowment", "draw_strategies"]
 
 
 @dataclass(eq=False)
@@ -113,11 +47,6 @@ class Endowment:
     def n_tables(self) -> int:
         """Count of strategy tables actually held (linked pairs times s)."""
         return int(self.link_mask.sum()) * self.n_strategies
-
-    def table(self, agent: int, market: int, slot: int) -> StrategyTable:
-        if not self.link_mask[agent, market]:
-            raise ValueError(f"agent {agent} holds no strategies on market {market}")
-        return StrategyTable(actions=self.actions[agent, market, slot], market_id=market)
 
 
 def draw_strategies(

@@ -340,40 +340,13 @@ class TestCriterion12Properties:
         report(12, "replay-determinism", ok)
         assert ok
 
-    @staticmethod
-    def smg_demands(tables, utilities, history, memory, ticks, payoff_kind, n_agents):
-        """Independent single-market game: plain python, lowest-index ties,
-        plus-one zero rule."""
-        n, s, _ = tables.shape
-        util = [list(map(float, row)) for row in utilities]
-        mu = int(history)
-        out = []
-        for _ in range(ticks):
-            demand = 0
-            active = []
-            for i in range(n):
-                best = 0
-                for j in range(1, s):
-                    if util[i][j] > util[i][best]:
-                        best = j
-                active.append(best)
-                demand += int(tables[i, best, mu])
-            if payoff_kind == "linear":
-                g = float(demand)
-            elif payoff_kind == "sign":
-                g = float((demand > 0) - (demand < 0))
-            else:
-                g = demand / n_agents
-            for i in range(n):
-                for j in range(s):
-                    util[i][j] -= int(tables[i, j, mu]) * g
-            winner = 1 if demand <= 0 else -1
-            mu = ((mu << 1) | (1 if winner == 1 else 0)) % (1 << memory)
-            out.append(demand)
-        return out
-
     def test_single_market_reduction(self):
+        # at K=1 the game is the single-market minority game, which the
+        # plain-Python reference engine plays agent by agent
+        import copy
+
         from mmg import init_game, step
+        from reference import reference_run
 
         picker = np.random.default_rng(424242)
         for case in range(20):
@@ -388,10 +361,8 @@ class TestCriterion12Properties:
                 zero_demand="plus-one",
             )
             state = init_game(cfg)
-            expected = self.smg_demands(
-                state.tables[:, 0].copy(), state.utilities[:, 0].copy(),
-                state.histories[0], cfg.memory, 100, cfg.payoff, cfg.n_agents,
-            )
+            ticks, _ = reference_run(copy.deepcopy(state), 100)
+            expected = [tick.demand[0] for tick in ticks]
             got = [int(step(state).demand[0]) for _ in range(100)]
             assert got == expected, f"case {case}: {cfg}"
         report(12, "single-market-reduction", True, "(20 random configs)")

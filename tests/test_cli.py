@@ -36,6 +36,10 @@ class TestExitCodes:
     def test_invalid_domain_value(self):
         assert cli_main(["run", "--N", "0", "--seed", "1", "-T", "2"]) == 2
 
+    def test_negative_seed(self, capsys):
+        assert cli_main(["run", "--N", "5", "--seed", "-1", "-T", "3"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_runtime_failure(self, tmp_path):
         # fig6 needs a large fluctuation; two ticks cannot contain one
         assert cli_main(["figure", "fig6", "-T", "2", "--out", str(tmp_path)]) == 3

@@ -1,23 +1,13 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmg import (
-    ConfigError,
-    GameConfig,
-    MarketTopology,
-    aggregate_demand,
-    choose_active_strategy,
-    init_game,
-    minority_action,
-    payoff,
-    run,
-    step,
-)
-from mmg.rng import game_rng
+from mmg import ConfigError, GameConfig, MarketTopology, init_game, run, step
+from reference import reference_run
 
 
 def small_config(**kw):
@@ -72,28 +62,42 @@ class TestInitGame:
             init_game(GameConfig(n_agents=2, seed=1, memory=25))
 
 
+def two_slot_agent(utilities):
+    """One agent on two markets whose slot 0 plays +1 and slot 1 plays -1 at
+    every history, so the record's demand names the active slot."""
+    state = init_game(small_config(n_agents=1))
+    state.tables[0, :, 0, :] = 1
+    state.tables[0, :, 1, :] = -1
+    state.utilities[0] = utilities
+    return state
+
+
 class TestChooseActiveStrategy:
     def test_unique_maximum(self):
-        state = init_game(small_config())
-        state.utilities[0] = [[3.0, 5.0], [2.0, 1.0]]
-        market, slot, action = choose_active_strategy(state, 0)
-        assert (market, slot) == (0, 1)
-        assert action == state.tables[0, 0, 1, state.histories[0]]
+        state = two_slot_agent([[3.0, 5.0], [2.0, 1.0]])
+        rec = step(state)
+        assert rec.occupancy.tolist() == [1, 0]
+        assert rec.demand.tolist() == [-1, 0]  # market 0, slot 1
+        assert state.last_market.tolist() == [0]
 
     def test_lowest_index_tie(self):
-        state = init_game(small_config())
-        state.utilities[0] = [[5.0, 5.0], [1.0, 0.0]]
-        market, slot, _ = choose_active_strategy(state, 0)
-        assert (market, slot) == (0, 0)
+        state = two_slot_agent([[5.0, 5.0], [1.0, 0.0]])
+        rec = step(state)
+        assert rec.occupancy.tolist() == [1, 0]
+        assert rec.demand.tolist() == [1, 0]  # market 0, slot 0
 
     def test_random_tie_uniform(self):
-        state = init_game(small_config(tie_break="random"))
-        state.utilities[0] = 0.0
-        picks = np.zeros(4, dtype=int)
-        for _ in range(4000):
-            market, slot, _ = choose_active_strategy(state, 0)
-            picks[market * 2 + slot] += 1
-        assert np.all(picks / 4000 > 0.2) and np.all(picks / 4000 < 0.3)
+        # at zero utilities every agent ties across all four (market, slot)
+        # pairs; slot 0 plays +1 and slot 1 plays -1, so (O + A) / 2 agents
+        # hold slot 0 on each market
+        n = 4000
+        state = init_game(small_config(n_agents=n, tie_break="random"))
+        state.tables[:, :, 0, :] = 1
+        state.tables[:, :, 1, :] = -1
+        rec = step(state)
+        slot0 = (rec.occupancy + rec.demand) // 2
+        picks = np.concatenate([slot0, rec.occupancy - slot0]) / n
+        assert np.all(picks > 0.2) and np.all(picks < 0.3)
 
     def test_shift_invariance_over_run(self):
         # adding a constant to all utilities changes no choice, any tick
@@ -101,34 +105,67 @@ class TestChooseActiveStrategy:
         state_b = copy.deepcopy(state_a)
         state_b.utilities += 17.25
         for _ in range(50):
-            rec_a = step(state_a, record_choices=True)
-            rec_b = step(state_b, record_choices=True)
-            assert np.array_equal(rec_a.choices, rec_b.choices)
+            rec_a = step(state_a)
+            rec_b = step(state_b)
+            assert np.array_equal(state_a.last_market, state_b.last_market)
+            for name in ("occupancy", "demand", "minority", "history"):
+                assert np.array_equal(getattr(rec_a, name), getattr(rec_b, name))
+            assert rec_a.n_switched == rec_b.n_switched
+
+
+def fixed_action_game(actions, n_markets=1, payoff="linear", zero_demand="plus-one"):
+    """Agents confined to market 0, each with a slot-0 strategy fixed to its
+    entry of ``actions`` and a slot-1 strategy playing the opposite. With
+    zero utilities and lowest-index ties, slot 0 is active at tick 0."""
+    n = len(actions)
+    topology = MarketTopology.irregular(n, 0) if n_markets == 2 else MarketTopology.regular()
+    cfg = GameConfig(
+        n_agents=n, seed=1, n_markets=n_markets, n_strategies=2, memory=1,
+        payoff=payoff, topology=topology, tie_break="lowest-index",
+        zero_demand=zero_demand,
+    )
+    state = init_game(cfg)
+    column = np.array(actions, dtype=np.int8)[:, None]
+    state.tables[:, 0, 0, :] = column
+    state.tables[:, 0, 1, :] = -column
+    return state
 
 
 class TestPrimitives:
     def test_aggregate_demand(self):
-        assert aggregate_demand([1, 1, -1]) == 1
-        assert aggregate_demand([]) == 0
-        assert aggregate_demand(np.full(1200, 1, dtype=np.int8)) == 1200
+        assert step(fixed_action_game([1, 1, -1])).demand.tolist() == [1]
+        assert step(fixed_action_game([1] * 1200)).demand.tolist() == [1200]
+        rec = step(fixed_action_game([1, -1, 1], n_markets=2))
+        assert rec.occupancy.tolist() == [3, 0]
+        assert rec.demand.tolist() == [1, 0]  # an empty market has zero demand
 
     def test_minority_sign(self):
-        assert minority_action(5) == -1
-        assert minority_action(-3) == 1
+        assert step(fixed_action_game([1] * 5)).minority.tolist() == [-1]
+        assert step(fixed_action_game([-1] * 3)).minority.tolist() == [1]
 
     def test_minority_zero_rules(self):
-        assert minority_action(0, rule="plus-one") == 1
-        rng = game_rng(0)
-        draws = {minority_action(0, rng=rng, rule="coin") for _ in range(50)}
+        # two opposite agents balance market 0; market 1 stays empty
+        state = fixed_action_game([1, -1], n_markets=2)
+        for _ in range(5):
+            assert step(state).minority.tolist() == [1, 1]
+        state = fixed_action_game([1, -1], n_markets=2, zero_demand="coin")
+        draws = {int(a) for _ in range(50) for a in step(state).minority}
         assert draws == {-1, 1}
-        with pytest.raises(ValueError):
-            minority_action(0, rule="coin")
 
     def test_payoff_kinds(self):
-        assert payoff(1, 4, "linear") == -4
-        assert payoff(-1, 4, "sign") == 1
-        assert payoff(-1, 4, "scaled", n_agents=8) == 0.5
-        assert payoff(1, 0, "sign") == 0
+        # slot 0 is the active strategy, slot 1 its passive complement
+        state = fixed_action_game([1] * 4, payoff="linear")
+        step(state)
+        assert state.utilities[0, 0].tolist() == [-4.0, 4.0]
+        state = fixed_action_game([1] * 4, payoff="sign")
+        step(state)
+        assert state.utilities[0, 0].tolist() == [-1.0, 1.0]
+        state = fixed_action_game([1] * 6 + [-1] * 2, payoff="scaled")
+        step(state)
+        assert state.utilities[7, 0].tolist() == [0.5, -0.5]
+        state = fixed_action_game([1, -1], payoff="sign")
+        step(state)
+        assert np.all(state.utilities == 0.0)
 
 
 class TestStep:
@@ -186,19 +223,9 @@ class TestStep:
             step(state)
         assert state.rng.bit_generator.state == before
 
-    def test_sink_receives_each_tick_in_order(self):
-        seen = []
-        cfg = small_config(seed=4)
-        rec = run(cfg, 10, sink=lambda r: seen.append(r.t))
-        assert seen == list(range(10))
-        assert rec.n_ticks == 10
-
     def test_single_tick_run(self):
         rec = run(small_config(seed=6), 1)
         assert rec.n_ticks == 1 and rec.t[0] == 0 and rec.n_switched[0] == 0
-
-    def test_collect_false_returns_none(self):
-        assert run(small_config(seed=4), 5, collect=False) is None
 
     def test_run_rejects_nonpositive_ticks(self):
         with pytest.raises(ConfigError):
@@ -275,37 +302,9 @@ class TestInvariants:
 
 
 class TestSingleMarketReduction:
-    @staticmethod
-    def smg_demand_trace(tables, utilities, history, memory, ticks, payoff_kind, n_agents):
-        """Plain-python single-market game, lowest-index ties, plus-one rule."""
-        n, s, _ = tables.shape
-        util = [list(row) for row in utilities]
-        mu = int(history)
-        demands = []
-        for _ in range(ticks):
-            actions = []
-            for i in range(n):
-                best = 0
-                for j in range(1, s):
-                    if util[i][j] > util[i][best]:
-                        best = j
-                actions.append(int(tables[i, best, mu]))
-            demand = sum(actions)
-            if payoff_kind == "linear":
-                g = float(demand)
-            elif payoff_kind == "sign":
-                g = float((demand > 0) - (demand < 0))
-            else:
-                g = demand / n_agents
-            for i in range(n):
-                for j in range(s):
-                    util[i][j] -= int(tables[i, j, mu]) * g
-            winner = 1 if demand == 0 else (1 if demand < 0 else -1)
-            mu = ((mu << 1) | (1 if winner == 1 else 0)) % (1 << memory)
-            demands.append(demand)
-        return demands
-
     def test_against_independent_smg(self):
+        # at K=1 the game is the single-market minority game; the reference
+        # engine plays it agent by agent
         picker = np.random.default_rng(2024)
         for case in range(20):
             cfg = GameConfig(
@@ -319,14 +318,60 @@ class TestSingleMarketReduction:
                 zero_demand="plus-one",
             )
             state = init_game(cfg)
-            expected = self.smg_demand_trace(
-                state.tables[:, 0].copy(),
-                state.utilities[:, 0].copy(),
-                state.histories[0],
-                cfg.memory,
-                100,
-                cfg.payoff,
-                cfg.n_agents,
-            )
+            ticks, _ = reference_run(copy.deepcopy(state), 100)
+            expected = [tick.demand[0] for tick in ticks]
             got = [int(step(state).demand[0]) for _ in range(100)]
             assert got == expected, f"case {case}: {cfg}"
+
+
+def reference_grid():
+    """Every payoff, tie, zero-demand and init rule on K = 1, 2, 3 regular
+    and the two-market irregular topology; N, s and m vary across cases."""
+    cases = []
+    rules = itertools.product(
+        ((1, False), (2, False), (3, False), (2, True)),
+        ("linear", "sign", "scaled"),
+        ("random", "lowest-index"),
+        ("coin", "plus-one"),
+        ("zero", "uniform"),
+    )
+    for i, ((k, irregular), payoff, tie, zero, init) in enumerate(rules):
+        n = 1 + i % 11
+        topology = MarketTopology.regular()
+        if irregular:
+            n1 = i % (n + 1)
+            topology = MarketTopology.irregular(n1, n - n1)
+        cases.append(GameConfig(
+            n_agents=n, seed=1000 + i, n_markets=k, n_strategies=1 + i % 3,
+            memory=1 + i % 4, payoff=payoff, topology=topology,
+            init_utilities=init, tie_break=tie, zero_demand=zero,
+        ))
+    return cases
+
+
+REFERENCE_GRID = reference_grid()
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("cfg", REFERENCE_GRID, ids=range(len(REFERENCE_GRID)))
+    def test_step_matches_reference(self, cfg):
+        state = init_game(cfg)
+        ref_ticks, ref = reference_run(copy.deepcopy(state), 200)
+        for expected in ref_ticks:
+            rec = step(state)
+            got = (
+                rec.t, rec.occupancy.tolist(), rec.demand.tolist(),
+                rec.minority.tolist(), rec.history.tolist(), rec.n_switched,
+            )
+            assert got == tuple(expected), f"tick {rec.t}"
+        assert np.array_equal(state.utilities, np.array(ref.utilities))
+        assert state.rng.bit_generator.state == ref.rng.bit_generator.state
+
+    def test_grid_covers_random_paths(self):
+        assert len(REFERENCE_GRID) >= 72
+        draws = {"tie": 0, "coin": 0}
+        for cfg in REFERENCE_GRID:
+            _, ref = reference_run(init_game(cfg), 200)
+            draws["tie"] += ref.tie_draws
+            draws["coin"] += ref.coin_draws
+        assert draws["tie"] > 0 and draws["coin"] > 0

@@ -62,6 +62,16 @@ class TestEnsembleRun:
         with pytest.raises(Exception):
             ensemble_run(tiny_cfg(), 10, 0)
 
+    def test_failure_keeps_exception_type(self, monkeypatch):
+        from mmg import experiments
+
+        def broken_run(cfg, ticks):
+            raise TypeError("boom")
+
+        monkeypatch.setattr(experiments, "run", broken_run)
+        summaries = ensemble_run(tiny_cfg(), 10, 2)
+        assert [s.error for s in summaries] == ["TypeError: boom"] * 2
+
 
 class TestQSweep:
     def test_single_value_equals_ensemble(self):

@@ -16,6 +16,24 @@ from mmg.io import (
     render_table,
     serialize_manifest,
 )
+from mmg.metrics import mu_histogram
+
+
+@st.composite
+def record_configs(draw):
+    n_markets = draw(st.integers(1, 3))
+    n_agents = draw(st.integers(1, 9))
+    topology = MarketTopology.regular()
+    if n_markets == 2 and draw(st.booleans()):
+        n1 = draw(st.integers(0, n_agents))
+        topology = MarketTopology.irregular(n1, n_agents - n1)
+    return GameConfig(
+        n_agents=n_agents,
+        seed=draw(st.integers(0, 2**32)),
+        n_markets=n_markets,
+        memory=draw(st.integers(1, 6)),
+        topology=topology,
+    )
 
 
 class TestParseConfig:
@@ -122,27 +140,21 @@ class TestRecordFormats:
         assert content_hash(a) == content_hash(b)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_render_parse_fixed_point(self, fmt):
-        rec = self.records()
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=record_configs(), ticks=st.integers(1, 20))
+    def test_render_parse_fixed_point(self, fmt, cfg, ticks):
+        rec = run(cfg, ticks)
         text = render_records(rec, fmt)
-        back = parse_records(text, fmt, memory=3)
+        back = parse_records(text, fmt, memory=cfg.memory)
         assert render_records(back, fmt) == text
         assert np.array_equal(back.occupancy, rec.occupancy)
         assert np.array_equal(back.history, rec.history)
+        assert len(mu_histogram(back, 0).counts) == 2**cfg.memory
 
     def test_jsonl_key_order(self):
         line = render_records(self.records(), "jsonl").splitlines()[0]
         assert line.startswith('{"t":0,"O":[')
         assert '"astar":' in line and '"C":' in line
-
-    def test_emit_to_sink(self):
-        import io as stdio
-
-        sink = stdio.StringIO()
-        from mmg.io import emit_records
-
-        text = emit_records(self.records(), "csv", sink)
-        assert sink.getvalue() == text
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

@@ -196,6 +196,12 @@ class TestRelaxationTime:
             if a is not None:
                 assert b is not None and b <= a
 
+    def test_three_market_levels(self):
+        # N=64, K=3, s=2: predicted levels 48, 12 and 4
+        settled = [[48, 12, 4], [12, 48, 4], [4, 12, 48]] * 100
+        rec = make_records([[22, 21, 21]] * 50 + settled, [[0, 0, 0]] * 350)
+        assert relaxation_time(rec, 64, 2) == 50
+
 
 class TestPredictions:
     def test_two_market_values(self):

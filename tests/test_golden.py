@@ -1,10 +1,12 @@
-"""Byte pins: sha256 of the CSV records of fixed games.
+"""Byte pins: sha256 of the records of fixed games and of figure tables.
 
-Each entry pins ``render_records(run(cfg, 300), "csv")`` for one config.
-Together they cover K = 1, 2, 3, the irregular topology and every payoff,
-tie rule, zero-demand rule and initial-utility rule. Any change to the
-engine's arithmetic or its random-number consumption moves at least one
-pin; a pure refactor or speed-up must leave all of them in place.
+Each ``GOLDEN`` entry pins ``render_records(run(cfg, 300), fmt)`` for one
+config in both record formats. Together they cover K = 1, 2, 3, the
+irregular topology and every payoff, tie rule, zero-demand rule and
+initial-utility rule. Each ``FIGURES`` entry pins every table of one canned
+experiment at small overrides, rendered with ``render_table``. Any change
+to the engine's arithmetic or its random-number consumption moves at least
+one pin; a pure refactor or speed-up must leave all of them in place.
 """
 
 import hashlib
@@ -12,83 +14,190 @@ import hashlib
 import pytest
 
 from mmg import GameConfig, MarketTopology, run
-from mmg.io import render_records
+from mmg.experiments import FIGURE_NAMES, figure_dataset
+from mmg.io import render_records, render_table
 
 TICKS = 300
 
 GOLDEN = {
     "k2-default": (
         dict(n_agents=11, seed=0),
-        "71ca9cac49a3d2dd4316e10661739674e34bebcfbeb66a422c057bd2539b492a",
+        dict(
+            csv="71ca9cac49a3d2dd4316e10661739674e34bebcfbeb66a422c057bd2539b492a",
+            jsonl="761889bea0f0cd188df7539d6ca40eecea7982ca847e4dea8f30997bc2ad5675",
+        ),
     ),
     "k1-sign-s3": (
         dict(n_agents=7, seed=1, n_markets=1, n_strategies=3, memory=2, payoff="sign"),
-        "d543df051a3b07f1ef4abe4867b15847496cdc02581fb1a323e16a70bee57456",
+        dict(
+            csv="d543df051a3b07f1ef4abe4867b15847496cdc02581fb1a323e16a70bee57456",
+            jsonl="7094024ed159cb02c7d0581b2af24260d8f141792f4701f32de62fe29f4f67f0",
+        ),
     ),
     "k3-linear": (
         dict(n_agents=31, seed=2, n_markets=3, memory=3),
-        "e2dee4ed32c7a62d2125a8cd7fa0f32d4674194bfaddfdbb84eccd53c0a6d4c3",
+        dict(
+            csv="e2dee4ed32c7a62d2125a8cd7fa0f32d4674194bfaddfdbb84eccd53c0a6d4c3",
+            jsonl="60fa01ce87c2f9db74126abd634b03d6df6e1b0e6368c3ed8471060c8e8f9819",
+        ),
     ),
     "k3-scaled-lowest-plus": (
         dict(
             n_agents=20, seed=3, n_markets=3, payoff="scaled",
             tie_break="lowest-index", zero_demand="plus-one",
         ),
-        "326772ff0c369485916d8209567063d966eb9d2eba40f881c5d1069d88458ddd",
+        dict(
+            csv="326772ff0c369485916d8209567063d966eb9d2eba40f881c5d1069d88458ddd",
+            jsonl="a18bfecdd07ec36f461af81d7eb57e651ff14e16ae280c7ad8d920de8bccc64a",
+        ),
     ),
     "irregular-linear": (
         dict(n_agents=11, seed=4, topology=MarketTopology.irregular(6, 5), memory=3),
-        "6c4ae94958043bead3a3e3495ca116b3a04100391c6c88eb8a38e348a18c7053",
+        dict(
+            csv="6c4ae94958043bead3a3e3495ca116b3a04100391c6c88eb8a38e348a18c7053",
+            jsonl="8855dc4b24fdb370b3c6baef21cb427850ee6e9e47b351b8bd1cbf45282a228a",
+        ),
     ),
     "irregular-sign-uniform": (
         dict(
             n_agents=9, seed=5, topology=MarketTopology.irregular(0, 9),
             payoff="sign", init_utilities="uniform",
         ),
-        "6af1194bb53d100657525831420234c2bd6ac97e772777682270181623318f2e",
+        dict(
+            csv="6af1194bb53d100657525831420234c2bd6ac97e772777682270181623318f2e",
+            jsonl="0873bf25cad8e13e2d83caf1f5a936a11d640e9ddd7cf6a4ef6472fa6bc89293",
+        ),
     ),
     "k2-sign-ties": (
         dict(n_agents=64, seed=6, memory=4, payoff="sign"),
-        "f25a6f4fdba78c19e53e161e7c66a07ed67a6e950e6698c09b18c3fcead5eb90",
+        dict(
+            csv="f25a6f4fdba78c19e53e161e7c66a07ed67a6e950e6698c09b18c3fcead5eb90",
+            jsonl="3a4938ac6d625e90379b40c0af7e27b352f7fccec37832e623f6f379476f02d4",
+        ),
     ),
     "k2-scaled-uniform": (
         dict(
             n_agents=15, seed=7, payoff="scaled", init_utilities="uniform",
             u_low=-1.0, u_high=2.0,
         ),
-        "54ffcfcd12999e68f31830cafaaf4829846e3801406c6cd058c0a4ada7a03c5f",
+        dict(
+            csv="54ffcfcd12999e68f31830cafaaf4829846e3801406c6cd058c0a4ada7a03c5f",
+            jsonl="2e57711768c3f5729b636c1334bfeb51c65755188c4eafac6f4ce061c44b8ce3",
+        ),
     ),
     "k2-lowest-coin": (
         dict(n_agents=12, seed=8, memory=2, tie_break="lowest-index"),
-        "00525ab6d039415a160882310aa0a64625ad346a725ecf980fdaf8522e0ed515",
+        dict(
+            csv="00525ab6d039415a160882310aa0a64625ad346a725ecf980fdaf8522e0ed515",
+            jsonl="e0b146fa3054dd043144716bb10ddb6ce13f006593e778e49964af4d8c60a0c9",
+        ),
     ),
     "k2-random-plus": (
         dict(n_agents=10, seed=9, memory=3, zero_demand="plus-one"),
-        "87150e04353a573bacdae1271341ac65b9b0ff009f8c24444a78e820d206c2b9",
+        dict(
+            csv="87150e04353a573bacdae1271341ac65b9b0ff009f8c24444a78e820d206c2b9",
+            jsonl="4607f0e0c58ae9e5f3c5fcb782598623538357ec9d8985f91b1bb5d042a96214",
+        ),
     ),
     "k1-scaled-uniform": (
         dict(
             n_agents=13, seed=10, n_markets=1, payoff="scaled",
             init_utilities="uniform",
         ),
-        "74f6cc64f76df505cf02f52e2e99a9c9faad32631fdf5cec96ae238442ba3c9e",
+        dict(
+            csv="74f6cc64f76df505cf02f52e2e99a9c9faad32631fdf5cec96ae238442ba3c9e",
+            jsonl="af0de305efdf2b887a77adfe21fee92d822bd065292d9f2c0a86cbf89f113add",
+        ),
     ),
     "k2-single-agent-s1": (
         dict(n_agents=1, seed=11, n_strategies=1, memory=1),
-        "3ab7ab4c59295156c458e6b22a887d1c24c326517a9e7136238caa421dc8e808",
+        dict(
+            csv="3ab7ab4c59295156c458e6b22a887d1c24c326517a9e7136238caa421dc8e808",
+            jsonl="73f3b0c9c06c7bd34c26b073ddf827f3932cb89621f227badaed28bdd23df66c",
+        ),
     ),
     "k2-sign-lowest-plus-uniform": (
         dict(
             n_agents=12, seed=12, payoff="sign", tie_break="lowest-index",
             zero_demand="plus-one", init_utilities="uniform",
         ),
-        "74b66665e5fcfe731a1e2052252ce5c81029801bfc298102a5088837a288ba26",
+        dict(
+            csv="74b66665e5fcfe731a1e2052252ce5c81029801bfc298102a5088837a288ba26",
+            jsonl="95345d29f107758aeacc16b936a85812e881d2d8703b6ee2909c4bd18ea8fd89",
+        ),
     ),
 }
 
 
+# overrides small enough for a test run; fig6 fluctuates at these, and the
+# fig6_1 points give one undefined and one defined tau0
+FIGURES = {
+    "fig3": (
+        dict(ticks=60, values=[11, 64], seed=1),
+        "2b1284be6e107e0d960e569f529ddfc63d080a8284c864b34cf58e9fe082f592",
+    ),
+    "fig4": (
+        dict(ticks=60, values=[11, 64], seed=2),
+        "b15caf1905988d94a74c85ecfd8234044e0a495888a5d5afd8a26387c0f6b87d",
+    ),
+    "fig5": (
+        dict(ticks=80, values=[200], seed=3),
+        "3b6cd7f4116dcd021d2c7a91260d582adc381a76e455431c80481debe9064dc0",
+    ),
+    "fig6": (
+        dict(ticks=120, values=[200], seed=0, theta=0.7),
+        "7c7a3e9c2e8ee99996ea165db00969b600905ebea820b9628dec157145c5b841",
+    ),
+    "fig6_0": (
+        dict(ticks=200, values=[128, 11], seed=4),
+        "0216168ceb4d0dfb7648528d2917fe08e8b59f46b3e7e362a9f9b201a92c00e4",
+    ),
+    "fig6_1": (
+        dict(ticks=1000, values=[253, 1447], n_seeds=2, seed=5),
+        "56a08c4346e1ab11be81708f45f747fcef6743a4f77b8a6257d97d56afa19deb",
+    ),
+    "fig7": (
+        dict(ticks=100, values=[8, 32, 64], n_seeds=3, seed=6),
+        "271d6c7dc826a56388858a5f3a77662845ebd9f3ef2fb81ecf49855ca6b4b40c",
+    ),
+    "fig8": (
+        dict(ticks=100, values=[5, 40], n2=5, n_seeds=3, seed=7),
+        "40690e9f3930cda57fb4f9f97d210dcf2ea614e676e69b7bbd800b159531e2ea",
+    ),
+    "fig010": (
+        dict(ticks=80, values=[31], seed=8),
+        "35c0e51d1d4da0e6b2b577d1aea8cf65c22c9d51eece0678d60a9d3f9803d166",
+    ),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def check_records(name: str, fmt: str) -> None:
+    kwargs, pinned = GOLDEN[name]
+    text = render_records(run(GameConfig(**kwargs), TICKS), fmt)
+    assert sha256(text) == pinned[fmt]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_records(name):
-    kwargs, pinned = GOLDEN[name]
-    text = render_records(run(GameConfig(**kwargs), TICKS), "csv")
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pinned
+    check_records(name, "csv")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_records_jsonl(name):
+    check_records(name, "jsonl")
+
+
+def test_every_figure_is_pinned():
+    assert set(FIGURES) == set(FIGURE_NAMES)
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_golden_figure(name):
+    overrides, pinned = FIGURES[name]
+    tables = figure_dataset(name, **overrides)
+    text = "".join(f"{stem}\n{render_table(table)}" for stem, table in tables.items())
+    assert sha256(text) == pinned

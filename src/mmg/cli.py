@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, GameConfig
+from .config import INIT_UTILITIES, PAYOFF_KINDS, TIE_BREAKS, ZERO_DEMAND_RULES, ConfigError
 from .engine import run as run_game
 from .experiments import (
     FIGURE_NAMES,
@@ -60,13 +60,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--K", type=int, help="market count")
         p.add_argument("--s", type=int, help="strategies per market per agent")
         p.add_argument("--m", type=int, help="memory length")
-        p.add_argument("--payoff", choices=("linear", "sign", "scaled"))
+        p.add_argument("--payoff", choices=PAYOFF_KINDS)
         p.add_argument("--topology", choices=("regular", "irregular"))
         p.add_argument("--n1", type=int, help="agents on market 1 only (irregular)")
         p.add_argument("--n2", type=int, help="agents on both markets (irregular)")
-        p.add_argument("--tie-break", dest="tie_break", choices=("random", "lowest-index"))
-        p.add_argument("--zero-demand", dest="zero_demand", choices=("coin", "plus-one"))
-        p.add_argument("--init-utilities", dest="init_utilities", choices=("zero", "uniform"))
+        p.add_argument("--tie-break", dest="tie_break", choices=TIE_BREAKS)
+        p.add_argument("--zero-demand", dest="zero_demand", choices=ZERO_DEMAND_RULES)
+        p.add_argument("--init-utilities", dest="init_utilities", choices=INIT_UTILITIES)
         p.add_argument("--u-low", dest="u_low", type=float)
         p.add_argument("--u-high", dest="u_high", type=float)
 
@@ -137,6 +137,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _csv_cell(text: str) -> str:
+    """Quote per RFC 4180, only when the text holds a comma, quote or newline."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _summary_table(summaries, k_markets: int) -> str:
     lines = []
     header = [
@@ -149,7 +156,7 @@ def _summary_table(summaries, k_markets: int) -> str:
     lines.append(",".join(header))
     for s in summaries:
         if s.failed:
-            row = [str(s.run_index), str(s.seed)] + [""] * (len(header) - 3) + [s.error]
+            row = [str(s.run_index), str(s.seed)] + [""] * (len(header) - 3) + [_csv_cell(s.error)]
         else:
             crit = s.critical
             row = [
@@ -201,7 +208,6 @@ def _cmd_sweep(args) -> int:
         n_seeds=parsed.n_seeds or 10,
         ticks=parsed.ticks,
         window=parsed.window,
-        n2=parsed.game.topology.n2,
     )
     points = q_sweep(spec)
     value_col = "N" if spec.param == "N" else "N1"

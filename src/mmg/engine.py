@@ -21,13 +21,14 @@ determines the full trajectory bit for bit.
 ``step`` works on whole arrays of agents and is the only implementation of
 the tick; there are no per-agent helpers. The plain-Python per-agent loop
 in ``tests/reference.py`` follows the same order and random stream and
-serves as its oracle.
+serves as its oracle. ``run`` stacks the ticks into the columnar
+``RunRecords``, the one layout that io renders and parses and that every
+estimator reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -47,7 +48,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TickRecord:
-    """Observables of one tick; immutable once emitted."""
+    """Observables of one tick, as returned by ``step``."""
 
     t: int
     occupancy: np.ndarray  # (K,) agents active per market
@@ -59,7 +60,11 @@ class TickRecord:
 
 @dataclass(eq=False)
 class RunRecords:
-    """Columnar stack of tick records for a whole run."""
+    """Observables of a whole run, one row per tick.
+
+    This is the only layout records are stored, serialized and parsed in;
+    ``run`` writes the ``TickRecord`` of tick i into row i.
+    """
 
     memory: int
     t: np.ndarray  # (T,)
@@ -80,33 +85,6 @@ class RunRecords:
     @property
     def n_agents(self) -> int:
         return int(self.occupancy[0].sum())
-
-    def tick(self, i: int) -> TickRecord:
-        return TickRecord(
-            t=int(self.t[i]),
-            occupancy=self.occupancy[i],
-            demand=self.demand[i],
-            minority=self.minority[i],
-            history=self.history[i],
-            n_switched=int(self.n_switched[i]),
-        )
-
-    def __iter__(self) -> Iterator[TickRecord]:
-        return (self.tick(i) for i in range(self.n_ticks))
-
-    @classmethod
-    def from_ticks(cls, ticks: list[TickRecord], memory: int) -> "RunRecords":
-        if not ticks:
-            raise ValueError("cannot build RunRecords from an empty tick list")
-        return cls(
-            memory=memory,
-            t=np.array([r.t for r in ticks], dtype=np.int64),
-            occupancy=np.stack([r.occupancy for r in ticks]),
-            demand=np.stack([r.demand for r in ticks]),
-            minority=np.stack([r.minority for r in ticks]),
-            history=np.stack([r.history for r in ticks]),
-            n_switched=np.array([r.n_switched for r in ticks], dtype=np.int64),
-        )
 
 
 @dataclass(eq=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import ConfigError, GameConfig, MarketTopology
-from .engine import RunRecords, init_game, run, step
+from .engine import RunRecords, _gain, init_game, run
 from .metrics import (
     DEFAULT_THETA,
     CriticalFluctuation,
@@ -143,7 +143,7 @@ class SweepSpec:
     """One-parameter ensemble sweep.
 
     ``param`` is "N" (regular games, total population varies) or "n1"
-    (irregular games, exclusive population varies at fixed ``n2``).
+    (irregular games, exclusive population varies at the base's ``n2``).
     """
 
     base: GameConfig
@@ -153,16 +153,13 @@ class SweepSpec:
     ticks: int = 5000
     window: tuple[int, int] | None = None
     theta: float = DEFAULT_THETA
-    n2: int | None = None
 
     def configs(self) -> list[tuple[int, GameConfig]]:
         if self.param == "N":
             return [(v, replace(self.base, n_agents=v, topology=MarketTopology.regular()))
                     for v in self.values]
         if self.param == "n1":
-            n2 = self.n2 if self.n2 is not None else (self.base.topology.n2 or 0)
-            if n2 < 0:
-                raise ConfigError("n2: must be >= 0 for an n1 sweep")
+            n2 = self.base.topology.n2 or 0
             return [
                 (v, replace(self.base, n_agents=v + n2, n_markets=2,
                             topology=MarketTopology.irregular(v, n2)))
@@ -300,51 +297,40 @@ def _fig6_table(cfg: GameConfig, ticks: int, theta: float) -> Table:
     """Utility traces of three agents picked by how many of their strategies
     on the first fluctuating market won at the fluctuation tick (2, 1, 0);
     lowest agent index represents each class."""
-    state = init_game(cfg)
-    n, k_markets, s = state.utilities.shape
-    traces = np.empty((ticks + 1, n, k_markets, s))
-    traces[0] = state.utilities
-    recs = []
-    for i in range(ticks):
-        recs.append(step(state))
-        traces[i + 1] = state.utilities
-    records = RunRecords.from_ticks(recs, cfg.memory)
-
-    hit = None
-    for t in range(ticks):
-        occ, dem = records.occupancy[t], records.demand[t]
-        mask = (occ > 0) & (np.abs(dem) >= theta * occ)
-        if mask.any():
-            hit = (t, int(np.argmax(mask)))
-            break
-    if hit is None:
+    records = run(cfg, ticks)
+    state = init_game(cfg)  # the run's tables and initial utilities
+    occ, dem = records.occupancy, records.demand
+    large = (occ > 0) & (np.abs(dem) >= theta * occ)
+    if not large.any():
         raise RuntimeError(
             "no large fluctuation within the run; lengthen it or change the seed"
         )
-    t1, k_star = hit
-    winner = int(records.minority[t1, k_star])
-    mu_c = int(records.history[t1, k_star])
-    n_good = (state.tables[:, k_star, :, mu_c] == winner).sum(axis=1)
+    t1, k_star = np.unravel_index(np.argmax(large), large.shape)  # first tick, lowest market
+    winner = records.minority[t1, k_star]
+    n_good = (state.tables[:, k_star, :, records.history[t1, k_star]] == winner).sum(axis=1)
+    picks = [
+        (klass, int(np.flatnonzero(n_good == count)[0]))
+        for count, klass in ((2, "both-good"), (1, "one-good"), (0, "none-good"))
+        if (n_good == count).any()
+    ]
 
-    klass_of = {2: "both-good", 1: "one-good", 0: "none-good"}
-    cols: Table = {
-        "klass": [], "agent": [], "t": [],
+    # replay the utilities step applies: U(t+1) = U(t) - a(mu_t) * g(A_t)
+    _, k_markets, s = state.utilities.shape
+    gain = _gain(dem, cfg)[:, :, None]
+    traces = []
+    for _, agent in picks:
+        steps = -state.tables[agent][np.arange(k_markets), :, records.history] * gain
+        utilities = np.cumsum(np.concatenate([state.utilities[agent][None], steps]), axis=0)
+        traces.append(utilities.reshape(ticks + 1, k_markets * s))
+    columns = np.concatenate(traces)  # (rows, K*s)
+    table: Table = {
+        "klass": np.repeat([klass for klass, _ in picks], ticks + 1),
+        "agent": np.repeat([agent for _, agent in picks], ticks + 1),
+        "t": np.tile(np.arange(ticks + 1), len(picks)),
     }
-    for k in range(k_markets):
-        for i in range(s):
-            cols[f"U_m{k + 1}_s{i + 1}"] = []
-    for count in (2, 1, 0):
-        agents = np.flatnonzero(n_good == count)
-        if len(agents) == 0:
-            continue
-        agent = int(agents[0])
-        cols["klass"].append(np.array([klass_of[count]] * (ticks + 1)))
-        cols["agent"].append(np.full(ticks + 1, agent))
-        cols["t"].append(np.arange(ticks + 1))
-        for k in range(k_markets):
-            for i in range(s):
-                cols[f"U_m{k + 1}_s{i + 1}"].append(traces[:, agent, k, i])
-    return {key: np.concatenate(chunks) for key, chunks in cols.items()}
+    for j in range(k_markets * s):
+        table[f"U_m{j // s + 1}_s{j % s + 1}"] = columns[:, j]
+    return table
 
 
 def _fig6_0_tables(cfgs: list[GameConfig], ticks: int) -> dict[str, Table]:
@@ -408,71 +394,63 @@ def sweep_table(points: list[SweepPoint], value_col: str) -> Table:
 def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     """Dataset behind a canned experiment, keyed by output file stem.
 
-    Overrides: ``seed`` (master), ``ticks``, ``n_seeds``, ``values``,
-    ``theta`` where the experiment uses them.
+    Overrides: ``seed`` (master, >= 0), ``ticks``, ``n_seeds``, ``values``,
+    ``theta`` and ``n2`` (fig8) where the experiment uses them.
     """
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure {name!r}; known: {', '.join(FIGURE_NAMES)}")
     seed = int(overrides.pop("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
     theta = float(overrides.pop("theta", DEFAULT_THETA))
 
-    def pick(key, default):
-        val = overrides.pop(key, default)
-        return val
-
     if name in ("fig3", "fig4"):
-        ticks = int(pick("ticks", 5000))
-        values = list(pick("values", [11, 253, 1447]))
+        ticks = int(overrides.pop("ticks", 5000))
+        values = list(overrides.pop("values", [11, 253, 1447]))
         cfgs = [GameConfig(n_agents=v, seed=subseed(seed, i)) for i, v in enumerate(values)]
         table = _series_table(cfgs, ticks, "O" if name == "fig3" else "A")
         out = {name: table}
-    elif name == "fig5":
-        ticks = int(pick("ticks", 300))
-        cfg = GameConfig(n_agents=int(pick("values", [1600])[0]), seed=subseed(seed, 0),
+    elif name in ("fig5", "fig6"):
+        ticks = int(overrides.pop("ticks", 300))
+        cfg = GameConfig(n_agents=int(overrides.pop("values", [1600])[0]), seed=subseed(seed, 0),
                          init_utilities="uniform")
-        out = {name: _fig5_table(cfg, ticks)}
-    elif name == "fig6":
-        ticks = int(pick("ticks", 300))
-        cfg = GameConfig(n_agents=int(pick("values", [1600])[0]), seed=subseed(seed, 0),
-                         init_utilities="uniform")
-        out = {name: _fig6_table(cfg, ticks, theta)}
+        out = {name: _fig5_table(cfg, ticks) if name == "fig5" else _fig6_table(cfg, ticks, theta)}
     elif name == "fig6_0":
-        ticks = int(pick("ticks", 5000))
-        values = list(pick("values", [1447, 11]))
+        ticks = int(overrides.pop("ticks", 5000))
+        values = list(overrides.pop("values", [1447, 11]))
         cfgs = [GameConfig(n_agents=v, seed=subseed(seed, i)) for i, v in enumerate(values)]
         out = _fig6_0_tables(cfgs, ticks)
     elif name == "fig6_1":
-        ticks = int(pick("ticks", 5000))
-        n_seeds = int(pick("n_seeds", 10))
-        values = list(pick("values", [253, 362, 512, 724, 1024, 1447, 2048]))
+        ticks = int(overrides.pop("ticks", 5000))
+        n_seeds = int(overrides.pop("n_seeds", 10))
+        values = list(overrides.pop("values", [253, 362, 512, 724, 1024, 1447, 2048]))
         out = {name: _fig6_1_table(GameConfig(n_agents=values[0], seed=seed), values,
                                    ticks, n_seeds)}
     elif name == "fig7":
         spec = SweepSpec(
             base=GameConfig(n_agents=11, seed=seed),
             param="N",
-            values=tuple(pick("values", [11, 64, 128, 256, 512, 1024, 1447])),
-            n_seeds=int(pick("n_seeds", 10)),
-            ticks=int(pick("ticks", 5000)),
+            values=tuple(overrides.pop("values", [11, 64, 128, 256, 512, 1024, 1447])),
+            n_seeds=int(overrides.pop("n_seeds", 10)),
+            ticks=int(overrides.pop("ticks", 5000)),
             theta=theta,
         )
         out = {name: sweep_table(q_sweep(spec), "N")}
     elif name == "fig8":
-        n2 = int(pick("n2", 301))
+        n2 = int(overrides.pop("n2", 301))
         spec = SweepSpec(
             base=GameConfig(n_agents=2 * n2, seed=seed,
                             topology=MarketTopology.irregular(n2, n2)),
             param="n1",
-            values=tuple(pick("values", [301, 1000, 3000, 10000])),
-            n_seeds=int(pick("n_seeds", 10)),
-            ticks=int(pick("ticks", 5000)),
+            values=tuple(overrides.pop("values", [301, 1000, 3000, 10000])),
+            n_seeds=int(overrides.pop("n_seeds", 10)),
+            ticks=int(overrides.pop("ticks", 5000)),
             theta=theta,
-            n2=n2,
         )
         out = {name: sweep_table(q_sweep(spec), "N1")}
     else:  # fig010
-        ticks = int(pick("ticks", 5000))
-        cfg = GameConfig(n_agents=int(pick("values", [3001])[0]), seed=subseed(seed, 0),
+        ticks = int(overrides.pop("ticks", 5000))
+        cfg = GameConfig(n_agents=int(overrides.pop("values", [3001])[0]), seed=subseed(seed, 0),
                          n_markets=3)
         rec = run(cfg, ticks)
         table: Table = {"t": rec.t}

@@ -2,10 +2,12 @@
 
 Config files are whitespace-separated ``key=value`` tokens with ``#``
 comments; unknown and duplicate keys are rejected with a source location.
-Record streams serialize to long-form CSV (header ``t,k,O,A,astar,mu,C``,
-one row per tick and market) or JSONL (one object per tick with per-market
-arrays). Integers print verbatim and reals with 17 significant digits, so
-identical data always yields identical bytes.
+Run records serialize to long-form CSV (header ``t,k,O,A,astar,mu,C``,
+one row per tick and market, t-major) or JSONL (one object per tick with
+per-market arrays). Both are rendered straight from the column arrays of
+``RunRecords`` and parsed straight back into them; parsing rejects rows out
+of render layout. Integers print verbatim and reals with 17 significant
+digits, so identical data always yields identical bytes.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from . import __version__
@@ -29,7 +29,7 @@ from .config import (
     GameConfig,
     MarketTopology,
 )
-from .engine import RunRecords, TickRecord
+from .engine import RunRecords
 
 __all__ = [
     "ParsedConfig",
@@ -224,37 +224,26 @@ def format_number(x) -> str:
     return f"{value:.17g}"
 
 
-def _tick_rows_csv(rec: TickRecord) -> str:
-    rows = []
-    for k in range(len(rec.occupancy)):
-        rows.append(
-            f"{rec.t},{k},{rec.occupancy[k]},{rec.demand[k]},"
-            f"{rec.minority[k]},{rec.history[k]},{rec.n_switched}"
-        )
-    return "\n".join(rows)
+_CSV_ROW = ",".join(["{}"] * 7).format
+_JSONL_KEYS = ("t", "O", "A", "astar", "mu", "C")
+_FIELDS = ("t", "occupancy", "demand", "minority", "history", "n_switched")
 
 
-def _tick_obj(rec: TickRecord) -> dict:
-    return {
-        "t": int(rec.t),
-        "O": [int(v) for v in rec.occupancy],
-        "A": [int(v) for v in rec.demand],
-        "astar": [int(v) for v in rec.minority],
-        "mu": [int(v) for v in rec.history],
-        "C": int(rec.n_switched),
-    }
-
-
-def render_records(records: RunRecords | Iterable[TickRecord], fmt: str = "csv") -> str:
+def render_records(records: RunRecords, fmt: str = "csv") -> str:
     """Serialize records to one deterministic string."""
-    ticks = iter(records)
+    n_ticks, k_markets = records.n_ticks, records.n_markets
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        lines.extend(_tick_rows_csv(rec) for rec in ticks)
-        return "\n".join(lines) + "\n"
+        rows = np.column_stack([
+            np.repeat(records.t, k_markets), np.tile(np.arange(k_markets), n_ticks),
+            records.occupancy.ravel(), records.demand.ravel(), records.minority.ravel(),
+            records.history.ravel(), np.repeat(records.n_switched, k_markets),
+        ]).tolist()
+        return "\n".join([CSV_HEADER] + [_CSV_ROW(*row) for row in rows]) + "\n"
     if fmt == "jsonl":
+        ticks = zip(*(getattr(records, name).tolist() for name in _FIELDS))
         return "".join(
-            json.dumps(_tick_obj(rec), separators=(",", ":")) + "\n" for rec in ticks
+            json.dumps(dict(zip(_JSONL_KEYS, tick)), separators=(",", ":")) + "\n"
+            for tick in ticks
         )
     raise ValueError(f"unknown record format {fmt!r}")
 
@@ -262,53 +251,53 @@ def render_records(records: RunRecords | Iterable[TickRecord], fmt: str = "csv")
 def parse_records(text: str, fmt: str = "csv", *, memory: int) -> RunRecords:
     """Inverse of render_records; render(parse(render(x))) == render(x).
 
-    The records do not carry the memory length, so the caller names it.
+    Rows must be in render layout: ticks in increasing order and, in CSV,
+    one row per market k = 0..K-1 within each tick; anything else raises
+    ValueError. The records do not carry the memory length, so the caller
+    names it.
     """
-    ticks: list[TickRecord] = []
     if fmt == "csv":
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines or lines[0] != CSV_HEADER:
+        lines = [ln.split(",") for ln in text.splitlines() if ln]
+        if not lines or lines[0] != CSV_HEADER.split(","):
             raise ValueError("missing or unexpected CSV header")
-        by_tick: dict[int, list[tuple[int, ...]]] = {}
-        order: list[int] = []
-        for line in lines[1:]:
-            t, k, o, a, astar, mu, c = (int(v) for v in line.split(","))
-            if t not in by_tick:
-                by_tick[t] = []
-                order.append(t)
-            by_tick[t].append((k, o, a, astar, mu, c))
-        for t in order:
-            rows = sorted(by_tick[t])
-            ticks.append(
-                TickRecord(
-                    t=t,
-                    occupancy=np.array([r[1] for r in rows], dtype=np.int64),
-                    demand=np.array([r[2] for r in rows], dtype=np.int64),
-                    minority=np.array([r[3] for r in rows], dtype=np.int64),
-                    history=np.array([r[4] for r in rows], dtype=np.int64),
-                    n_switched=rows[0][5],
-                )
+        if len(lines) == 1:
+            raise ValueError("no records to parse")
+        if any(len(row) != 7 for row in lines):
+            raise ValueError("every CSV row must hold 7 integers")
+        rows = np.array(lines[1:], dtype=np.int64)
+        # K is the number of rows of the first tick
+        k_markets = int(np.argmax(rows[:, 0] != rows[0, 0])) or len(rows)
+        if len(rows) % k_markets:
+            raise ValueError(f"{len(rows)} rows do not split into ticks of {k_markets} markets")
+        ticks = rows.reshape(-1, k_markets, 7)
+        same_tick = (ticks[:, :, [0, 6]] == ticks[:, :1, [0, 6]]).all(axis=(1, 2))
+        bad = ~same_tick | (ticks[:, :, 1] != np.arange(k_markets)).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"CSV rows {i * k_markets + 1}..{(i + 1) * k_markets}: expected the rows "
+                f"k = 0..{k_markets - 1} of one tick, in order (K = {k_markets} from the "
+                "first tick)"
             )
+        columns = [ticks[:, 0, 0], *(ticks[:, :, j] for j in range(2, 6)), ticks[:, 0, 6]]
     elif fmt == "jsonl":
-        for line in text.splitlines():
-            if not line:
-                continue
-            obj = json.loads(line)
-            ticks.append(
-                TickRecord(
-                    t=int(obj["t"]),
-                    occupancy=np.array(obj["O"], dtype=np.int64),
-                    demand=np.array(obj["A"], dtype=np.int64),
-                    minority=np.array(obj["astar"], dtype=np.int64),
-                    history=np.array(obj["mu"], dtype=np.int64),
-                    n_switched=int(obj["C"]),
-                )
-            )
+        objs = [json.loads(ln) for ln in text.splitlines() if ln]
+        if not objs:
+            raise ValueError("no records to parse")
+        try:
+            columns = [np.array([obj[key] for obj in objs], dtype=np.int64) for key in _JSONL_KEYS]
+        except ValueError:
+            raise ValueError("every JSONL tick must hold K values per market key") from None
+        if columns[1].ndim != 2 or {col.shape for col in columns[1:5]} != {columns[1].shape}:
+            raise ValueError("every JSONL tick must hold K values per market key")
     else:
         raise ValueError(f"unknown record format {fmt!r}")
-    if not ticks:
-        raise ValueError("no records to parse")
-    return RunRecords.from_ticks(ticks, memory=memory)
+    t = columns[0]
+    back = np.flatnonzero(np.diff(t) <= 0)
+    if len(back):
+        i = int(back[0])
+        raise ValueError(f"ticks out of order: t={t[i + 1]} follows t={t[i]}")
+    return RunRecords(memory, *columns)
 
 
 def render_table(table: dict[str, np.ndarray]) -> str:

@@ -1,4 +1,4 @@
-import json
+import csv
 
 import pytest
 
@@ -38,6 +38,11 @@ class TestExitCodes:
 
     def test_negative_seed(self, capsys):
         assert cli_main(["run", "--N", "5", "--seed", "-1", "-T", "3"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_negative_figure_seed(self, tmp_path, capsys):
+        argv = ["figure", "fig3", "--seed", "-1", "-T", "20", "--seeds", "1"]
+        assert cli_main(argv + ["--out", str(tmp_path)]) == 2
         assert "seed" in capsys.readouterr().err
 
     def test_runtime_failure(self, tmp_path):
@@ -94,6 +99,25 @@ class TestEnsembleAndSweep:
         lines = out.read_text().splitlines()
         assert len(lines) == 4
         assert lines[0].startswith("run,seed,big_market,split,mode,tau0,nu")
+
+    def test_ensemble_error_cell_is_quoted(self, tmp_path, monkeypatch):
+        from mmg import experiments
+
+        def broken_run(cfg, ticks):
+            raise ValueError('shape (3, 2) does not fit "x"\nat all')
+
+        monkeypatch.setattr(experiments, "run", broken_run)
+        out = tmp_path / "summaries.csv"
+        code = cli_main([
+            "ensemble", "--N", "9", "--m", "3", "--seed", "5",
+            "--seeds", "2", "-T", "30", "--out", str(out),
+        ])
+        assert code == 0
+        with out.open(newline="") as f:
+            rows = list(csv.reader(f))
+        assert len(rows) == 3
+        assert all(len(row) == len(rows[0]) for row in rows)
+        assert rows[1][-1] == 'ValueError: shape (3, 2) does not fit "x"\nat all'
 
     def test_sweep_from_config(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -99,7 +99,7 @@ class TestQSweep:
         base = tiny_cfg(
             n_agents=6, topology=MarketTopology.irregular(3, 3), n_markets=2
         )
-        spec = SweepSpec(base=base, param="n1", values=(2, 5), n_seeds=2, ticks=30, n2=3)
+        spec = SweepSpec(base=base, param="n1", values=(2, 5), n_seeds=2, ticks=30)
         points = q_sweep(spec)
         assert [p.value for p in points] == [2, 5]
         # all agents accounted for at each point

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmg import ConfigError, GameConfig, MarketTopology, run
+from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, run
 from mmg.io import (
     RunManifest,
     content_hash,
@@ -115,23 +115,27 @@ class TestRecordFormats:
         assert first[0] == "0" and first[1] == "0"
 
     def test_csv_single_tick_two_markets(self):
-        from mmg import TickRecord
-
-        tick = TickRecord(
-            t=0,
-            occupancy=np.array([3, 2]),
-            demand=np.array([1, -2]),
-            minority=np.array([-1, 1]),
-            history=np.array([5, 0]),
-            n_switched=0,
+        rec = RunRecords(
+            memory=3,
+            t=np.array([0]),
+            occupancy=np.array([[3, 2]]),
+            demand=np.array([[1, -2]]),
+            minority=np.array([[-1, 1]]),
+            history=np.array([[5, 0]]),
+            n_switched=np.array([0]),
         )
-        assert render_records([tick], "csv") == (
+        assert render_records(rec, "csv") == (
             "t,k,O,A,astar,mu,C\n0,0,3,1,-1,5,0\n0,1,2,-2,1,0,0\n"
         )
 
     def test_empty_stream_is_header_only(self):
-        assert render_records([], "csv") == "t,k,O,A,astar,mu,C\n"
-        assert render_records([], "jsonl") == ""
+        empty = np.empty((0, 2), dtype=np.int64)
+        rec = RunRecords(
+            memory=3, t=np.empty(0, dtype=np.int64), occupancy=empty, demand=empty,
+            minority=empty, history=empty, n_switched=np.empty(0, dtype=np.int64),
+        )
+        assert render_records(rec, "csv") == "t,k,O,A,astar,mu,C\n"
+        assert render_records(rec, "jsonl") == ""
 
     def test_byte_stability(self):
         a = render_records(self.records(), "csv")
@@ -159,6 +163,57 @@ class TestRecordFormats:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render_records(self.records(), "parquet")
+
+
+class TestParseLayout:
+    """parse_records accepts only rows in the layout render_records writes."""
+
+    HEADER = "t,k,O,A,astar,mu,C"
+    ROWS = ["0,0,4,2,-1,5,0", "0,1,3,1,-1,2,0", "1,0,5,1,-1,3,1", "1,1,2,0,1,5,1"]
+
+    def parse(self, rows):
+        return parse_records("\n".join([self.HEADER, *rows]) + "\n", "csv", memory=3)
+
+    def test_render_layout_parses(self):
+        rec = self.parse(self.ROWS)
+        assert rec.n_ticks == 2 and rec.n_markets == 2
+        assert rec.occupancy.tolist() == [[4, 3], [5, 2]]
+        assert rec.n_switched.tolist() == [0, 1]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([ROWS[0], ROWS[1], ROWS[3]], id="missing-market-row"),
+            pytest.param([ROWS[0], ROWS[0], ROWS[1], ROWS[2], ROWS[3]], id="duplicate-row"),
+            pytest.param([ROWS[1], ROWS[0], ROWS[2], ROWS[3]], id="markets-reordered"),
+            pytest.param([ROWS[0], ROWS[2], ROWS[1], ROWS[3]], id="ticks-interleaved"),
+            pytest.param([*ROWS, "1,2,1,1,1,0,1"], id="extra-market"),
+            pytest.param([ROWS[0], ROWS[1], "1,0,5,1,-1,3,1", "1,1,2,0,1,5,2"], id="c-differs"),
+        ],
+    )
+    def test_rows_out_of_layout(self, rows):
+        with pytest.raises(ValueError, match="of one tick, in order|do not split into ticks"):
+            self.parse(rows)
+
+    def test_ticks_out_of_order(self):
+        with pytest.raises(ValueError, match="t=0 follows t=1"):
+            self.parse([*self.ROWS[2:], *self.ROWS[:2]])
+
+    def test_jsonl_ticks_out_of_order(self):
+        text = render_records(run(GameConfig(n_agents=5, seed=2, memory=2), 3), "jsonl")
+        lines = text.splitlines()
+        with pytest.raises(ValueError, match="t=1 follows t=2"):
+            parse_records("\n".join([lines[0], lines[2], lines[1]]), "jsonl", memory=2)
+
+    def test_jsonl_missing_market_value(self):
+        text = '{"t":0,"O":[3,2],"A":[1,0],"astar":[-1,1],"mu":[1,2],"C":0}\n'
+        text += '{"t":1,"O":[5],"A":[1,0],"astar":[-1,1],"mu":[3,0],"C":2}\n'
+        with pytest.raises(ValueError, match="K values"):
+            parse_records(text, "jsonl", memory=2)
+
+    def test_ragged_csv_row(self):
+        with pytest.raises(ValueError, match="7 integers"):
+            self.parse([self.ROWS[0], "0,1,3,1,-1,2"])
 
 
 class TestFormatNumber:

@@ -284,12 +284,13 @@ def parse_records(text: str, fmt: str = "csv", *, memory: int) -> RunRecords:
         objs = [json.loads(ln) for ln in text.splitlines() if ln]
         if not objs:
             raise ValueError("no records to parse")
+        layout = "every JSONL tick must hold t, O, A, astar, mu and C, with K values per market"
         try:
             columns = [np.array([obj[key] for obj in objs], dtype=np.int64) for key in _JSONL_KEYS]
-        except ValueError:
-            raise ValueError("every JSONL tick must hold K values per market key") from None
+        except (KeyError, ValueError):
+            raise ValueError(layout) from None
         if columns[1].ndim != 2 or {col.shape for col in columns[1:5]} != {columns[1].shape}:
-            raise ValueError("every JSONL tick must hold K values per market key")
+            raise ValueError(layout)
     else:
         raise ValueError(f"unknown record format {fmt!r}")
     t = columns[0]

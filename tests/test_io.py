@@ -205,11 +205,17 @@ class TestParseLayout:
         with pytest.raises(ValueError, match="t=1 follows t=2"):
             parse_records("\n".join([lines[0], lines[2], lines[1]]), "jsonl", memory=2)
 
-    def test_jsonl_missing_market_value(self):
-        text = '{"t":0,"O":[3,2],"A":[1,0],"astar":[-1,1],"mu":[1,2],"C":0}\n'
-        text += '{"t":1,"O":[5],"A":[1,0],"astar":[-1,1],"mu":[3,0],"C":2}\n'
-        with pytest.raises(ValueError, match="K values"):
-            parse_records(text, "jsonl", memory=2)
+    @pytest.mark.parametrize(
+        "second",
+        [
+            pytest.param('{"t":1,"O":[5],"A":[1,0],"astar":[-1,1],"mu":[3,0],"C":2}', id="short"),
+            pytest.param('{"t":1,"O":[5,0],"A":[1,0],"astar":[-1,1],"C":2}', id="no-mu"),
+        ],
+    )
+    def test_jsonl_tick_out_of_layout(self, second):
+        first = '{"t":0,"O":[3,2],"A":[1,0],"astar":[-1,1],"mu":[1,2],"C":0}'
+        with pytest.raises(ValueError, match="K values per market"):
+            parse_records(f"{first}\n{second}\n", "jsonl", memory=2)
 
     def test_ragged_csv_row(self):
         with pytest.raises(ValueError, match="7 integers"):

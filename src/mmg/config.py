@@ -15,6 +15,7 @@ __all__ = [
     "ZERO_DEMAND_RULES",
     "INIT_UTILITIES",
     "MAX_MEMORY",
+    "MAX_TABLE_BYTES",
 ]
 
 PAYOFF_KINDS = ("linear", "sign", "scaled")
@@ -22,6 +23,9 @@ TIE_BREAKS = ("random", "lowest-index")
 ZERO_DEMAND_RULES = ("coin", "plus-one")
 INIT_UTILITIES = ("zero", "uniform")
 MAX_MEMORY = 24  # keeps 2**m indexable in a machine word with headroom
+# Largest strategy-table array a game may ask for: N*K*s*2**m int8 bytes.
+# The float64 utilities add 8*N*K*s bytes, at most four times as much.
+MAX_TABLE_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -116,6 +120,12 @@ class GameConfig:
             raise ConfigError(f"s: must be >= 1, got {self.n_strategies}")
         if not 1 <= self.memory <= MAX_MEMORY:
             raise ConfigError(f"m: must be in [1, {MAX_MEMORY}], got {self.memory}")
+        table_bytes = (self.n_agents * self.n_markets * self.n_strategies) << self.memory
+        if table_bytes > MAX_TABLE_BYTES:
+            raise ConfigError(
+                f"m: strategy tables need N*K*s*2**m = {table_bytes} bytes, over the "
+                f"budget of {MAX_TABLE_BYTES}; lower m, N, K or s"
+            )
         if self.payoff not in PAYOFF_KINDS:
             raise ConfigError(f"payoff: must be one of {PAYOFF_KINDS}, got {self.payoff!r}")
         if self.init_utilities not in INIT_UTILITIES:

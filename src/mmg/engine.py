@@ -19,11 +19,17 @@ in market index order (coin rule only). A (config, seed) pair therefore
 determines the full trajectory bit for bit.
 
 ``step`` works on whole arrays of agents and is the only implementation of
-the tick; there are no per-agent helpers. The plain-Python per-agent loop
-in ``tests/reference.py`` follows the same order and random stream and
-serves as its oracle. ``run`` stacks the ticks into the columnar
-``RunRecords``, the one layout that io renders and parses and that every
-estimator reads.
+the tick; there are no per-agent helpers. Its arrays keep the agent axis
+last: utilities are stored as ``GameState.scores``, one row of length N
+per (market, slot) pair in flat order, and strategy tables as
+``(K, 2**m, s, N)`` (see ``mmg.strategies``). So every per-tick reduction
+runs across K*s contiguous rows rather than along a short inner axis.
+``GameState.utilities`` and ``Endowment.actions`` are transposed views in
+the agent-first shapes ``(N, K, s)`` and ``(N, K, s, 2**m)``. The
+plain-Python per-agent loop in ``tests/reference.py`` follows the same
+order and random stream and serves as its oracle. ``run`` stacks the ticks
+into the columnar ``RunRecords``, the one layout that io renders and
+parses and that every estimator reads.
 """
 
 from __future__ import annotations
@@ -89,20 +95,48 @@ class RunRecords:
 
 @dataclass(eq=False)
 class GameState:
-    """Full mutable state of one game run."""
+    """Full mutable state of one game run.
+
+    ``scores`` holds the utilities agent-minor; ``utilities`` is its
+    ``(N, K, s)`` view, and assigning to ``utilities`` writes into
+    ``scores``. The fields after ``t`` are derived once from the endowment;
+    ``step`` reads all of them but ``choice_mask`` every tick.
+    """
 
     config: GameConfig
     rng: np.random.Generator
     endowment: Endowment
-    utilities: np.ndarray  # (N, K, s) float64
+    scores: np.ndarray  # (K*s, N) float64, row k*s + i is slot i on market k
     histories: np.ndarray  # (K,) int64
     last_market: np.ndarray | None = None  # (N,) active market at t-1
     t: int = 0
     choice_mask: np.ndarray = field(init=False)  # (N, K*s) linked-strategy mask
+    unlinked: np.ndarray | None = field(init=False)  # (K*s, N) 0 or -inf; None if all linked
+    weights: np.ndarray = field(init=False)  # (K*s, 1) K*s down to 1, in flat order
+    agents: np.ndarray = field(init=False)  # (N,) agent indices
+    markets: np.ndarray = field(init=False)  # (K,) market indices
 
     def __post_init__(self) -> None:
-        s = self.endowment.n_strategies
-        self.choice_mask = np.repeat(self.endowment.link_mask, s, axis=1)
+        link_mask = self.endowment.link_mask
+        n, k_markets = link_mask.shape
+        self.choice_mask = np.repeat(link_mask, self.endowment.n_strategies, axis=1)
+        rows = self.choice_mask.shape[1]
+        self.unlinked = None
+        if not link_mask.all():
+            self.unlinked = np.where(self.choice_mask.T, 0.0, -np.inf)
+        self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
+        self.agents = np.arange(n)
+        self.markets = np.arange(k_markets)
+
+    @property
+    def utilities(self) -> np.ndarray:
+        """(N, K, s) view of ``scores``."""
+        k_markets, s = self.config.n_markets, self.config.n_strategies
+        return self.scores.reshape(k_markets, s, -1, copy=False).transpose(2, 0, 1)
+
+    @utilities.setter
+    def utilities(self, value) -> None:
+        self.utilities[...] = value
 
     @property
     def tables(self) -> np.ndarray:
@@ -113,19 +147,16 @@ def init_game(cfg: GameConfig) -> GameState:
     """Draw the endowment, initial utilities and initial histories."""
     cfg.validate()
     rng = game_rng(cfg.seed)
-    link_mask = cfg.topology.link_mask(cfg.n_agents, cfg.n_markets)
-    endowment = draw_strategies(
-        rng, cfg.n_agents, cfg.n_markets, cfg.n_strategies, cfg.memory, link_mask
-    )
-    utilities = np.zeros((cfg.n_agents, cfg.n_markets, cfg.n_strategies), dtype=np.float64)
+    n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
+    link_mask = cfg.topology.link_mask(n, k_markets)
+    endowment = draw_strategies(rng, n, k_markets, s, cfg.memory, link_mask)
+    scores = np.zeros((k_markets * s, n), dtype=np.float64)
     if cfg.init_utilities == "uniform":
-        n_linked = int(link_mask.sum())
-        utilities[link_mask] = rng.uniform(
-            cfg.u_low, cfg.u_high, size=(n_linked, cfg.n_strategies)
-        )
-    histories = rng.integers(0, 1 << cfg.memory, size=cfg.n_markets, dtype=np.int64)
+        utilities = scores.reshape(k_markets, s, n, copy=False).transpose(2, 0, 1)
+        utilities[link_mask] = rng.uniform(cfg.u_low, cfg.u_high, size=(int(link_mask.sum()), s))
+    histories = rng.integers(0, 1 << cfg.memory, size=k_markets, dtype=np.int64)
     return GameState(
-        config=cfg, rng=rng, endowment=endowment, utilities=utilities, histories=histories
+        config=cfg, rng=rng, endowment=endowment, scores=scores, histories=histories
     )
 
 
@@ -138,35 +169,32 @@ def _gain(demand: np.ndarray, cfg: GameConfig) -> np.ndarray:
 
 
 def _actions_at_histories(state: GameState) -> np.ndarray:
-    """(N, K, s) action of every strategy at the current histories."""
-    n, k_markets, s, _ = state.tables.shape
-    acts = np.empty((n, k_markets, s), dtype=np.int8)
-    for k in range(k_markets):
-        acts[:, k, :] = state.tables[:, k, :, state.histories[k]]
-    return acts
+    """(K*s, N) action of every strategy at the current histories, one
+    ``(s, N)`` block of the table storage per market."""
+    storage = state.tables.transpose(1, 3, 2, 0)  # (K, 2**m, s, N)
+    return storage[state.markets, state.histories].reshape(-1, storage.shape[-1])
 
 
 def _choose_all(state: GameState) -> np.ndarray:
     """Flat (market*s + slot) choice per agent; consumes RNG only on ties."""
-    n, _, s = state.utilities.shape
-    util = np.where(state.choice_mask, state.utilities.reshape(n, -1), -np.inf)
-    best = util.max(axis=1)
-    is_max = util == best[:, None]
-    choice = is_max.argmax(axis=1)  # first maximizer = lowest (market, slot)
+    util = state.scores if state.unlinked is None else state.scores + state.unlinked
+    is_max = util == util.max(axis=0)
+    # the first maximizer carries the largest weight
+    choice = len(state.weights) - (is_max * state.weights).max(axis=0).astype(np.intp)
     if state.config.tie_break == "random":
-        counts = is_max.sum(axis=1)
-        tied = counts > 1
-        if tied.any():
-            pick = state.rng.integers(0, counts[tied])
-            ranks = np.cumsum(is_max[tied], axis=1)
-            choice[tied] = (ranks == pick[:, None] + 1).argmax(axis=1)
+        counts = is_max.sum(axis=0, dtype=state.weights.dtype)
+        tied = np.flatnonzero(counts > 1)
+        if tied.size:
+            pick = state.rng.integers(0, counts[tied].astype(np.int64))
+            ranks = np.cumsum(is_max[:, tied], axis=0)
+            choice[tied] = (ranks == pick + 1).argmax(axis=0)
     return choice
 
 
 def step(state: GameState) -> TickRecord:
     """Advance the game by one tick and return its observables."""
     cfg = state.config
-    n, k_markets, s = state.utilities.shape
+    k_markets, s = cfg.n_markets, cfg.n_strategies
     mu = state.histories.copy()
 
     acts = _actions_at_histories(state)
@@ -174,7 +202,7 @@ def step(state: GameState) -> TickRecord:
     # (1) strategy choice
     choice = _choose_all(state)
     market = choice // s
-    action = acts.reshape(n, -1)[np.arange(n), choice]
+    action = acts.take(choice * len(state.agents) + state.agents)  # acts[choice, agent]
 
     # (2) aggregation over active agents
     occupancy = np.bincount(market, minlength=k_markets).astype(np.int64)
@@ -191,7 +219,7 @@ def step(state: GameState) -> TickRecord:
 
     # (4) score every linked strategy, active and passive; unlinked entries
     # hold action 0 and stay untouched
-    state.utilities -= acts * _gain(demand, cfg)[None, :, None]
+    state.scores -= acts * _gain(demand, cfg).repeat(s)[:, None]
 
     # (5) histories shift in the minority actions
     bits = (minority + 1) >> 1

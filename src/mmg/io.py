@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .config import (
     INIT_UTILITIES,
-    MAX_MEMORY,
     PAYOFF_KINDS,
     TIE_BREAKS,
     ZERO_DEMAND_RULES,

@@ -41,8 +41,8 @@ class ReferenceGame:
             [(k, i) for k in range(cfg.n_markets) if links[k] for i in range(cfg.n_strategies)]
             for links in state.endowment.link_mask.tolist()
         ]
-        self.last_market = None
-        self.t = 0
+        self.last_market = None if state.last_market is None else state.last_market.tolist()
+        self.t = state.t
         self.tie_draws = 0
         self.coin_draws = 0
 

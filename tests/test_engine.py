@@ -351,21 +351,50 @@ def reference_grid():
 
 REFERENCE_GRID = reference_grid()
 
+# N in the hundreds and K*s >= 9, beyond the small grid: under the sign
+# payoff with random ties 150-300 agents tie each tick, and K*s = 260 needs
+# 16-bit choice weights
+LARGE_GRID = [
+    GameConfig(n_agents=600, seed=7, n_strategies=5, memory=3, payoff="sign",
+               topology=MarketTopology.irregular(350, 250)),
+    GameConfig(n_agents=300, seed=8, n_markets=3, n_strategies=3, memory=2, payoff="sign"),
+    GameConfig(n_agents=200, seed=9, n_markets=4, n_strategies=3, memory=4,
+               init_utilities="uniform", tie_break="lowest-index", zero_demand="plus-one"),
+    GameConfig(n_agents=120, seed=10, n_strategies=130, memory=1, payoff="sign",
+               topology=MarketTopology.irregular(60, 60)),
+]
+
+
+def tick_tuple(rec):
+    return (
+        rec.t, rec.occupancy.tolist(), rec.demand.tolist(),
+        rec.minority.tolist(), rec.history.tolist(), rec.n_switched,
+    )
+
+
+def assert_steps_like_reference(state, ticks):
+    """Step ``state`` next to the reference engine started from a copy of
+    it; return the records and the reference game."""
+    ref_ticks, ref = reference_run(copy.deepcopy(state), ticks)
+    got = []
+    for expected in ref_ticks:
+        got.append(tick_tuple(step(state)))
+        assert got[-1] == tuple(expected), f"tick {got[-1][0]}"
+    assert np.array_equal(state.utilities, np.array(ref.utilities))
+    assert state.rng.bit_generator.state == ref.rng.bit_generator.state
+    return got, ref
+
 
 class TestAgainstReference:
     @pytest.mark.parametrize("cfg", REFERENCE_GRID, ids=range(len(REFERENCE_GRID)))
     def test_step_matches_reference(self, cfg):
-        state = init_game(cfg)
-        ref_ticks, ref = reference_run(copy.deepcopy(state), 200)
-        for expected in ref_ticks:
-            rec = step(state)
-            got = (
-                rec.t, rec.occupancy.tolist(), rec.demand.tolist(),
-                rec.minority.tolist(), rec.history.tolist(), rec.n_switched,
-            )
-            assert got == tuple(expected), f"tick {rec.t}"
-        assert np.array_equal(state.utilities, np.array(ref.utilities))
-        assert state.rng.bit_generator.state == ref.rng.bit_generator.state
+        assert_steps_like_reference(init_game(cfg), 200)
+
+    @pytest.mark.parametrize("cfg", LARGE_GRID, ids=range(len(LARGE_GRID)))
+    def test_large_population_matches_reference(self, cfg):
+        _, ref = assert_steps_like_reference(init_game(cfg), 100)
+        if cfg.tie_break == "random":
+            assert ref.tie_draws >= 100 * 100
 
     def test_grid_covers_random_paths(self):
         assert len(REFERENCE_GRID) >= 72
@@ -375,3 +404,69 @@ class TestAgainstReference:
             draws["tie"] += ref.tie_draws
             draws["coin"] += ref.coin_draws
         assert draws["tie"] > 0 and draws["coin"] > 0
+
+
+def played_game():
+    state = init_game(GameConfig(n_agents=40, seed=11, n_markets=3, memory=3, payoff="sign"))
+    for _ in range(5):
+        step(state)
+    return state
+
+
+class TestStateViews:
+    """``utilities`` and ``tables`` are agent-first views of the engine's
+    agent-minor storage; writes through them must reach the next tick."""
+
+    def assert_write_reaches_step(self, write, copied):
+        state = played_game()
+        if copied:
+            state = copy.deepcopy(state)
+        untouched, _ = assert_steps_like_reference(played_game(), 20)
+        write(state)
+        written, _ = assert_steps_like_reference(state, 20)
+        assert written != untouched
+
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_item_assignment(self, copied):
+        def write(state):
+            for i in range(0, 40, 3):
+                state.utilities[i] = 0.0
+                state.utilities[i, 2, 1] = 50.0
+        self.assert_write_reaches_step(write, copied)
+
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_inplace_add(self, copied):
+        def write(state):
+            state.utilities += np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 25.0]])
+        self.assert_write_reaches_step(write, copied)
+
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_reassignment(self, copied):
+        def write(state):
+            state.utilities = -state.utilities
+            assert np.shares_memory(state.utilities, state.scores)
+        self.assert_write_reaches_step(write, copied)
+
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_table_assignment(self, copied):
+        def write(state):
+            state.tables[:20] = -state.tables[:20]
+        self.assert_write_reaches_step(write, copied)
+
+    def test_deepcopy_steps_identically(self):
+        state = played_game()
+        twin = copy.deepcopy(state)
+        assert not np.shares_memory(twin.scores, state.scores)
+        assert not np.shares_memory(twin.tables, state.tables)
+        for _ in range(30):
+            assert tick_tuple(step(twin)) == tick_tuple(step(state))
+        assert np.array_equal(twin.utilities, state.utilities)
+        assert twin.rng.bit_generator.state == state.rng.bit_generator.state
+
+    def test_storage_is_agent_minor(self):
+        state = played_game()
+        assert state.scores.shape == (6, 40) and state.scores.flags.c_contiguous
+        assert np.shares_memory(state.utilities, state.scores)
+        assert state.utilities.shape == (40, 3, 2)
+        assert state.tables.shape == (40, 3, 2, 8)
+        assert state.tables.transpose(1, 3, 2, 0).flags.c_contiguous

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, run
+from mmg.config import MAX_TABLE_BYTES
 from mmg.io import (
     RunManifest,
     content_hash,
@@ -53,6 +54,22 @@ class TestParseConfig:
             parse_config("N=5 s=0 seed=1")
         with pytest.raises(ConfigError, match="m:"):
             parse_config("N=5 m=25 seed=1")
+
+    def test_table_budget_names_memory(self):
+        # 200000 agents at m=20 would ask for about 781 GiB of tables; the
+        # config is refused before anything is allocated
+        with pytest.raises(ConfigError, match="^m: .*838860800000 bytes"):
+            GameConfig(n_agents=200_000, seed=1, memory=20).validate()
+        with pytest.raises(ConfigError, match="^m: "):
+            parse_config("N=200000 m=20 seed=1")
+
+    def test_table_budget_is_inclusive(self):
+        n = MAX_TABLE_BYTES >> 12  # N*K*s*2**m at exactly the budget for K=s=2, m=10
+        GameConfig(n_agents=n, seed=1, memory=10).validate()
+        with pytest.raises(ConfigError, match="^m: "):
+            GameConfig(n_agents=n + 1, seed=1, memory=10).validate()
+        with pytest.raises(ConfigError, match="^m: "):
+            parse_config(f"N={n} K=3 m=10 seed=1")
 
     def test_irregular_population(self):
         parsed = parse_config("topology=irregular n1=1146 n2=301 seed=9")

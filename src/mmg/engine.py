@@ -180,10 +180,10 @@ def _choose_all(state: GameState) -> np.ndarray:
     util = state.scores if state.unlinked is None else state.scores + state.unlinked
     is_max = util == util.max(axis=0)
     # the first maximizer carries the largest weight
-    choice = len(state.weights) - (is_max * state.weights).max(axis=0).astype(np.intp)
+    choice = np.subtract(len(state.weights), (is_max * state.weights).max(axis=0), dtype=np.intp)
     if state.config.tie_break == "random":
         counts = is_max.sum(axis=0, dtype=state.weights.dtype)
-        tied = np.flatnonzero(counts > 1)
+        tied = (counts > 1).nonzero()[0]
         if tied.size:
             pick = state.rng.integers(0, counts[tied].astype(np.int64))
             ranks = np.cumsum(is_max[:, tied], axis=0)

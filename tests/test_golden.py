@@ -4,16 +4,19 @@ Each ``GOLDEN`` entry pins ``render_records(run(cfg, 300), fmt)`` for one
 config in both record formats. Together they cover K = 1, 2, 3, the
 irregular topology and every payoff, tie rule, zero-demand rule and
 initial-utility rule. Each ``FIGURES`` entry pins every table of one canned
-experiment at small overrides, rendered with ``render_table``. Any change
-to the engine's arithmetic or its random-number consumption moves at least
-one pin; a pure refactor or speed-up must leave all of them in place.
+experiment at small overrides, rendered with ``render_table``. Each
+``ENSEMBLES`` and ``SWEEPS`` entry pins the CSV that ``mmg ensemble`` or
+``mmg sweep`` writes for one small config. Any change to the engine's
+arithmetic or its random-number consumption moves at least one pin; a pure
+refactor or speed-up must leave all of them in place.
 """
 
 import hashlib
 
 import pytest
 
-from mmg import GameConfig, MarketTopology, run
+from mmg import GameConfig, MarketTopology, experiments, run, subseed
+from mmg.cli import cli_main
 from mmg.experiments import FIGURE_NAMES, figure_dataset
 from mmg.io import render_records, render_table
 
@@ -201,3 +204,91 @@ def test_golden_figure(name):
     tables = figure_dataset(name, **overrides)
     text = "".join(f"{stem}\n{render_table(table)}" for stem, table in tables.items())
     assert sha256(text) == pinned
+
+
+# ``mmg ensemble`` flags; together they cover defined and undefined tau0, a
+# seed with no critical history, K = 3 and the irregular topology
+ENSEMBLES = {
+    "k2-tau0": (
+        "--N 200 --m 3 --seed 5 --seeds 4 -T 200",
+        "08c2afe2bbde510917197294bd5230e24002ffcfa8d42a8adf618ed2386a1751",
+    ),
+    "k2-no-critical": (
+        "--N 11 --m 2 --seed 3 --seeds 5 -T 100",
+        "47db0680d8601385a63d7332837f766879ad7615340cd8fc5a708ec628b51813",
+    ),
+    "k3": (
+        "--N 13 --K 3 --m 3 --seed 1 --seeds 4 -T 80",
+        "1246febdad1ce070ce40669e4cbe8de4c2a24836b83af427874be3510391b866",
+    ),
+    "irregular": (
+        "--topology irregular --n1 6 --n2 5 --m 3 --seed 4 --seeds 3 -T 80",
+        "5712fc80ae8a8cc261c2a89a73c15e8ce28907b73d2320097f8fbcb23cc7d2b0",
+    ),
+}
+
+# ``mmg sweep`` config files; unsorted values, undefined and defined tau0,
+# K = 3 and an n1 sweep
+SWEEPS = {
+    "N": (
+        "N=8 m=3 seed=2 T=200 sweep=N values=200,8,64 seeds=3",
+        "57de95377fca2f5e81ec515d3fe0ba9ca04a891a5a32285dc1149fc2e6128f9b",
+    ),
+    "k3": (
+        "K=3 N=13 m=3 seed=1 T=80 sweep=N values=13,31 seeds=2",
+        "6171e095ea50f061ad6e7d8a628ed9bb158e3611e7daae9a7db58cd13a6321de",
+    ),
+    "n1": (
+        "topology=irregular n1=5 n2=5 m=3 seed=7 T=80 sweep=n1 values=5,40 seeds=2",
+        "40763492eb108341f745dd506c072f2d2fd39c8537fc81013964556d9a2f653f",
+    ),
+}
+
+# run 1 fails with a message that must be quoted; the other rows are kept
+FAILED_ENSEMBLE = "--N 9 --m 3 --seed 5 --seeds 3 -T 60"
+FAILED_ENSEMBLE_SHA = "46a5bfc7c1a9395b809f05b7e855d0ae3afbe4cd214e930d0dc111a61c53bdaf"
+FAILED_SWEEP_SHA = "bef7607d74fcb4e7c6d95cb9e9e2e8eac4fd6ec891a7c3f80e3e3dc92da64df6"
+
+
+def cli_output(tmp_path, argv: list[str]) -> str:
+    out = tmp_path / "out.csv"
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(ENSEMBLES))
+def test_golden_ensemble(name, tmp_path):
+    flags, pinned = ENSEMBLES[name]
+    assert sha256(cli_output(tmp_path, ["ensemble"] + flags.split())) == pinned
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_golden_sweep(name, tmp_path):
+    text, pinned = SWEEPS[name]
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text + "\n")
+    assert sha256(cli_output(tmp_path, ["sweep", "--config", str(cfg)])) == pinned
+
+
+@pytest.fixture
+def run_1_fails(monkeypatch):
+    real_run = experiments.run
+
+    def failing_run(cfg, ticks):
+        if cfg.seed in (subseed(5, 1), subseed(7, 1)):
+            raise ValueError('shape (3, 2) does not fit "x"')
+        return real_run(cfg, ticks)
+
+    monkeypatch.setattr(experiments, "run", failing_run)
+
+
+def test_golden_ensemble_failed_row(run_1_fails, tmp_path):
+    text = cli_output(tmp_path, ["ensemble"] + FAILED_ENSEMBLE.split())
+    assert sha256(text) == FAILED_ENSEMBLE_SHA
+
+
+def test_golden_sweep_failed_run(run_1_fails, tmp_path):
+    # the failed run counts in n_failed and is left out of every mean
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("N=8 m=3 seed=7 T=60 sweep=N values=8,16 seeds=3\n")
+    assert sha256(cli_output(tmp_path, ["sweep", "--config", str(cfg)])) == FAILED_SWEEP_SHA

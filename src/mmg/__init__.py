@@ -16,18 +16,17 @@ from .metrics import (
     ModeThresholds,
     MuHistogram,
     SeriesStats,
-    SwitchSeries,
     big_small_markets,
     classify_mode,
     detect_critical_history,
     fluctuation_frequency,
+    mean_c_at_recurrence,
     mu_histogram,
     predicted_irregular,
     predicted_occupancies,
     relaxation_time,
     series_stats,
     split_detected,
-    switch_series,
 )
 from .experiments import (
     RunSummary,
@@ -55,7 +54,6 @@ __all__ = [
     "ModeThresholds",
     "MuHistogram",
     "SeriesStats",
-    "SwitchSeries",
     "RunSummary",
     "SweepPoint",
     "SweepSpec",
@@ -69,6 +67,7 @@ __all__ = [
     "fluctuation_frequency",
     "game_rng",
     "init_game",
+    "mean_c_at_recurrence",
     "mu_histogram",
     "predicted_irregular",
     "predicted_occupancies",
@@ -80,5 +79,4 @@ __all__ = [
     "step",
     "subseed",
     "summarize_run",
-    "switch_series",
 ]

@@ -23,6 +23,7 @@ from .experiments import (
     ensemble_run,
     figure_dataset,
     q_sweep,
+    summary_table,
     sweep_table,
 )
 from .io import (
@@ -137,53 +138,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _csv_cell(text: str) -> str:
-    """Quote per RFC 4180, only when the text holds a comma, quote or newline."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _summary_table(summaries, k_markets: int) -> str:
-    lines = []
-    header = [
-        "run", "seed", "big_market", "split", "mode", "tau0", "nu",
-        "o_big", "o_small", "var_big", "var_small",
-    ]
-    header += [f"o_m{k + 1}" for k in range(k_markets)]
-    header += [f"var_m{k + 1}" for k in range(k_markets)]
-    header += ["critical_mu", "n_recurrences", "mean_c_at_recurrence", "error"]
-    lines.append(",".join(header))
-    for s in summaries:
-        if s.failed:
-            row = [str(s.run_index), str(s.seed)] + [""] * (len(header) - 3) + [_csv_cell(s.error)]
-        else:
-            crit = s.critical
-            row = [
-                str(s.run_index),
-                str(s.seed),
-                str(s.big_market),
-                "1" if s.split else "0",
-                s.mode,
-                "" if s.tau0 is None else str(s.tau0),
-                format_number(s.nu),
-                format_number(s.stats.mean_occupancy[s.big_market]),
-                format_number(s.stats.mean_occupancy[s.small_market]),
-                format_number(s.stats.per_capita_var[s.big_market]),
-                format_number(s.stats.per_capita_var[s.small_market]),
-            ]
-            row += [format_number(v) for v in s.stats.mean_occupancy]
-            row += [format_number(v) for v in s.stats.per_capita_var]
-            row += [
-                "" if crit is None else str(crit.history),
-                "0" if crit is None else str(len(crit.recurrences)),
-                "" if s.mean_c_at_recurrence is None else format_number(s.mean_c_at_recurrence),
-                "",
-            ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_ensemble(args) -> int:
     parsed = _load_config(args)
     if parsed.ticks is None:
@@ -191,7 +145,7 @@ def _cmd_ensemble(args) -> int:
     if parsed.n_seeds is None:
         raise ConfigError("seeds: required for ensemble")
     summaries = ensemble_run(parsed.game, parsed.ticks, parsed.n_seeds, window=parsed.window)
-    _write(_summary_table(summaries, parsed.game.n_markets), args.out)
+    _write(render_table(summary_table(summaries, parsed.game.n_markets)), args.out)
     return 0
 
 

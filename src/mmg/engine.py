@@ -123,7 +123,7 @@ class GameState:
         rows = self.choice_mask.shape[1]
         self.unlinked = None
         if not link_mask.all():
-            self.unlinked = np.where(self.choice_mask.T, 0.0, -np.inf)
+            self.unlinked = np.ascontiguousarray(np.where(self.choice_mask.T, 0.0, -np.inf))
         self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
         self.agents = np.arange(n)
         self.markets = np.arange(k_markets)

@@ -22,11 +22,11 @@ from .metrics import (
     classify_mode,
     detect_critical_history,
     fluctuation_frequency,
+    mean_c_at_recurrence,
     mu_histogram,
     relaxation_time,
     series_stats,
     split_detected,
-    switch_series,
 )
 from .rng import subseed
 
@@ -40,6 +40,7 @@ __all__ = [
     "estimate_critical_q",
     "aggregate_point",
     "sweep_table",
+    "summary_table",
     "figure_dataset",
     "FIGURE_NAMES",
 ]
@@ -85,7 +86,6 @@ def summarize_run(
     tau0 = relaxation_time(records, n_agents, n_strategies)
     nu = fluctuation_frequency(records, big, theta, window)
     crit = detect_critical_history(records, big, theta)
-    sw = switch_series(records, market=big, theta=theta)
     return RunSummary(
         run_index=run_index,
         seed=seed,
@@ -97,7 +97,7 @@ def summarize_run(
         tau0=tau0,
         nu=nu,
         critical=crit,
-        mean_c_at_recurrence=sw.mean_c_at_recurrence,
+        mean_c_at_recurrence=mean_c_at_recurrence(records, crit),
         records=records if keep_records else None,
     )
 
@@ -349,26 +349,6 @@ def _fig6_0_tables(cfgs: list[GameConfig], ticks: int) -> dict[str, Table]:
     return out
 
 
-def _fig6_1_table(base: GameConfig, values: list[int], ticks: int, n_seeds: int) -> Table:
-    qs, taus, stds, counts = [], [], [], []
-    for v in values:
-        summaries = ensemble_run(replace(base, n_agents=v), ticks, n_seeds)
-        tau_vals = [float(s.tau0) for s in summaries if not s.failed and s.tau0 is not None]
-        mean, std = _mean_std(tau_vals) if tau_vals else (float("nan"), float("nan"))
-        qs.append(v / (1 << base.memory))
-        taus.append(mean)
-        stds.append(std)
-        counts.append(len(tau_vals))
-    return {
-        "Q": np.array(qs),
-        "N": np.array(values),
-        "tau0_mean": np.array(taus),
-        "tau0_std": np.array(stds),
-        "n_defined": np.array(counts),
-        "n_seeds": np.full(len(values), n_seeds),
-    }
-
-
 def sweep_table(points: list[SweepPoint], value_col: str) -> Table:
     table: Table = {
         value_col: np.array([p.value for p in points]),
@@ -388,6 +368,44 @@ def sweep_table(points: list[SweepPoint], value_col: str) -> Table:
     table["split_fraction"] = np.array([p.split_fraction for p in points])
     table["n_seeds"] = np.array([p.n_seeds for p in points])
     table["n_failed"] = np.array([p.n_failed for p in points])
+    return table
+
+
+def summary_table(summaries: list[RunSummary], k_markets: int) -> Table:
+    """One row per run, in run-index order.
+
+    A failed run keeps its run index, seed and error; its other cells are
+    NaN or "", which render empty. ``seed`` stays uint64: child seeds
+    exceed 2**53, which a float column would round.
+    """
+
+    def floats(get) -> np.ndarray:  # None and failed runs give NaN
+        values = [None if s.failed else get(s) for s in summaries]
+        return np.array([np.nan if v is None else float(v) for v in values])
+
+    table: Table = {
+        "run": np.array([s.run_index for s in summaries]),
+        "seed": np.array([s.seed for s in summaries], dtype=np.uint64),
+        "big_market": floats(lambda s: s.big_market),
+        "split": floats(lambda s: s.split),
+        "mode": np.array([s.mode or "" for s in summaries]),
+        "tau0": floats(lambda s: s.tau0),
+        "nu": floats(lambda s: s.nu),
+        "o_big": floats(lambda s: s.stats.mean_occupancy[s.big_market]),
+        "o_small": floats(lambda s: s.stats.mean_occupancy[s.small_market]),
+        "var_big": floats(lambda s: s.stats.per_capita_var[s.big_market]),
+        "var_small": floats(lambda s: s.stats.per_capita_var[s.small_market]),
+    }
+    for k in range(k_markets):
+        table[f"o_m{k + 1}"] = floats(lambda s: s.stats.mean_occupancy[k])
+    for k in range(k_markets):
+        table[f"var_m{k + 1}"] = floats(lambda s: s.stats.per_capita_var[k])
+    table["critical_mu"] = floats(lambda s: None if s.critical is None else s.critical.history)
+    table["n_recurrences"] = floats(
+        lambda s: 0 if s.critical is None else len(s.critical.recurrences)
+    )
+    table["mean_c_at_recurrence"] = floats(lambda s: s.mean_c_at_recurrence)
+    table["error"] = np.array([s.error or "" for s in summaries])
     return table
 
 
@@ -420,22 +438,25 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
         values = list(overrides.pop("values", [1447, 11]))
         cfgs = [GameConfig(n_agents=v, seed=subseed(seed, i)) for i, v in enumerate(values)]
         out = _fig6_0_tables(cfgs, ticks)
-    elif name == "fig6_1":
-        ticks = int(overrides.pop("ticks", 5000))
-        n_seeds = int(overrides.pop("n_seeds", 10))
-        values = list(overrides.pop("values", [253, 362, 512, 724, 1024, 1447, 2048]))
-        out = {name: _fig6_1_table(GameConfig(n_agents=values[0], seed=seed), values,
-                                   ticks, n_seeds)}
-    elif name == "fig7":
+    elif name in ("fig6_1", "fig7"):
+        default = ((253, 362, 512, 724, 1024, 1447, 2048) if name == "fig6_1"
+                   else (11, 64, 128, 256, 512, 1024, 1447))
         spec = SweepSpec(
             base=GameConfig(n_agents=11, seed=seed),
             param="N",
-            values=tuple(overrides.pop("values", [11, 64, 128, 256, 512, 1024, 1447])),
+            values=tuple(overrides.pop("values", default)),
             n_seeds=int(overrides.pop("n_seeds", 10)),
             ticks=int(overrides.pop("ticks", 5000)),
             theta=theta,
         )
-        out = {name: sweep_table(q_sweep(spec), "N")}
+        table = sweep_table(q_sweep(spec), "N")
+        if name == "fig6_1":  # relaxation time against Q
+            table = {
+                "Q": table["Q"], "N": table["N"], "tau0_mean": table["tau0_mean"],
+                "tau0_std": table["tau0_std"], "n_defined": table["tau0_defined"],
+                "n_seeds": table["n_seeds"],
+            }
+        out = {name: table}
     elif name == "fig8":
         n2 = int(overrides.pop("n2", 301))
         spec = SweepSpec(

@@ -188,6 +188,13 @@ def _build(raw: dict) -> ParsedConfig:
     n_seeds = raw.get("seeds")
     if n_seeds is not None and int(n_seeds) < 1:
         raise ConfigError(f"seeds: must be >= 1, got {n_seeds}")
+    window = raw.get("window")
+    if window is not None:
+        start, stop = window
+        if not 0 <= start < stop or (ticks is not None and stop > int(ticks)):
+            raise ConfigError(
+                f"window: need 0 <= start < stop <= T, got {start}:{stop} (T={ticks})"
+            )
 
     sweep = None
     if "sweep" in raw:
@@ -196,6 +203,12 @@ def _build(raw: dict) -> ParsedConfig:
         sweep = SweepDirective(param=str(raw["sweep"]), values=tuple(raw["values"]))
         if sweep.param == "n1" and topology.kind != "irregular":
             raise ConfigError("sweep=n1 requires topology=irregular with n1/n2")
+        # every swept game needs N >= 1; an n1 sweep keeps the base's n2
+        low = 1 if sweep.param == "N" else max(0, 1 - topology.n2)
+        if min(sweep.values) < low:
+            raise ConfigError(
+                f"values: sweep={sweep.param} needs values >= {low}, got {min(sweep.values)}"
+            )
     elif "values" in raw:
         raise ConfigError("values: only valid together with sweep=")
 
@@ -204,7 +217,7 @@ def _build(raw: dict) -> ParsedConfig:
         ticks=int(ticks) if ticks is not None else None,
         n_seeds=int(n_seeds) if n_seeds is not None else None,
         sweep=sweep,
-        window=raw.get("window"),
+        window=window,
     )
 
 
@@ -300,18 +313,26 @@ def parse_records(text: str, fmt: str = "csv", *, memory: int) -> RunRecords:
     return RunRecords(memory, *columns)
 
 
+def _csv_text(text: str) -> str:
+    """Quote per RFC 4180, only when the text holds a comma, quote, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_table(table: dict[str, np.ndarray]) -> str:
-    """Deterministic CSV for a column table (figure and sweep outputs)."""
-    names = list(table)
-    columns = [np.asarray(table[name]) for name in names]
-    n_rows = len(columns[0])
-    lines = [",".join(names)]
-    for i in range(n_rows):
-        cells = []
-        for col in columns:
-            v = col[i]
-            cells.append(str(v) if col.dtype.kind in "US" else format_number(v))
-        lines.append(",".join(cells))
+    """Deterministic CSV for a column table (ensemble, sweep and figure outputs).
+
+    Text columns print their cells, quoted only where RFC 4180 needs it;
+    every other column goes through ``format_number``, so NaN prints empty.
+    """
+    columns = [np.asarray(col) for col in table.values()]
+    cells = [
+        [_csv_text(str(v)) for v in col] if col.dtype.kind in "US" else
+        [format_number(v) for v in col]
+        for col in columns
+    ]
+    lines = [",".join(table)] + [",".join(row) for row in zip(*cells)]
     return "\n".join(lines) + "\n"
 
 

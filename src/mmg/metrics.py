@@ -16,14 +16,13 @@ from .engine import RunRecords
 __all__ = [
     "SeriesStats",
     "MuHistogram",
-    "SwitchSeries",
     "CriticalFluctuation",
     "ModeThresholds",
     "MODES",
     "resolve_window",
     "series_stats",
     "mu_histogram",
-    "switch_series",
+    "mean_c_at_recurrence",
     "fluctuation_frequency",
     "relaxation_time",
     "predicted_occupancies",
@@ -133,31 +132,19 @@ def detect_critical_history(
     )
 
 
-@dataclass(frozen=True)
-class SwitchSeries:
-    """Per-tick market-switch counts, optionally conditioned on recurrences.
+def mean_c_at_recurrence(
+    records: RunRecords, crit: CriticalFluctuation | None
+) -> float | None:
+    """Mean switch count C(t+1) over the recurrences t of the critical history.
 
     Switching triggered by a recurrence at tick t shows up in the choices of
-    tick t+1, so the conditioned mean is taken over C(t+1).
+    tick t+1, so a recurrence at the last recorded tick has no C to read.
+    None without a critical history or without such a recurrence.
     """
-
-    c: np.ndarray  # (T,)
-    mean_c_at_recurrence: float | None = None
-    recurrence_ticks: np.ndarray | None = None
-
-
-def switch_series(
-    records: RunRecords, market: int | None = None, theta: float = DEFAULT_THETA
-) -> SwitchSeries:
-    c = records.n_switched
-    if market is None:
-        return SwitchSeries(c=c)
-    crit = detect_critical_history(records, market, theta)
-    if crit is None or len(crit.recurrences) == 0:
-        return SwitchSeries(c=c)
+    if crit is None:
+        return None
     after = crit.recurrences[crit.recurrences + 1 < records.n_ticks] + 1
-    mean_c = float(c[after].mean()) if len(after) else None
-    return SwitchSeries(c=c, mean_c_at_recurrence=mean_c, recurrence_ticks=crit.recurrences)
+    return float(records.n_switched[after].mean()) if len(after) else None
 
 
 def fluctuation_frequency(

@@ -45,6 +45,26 @@ class TestExitCodes:
         assert cli_main(argv + ["--out", str(tmp_path)]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("game, key", [
+        ("N=8 sweep=N values=0,8", "values"),
+        ("topology=irregular n1=3 n2=3 sweep=n1 values=-3", "values"),
+        ("N=8 sweep=N values=8 window=0:50", "window"),
+    ])
+    def test_bad_sweep_input(self, tmp_path, capsys, game, key):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{game} m=3 seed=1 T=30 seeds=1\n")
+        assert cli_main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
+    @pytest.mark.parametrize("window", ["20:10", "0:50"])
+    def test_window_beyond_run(self, tmp_path, capsys, window):
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text(f"N=9 m=3 seed=5 T=30 seeds=2 window={window}\n")
+        out = tmp_path / "summaries.csv"
+        assert cli_main(["ensemble", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: window:")
+        assert not out.exists()
+
     def test_runtime_failure(self, tmp_path):
         # fig6 needs a large fluctuation; two ticks cannot contain one
         assert cli_main(["figure", "fig6", "-T", "2", "--out", str(tmp_path)]) == 3

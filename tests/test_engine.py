@@ -470,3 +470,9 @@ class TestStateViews:
         assert state.utilities.shape == (40, 3, 2)
         assert state.tables.shape == (40, 3, 2, 8)
         assert state.tables.transpose(1, 3, 2, 0).flags.c_contiguous
+
+    def test_unlinked_mask_is_agent_minor(self):
+        cfg = GameConfig(n_agents=9, seed=1, topology=MarketTopology.irregular(4, 5))
+        unlinked = init_game(cfg).unlinked
+        assert unlinked.shape == (4, 9) and unlinked.flags.c_contiguous
+        assert np.isneginf(unlinked[2:, :4]).all() and not unlinked[:, 4:].any()

@@ -1,9 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mmg import (
     GameConfig,
     MarketTopology,
+    RunSummary,
     SweepSpec,
     ensemble_run,
     estimate_critical_q,
@@ -13,7 +17,8 @@ from mmg import (
     subseed,
     summarize_run,
 )
-from mmg.experiments import SweepPoint, aggregate_point
+from mmg.experiments import FIGURE_NAMES, SweepPoint, aggregate_point, summary_table
+from mmg.io import render_table
 
 
 def tiny_cfg(**kw):
@@ -72,6 +77,41 @@ class TestEnsembleRun:
         summaries = ensemble_run(tiny_cfg(), 10, 2)
         assert [s.error for s in summaries] == ["TypeError: boom"] * 2
 
+
+class TestSummarizeRun:
+    def test_detects_critical_history_once(self, monkeypatch):
+        from mmg import experiments
+
+        calls = []
+        real = experiments.detect_critical_history
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "detect_critical_history", counting)
+        summary = summarize_run(run(GameConfig(n_agents=11, seed=3, memory=2), 100))
+        assert len(calls) == 1
+        assert summary.critical is not None
+        assert summary.mean_c_at_recurrence is not None
+
+
+class TestSummaryTable:
+    def test_columns_and_failed_row(self):
+        ok = ensemble_run(tiny_cfg(n_markets=3), 40, 1)[0]
+        failed = RunSummary(run_index=1, seed=2**64 - 1, error="E: a, b")
+        table = summary_table([ok, failed], 3)
+        assert list(table)[:7] == ["run", "seed", "big_market", "split", "mode", "tau0", "nu"]
+        assert [name for name in table if name.startswith("o_m")] == ["o_m1", "o_m2", "o_m3"]
+        assert list(table)[-4:] == [
+            "critical_mu", "n_recurrences", "mean_c_at_recurrence", "error",
+        ]
+        rows = render_table(table).splitlines()
+        # a child seed above 2**53 prints exactly; the failed row is empty
+        # but for run, seed and its quoted error
+        assert rows[2] == "1,18446744073709551615," + "," * (len(table) - 3) + '"E: a, b"'
+        assert rows[1].startswith(f"0,{ok.seed},{ok.big_market},")
+        assert rows[1].endswith(",")
 
 class TestQSweep:
     def test_single_value_equals_ensemble(self):
@@ -196,6 +236,20 @@ class TestFigureDatasets:
         table = tables["fig7"]
         assert table["N"].tolist() == [8, 16]
         assert "split_fraction" in table and "var_big_mean" in table
+
+    def test_fig6_1_rows_follow_q(self):
+        table = figure_dataset("fig6_1", ticks=60, values=[16, 8], n_seeds=2, seed=5)["fig6_1"]
+        assert list(table) == ["Q", "N", "tau0_mean", "tau0_std", "n_defined", "n_seeds"]
+        assert table["N"].tolist() == [8, 16]
+        assert table["Q"].tolist() == [0.25, 0.5]
+        assert table["n_seeds"].tolist() == [2, 2]
+
+    def test_quick_overrides_cover_every_figure(self):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_figures.py"
+        spec = importlib.util.spec_from_file_location("run_figures", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert set(module.QUICK_OVERRIDES) == set(FIGURE_NAMES)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

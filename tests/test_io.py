@@ -105,6 +105,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config("N=5")
 
+    @pytest.mark.parametrize("text", [
+        "N=8 seed=1 sweep=N values=0,8",
+        "N=8 seed=1 sweep=N values=8,-2",
+        "topology=irregular n1=3 n2=3 seed=1 sweep=n1 values=-3",
+        "topology=irregular n1=3 n2=0 seed=1 sweep=n1 values=0,4",
+    ])
+    def test_swept_population_below_one(self, text):
+        with pytest.raises(ConfigError, match="values"):
+            parse_config(text)
+
+    def test_swept_n1_may_be_zero(self):
+        parsed = parse_config("topology=irregular n1=3 n2=3 seed=1 sweep=n1 values=0,4")
+        assert parsed.sweep.values == (0, 4)
+
+    @pytest.mark.parametrize("window", ["20:10", "0:50", "-1:10", "5:5"])
+    def test_window_outside_run(self, window):
+        with pytest.raises(ConfigError, match="window"):
+            parse_config(f"N=9 seed=1 T=30 window={window}")
+
+    def test_window_up_to_last_tick(self):
+        assert parse_config("N=9 seed=1 T=30 window=0:30").window == (0, 30)
+        assert parse_config("N=9 seed=1 window=20:50").window == (20, 50)
+
     def test_values_without_sweep(self):
         with pytest.raises(ConfigError, match="values"):
             parse_config("N=5 seed=1 values=1,2")
@@ -255,6 +278,17 @@ class TestFormatNumber:
     def test_table_rendering(self):
         table = {"a": np.array([1, 2]), "b": np.array([0.5, 1.5])}
         assert render_table(table) == "a,b\n1,0.5\n2,1.5\n"
+
+    def test_table_quotes_text_only_where_needed(self):
+        text = ["plain", "a,b", 'say "hi"', "cr\rx", "lf\nx", ""]
+        table = {"n": np.array([1.0, np.nan, 2.0, 3.0, 4.0, 5.0]), "text": np.array(text)}
+        assert render_table(table) == (
+            'n,text\n1,plain\n,"a,b"\n2,"say ""hi"""\n3,"cr\rx"\n4,"lf\nx"\n5,\n'
+        )
+
+    def test_table_uint64_column_prints_exactly(self):
+        table = {"seed": np.array([2**64 - 1, 2**53 + 1], dtype=np.uint64)}
+        assert render_table(table) == "seed\n18446744073709551615\n9007199254740993\n"
 
 
 def topologies():

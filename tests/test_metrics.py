@@ -12,6 +12,7 @@ from mmg.metrics import (
     classify_mode,
     detect_critical_history,
     fluctuation_frequency,
+    mean_c_at_recurrence,
     mu_histogram,
     predicted_irregular,
     predicted_occupancies,
@@ -19,7 +20,6 @@ from mmg.metrics import (
     resolve_window,
     series_stats,
     split_detected,
-    switch_series,
 )
 
 
@@ -104,8 +104,14 @@ class TestMuHistogram:
 
 class TestSwitchSeries:
     def test_plain_extraction(self):
-        rec = make_records([[2, 0]] * 3, [[0, 0]] * 3, n_switched=[0, 2, 1])
-        assert switch_series(rec).c.tolist() == [0, 2, 1]
+        # spike at t=0 with history 1, which recurs at t=2: C(3) is read
+        # straight from the records' switch counts
+        occ = [[2, 0]] * 4
+        dem = [[2, 0], [0, 0], [0, 0], [0, 0]]
+        rec = make_records(occ, dem, history=[[1, 0], [0, 0], [1, 0], [0, 0]],
+                           n_switched=[0, 2, 1, 5])
+        assert rec.n_switched.tolist() == [0, 2, 1, 5]
+        assert mean_c_at_recurrence(rec, detect_critical_history(rec, 0)) == 5.0
 
     def test_conditioned_on_recurrences(self):
         # spike at t=1 on market 0 with history 3; history 3 recurs at t=3
@@ -114,15 +120,24 @@ class TestSwitchSeries:
         hist = [[0, 0], [3, 0], [1, 0], [3, 0], [2, 0], [3, 0]]
         c = [0, 0, 3, 0, 2, 0]
         rec = make_records(occ, dem, history=hist, n_switched=c)
-        sw = switch_series(rec, market=0)
-        assert sw.recurrence_ticks.tolist() == [3, 5]
+        crit = detect_critical_history(rec, 0)
+        assert crit.recurrences.tolist() == [3, 5]
         # switching shows up one tick after each recurrence; t=5 has no t+1
-        assert sw.mean_c_at_recurrence == 2.0
+        assert mean_c_at_recurrence(rec, crit) == 2.0
 
     def test_no_fluctuation_gives_no_conditioning(self):
         rec = make_records([[4, 0]] * 4, [[1, 0]] * 4)
-        sw = switch_series(rec, market=0)
-        assert sw.mean_c_at_recurrence is None
+        crit = detect_critical_history(rec, 0)
+        assert crit is None
+        assert mean_c_at_recurrence(rec, crit) is None
+
+    def test_recurrence_only_at_last_tick(self):
+        occ = [[4, 0]] * 3
+        dem = [[4, 0], [0, 0], [0, 0]]
+        rec = make_records(occ, dem, history=[[2, 0], [0, 0], [2, 0]], n_switched=[0, 1, 3])
+        crit = detect_critical_history(rec, 0)
+        assert crit.recurrences.tolist() == [2]
+        assert mean_c_at_recurrence(rec, crit) is None
 
 
 class TestFluctuationFrequency:

@@ -8,7 +8,7 @@ their error message instead of aborting the ensemble.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -220,7 +220,7 @@ def aggregate_point(value: int, q: float, summaries: list[RunSummary]) -> SweepP
         var_small=_mean_std([float(s.stats.per_capita_var[s.small_market]) for s in good]),
         o_by_market=o_by,
         var_by_market=var_by,
-        tau0=_mean_std(tau_vals) if tau_vals else (float("nan"), float("nan")),
+        tau0=_mean_std(tau_vals),
         tau0_defined=len(tau_vals),
         nu=_mean_std([float(s.nu) for s in good]),
         split_fraction=float(np.mean([bool(s.split) for s in good])),

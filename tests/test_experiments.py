@@ -113,6 +113,7 @@ class TestSummaryTable:
         assert rows[1].startswith(f"0,{ok.seed},{ok.big_market},")
         assert rows[1].endswith(",")
 
+
 class TestQSweep:
     def test_single_value_equals_ensemble(self):
         spec = SweepSpec(base=tiny_cfg(), param="N", values=(9,), n_seeds=3, ticks=40)

@@ -286,10 +286,6 @@ class TestFormatNumber:
             'n,text\n1,plain\n,"a,b"\n2,"say ""hi"""\n3,"cr\rx"\n4,"lf\nx"\n5,\n'
         )
 
-    def test_table_uint64_column_prints_exactly(self):
-        table = {"seed": np.array([2**64 - 1, 2**53 + 1], dtype=np.uint64)}
-        assert render_table(table) == "seed\n18446744073709551615\n9007199254740993\n"
-
 
 def topologies():
     regular = st.just(MarketTopology.regular())

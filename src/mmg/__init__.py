@@ -13,7 +13,6 @@ from .engine import (
 )
 from .metrics import (
     CriticalFluctuation,
-    ModeThresholds,
     MuHistogram,
     SeriesStats,
     big_small_markets,
@@ -30,7 +29,6 @@ from .metrics import (
 )
 from .experiments import (
     RunSummary,
-    SweepPoint,
     SweepSpec,
     ensemble_run,
     estimate_critical_q,
@@ -51,11 +49,9 @@ __all__ = [
     "TickRecord",
     "Endowment",
     "CriticalFluctuation",
-    "ModeThresholds",
     "MuHistogram",
     "SeriesStats",
     "RunSummary",
-    "SweepPoint",
     "SweepSpec",
     "big_small_markets",
     "classify_mode",

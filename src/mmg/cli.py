@@ -24,7 +24,6 @@ from .experiments import (
     figure_dataset,
     q_sweep,
     summary_table,
-    sweep_table,
 )
 from .io import (
     ParsedConfig,
@@ -163,9 +162,7 @@ def _cmd_sweep(args) -> int:
         ticks=parsed.ticks,
         window=parsed.window,
     )
-    points = q_sweep(spec)
-    value_col = "N" if spec.param == "N" else "N1"
-    _write(render_table(sweep_table(points, value_col)), args.out)
+    _write(render_table(q_sweep(spec)), args.out)
     return 0
 
 

@@ -33,14 +33,12 @@ from .rng import subseed
 __all__ = [
     "RunSummary",
     "SweepSpec",
-    "SweepPoint",
     "summarize_run",
     "ensemble_run",
+    "summary_table",
+    "sweep_row",
     "q_sweep",
     "estimate_critical_q",
-    "aggregate_point",
-    "sweep_table",
-    "summary_table",
     "figure_dataset",
     "FIGURE_NAMES",
 ]
@@ -61,7 +59,6 @@ class RunSummary:
     nu: float | None = None
     critical: CriticalFluctuation | None = None
     mean_c_at_recurrence: float | None = None
-    records: RunRecords | None = None
     error: str | None = None
 
     @property
@@ -76,7 +73,6 @@ def summarize_run(
     theta: float = DEFAULT_THETA,
     window: tuple[int, int] | None = None,
     n_strategies: int = 2,
-    keep_records: bool = False,
 ) -> RunSummary:
     """Condense one run's records into the standard per-seed summary."""
     stats = series_stats(records, window)
@@ -98,7 +94,6 @@ def summarize_run(
         nu=nu,
         critical=crit,
         mean_c_at_recurrence=mean_c_at_recurrence(records, crit),
-        records=records if keep_records else None,
     )
 
 
@@ -108,7 +103,6 @@ def ensemble_run(
     n_seeds: int,
     theta: float = DEFAULT_THETA,
     window: tuple[int, int] | None = None,
-    keep_records: bool = False,
 ) -> list[RunSummary]:
     """Run ``n_seeds`` independent games on substreams of ``cfg.seed``.
 
@@ -129,7 +123,6 @@ def ensemble_run(
                     theta=theta,
                     window=window,
                     n_strategies=cfg.n_strategies,
-                    keep_records=keep_records,
                 )
             )
         except Exception as exc:  # noqa: BLE001 - per-seed isolation is the contract
@@ -168,91 +161,71 @@ class SweepSpec:
         raise ConfigError(f"sweep: unknown parameter {self.param!r}")
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    if not values:
+Table = dict[str, np.ndarray]
+
+
+def _mean_std(column: np.ndarray) -> tuple[float, float]:
+    """Mean and sample std of the cells that are not NaN; the std of one
+    cell is 0, and both are NaN without a cell."""
+    values = column[~np.isnan(column)]
+    if not len(values):
         return float("nan"), float("nan")
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
+    return float(values.mean()), float(values.std(ddof=1)) if len(values) > 1 else 0.0
 
 
-@dataclass(eq=False)
-class SweepPoint:
-    """Cross-seed aggregation at one swept value; 'big'/'small' follow each
-    run's own labeling, per-market columns follow market indices."""
+def sweep_row(
+    value_col: str, value: int, q: float, summaries: list[RunSummary], k_markets: int
+) -> dict[str, float]:
+    """Reduce the per-seed table of one swept value to one sweep row.
 
-    value: int
-    q: float
-    n_seeds: int
-    n_failed: int
-    o_big: tuple[float, float]
-    o_small: tuple[float, float]
-    var_big: tuple[float, float]
-    var_small: tuple[float, float]
-    o_by_market: np.ndarray  # (K, 2) mean, std
-    var_by_market: np.ndarray  # (K, 2)
-    tau0: tuple[float, float]
-    tau0_defined: int
-    nu: tuple[float, float]
-    split_fraction: float
-
-
-def aggregate_point(value: int, q: float, summaries: list[RunSummary]) -> SweepPoint:
-    """Reduce per-seed summaries in run-index order; tau0 averages only the
-    runs where it is defined (the count is reported alongside)."""
-    good = [s for s in summaries if not s.failed]
-    if not good:
+    Every observable of ``summary_table`` (then ``o_m{k}`` and ``var_m{k}``
+    market by market) gets the mean and std of its defined cells, so failed
+    runs, and runs without a tau0, drop out; ``tau0_defined`` counts the
+    runs with a tau0. 'big'/'small' follow each run's own labeling.
+    """
+    per_seed = summary_table(summaries, k_markets)
+    ok = per_seed["error"] == ""
+    if not ok.any():
         raise RuntimeError(f"all {len(summaries)} runs failed at value {value}")
-    k_markets = len(good[0].stats.mean_occupancy)
-    o_by = np.empty((k_markets, 2))
-    var_by = np.empty((k_markets, 2))
-    for k in range(k_markets):
-        o_by[k] = _mean_std([float(s.stats.mean_occupancy[k]) for s in good])
-        var_by[k] = _mean_std([float(s.stats.per_capita_var[k]) for s in good])
-    tau_vals = [float(s.tau0) for s in good if s.tau0 is not None]
-    return SweepPoint(
-        value=value,
-        q=q,
-        n_seeds=len(summaries),
-        n_failed=len(summaries) - len(good),
-        o_big=_mean_std([float(s.stats.mean_occupancy[s.big_market]) for s in good]),
-        o_small=_mean_std([float(s.stats.mean_occupancy[s.small_market]) for s in good]),
-        var_big=_mean_std([float(s.stats.per_capita_var[s.big_market]) for s in good]),
-        var_small=_mean_std([float(s.stats.per_capita_var[s.small_market]) for s in good]),
-        o_by_market=o_by,
-        var_by_market=var_by,
-        tau0=_mean_std(tau_vals),
-        tau0_defined=len(tau_vals),
-        nu=_mean_std([float(s.nu) for s in good]),
-        split_fraction=float(np.mean([bool(s.split) for s in good])),
-    )
+    names = ["o_big", "o_small", "var_big", "var_small", "nu", "tau0"]
+    names += [f"{x}_m{k + 1}" for k in range(k_markets) for x in ("o", "var")]
+    row: dict[str, float] = {value_col: value, "Q": q}
+    for name in names:
+        row[f"{name}_mean"], row[f"{name}_std"] = _mean_std(per_seed[name])
+    row["tau0_defined"] = int(np.count_nonzero(~np.isnan(per_seed["tau0"])))
+    row["split_fraction"] = float(per_seed["split"][ok].mean())
+    row["n_seeds"] = len(summaries)
+    row["n_failed"] = int(np.count_nonzero(~ok))
+    return row
 
 
-def q_sweep(spec: SweepSpec) -> list[SweepPoint]:
-    """Ensemble at every swept value, output ordered by Q."""
-    points = []
+def q_sweep(spec: SweepSpec) -> Table:
+    """Ensemble at every swept value, one ``sweep_row`` each, rows ordered
+    by Q. The value column is ``N``, or ``N1`` for an n1 sweep."""
+    value_col = "N" if spec.param == "N" else "N1"
+    rows = []
     for value, cfg in spec.configs():
         summaries = ensemble_run(cfg, spec.ticks, spec.n_seeds, spec.theta, spec.window)
         q = value / (1 << cfg.memory)
-        points.append(aggregate_point(value, q, summaries))
-    points.sort(key=lambda p: p.q)
-    return points
+        rows.append(sweep_row(value_col, value, q, summaries, cfg.n_markets))
+    rows.sort(key=lambda row: row["Q"])
+    return {col: np.array([row[col] for row in rows]) for col in rows[0]}
 
 
-def estimate_critical_q(
-    points: list[SweepPoint], low: float = 0.25, high: float = 0.75
-) -> float | None:
+def estimate_critical_q(table: Table, low: float = 0.25, high: float = 0.75) -> float | None:
     """Midpoint of the narrowest Q interval over which the split fraction
-    crosses from below ``low`` to above ``high``; None when it never does."""
-    pts = sorted(points, key=lambda p: p.q)
+    crosses from below ``low`` to above ``high``; None when it never does.
+    Reads the ``Q`` and ``split_fraction`` columns of a sweep table."""
+    pts = sorted(zip(table["Q"].tolist(), table["split_fraction"].tolist()), key=lambda p: p[0])
     best: tuple[float, float] | None = None
-    for i, a in enumerate(pts):
-        if a.split_fraction >= low:
+    for i, (qa, fa) in enumerate(pts):
+        if fa >= low:
             continue
-        for b in pts[i + 1 :]:
-            if b.split_fraction > high:
-                width = b.q - a.q
+        for qb, fb in pts[i + 1 :]:
+            if fb > high:
+                width = qb - qa
                 if best is None or width < best[0]:
-                    best = (width, (a.q + b.q) / 2)
+                    best = (width, (qa + qb) / 2)
                 break
     return None if best is None else best[1]
 
@@ -262,8 +235,6 @@ def estimate_critical_q(
 FIGURE_NAMES = (
     "fig3", "fig4", "fig5", "fig6", "fig6_0", "fig6_1", "fig7", "fig8", "fig010",
 )
-
-Table = dict[str, np.ndarray]
 
 
 def _series_table(cfgs: list[GameConfig], ticks: int, col: str) -> Table:
@@ -349,28 +320,6 @@ def _fig6_0_tables(cfgs: list[GameConfig], ticks: int) -> dict[str, Table]:
     return out
 
 
-def sweep_table(points: list[SweepPoint], value_col: str) -> Table:
-    table: Table = {
-        value_col: np.array([p.value for p in points]),
-        "Q": np.array([p.q for p in points]),
-    }
-    for name in ("o_big", "o_small", "var_big", "var_small", "nu", "tau0"):
-        pairs = [getattr(p, name) for p in points]
-        table[f"{name}_mean"] = np.array([x[0] for x in pairs])
-        table[f"{name}_std"] = np.array([x[1] for x in pairs])
-    k_markets = points[0].o_by_market.shape[0]
-    for k in range(k_markets):
-        table[f"o_m{k + 1}_mean"] = np.array([p.o_by_market[k, 0] for p in points])
-        table[f"o_m{k + 1}_std"] = np.array([p.o_by_market[k, 1] for p in points])
-        table[f"var_m{k + 1}_mean"] = np.array([p.var_by_market[k, 0] for p in points])
-        table[f"var_m{k + 1}_std"] = np.array([p.var_by_market[k, 1] for p in points])
-    table["tau0_defined"] = np.array([p.tau0_defined for p in points])
-    table["split_fraction"] = np.array([p.split_fraction for p in points])
-    table["n_seeds"] = np.array([p.n_seeds for p in points])
-    table["n_failed"] = np.array([p.n_failed for p in points])
-    return table
-
-
 def summary_table(summaries: list[RunSummary], k_markets: int) -> Table:
     """One row per run, in run-index order.
 
@@ -449,7 +398,7 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
             ticks=int(overrides.pop("ticks", 5000)),
             theta=theta,
         )
-        table = sweep_table(q_sweep(spec), "N")
+        table = q_sweep(spec)
         if name == "fig6_1":  # relaxation time against Q
             table = {
                 "Q": table["Q"], "N": table["N"], "tau0_mean": table["tau0_mean"],
@@ -468,7 +417,7 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
             ticks=int(overrides.pop("ticks", 5000)),
             theta=theta,
         )
-        out = {name: sweep_table(q_sweep(spec), "N1")}
+        out = {name: q_sweep(spec)}
     else:  # fig010
         ticks = int(overrides.pop("ticks", 5000))
         cfg = GameConfig(n_agents=int(overrides.pop("values", [3001])[0]), seed=subseed(seed, 0),

@@ -29,6 +29,7 @@ from .config import (
     MarketTopology,
 )
 from .engine import RunRecords
+from .experiments import SweepSpec
 
 __all__ = [
     "ParsedConfig",
@@ -209,6 +210,9 @@ def _build(raw: dict) -> ParsedConfig:
             raise ConfigError(
                 f"values: sweep={sweep.param} needs values >= {low}, got {min(sweep.values)}"
             )
+        # and passes the same checks as the base game, the table budget included
+        for _, swept in SweepSpec(game, sweep.param, sweep.values).configs():
+            swept.validate()
     elif "values" in raw:
         raise ConfigError("values: only valid together with sweep=")
 

@@ -17,8 +17,6 @@ __all__ = [
     "SeriesStats",
     "MuHistogram",
     "CriticalFluctuation",
-    "ModeThresholds",
-    "MODES",
     "resolve_window",
     "series_stats",
     "mu_histogram",
@@ -32,8 +30,6 @@ __all__ = [
     "classify_mode",
     "big_small_markets",
 ]
-
-MODES = ("random", "herd-symmetric", "herd-asymmetric", "cooperation")
 
 #: Default threshold for a "large" fluctuation: |A| >= theta * O separates
 #: full-market collective events from ordinary sqrt(O)-scale noise.
@@ -232,17 +228,13 @@ def split_detected(
     return bool(np.mean(gap > gap_frac * n_agents) >= sustain)
 
 
-@dataclass(frozen=True)
-class ModeThresholds:
-    """Per-capita variance bands for mode labels; boundary 1.0 is random."""
-
-    herd_var: float = 1.5
-    coop_var: float = 0.75
+#: Per-capita variance bands for the mode labels; 1.0 (random agents) lies
+#: between them.
+HERD_VAR = 1.5
+COOP_VAR = 0.75
 
 
-def classify_mode(
-    stats: SeriesStats, split: bool, thresholds: ModeThresholds = ModeThresholds()
-) -> str:
+def classify_mode(stats: SeriesStats, split: bool) -> str:
     """Heuristic game-mode label from stationary statistics.
 
     A persistent split wins outright; otherwise the largest per-capita
@@ -251,8 +243,8 @@ def classify_mode(
     if split:
         return "herd-asymmetric"
     peak = float(np.max(stats.per_capita_var))
-    if peak > thresholds.herd_var:
+    if peak > HERD_VAR:
         return "herd-symmetric"
-    if peak < thresholds.coop_var:
+    if peak < COOP_VAR:
         return "cooperation"
     return "random"

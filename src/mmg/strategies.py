@@ -50,11 +50,6 @@ class Endowment:
     def n_strategies(self) -> int:
         return self.actions.shape[2]
 
-    @property
-    def n_tables(self) -> int:
-        """Count of strategy tables actually held (linked pairs times s)."""
-        return int(self.link_mask.sum()) * self.n_strategies
-
 
 def draw_strategies(
     rng: np.random.Generator,

@@ -3,9 +3,8 @@
 Ensembles derive their per-run seeds from MASTER via indexed substreams, so
 every number below is reproducible. Three criteria describe idealizations
 the simulated dynamics do not satisfy at the stated run lengths; they are
-implemented faithfully and marked as strict expected failures with the
-measured behavior in the reason string (full analysis in the project
-notes).
+implemented faithfully and marked as strict expected failures, and each
+reason string holds the measured behavior and why the pin is missed.
 """
 
 import numpy as np
@@ -14,11 +13,10 @@ import pytest
 from mmg import (
     GameConfig,
     MarketTopology,
-    SweepSpec,
     run,
     subseed,
 )
-from mmg.experiments import aggregate_point, ensemble_run, estimate_critical_q, q_sweep
+from mmg.experiments import ensemble_run, estimate_critical_q, summarize_run, sweep_row
 from mmg.metrics import (
     big_small_markets,
     detect_critical_history,
@@ -56,16 +54,22 @@ def ens11():
 
 
 @pytest.fixture(scope="module")
-def sweep_points():
+def sweep(ens1447):
     values = (11, 64, 128, 256, 512, 1024, 1447)
     per_value = {}
-    points = []
+    rows = []
     for v in values:
-        cfg = GameConfig(n_agents=v, seed=MASTER)
-        summaries = ensemble_run(cfg, 5000, 10)
+        if v == 1447:  # the ens1447 games: same config, child seeds subseed(MASTER, i)
+            summaries = [
+                summarize_run(rec, run_index=i, seed=subseed(MASTER, i))
+                for i, rec in enumerate(ens1447)
+            ]
+        else:
+            summaries = ensemble_run(GameConfig(n_agents=v, seed=MASTER), 5000, 10)
         per_value[v] = summaries
-        points.append(aggregate_point(v, v / 32, summaries))
-    return points, per_value
+        rows.append(sweep_row("N", v, v / 32, summaries, 2))
+    table = {col: np.array([row[col] for row in rows]) for col in rows[0]}
+    return table, per_value
 
 
 def test_criterion_1_occupancy_split_levels(ens1447):
@@ -206,29 +210,29 @@ def test_criterion_7_mu_histogram_uniformity(ens1447, ens11):
     "is (8, 32); whenever the fraction first exceeds 0.75 only at Q=32 the "
     "midpoint on this grid is at least 18, outside [4, 16]",
 )
-def test_criterion_8_critical_point(sweep_points):
-    points, _ = sweep_points
-    qc = estimate_critical_q(points)
-    fractions = {p.value: p.split_fraction for p in points}
+def test_criterion_8_critical_point(sweep):
+    table, _ = sweep
+    qc = estimate_critical_q(table)
+    fractions = dict(zip(table["N"].tolist(), table["split_fraction"].tolist()))
     ok = qc is not None and 4 <= qc <= 16
     report(8, "critical-point-estimate", ok, f"(Qc={qc}, split fractions {fractions})")
     assert ok
 
 
-def test_criterion_8_variance_ordering_above_qc(sweep_points):
-    points, per_value = sweep_points
-    qc = estimate_critical_q(points) or 16
+def test_criterion_8_variance_ordering_above_qc(sweep):
+    table, per_value = sweep
+    qc = estimate_critical_q(table) or 16
     checked = {}
     ok = True
-    for p in points:
-        if p.q <= qc:
+    for value, q in zip(table["N"].tolist(), table["Q"].tolist()):
+        if q <= qc:
             continue
         wins = sum(
             bool(s.stats.per_capita_var[s.big_market] > s.stats.per_capita_var[s.small_market])
-            for s in per_value[p.value]
+            for s in per_value[value]
             if not s.failed
         )
-        checked[p.value] = wins
+        checked[value] = wins
         ok &= wins >= 8
     ok = ok and len(checked) > 0
     report(8, "variance-ordering-above-Qc", ok, f"(big>small wins per N: {checked})")

@@ -56,6 +56,17 @@ class TestExitCodes:
         assert cli_main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
+    @pytest.mark.parametrize("game", [
+        "N=8 sweep=N values=8,2000",
+        "topology=irregular n1=3 n2=3 sweep=n1 values=3,2000",
+    ])
+    def test_swept_game_over_table_budget(self, tmp_path, capsys, game):
+        # the base game fits; the swept value 2000 needs about 7.8 GiB of tables
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{game} m=20 seed=1 T=5 seeds=1\n")
+        assert cli_main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: m:")
+
     @pytest.mark.parametrize("window", ["20:10", "0:50"])
     def test_window_beyond_run(self, tmp_path, capsys, window):
         cfg = tmp_path / "game.cfg"

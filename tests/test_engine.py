@@ -27,7 +27,7 @@ def small_config(**kw):
 class TestInitGame:
     def test_regular_counts(self):
         state = init_game(GameConfig(n_agents=11, seed=1, memory=5))
-        assert state.endowment.n_tables == 44
+        assert state.endowment.link_mask.sum() * 2 == 44
         assert state.histories.shape == (2,)
         assert state.utilities.shape == (11, 2, 2)
 
@@ -38,7 +38,7 @@ class TestInitGame:
         )
         state = init_game(cfg)
         # 3 agents hold 2 tables (market 0 only), 2 agents hold 4
-        assert state.endowment.n_tables == 14
+        assert state.endowment.link_mask.sum() * 2 == 14
         assert np.all(state.endowment.actions[:3, 1] == 0)
 
     def test_zero_initial_utilities(self):

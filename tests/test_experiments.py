@@ -17,7 +17,7 @@ from mmg import (
     subseed,
     summarize_run,
 )
-from mmg.experiments import FIGURE_NAMES, SweepPoint, aggregate_point, summary_table
+from mmg.experiments import FIGURE_NAMES, summary_table, sweep_row
 from mmg.io import render_table
 
 
@@ -57,11 +57,6 @@ class TestEnsembleRun:
         for a, b in zip(short, longer):
             assert a.seed == b.seed
             assert np.array_equal(a.stats.mean_occupancy, b.stats.mean_occupancy)
-
-    def test_records_kept_on_request(self):
-        summaries = ensemble_run(tiny_cfg(), 25, 2, keep_records=True)
-        assert all(s.records is not None and s.records.n_ticks == 25 for s in summaries)
-        assert all(s.records is None for s in ensemble_run(tiny_cfg(), 25, 2))
 
     def test_bad_seed_count(self):
         with pytest.raises(Exception):
@@ -117,35 +112,37 @@ class TestSummaryTable:
 class TestQSweep:
     def test_single_value_equals_ensemble(self):
         spec = SweepSpec(base=tiny_cfg(), param="N", values=(9,), n_seeds=3, ticks=40)
-        points = q_sweep(spec)
-        assert len(points) == 1
-        direct = aggregate_point(9, 9 / 8, ensemble_run(tiny_cfg(), 40, 3))
-        assert points[0].o_big == direct.o_big
-        assert points[0].split_fraction == direct.split_fraction
+        table = q_sweep(spec)
+        assert len(table["N"]) == 1
+        direct = sweep_row("N", 9, 9 / 8, ensemble_run(tiny_cfg(), 40, 3), 2)
+        assert list(table) == list(direct)
+        assert table["o_big_mean"][0] == direct["o_big_mean"]
+        assert table["o_big_std"][0] == direct["o_big_std"]
+        assert table["split_fraction"][0] == direct["split_fraction"]
 
     def test_points_ordered_by_q(self):
         spec = SweepSpec(
             base=tiny_cfg(), param="N", values=(16, 4, 8), n_seeds=2, ticks=30
         )
-        points = q_sweep(spec)
-        assert [p.value for p in points] == [4, 8, 16]
-        assert all(a.q < b.q for a, b in zip(points, points[1:]))
+        table = q_sweep(spec)
+        assert table["N"].tolist() == [4, 8, 16]
+        assert np.all(np.diff(table["Q"]) > 0)
 
     def test_big_plus_small_is_n(self):
         spec = SweepSpec(base=tiny_cfg(), param="N", values=(12,), n_seeds=3, ticks=60)
-        p = q_sweep(spec)[0]
-        assert p.o_big[0] + p.o_small[0] == pytest.approx(12.0)
+        table = q_sweep(spec)
+        assert table["o_big_mean"][0] + table["o_small_mean"][0] == pytest.approx(12.0)
 
     def test_irregular_sweep_configs(self):
         base = tiny_cfg(
             n_agents=6, topology=MarketTopology.irregular(3, 3), n_markets=2
         )
         spec = SweepSpec(base=base, param="n1", values=(2, 5), n_seeds=2, ticks=30)
-        points = q_sweep(spec)
-        assert [p.value for p in points] == [2, 5]
+        table = q_sweep(spec)
+        assert table["N1"].tolist() == [2, 5]
         # all agents accounted for at each point
-        for p in points:
-            assert p.o_by_market[:, 0].sum() == pytest.approx(p.value + 3)
+        total = table["o_m1_mean"] + table["o_m2_mean"]
+        assert total == pytest.approx(table["N1"] + 3)
 
 
 class TestRelaxationTrend:
@@ -164,29 +161,22 @@ class TestRelaxationTrend:
 
 
 class TestCriticalQEstimator:
-    def point(self, q, frac):
-        nan = float("nan")
-        return SweepPoint(
-            value=int(q * 32), q=q, n_seeds=10, n_failed=0,
-            o_big=(nan, nan), o_small=(nan, nan), var_big=(nan, nan),
-            var_small=(nan, nan), o_by_market=np.zeros((2, 2)),
-            var_by_market=np.zeros((2, 2)), tau0=(nan, nan), tau0_defined=0,
-            nu=(nan, nan), split_fraction=frac,
-        )
+    def table(self, fracs):
+        return {
+            "Q": np.array([q for q, _ in fracs], dtype=float),
+            "split_fraction": np.array([f for _, f in fracs]),
+        }
 
     def test_midpoint_of_narrowest_crossing(self):
-        fracs = {1: 0.0, 2: 0.1, 4: 0.5, 8: 0.9, 16: 1.0}
-        points = [self.point(q, f) for q, f in fracs.items()]
-        assert estimate_critical_q(points) == (2 + 8) / 2
+        fracs = [(1, 0.0), (2, 0.1), (4, 0.5), (8, 0.9), (16, 1.0)]
+        assert estimate_critical_q(self.table(fracs)) == (2 + 8) / 2
 
     def test_no_crossing(self):
-        points = [self.point(q, 0.5) for q in (1, 2, 4)]
-        assert estimate_critical_q(points) is None
+        assert estimate_critical_q(self.table([(q, 0.5) for q in (1, 2, 4)])) is None
 
     def test_unsorted_input(self):
         fracs = [(8, 1.0), (1, 0.0), (4, 0.2)]
-        points = [self.point(q, f) for q, f in fracs]
-        assert estimate_critical_q(points) == (4 + 8) / 2
+        assert estimate_critical_q(self.table(fracs)) == (4 + 8) / 2
 
 
 class TestFigureDatasets:

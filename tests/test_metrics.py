@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mmg import GameConfig, RunRecords, run
 from mmg.metrics import (
-    ModeThresholds,
     big_small_markets,
     classify_mode,
     detect_critical_history,
@@ -299,12 +298,6 @@ class TestSplitAndModes:
 
     def test_boundary_variance_is_random(self):
         assert classify_mode(self.stats_with_var(1.0, 0.9), split=False) == "random"
-
-    def test_thresholds_configurable(self):
-        th = ModeThresholds(herd_var=0.95, coop_var=0.1)
-        assert classify_mode(self.stats_with_var(1.0, 1.0), split=False, thresholds=th) == (
-            "herd-symmetric"
-        )
 
     def test_big_small_labels(self):
         rec = make_records([[3, 7]] * 10, [[0, 0]] * 10)

@@ -108,7 +108,7 @@ class TestDrawStrategies:
     def test_table_count(self):
         e = draw_strategies(game_rng(0), 2, 2, 2, 2)
         assert e.actions.shape == (2, 2, 2, 4)
-        assert e.n_tables == 8
+        assert e.link_mask.sum() * e.n_strategies == 8
 
     def test_determinism(self):
         a = draw_strategies(game_rng(42), 3, 2, 2, 3)
@@ -122,7 +122,7 @@ class TestDrawStrategies:
     def test_link_mask_zeroes_unlinked(self):
         mask = np.array([[True, False], [True, True], [True, False]])
         e = draw_strategies(game_rng(3), 3, 2, 2, 3, link_mask=mask)
-        assert e.n_tables == 8
+        assert e.link_mask.sum() * e.n_strategies == 8
         assert np.all(e.actions[0, 1] == 0)
         assert np.all(e.actions[2, 1] == 0)
         assert set(np.unique(e.actions[1])) <= {-1, 1}

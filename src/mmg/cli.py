@@ -15,17 +15,11 @@ import os
 import sys
 from pathlib import Path
 
-from .config import INIT_UTILITIES, PAYOFF_KINDS, TIE_BREAKS, ZERO_DEMAND_RULES, ConfigError
+from .config import CONFIG_KEYS, TOPOLOGY_KINDS, ConfigError
 from .engine import run as run_game
-from .experiments import (
-    FIGURE_NAMES,
-    SweepSpec,
-    ensemble_run,
-    figure_dataset,
-    q_sweep,
-    summary_table,
-)
+from .experiments import FIGURE_NAMES, ensemble_run, figure_dataset, q_sweep, summary_table
 from .io import (
+    FILE_KEYS,
     ParsedConfig,
     format_number,
     make_manifest,
@@ -54,21 +48,13 @@ def _build_parser() -> _Parser:
 
     def add_config_flags(p):
         p.add_argument("--config", type=Path, help="key=value config file")
-        p.add_argument("--seed", type=int, help="game seed (required unless in config)")
         p.add_argument("-T", "--ticks", type=int, dest="T", help="ticks to play")
-        p.add_argument("--N", type=int, help="agent count")
-        p.add_argument("--K", type=int, help="market count")
-        p.add_argument("--s", type=int, help="strategies per market per agent")
-        p.add_argument("--m", type=int, help="memory length")
-        p.add_argument("--payoff", choices=PAYOFF_KINDS)
-        p.add_argument("--topology", choices=("regular", "irregular"))
+        for key, (_, kind, help_text) in CONFIG_KEYS.items():
+            value = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **value)
+        p.add_argument("--topology", choices=TOPOLOGY_KINDS)
         p.add_argument("--n1", type=int, help="agents on market 1 only (irregular)")
         p.add_argument("--n2", type=int, help="agents on both markets (irregular)")
-        p.add_argument("--tie-break", dest="tie_break", choices=TIE_BREAKS)
-        p.add_argument("--zero-demand", dest="zero_demand", choices=ZERO_DEMAND_RULES)
-        p.add_argument("--init-utilities", dest="init_utilities", choices=INIT_UTILITIES)
-        p.add_argument("--u-low", dest="u_low", type=float)
-        p.add_argument("--u-high", dest="u_high", type=float)
 
     p_run = sub.add_parser("run", help="play one game and emit its records")
     add_config_flags(p_run)
@@ -102,17 +88,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_FLAG_KEYS = (
-    "N", "K", "s", "m", "seed", "T", "payoff", "topology", "n1", "n2",
-    "tie_break", "zero_demand", "init_utilities", "u_low", "u_high", "seeds",
-)
-
-
 def _load_config(args) -> ParsedConfig:
     text = ""
     if args.config is not None:
         text = Path(args.config).read_text()
-    overrides = {k: getattr(args, k, None) for k in _CONFIG_FLAG_KEYS}
+    overrides = {k: v for k, v in vars(args).items() if k in FILE_KEYS}  # flags named by key
     return parse_config(text, overrides=overrides)
 
 
@@ -154,15 +134,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep: the sweep command needs sweep= and values= keys")
     if parsed.ticks is None:
         raise ConfigError("T: required for sweep")
-    spec = SweepSpec(
-        base=parsed.game,
-        param=parsed.sweep.param,
-        values=parsed.sweep.values,
-        n_seeds=parsed.n_seeds or 10,
-        ticks=parsed.ticks,
-        window=parsed.window,
-    )
-    _write(render_table(q_sweep(spec)), args.out)
+    _write(render_table(q_sweep(parsed.sweep)), args.out)
     return 0
 
 

@@ -14,6 +14,8 @@ __all__ = [
     "TIE_BREAKS",
     "ZERO_DEMAND_RULES",
     "INIT_UTILITIES",
+    "TOPOLOGY_KINDS",
+    "CONFIG_KEYS",
     "MAX_MEMORY",
     "MAX_TABLE_BYTES",
 ]
@@ -22,6 +24,7 @@ PAYOFF_KINDS = ("linear", "sign", "scaled")
 TIE_BREAKS = ("random", "lowest-index")
 ZERO_DEMAND_RULES = ("coin", "plus-one")
 INIT_UTILITIES = ("zero", "uniform")
+TOPOLOGY_KINDS = ("regular", "irregular")
 MAX_MEMORY = 24  # keeps 2**m indexable in a machine word with headroom
 # Largest strategy-table array a game may ask for: N*K*s*2**m int8 bytes.
 # The float64 utilities add 8*N*K*s bytes, at most four times as much.
@@ -141,3 +144,23 @@ class GameConfig:
                 f"zero_demand: must be one of {ZERO_DEMAND_RULES}, got {self.zero_demand!r}"
             )
         self.topology.validate(self.n_agents, self.n_markets)
+
+
+#: Config key -> (``GameConfig`` field, kind of value, flag help). The kind
+#: is ``int``, ``float`` or the tuple of allowed strings. Each key is a
+#: config-file key, a ``--key`` flag (``_`` -> ``-``) and a manifest
+#: ``config`` key; the defaults are the field defaults above. The topology
+#: (``topology``, ``n1``, ``n2``) is read apart.
+CONFIG_KEYS: dict[str, tuple[str, type | tuple[str, ...], str | None]] = {
+    "seed": ("seed", int, "game seed (required unless in config)"),
+    "N": ("n_agents", int, "agent count"),
+    "K": ("n_markets", int, "market count"),
+    "s": ("n_strategies", int, "strategies per market per agent"),
+    "m": ("memory", int, "memory length"),
+    "payoff": ("payoff", PAYOFF_KINDS, None),
+    "tie_break": ("tie_break", TIE_BREAKS, None),
+    "zero_demand": ("zero_demand", ZERO_DEMAND_RULES, None),
+    "init_utilities": ("init_utilities", INIT_UTILITIES, None),
+    "u_low": ("u_low", float, None),
+    "u_high": ("u_high", float, None),
+}

@@ -19,21 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import (
-    INIT_UTILITIES,
-    PAYOFF_KINDS,
-    TIE_BREAKS,
-    ZERO_DEMAND_RULES,
-    ConfigError,
-    GameConfig,
-    MarketTopology,
-)
+from .config import CONFIG_KEYS, TOPOLOGY_KINDS, ConfigError, GameConfig, MarketTopology
 from .engine import RunRecords
 from .experiments import SweepSpec
 
 __all__ = [
+    "FILE_KEYS",
     "ParsedConfig",
-    "SweepDirective",
     "RunManifest",
     "parse_config",
     "render_records",
@@ -47,25 +39,37 @@ __all__ = [
 
 CSV_HEADER = "t,k,O,A,astar,mu,C"
 
-_INT_KEYS = {"N", "K", "s", "m", "seed", "T", "n1", "n2", "seeds"}
-_FLOAT_KEYS = {"u_low", "u_high"}
-_CHOICE_KEYS = {
-    "payoff": PAYOFF_KINDS,
-    "topology": ("regular", "irregular"),
-    "tie_break": TIE_BREAKS,
-    "zero_demand": ZERO_DEMAND_RULES,
-    "init_utilities": INIT_UTILITIES,
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v)
+
+
+def _window(text: str) -> tuple[int, int] | None:
+    if text == "last-half":
+        return None
+    start, stop = text.split(":")
+    return int(start), int(stop)
+
+
+#: Every config-file key and the kind of value it takes: the game keys of
+#: ``CONFIG_KEYS``, the topology, and the run and sweep directives.
+FILE_KEYS = {
+    **{key: kind for key, (_, kind, _) in CONFIG_KEYS.items()},
+    "topology": TOPOLOGY_KINDS,
+    "n1": int,
+    "n2": int,
+    "T": int,
+    "seeds": int,
     "sweep": ("N", "n1"),
+    "values": _int_list,
+    "window": _window,
 }
-_LIST_KEYS = {"values"}
-_SPECIAL_KEYS = {"window"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | set(_CHOICE_KEYS) | _LIST_KEYS | _SPECIAL_KEYS
-
-
-@dataclass(frozen=True)
-class SweepDirective:
-    param: str
-    values: tuple[int, ...]
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    _int_list: "comma-separated integers",
+    _window: "'last-half' or 'start:stop' with integer bounds",
+}
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ class ParsedConfig:
     game: GameConfig
     ticks: int | None = None
     n_seeds: int | None = None
-    sweep: SweepDirective | None = None
+    sweep: SweepSpec | None = None
     window: tuple[int, int] | None = None
 
 
@@ -97,7 +101,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ParsedConfig:
         if "=" not in token:
             raise ConfigError(f"expected key=value, got {token!r}", lineno, col)
         key, value = token.split("=", 1)
-        if key not in _ALL_KEYS:
+        if key not in FILE_KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno, col)
         if key in raw:
             raise ConfigError(f"duplicate key {key!r}", lineno, col)
@@ -107,122 +111,80 @@ def parse_config(text: str, overrides: dict | None = None) -> ParsedConfig:
             raise ConfigError(str(exc), lineno, col) from None
     if overrides:
         for key, value in overrides.items():
-            if key not in _ALL_KEYS:
+            if key not in FILE_KEYS:
                 raise ConfigError(f"unknown key {key!r}")
             if value is not None:
                 raw[key] = value
     return _build(raw)
 
 
-def _convert(key: str, value: str):
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ValueError(f"{key}: expected an integer, got {value!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ValueError(f"{key}: expected a number, got {value!r}") from None
-    if key in _CHOICE_KEYS:
-        if value not in _CHOICE_KEYS[key]:
-            raise ValueError(
-                f"{key}: expected one of {', '.join(_CHOICE_KEYS[key])}, got {value!r}"
-            )
+def _convert(key: str, value):
+    """A value of ``key`` from its config-file text or manifest JSON value."""
+    kind = FILE_KEYS[key]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"{key}: expected one of {', '.join(kind)}, got {value!r}")
         return value
-    if key in _LIST_KEYS:
-        try:
-            return tuple(int(v) for v in value.split(",") if v)
-        except ValueError:
-            raise ValueError(f"{key}: expected comma-separated integers, got {value!r}") from None
-    # window
-    if value == "last-half":
-        return None
-    parts = value.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"window: expected 'last-half' or 'start:stop', got {value!r}")
     try:
-        return (int(parts[0]), int(parts[1]))
+        return kind(value)
     except ValueError:
-        raise ValueError(f"window: expected integer bounds, got {value!r}") from None
+        raise ValueError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}") from None
 
 
 def _build(raw: dict) -> ParsedConfig:
-    kind = raw.get("topology", "regular")
-    if kind == "irregular":
+    if raw.get("topology") == "irregular":
         if "n1" not in raw or "n2" not in raw:
             raise ConfigError("topology: irregular requires n1 and n2")
-        topology = MarketTopology.irregular(int(raw["n1"]), int(raw["n2"]))
-        n_agents = int(raw.get("N", topology.n1 + topology.n2))
+        topology = MarketTopology.irregular(raw["n1"], raw["n2"])
+        raw.setdefault("N", topology.n1 + topology.n2)
     else:
         if "n1" in raw or "n2" in raw:
             raise ConfigError("n1/n2: only valid with topology=irregular")
         topology = MarketTopology.regular()
         if "N" not in raw:
             raise ConfigError("N: required")
-        n_agents = int(raw["N"])
-
-    seed = raw.get("seed")
-    if seed is None:
+    if "seed" not in raw:
         raise ConfigError("seed: required (explicit seeding only)")
 
-    game = GameConfig(
-        n_agents=n_agents,
-        seed=int(seed),
-        n_markets=int(raw.get("K", 2)),
-        n_strategies=int(raw.get("s", 2)),
-        memory=int(raw.get("m", 5)),
-        payoff=str(raw.get("payoff", "linear")),
-        topology=topology,
-        init_utilities=str(raw.get("init_utilities", "zero")),
-        u_low=float(raw.get("u_low", 0.0)),
-        u_high=float(raw.get("u_high", 1.0)),
-        tie_break=str(raw.get("tie_break", "random")),
-        zero_demand=str(raw.get("zero_demand", "coin")),
-    )
+    fields = {field: raw[key] for key, (field, _, _) in CONFIG_KEYS.items() if key in raw}
+    game = GameConfig(topology=topology, **fields)
     game.validate()
 
     ticks = raw.get("T")
-    if ticks is not None and int(ticks) < 1:
+    if ticks is not None and ticks < 1:
         raise ConfigError(f"T: must be >= 1, got {ticks}")
     n_seeds = raw.get("seeds")
-    if n_seeds is not None and int(n_seeds) < 1:
+    if n_seeds is not None and n_seeds < 1:
         raise ConfigError(f"seeds: must be >= 1, got {n_seeds}")
     window = raw.get("window")
     if window is not None:
         start, stop = window
-        if not 0 <= start < stop or (ticks is not None and stop > int(ticks)):
+        if not 0 <= start < stop or (ticks is not None and stop > ticks):
             raise ConfigError(
                 f"window: need 0 <= start < stop <= T, got {start}:{stop} (T={ticks})"
             )
 
     sweep = None
     if "sweep" in raw:
-        if "values" not in raw or not raw["values"]:
+        if not raw.get("values"):
             raise ConfigError("values: a sweep needs a non-empty value list")
-        sweep = SweepDirective(param=str(raw["sweep"]), values=tuple(raw["values"]))
-        if sweep.param == "n1" and topology.kind != "irregular":
+        param, values = raw["sweep"], tuple(raw["values"])
+        if param == "n1" and topology.kind != "irregular":
             raise ConfigError("sweep=n1 requires topology=irregular with n1/n2")
         # every swept game needs N >= 1; an n1 sweep keeps the base's n2
-        low = 1 if sweep.param == "N" else max(0, 1 - topology.n2)
-        if min(sweep.values) < low:
-            raise ConfigError(
-                f"values: sweep={sweep.param} needs values >= {low}, got {min(sweep.values)}"
-            )
-        # and passes the same checks as the base game, the table budget included
-        for _, swept in SweepSpec(game, sweep.param, sweep.values).configs():
+        low = 1 if param == "N" else max(0, 1 - topology.n2)
+        if min(values) < low:
+            raise ConfigError(f"values: sweep={param} needs values >= {low}, got {min(values)}")
+        run_keys = {"n_seeds": n_seeds, "ticks": ticks}  # unset ones keep SweepSpec's defaults
+        sweep = SweepSpec(game, param, values, window=window,
+                          **{k: v for k, v in run_keys.items() if v is not None})
+        # every swept game passes the same checks as the base game, the table budget included
+        for _, swept in sweep.configs():
             swept.validate()
     elif "values" in raw:
         raise ConfigError("values: only valid together with sweep=")
 
-    return ParsedConfig(
-        game=game,
-        ticks=int(ticks) if ticks is not None else None,
-        n_seeds=int(n_seeds) if n_seeds is not None else None,
-        sweep=sweep,
-        window=window,
-    )
+    return ParsedConfig(game=game, ticks=ticks, n_seeds=n_seeds, sweep=sweep, window=window)
 
 
 # --- number and record formatting ------------------------------------------
@@ -364,20 +326,9 @@ def _config_obj(cfg: GameConfig) -> dict:
     if cfg.topology.kind == "irregular":
         topo["n1"] = cfg.topology.n1
         topo["n2"] = cfg.topology.n2
-    return {
-        "N": cfg.n_agents,
-        "K": cfg.n_markets,
-        "s": cfg.n_strategies,
-        "m": cfg.memory,
-        "payoff": cfg.payoff,
-        "topology": topo,
-        "init_utilities": cfg.init_utilities,
-        "u_low": cfg.u_low,
-        "u_high": cfg.u_high,
-        "tie_break": cfg.tie_break,
-        "zero_demand": cfg.zero_demand,
-        "seed": cfg.seed,
-    }
+    obj = {key: getattr(cfg, field) for key, (field, _, _) in CONFIG_KEYS.items()}
+    obj["topology"] = topo
+    return obj
 
 
 def serialize_manifest(manifest: RunManifest) -> str:
@@ -401,22 +352,9 @@ def parse_manifest(text: str) -> RunManifest:
         if topo["kind"] == "irregular"
         else MarketTopology.regular()
     )
-    cfg = GameConfig(
-        n_agents=int(c["N"]),
-        seed=int(c["seed"]),
-        n_markets=int(c["K"]),
-        n_strategies=int(c["s"]),
-        memory=int(c["m"]),
-        payoff=c["payoff"],
-        topology=topology,
-        init_utilities=c["init_utilities"],
-        u_low=float(c["u_low"]),
-        u_high=float(c["u_high"]),
-        tie_break=c["tie_break"],
-        zero_demand=c["zero_demand"],
-    )
+    fields = {field: _convert(key, c[key]) for key, (field, _, _) in CONFIG_KEYS.items()}
     return RunManifest(
-        config=cfg,
+        config=GameConfig(topology=topology, **fields),
         seed=int(obj["seed"]),
         ticks=int(obj["T"]),
         fmt=obj["format"],

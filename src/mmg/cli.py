@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import CONFIG_KEYS, TOPOLOGY_KINDS, ConfigError
+from .config import CONFIG_KEYS, TOPOLOGY_KINDS, ConfigError, GameConfig
 from .engine import run as run_game
 from .experiments import FIGURE_NAMES, ensemble_run, figure_dataset, q_sweep, summary_table
 from .io import (
@@ -81,8 +81,10 @@ def _build_parser() -> _Parser:
 
     p_pred = sub.add_parser("predict", help="closed-form asymptotic occupancies")
     p_pred.add_argument("--N", type=int, help="agent count (regular)")
-    p_pred.add_argument("--K", type=int, default=2, help="market count (regular)")
-    p_pred.add_argument("--s", type=int, default=2, help="strategies per market")
+    p_pred.add_argument("--K", type=int, default=GameConfig.n_markets,
+                        help="market count (regular)")
+    p_pred.add_argument("--s", type=int, default=GameConfig.n_strategies,
+                        help="strategies per market")
     p_pred.add_argument("--n1", type=int, help="exclusive agents (irregular)")
     p_pred.add_argument("--n2", type=int, help="shared agents (irregular)")
     return parser

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,11 @@ class GameConfig:
         if self.init_utilities not in INIT_UTILITIES:
             raise ConfigError(
                 f"init_utilities: must be one of {INIT_UTILITIES}, got {self.init_utilities!r}"
+            )
+        if not math.isfinite(self.u_high - self.u_low):
+            raise ConfigError(
+                f"u_low/u_high: need finite bounds with a finite u_high - u_low, "
+                f"got [{self.u_low}, {self.u_high}]"
             )
         if self.init_utilities == "uniform" and not self.u_low < self.u_high:
             raise ConfigError(f"u_low/u_high: need u_low < u_high, got [{self.u_low}, {self.u_high}]")

@@ -16,6 +16,7 @@ from .config import ConfigError, GameConfig, MarketTopology
 from .engine import RunRecords, _gain, init_game, run
 from .metrics import (
     DEFAULT_THETA,
+    _large_fluctuations,
     CriticalFluctuation,
     SeriesStats,
     big_small_markets,
@@ -235,6 +236,13 @@ def estimate_critical_q(table: Table, low: float = 0.25, high: float = 0.75) -> 
 FIGURE_NAMES = (
     "fig3", "fig4", "fig5", "fig6", "fig6_0", "fig6_1", "fig7", "fig8", "fig010",
 )
+#: Overrides a figure reads besides ``seed``, ``ticks`` and ``values``.
+_FIGURE_OVERRIDES = {
+    "fig6": ("theta",),
+    "fig6_1": ("n_seeds", "theta"),
+    "fig7": ("n_seeds", "theta"),
+    "fig8": ("n_seeds", "theta", "n2"),
+}
 
 
 def _series_table(cfgs: list[GameConfig], ticks: int, col: str) -> Table:
@@ -270,8 +278,7 @@ def _fig6_table(cfg: GameConfig, ticks: int, theta: float) -> Table:
     lowest agent index represents each class."""
     records = run(cfg, ticks)
     state = init_game(cfg)  # the run's tables and initial utilities
-    occ, dem = records.occupancy, records.demand
-    large = (occ > 0) & (np.abs(dem) >= theta * occ)
+    large = _large_fluctuations(records.occupancy, records.demand, theta)
     if not large.any():
         raise RuntimeError(
             "no large fluctuation within the run; lengthen it or change the seed"
@@ -287,7 +294,7 @@ def _fig6_table(cfg: GameConfig, ticks: int, theta: float) -> Table:
 
     # replay the utilities step applies: U(t+1) = U(t) - a(mu_t) * g(A_t)
     _, k_markets, s = state.utilities.shape
-    gain = _gain(dem, cfg)[:, :, None]
+    gain = _gain(records.demand, cfg)[:, :, None]
     traces = []
     for _, agent in picks:
         steps = -state.tables[agent][np.arange(k_markets), :, records.history] * gain
@@ -362,10 +369,17 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     """Dataset behind a canned experiment, keyed by output file stem.
 
     Overrides: ``seed`` (master, >= 0), ``ticks``, ``n_seeds``, ``values``,
-    ``theta`` and ``n2`` (fig8) where the experiment uses them.
+    ``theta`` and ``n2`` (fig8) where the experiment uses them; any other
+    raises ConfigError naming it before a game is played.
     """
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure {name!r}; known: {', '.join(FIGURE_NAMES)}")
+    known = {"seed", "ticks", "values", *_FIGURE_OVERRIDES.get(name, ())}
+    unused = sorted(set(overrides) - known)
+    if unused:
+        raise ConfigError(
+            f"{unused[0]}: {name} does not use it; it reads {', '.join(sorted(known))}"
+        )
     seed = int(overrides.pop("seed", 0))
     if seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {seed}")
@@ -429,7 +443,4 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
         for k in range(3):
             table[f"O{k + 1}"] = rec.occupancy[:, k]
         out = {name: table}
-
-    if overrides:
-        raise ValueError(f"unused overrides for {name}: {sorted(overrides)}")
     return out

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .engine import RunRecords
 
 __all__ = [
@@ -34,6 +35,13 @@ __all__ = [
 #: Default threshold for a "large" fluctuation: |A| >= theta * O separates
 #: full-market collective events from ordinary sqrt(O)-scale noise.
 DEFAULT_THETA = 0.9
+
+
+def _large_fluctuations(occ: np.ndarray, dem: np.ndarray, theta: float) -> np.ndarray:
+    """Where a non-empty market fluctuates by |A| >= theta * O."""
+    if not 0 < theta <= 1:
+        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    return (occ > 0) & (np.abs(dem) >= theta * occ)
 
 
 def resolve_window(n_ticks: int, window: tuple[int, int] | None) -> tuple[int, int]:
@@ -115,9 +123,9 @@ def detect_critical_history(
     records: RunRecords, market: int, theta: float = DEFAULT_THETA
 ) -> CriticalFluctuation | None:
     """History preceding the first fluctuation with |A| >= theta * O > 0."""
-    occ = records.occupancy[:, market]
-    dem = records.demand[:, market]
-    hits = np.flatnonzero((occ > 0) & (np.abs(dem) >= theta * occ))
+    hits = np.flatnonzero(
+        _large_fluctuations(records.occupancy[:, market], records.demand[:, market], theta)
+    )
     if len(hits) == 0:
         return None
     t1 = int(hits[0])
@@ -150,12 +158,9 @@ def fluctuation_frequency(
     window: tuple[int, int] | None = None,
 ) -> float:
     """Rate of ticks with |A| >= theta * O on a non-empty market."""
-    if not 0 < theta <= 1:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
     a, b = resolve_window(records.n_ticks, window)
-    occ = records.occupancy[a:b, market]
-    dem = records.demand[a:b, market]
-    return float(np.count_nonzero((occ > 0) & (np.abs(dem) >= theta * occ)) / (b - a))
+    large = _large_fluctuations(records.occupancy[a:b, market], records.demand[a:b, market], theta)
+    return float(np.count_nonzero(large) / (b - a))
 
 
 def relaxation_time(
@@ -195,8 +200,9 @@ def predicted_occupancies(n_agents: int, n_markets: int, n_strategies: int) -> l
     With r = 1/2**s, the k-th largest market keeps N(1-r)r**(k-1) agents
     and the smallest keeps the remainder N r**(K-1).
     """
-    if n_markets < 1 or n_strategies < 1:
-        raise ValueError("n_markets and n_strategies must be >= 1")
+    for key, value in (("N", n_agents), ("K", n_markets), ("s", n_strategies)):
+        if value < 1:
+            raise ConfigError(f"{key}: must be >= 1, got {value}")
     r = 1.0 / (1 << n_strategies)
     if n_markets == 1:
         return [float(n_agents)]
@@ -207,8 +213,9 @@ def predicted_occupancies(n_agents: int, n_markets: int, n_strategies: int) -> l
 
 def predicted_irregular(n1: int, n2: int, n_strategies: int) -> tuple[float, float]:
     """Large-n1 asymptote of the exclusive market and limit of the shared one."""
-    if n1 < 0 or n2 < 0 or n_strategies < 1:
-        raise ValueError("need n1, n2 >= 0 and n_strategies >= 1")
+    for key, value, low in (("n1", n1, 0), ("n2", n2, 0), ("s", n_strategies, 1)):
+        if value < low:
+            raise ConfigError(f"{key}: must be >= {low}, got {value}")
     r = 1.0 / (1 << n_strategies)
     return n1 + (1 - r) * n2, n2 * r
 

@@ -1,9 +1,27 @@
 import csv
+import json
 
 import pytest
 
+from mmg import experiments
 from mmg.cli import cli_main
+from mmg.config import CONFIG_KEYS
 from mmg.io import content_hash, parse_manifest
+
+# a config-file value and a different flag value for every key of CONFIG_KEYS
+FILE_AND_FLAG = {
+    "seed": ("1", "2"),
+    "N": ("5", "7"),
+    "K": ("2", "3"),
+    "s": ("2", "1"),
+    "m": ("2", "3"),
+    "payoff": ("linear", "sign"),
+    "tie_break": ("random", "lowest-index"),
+    "zero_demand": ("coin", "plus-one"),
+    "init_utilities": ("zero", "uniform"),
+    "u_low": ("0", "-0.5"),
+    "u_high": ("1", "2.5"),
+}
 
 
 class TestPredict:
@@ -21,6 +39,18 @@ class TestPredict:
 
     def test_missing_arguments(self, capsys):
         assert cli_main(["predict"]) == 1
+
+    @pytest.mark.parametrize("argv, key", [
+        (["--N", "-5"], "N"),
+        (["--N", "5", "--K", "0"], "K"),
+        (["--N", "5", "--s", "0"], "s"),
+        (["--n1", "-1", "--n2", "3"], "n1"),
+    ])
+    def test_bad_input_names_key(self, capsys, argv, key):
+        assert cli_main(["predict", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {key}:")
 
 
 class TestExitCodes:
@@ -76,6 +106,12 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: window:")
         assert not out.exists()
 
+    def test_non_finite_utility_bound(self, capsys):
+        argv = ["run", "--N", "5", "--seed", "1", "-T", "2", "--init-utilities", "uniform",
+                "--u-low", "0", "--u-high", "inf"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: u_low/u_high:")
+
     def test_runtime_failure(self, tmp_path):
         # fig6 needs a large fluctuation; two ticks cannot contain one
         assert cli_main(["figure", "fig6", "-T", "2", "--out", str(tmp_path)]) == 3
@@ -119,6 +155,21 @@ class TestRun:
         assert sum(int(row[2]) for row in tick0) == 7  # occupancies reflect N=7
 
 
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_each_key_flag_overrides_file(self, tmp_path, key):
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text(" ".join(f"{k}={v}" for k, (v, _) in FILE_AND_FLAG.items()) + " T=2\n")
+        man = tmp_path / "run.json"
+        flag, value = "--" + key.replace("_", "-"), FILE_AND_FLAG[key][1]
+        argv = ["run", "--config", str(cfg), flag, value,
+                "--out", str(tmp_path / "records.csv"), "--manifest", str(man)]
+        assert cli_main(argv) == 0
+        field, kind, _ = CONFIG_KEYS[key]
+        want = value if isinstance(kind, tuple) else kind(value)
+        assert json.loads(man.read_text())["config"][key] == want
+        assert getattr(parse_manifest(man.read_text()).config, field) == want
+
+
 class TestEnsembleAndSweep:
     def test_ensemble_summary_table(self, tmp_path):
         out = tmp_path / "summaries.csv"
@@ -132,8 +183,6 @@ class TestEnsembleAndSweep:
         assert lines[0].startswith("run,seed,big_market,split,mode,tau0,nu")
 
     def test_ensemble_error_cell_is_quoted(self, tmp_path, monkeypatch):
-        from mmg import experiments
-
         def broken_run(cfg, ticks):
             raise ValueError('shape (3, 2) does not fit "x"\nat all')
 
@@ -175,6 +224,15 @@ class TestFigure:
         monkeypatch.setenv("MMG_OUT_DIR", str(tmp_path / "envout"))
         assert cli_main(["figure", "fig5", "-T", "10"]) == 0
         assert (tmp_path / "envout" / "fig5.csv").exists()
+
+    def test_unused_override_exits_before_any_game(self, tmp_path, capsys, monkeypatch):
+        def no_game(cfg, ticks):
+            raise AssertionError("a game was played")
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        assert cli_main(["figure", "fig3", "-T", "50", "--seeds", "2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: n_seeds:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_figure_is_usage_error(self):
         assert cli_main(["figure", "fig99"]) == 1

@@ -212,6 +212,10 @@ class TestFigureDatasets:
         assert classes <= {"both-good", "one-good", "none-good"}
         assert len(table["t"]) % 121 == 0
 
+    def test_fig6_theta_validated(self):
+        with pytest.raises(ValueError, match="theta"):
+            figure_dataset("fig6", ticks=20, values=[64], seed=0, theta=0.0)
+
     def test_fig6_without_fluctuation_raises(self):
         with pytest.raises(RuntimeError):
             figure_dataset("fig6", ticks=3, values=[64], seed=6)

@@ -1,10 +1,14 @@
+import dataclasses
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, run
-from mmg.config import MAX_TABLE_BYTES
+from mmg.config import CONFIG_KEYS, MAX_TABLE_BYTES
 from mmg.io import (
     RunManifest,
     content_hash,
@@ -136,9 +140,36 @@ class TestParseConfig:
         parsed = parse_config("N=5 seed=1 m=3", overrides={"m": 4, "seed": 2})
         assert parsed.game.memory == 4 and parsed.game.seed == 2
 
+    @pytest.mark.parametrize("init, low, high", [
+        ("zero", 0.0, math.inf),
+        ("uniform", 0.0, math.inf),
+        ("zero", math.nan, 1.0),
+        ("uniform", -1e308, 1e308),  # each bound finite, their difference not
+    ])
+    def test_non_finite_utility_bounds(self, init, low, high):
+        cfg = GameConfig(n_agents=5, seed=1, init_utilities=init, u_low=low, u_high=high)
+        with pytest.raises(ConfigError, match="^u_low/u_high: "):
+            cfg.validate()
+
     def test_malformed_token(self):
         with pytest.raises(ConfigError, match="key=value"):
             parse_config("N=5 seed=1 whatisthis")
+
+
+class TestConfigKeys:
+    def test_one_key_per_field(self):
+        keyed = sorted(field for field, _, _ in CONFIG_KEYS.values())
+        fields = sorted(f.name for f in dataclasses.fields(GameConfig) if f.name != "topology")
+        assert keyed == fields
+
+    def test_file_defaults_are_dataclass_defaults(self):
+        assert parse_config("N=5 seed=1").game == GameConfig(n_agents=5, seed=1)
+
+    @pytest.mark.parametrize("topology", [MarketTopology.regular(), MarketTopology.irregular(2, 3)])
+    def test_manifest_config_keys(self, topology):
+        cfg = GameConfig(n_agents=5, seed=1, topology=topology)
+        obj = json.loads(serialize_manifest(make_manifest(cfg, 3, "csv", "x")))
+        assert set(obj["config"]) == set(CONFIG_KEYS) | {"topology"}
 
 
 class TestRecordFormats:

@@ -264,6 +264,12 @@ class TestCriticalHistory:
         rec = make_records([[10, 0]] * 5, [[2, 0]] * 5)
         assert detect_critical_history(rec, 0) is None
 
+    @pytest.mark.parametrize("theta", [0.0, 1.5])
+    def test_theta_validated(self, theta):
+        rec = make_records([[10, 0]] * 5, [[10, 0]] * 5)
+        with pytest.raises(ValueError, match="theta"):
+            detect_critical_history(rec, 0, theta)
+
 
 class TestSplitAndModes:
     def test_split_detection(self):

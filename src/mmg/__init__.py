@@ -6,7 +6,6 @@ from .config import ConfigError, GameConfig, MarketTopology
 from .engine import (
     GameState,
     RunRecords,
-    TickRecord,
     init_game,
     run,
     step,
@@ -46,7 +45,6 @@ __all__ = [
     "MarketTopology",
     "GameState",
     "RunRecords",
-    "TickRecord",
     "Endowment",
     "CriticalFluctuation",
     "MuHistogram",

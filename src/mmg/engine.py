@@ -27,9 +27,12 @@ runs across K*s contiguous rows rather than along a short inner axis.
 ``GameState.utilities`` and ``Endowment.actions`` are transposed views in
 the agent-first shapes ``(N, K, s)`` and ``(N, K, s, 2**m)``. The
 plain-Python per-agent loop in ``tests/reference.py`` follows the same
-order and random stream and serves as its oracle. ``run`` stacks the ticks
-into the columnar ``RunRecords``, the one layout that io renders and
-parses and that every estimator reads.
+order and random stream and serves as its oracle. ``run`` allocates the
+columnar ``RunRecords`` once, and ``step`` writes tick i straight into its
+row i; that is the one layout io renders and parses and every estimator
+reads. The per-market work of a tick (minority, coins, next histories) runs
+on Python ints, since K is small and a NumPy call on a K-vector costs more
+than the arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .rng import game_rng
 from .strategies import Endowment, draw_strategies
 
 __all__ = [
-    "TickRecord",
     "RunRecords",
     "GameState",
     "init_game",
@@ -52,24 +54,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TickRecord:
-    """Observables of one tick, as returned by ``step``."""
-
-    t: int
-    occupancy: np.ndarray  # (K,) agents active per market
-    demand: np.ndarray  # (K,) signed sum of active actions
-    minority: np.ndarray  # (K,) winning action per market
-    history: np.ndarray  # (K,) history value the tick was played at
-    n_switched: int  # agents whose active market changed vs previous tick
-
-
 @dataclass(eq=False)
 class RunRecords:
     """Observables of a whole run, one row per tick.
 
     This is the only layout records are stored, serialized and parsed in;
-    ``run`` writes the ``TickRecord`` of tick i into row i.
+    ``step`` writes tick i into row i.
     """
 
     memory: int
@@ -79,6 +69,13 @@ class RunRecords:
     minority: np.ndarray  # (T, K)
     history: np.ndarray  # (T, K)
     n_switched: np.ndarray  # (T,)
+
+    @classmethod
+    def empty(cls, ticks: int, k_markets: int, memory: int) -> RunRecords:
+        """Unfilled records of ``ticks`` ticks on ``k_markets`` markets."""
+        per_market = [np.empty((ticks, k_markets), dtype=np.int64) for _ in range(4)]
+        return cls(memory, np.empty(ticks, dtype=np.int64), *per_market,
+                   np.empty(ticks, dtype=np.int64))
 
     @property
     def n_ticks(self) -> int:
@@ -114,19 +111,16 @@ class GameState:
     unlinked: np.ndarray | None = field(init=False)  # (K*s, N) 0 or -inf; None if all linked
     weights: np.ndarray = field(init=False)  # (K*s, 1) K*s down to 1, in flat order
     agents: np.ndarray = field(init=False)  # (N,) agent indices
-    markets: np.ndarray = field(init=False)  # (K,) market indices
 
     def __post_init__(self) -> None:
         link_mask = self.endowment.link_mask
-        n, k_markets = link_mask.shape
         self.choice_mask = np.repeat(link_mask, self.endowment.n_strategies, axis=1)
         rows = self.choice_mask.shape[1]
         self.unlinked = None
         if not link_mask.all():
             self.unlinked = np.ascontiguousarray(np.where(self.choice_mask.T, 0.0, -np.inf))
         self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
-        self.agents = np.arange(n)
-        self.markets = np.arange(k_markets)
+        self.agents = np.arange(len(link_mask))
 
     @property
     def utilities(self) -> np.ndarray:
@@ -168,13 +162,6 @@ def _gain(demand: np.ndarray, cfg: GameConfig) -> np.ndarray:
     return demand / cfg.n_agents  # scaled
 
 
-def _actions_at_histories(state: GameState) -> np.ndarray:
-    """(K*s, N) action of every strategy at the current histories, one
-    ``(s, N)`` block of the table storage per market."""
-    storage = state.tables.transpose(1, 3, 2, 0)  # (K, 2**m, s, N)
-    return storage[state.markets, state.histories].reshape(-1, storage.shape[-1])
-
-
 def _choose_all(state: GameState) -> np.ndarray:
     """Flat (market*s + slot) choice per agent; consumes RNG only on ties."""
     util = state.scores if state.unlinked is None else state.scores + state.unlinked
@@ -191,57 +178,58 @@ def _choose_all(state: GameState) -> np.ndarray:
     return choice
 
 
-def step(state: GameState) -> TickRecord:
-    """Advance the game by one tick and return its observables."""
+def step(state: GameState, out: RunRecords, i: int) -> None:
+    """Advance the game by one tick and write its observables into row ``i``
+    of ``out``."""
     cfg = state.config
     k_markets, s = cfg.n_markets, cfg.n_strategies
-    mu = state.histories.copy()
+    n = len(state.agents)
+    mu = state.histories.tolist()
 
-    acts = _actions_at_histories(state)
+    # (K, s, N) action of every strategy at the current histories: one row
+    # of the (K*2**m, s, N) table storage per market
+    storage = state.tables.transpose(1, 3, 2, 0).reshape(-1, s, n)
+    acts = storage.take([(k << cfg.memory) + h for k, h in enumerate(mu)], axis=0)
 
     # (1) strategy choice
     choice = _choose_all(state)
     market = choice // s
-    action = acts.take(choice * len(state.agents) + state.agents)  # acts[choice, agent]
+    action = acts.take(choice * n + state.agents)  # each agent's entry of its chosen (K*s) row
 
     # (2) aggregation over active agents
-    occupancy = np.bincount(market, minlength=k_markets).astype(np.int64)
-    demand = np.bincount(market, weights=action, minlength=k_markets).astype(np.int64)
+    out.occupancy[i] = np.bincount(market, minlength=k_markets)
+    demand = out.demand[i]
+    demand[:] = np.bincount(market, weights=action, minlength=k_markets)
 
     # (3) minority action, zero-demand markets resolved in market order
-    minority = -np.sign(demand)
-    balanced = demand == 0
-    if balanced.any():
-        if cfg.zero_demand == "coin":
-            minority[balanced] = 2 * state.rng.integers(0, 2, size=int(balanced.sum())) - 1
-        else:
-            minority[balanced] = 1
+    demands = demand.tolist()
+    minority = [-1 if a > 0 else 1 for a in demands]
+    if cfg.zero_demand == "coin" and 0 in demands:
+        coins = iter(state.rng.integers(0, 2, size=demands.count(0)).tolist())
+        minority = [2 * next(coins) - 1 if a == 0 else x for a, x in zip(demands, minority)]
 
     # (4) score every linked strategy, active and passive; unlinked entries
     # hold action 0 and stay untouched
-    state.scores -= acts * _gain(demand, cfg).repeat(s)[:, None]
+    scores = state.scores.reshape(k_markets, s, n, copy=False)
+    scores -= acts * _gain(demand, cfg)[:, None, None]
 
     # (5) histories shift in the minority actions
-    bits = (minority + 1) >> 1
-    state.histories = ((mu << 1) | bits) & ((1 << cfg.memory) - 1)
+    mask = (1 << cfg.memory) - 1
+    state.histories = np.array(
+        [((h << 1) | (x > 0)) & mask for h, x in zip(mu, minority)], dtype=np.int64
+    )
 
     # (6) market-switch count; first tick defined as 0
-    if state.last_market is None:
-        n_switched = 0
-    else:
-        n_switched = int((market != state.last_market).sum())
+    n_switched = 0
+    if state.last_market is not None:
+        n_switched = np.count_nonzero(market != state.last_market)
     state.last_market = market
 
-    record = TickRecord(
-        t=state.t,
-        occupancy=occupancy,
-        demand=demand,
-        minority=minority.astype(np.int64),
-        history=mu,
-        n_switched=n_switched,
-    )
+    out.t[i] = state.t
+    out.minority[i] = minority
+    out.history[i] = mu
+    out.n_switched[i] = n_switched
     state.t += 1
-    return record
 
 
 def run(cfg: GameConfig, ticks: int) -> RunRecords:
@@ -249,22 +237,7 @@ def run(cfg: GameConfig, ticks: int) -> RunRecords:
     if ticks < 1:
         raise ConfigError(f"T: must be >= 1, got {ticks}")
     state = init_game(cfg)
-    k_markets = cfg.n_markets
-    out = RunRecords(
-        memory=cfg.memory,
-        t=np.empty(ticks, dtype=np.int64),
-        occupancy=np.empty((ticks, k_markets), dtype=np.int64),
-        demand=np.empty((ticks, k_markets), dtype=np.int64),
-        minority=np.empty((ticks, k_markets), dtype=np.int64),
-        history=np.empty((ticks, k_markets), dtype=np.int64),
-        n_switched=np.empty(ticks, dtype=np.int64),
-    )
+    out = RunRecords.empty(ticks, cfg.n_markets, cfg.memory)
     for i in range(ticks):
-        rec = step(state)
-        out.t[i] = rec.t
-        out.occupancy[i] = rec.occupancy
-        out.demand[i] = rec.demand
-        out.minority[i] = rec.minority
-        out.history[i] = rec.history
-        out.n_switched[i] = rec.n_switched
+        step(state, out, i)
     return out

@@ -218,11 +218,12 @@ def render_records(records: RunRecords, fmt: str = "csv") -> str:
         ]).tolist()
         return "\n".join([CSV_HEADER] + [_CSV_ROW(*row) for row in rows]) + "\n"
     if fmt == "jsonl":
-        ticks = zip(*(getattr(records, name).tolist() for name in _FIELDS))
-        return "".join(
-            json.dumps(dict(zip(_JSONL_KEYS, tick)), separators=(",", ":")) + "\n"
-            for tick in ticks
-        )
+        # the text json.dumps(..., separators=(",", ":")) gives each tick's object
+        arrays = "".join(f',"{key}":[' + ",".join(["{}"] * k_markets) + "]"
+                         for key in _JSONL_KEYS[1:5])
+        line = ('{{"t":{}' + arrays + ',"C":{}}}\n').format
+        rows = np.column_stack([getattr(records, name) for name in _FIELDS]).tolist()
+        return "".join([line(*row) for row in rows])
     raise ValueError(f"unknown record format {fmt!r}")
 
 

@@ -203,7 +203,7 @@ def predicted_occupancies(n_agents: int, n_markets: int, n_strategies: int) -> l
     for key, value in (("N", n_agents), ("K", n_markets), ("s", n_strategies)):
         if value < 1:
             raise ConfigError(f"{key}: must be >= 1, got {value}")
-    r = 1.0 / (1 << n_strategies)
+    r = 2.0 ** -n_strategies
     if n_markets == 1:
         return [float(n_agents)]
     out = [n_agents * (1 - r) * r**k for k in range(n_markets - 1)]
@@ -216,7 +216,7 @@ def predicted_irregular(n1: int, n2: int, n_strategies: int) -> tuple[float, flo
     for key, value, low in (("n1", n1, 0), ("n2", n2, 0), ("s", n_strategies, 1)):
         if value < low:
             raise ConfigError(f"{key}: must be >= {low}, got {value}")
-    r = 1.0 / (1 << n_strategies)
+    r = 2.0 ** -n_strategies
     return n1 + (1 - r) * n2, n2 * r
 
 

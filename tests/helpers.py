@@ -1,0 +1,16 @@
+"""Test helper: play one tick of a game through ``mmg.step``."""
+
+from types import SimpleNamespace
+
+from mmg import RunRecords, step
+
+
+def one_tick(state):
+    """Play one tick of ``state`` into a one-row ``RunRecords``; return that
+    row's ``t``, its per-market ``(K,)`` arrays and its ``n_switched``."""
+    out = RunRecords.empty(1, state.config.n_markets, state.config.memory)
+    step(state, out, 0)
+    return SimpleNamespace(
+        t=int(out.t[0]), occupancy=out.occupancy[0], demand=out.demand[0],
+        minority=out.minority[0], history=out.history[0], n_switched=int(out.n_switched[0]),
+    )

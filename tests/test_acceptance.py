@@ -310,14 +310,15 @@ class TestCriterion12Properties:
         report(12, "conservation-bound-parity", True)
 
     def test_utility_replay_exact(self):
-        from mmg import init_game, step
+        from helpers import one_tick
+        from mmg import init_game
 
         cfg = GameConfig(n_agents=9, seed=31, memory=3)
         state = init_game(cfg)
         tables = state.tables.copy()
         expected = state.utilities.copy()
         for _ in range(200):
-            rec = step(state)
+            rec = one_tick(state)
             for k in range(2):
                 expected[:, k, :] -= tables[:, k, :, rec.history[k]] * float(rec.demand[k])
         ok = np.array_equal(state.utilities, expected)
@@ -325,12 +326,13 @@ class TestCriterion12Properties:
         assert ok
 
     def test_complement_antisymmetry(self):
-        from mmg import init_game, step
+        from helpers import one_tick
+        from mmg import init_game
 
         state = init_game(GameConfig(n_agents=7, seed=12, memory=3))
         state.tables[0, 0, 1] = -state.tables[0, 0, 0]
         for _ in range(150):
-            step(state)
+            one_tick(state)
             assert state.utilities[0, 0, 0] + state.utilities[0, 0, 1] == 0.0
         report(12, "complement-antisymmetry", True)
 
@@ -349,7 +351,8 @@ class TestCriterion12Properties:
         # plain-Python reference engine plays agent by agent
         import copy
 
-        from mmg import init_game, step
+        from helpers import one_tick
+        from mmg import init_game
         from reference import reference_run
 
         picker = np.random.default_rng(424242)
@@ -367,6 +370,6 @@ class TestCriterion12Properties:
             state = init_game(cfg)
             ticks, _ = reference_run(copy.deepcopy(state), 100)
             expected = [tick.demand[0] for tick in ticks]
-            got = [int(step(state).demand[0]) for _ in range(100)]
+            got = [int(one_tick(state).demand[0]) for _ in range(100)]
             assert got == expected, f"case {case}: {cfg}"
         report(12, "single-market-reduction", True, "(20 random configs)")

@@ -40,6 +40,15 @@ class TestPredict:
     def test_missing_arguments(self, capsys):
         assert cli_main(["predict"]) == 1
 
+    @pytest.mark.parametrize("argv, out", [
+        (["--N", "5", "--s", "1100"], "5 0\n"),
+        (["--n1", "3", "--n2", "4", "--s", "1100"], "7 0\n"),
+    ])
+    def test_strategy_count_past_float_range(self, capsys, argv, out):
+        # 2**-s underflows to 0 instead of 1 / 2**s overflowing the float
+        assert cli_main(["predict", *argv]) == 0
+        assert capsys.readouterr().out == out
+
     @pytest.mark.parametrize("argv, key", [
         (["--N", "-5"], "N"),
         (["--N", "5", "--K", "0"], "K"),

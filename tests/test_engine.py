@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmg import ConfigError, GameConfig, MarketTopology, init_game, run, step
+from helpers import one_tick
+from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, init_game, run, step
 from reference import reference_run
 
 
@@ -75,14 +76,14 @@ def two_slot_agent(utilities):
 class TestChooseActiveStrategy:
     def test_unique_maximum(self):
         state = two_slot_agent([[3.0, 5.0], [2.0, 1.0]])
-        rec = step(state)
+        rec = one_tick(state)
         assert rec.occupancy.tolist() == [1, 0]
         assert rec.demand.tolist() == [-1, 0]  # market 0, slot 1
         assert state.last_market.tolist() == [0]
 
     def test_lowest_index_tie(self):
         state = two_slot_agent([[5.0, 5.0], [1.0, 0.0]])
-        rec = step(state)
+        rec = one_tick(state)
         assert rec.occupancy.tolist() == [1, 0]
         assert rec.demand.tolist() == [1, 0]  # market 0, slot 0
 
@@ -94,7 +95,7 @@ class TestChooseActiveStrategy:
         state = init_game(small_config(n_agents=n, tie_break="random"))
         state.tables[:, :, 0, :] = 1
         state.tables[:, :, 1, :] = -1
-        rec = step(state)
+        rec = one_tick(state)
         slot0 = (rec.occupancy + rec.demand) // 2
         picks = np.concatenate([slot0, rec.occupancy - slot0]) / n
         assert np.all(picks > 0.2) and np.all(picks < 0.3)
@@ -105,8 +106,8 @@ class TestChooseActiveStrategy:
         state_b = copy.deepcopy(state_a)
         state_b.utilities += 17.25
         for _ in range(50):
-            rec_a = step(state_a)
-            rec_b = step(state_b)
+            rec_a = one_tick(state_a)
+            rec_b = one_tick(state_b)
             assert np.array_equal(state_a.last_market, state_b.last_market)
             for name in ("occupancy", "demand", "minority", "history"):
                 assert np.array_equal(getattr(rec_a, name), getattr(rec_b, name))
@@ -133,38 +134,38 @@ def fixed_action_game(actions, n_markets=1, payoff="linear", zero_demand="plus-o
 
 class TestPrimitives:
     def test_aggregate_demand(self):
-        assert step(fixed_action_game([1, 1, -1])).demand.tolist() == [1]
-        assert step(fixed_action_game([1] * 1200)).demand.tolist() == [1200]
-        rec = step(fixed_action_game([1, -1, 1], n_markets=2))
+        assert one_tick(fixed_action_game([1, 1, -1])).demand.tolist() == [1]
+        assert one_tick(fixed_action_game([1] * 1200)).demand.tolist() == [1200]
+        rec = one_tick(fixed_action_game([1, -1, 1], n_markets=2))
         assert rec.occupancy.tolist() == [3, 0]
         assert rec.demand.tolist() == [1, 0]  # an empty market has zero demand
 
     def test_minority_sign(self):
-        assert step(fixed_action_game([1] * 5)).minority.tolist() == [-1]
-        assert step(fixed_action_game([-1] * 3)).minority.tolist() == [1]
+        assert one_tick(fixed_action_game([1] * 5)).minority.tolist() == [-1]
+        assert one_tick(fixed_action_game([-1] * 3)).minority.tolist() == [1]
 
     def test_minority_zero_rules(self):
         # two opposite agents balance market 0; market 1 stays empty
         state = fixed_action_game([1, -1], n_markets=2)
         for _ in range(5):
-            assert step(state).minority.tolist() == [1, 1]
+            assert one_tick(state).minority.tolist() == [1, 1]
         state = fixed_action_game([1, -1], n_markets=2, zero_demand="coin")
-        draws = {int(a) for _ in range(50) for a in step(state).minority}
+        draws = {int(a) for _ in range(50) for a in one_tick(state).minority}
         assert draws == {-1, 1}
 
     def test_payoff_kinds(self):
         # slot 0 is the active strategy, slot 1 its passive complement
         state = fixed_action_game([1] * 4, payoff="linear")
-        step(state)
+        one_tick(state)
         assert state.utilities[0, 0].tolist() == [-4.0, 4.0]
         state = fixed_action_game([1] * 4, payoff="sign")
-        step(state)
+        one_tick(state)
         assert state.utilities[0, 0].tolist() == [-1.0, 1.0]
         state = fixed_action_game([1] * 6 + [-1] * 2, payoff="scaled")
-        step(state)
+        one_tick(state)
         assert state.utilities[7, 0].tolist() == [0.5, -0.5]
         state = fixed_action_game([1, -1], payoff="sign")
-        step(state)
+        one_tick(state)
         assert np.all(state.utilities == 0.0)
 
 
@@ -182,7 +183,7 @@ class TestStep:
         state.tables[0, 0, 0, :] = 1
         state.tables[1, 0, 0, :] = -1
         for t in range(3):
-            rec = step(state)
+            rec = one_tick(state)
             assert rec.t == t
             assert rec.occupancy.tolist() == [2, 0]
             assert rec.demand.tolist() == [0, 0]
@@ -220,7 +221,7 @@ class TestStep:
         state = init_game(small_config(seed=8))
         before = state.rng.bit_generator.state
         for _ in range(20):
-            step(state)
+            one_tick(state)
         assert state.rng.bit_generator.state == before
 
     def test_single_tick_run(self):
@@ -230,6 +231,22 @@ class TestStep:
     def test_run_rejects_nonpositive_ticks(self):
         with pytest.raises(ConfigError):
             run(small_config(), 0)
+
+    @pytest.mark.parametrize("topology", [MarketTopology.regular(), MarketTopology.irregular(4, 7)],
+                             ids=["regular", "irregular"])
+    def test_run_is_step_row_by_row(self, topology):
+        # run(cfg, T) is T calls of step(state, out, i) on a fresh game
+        cfg = GameConfig(n_agents=11, seed=4, memory=3, payoff="sign", topology=topology)
+        ticks = 80
+        want = run(cfg, ticks)
+        state = init_game(cfg)
+        out = RunRecords.empty(ticks, cfg.n_markets, cfg.memory)
+        assert out.memory == want.memory
+        for i in range(ticks):
+            step(state, out, i)
+            for name in ("t", "occupancy", "demand", "minority", "history", "n_switched"):
+                assert np.array_equal(getattr(out, name)[i], getattr(want, name)[i]), (i, name)
+        assert state.t == ticks
 
 
 @st.composite
@@ -274,7 +291,7 @@ class TestInvariants:
         tables = state.tables.copy()
         u0 = state.utilities.copy()
         ticks = 60
-        recs = [step(state) for _ in range(ticks)]
+        recs = [one_tick(state) for _ in range(ticks)]
         expected = u0.copy()
         for rec in recs:
             for k in range(cfg.n_markets):
@@ -297,7 +314,7 @@ class TestInvariants:
         state.tables[0, 0, 1] = -state.tables[0, 0, 0]
         total0 = state.utilities[0, 0, 0] + state.utilities[0, 0, 1]
         for _ in range(100):
-            step(state)
+            one_tick(state)
             assert state.utilities[0, 0, 0] + state.utilities[0, 0, 1] == total0
 
 
@@ -320,7 +337,7 @@ class TestSingleMarketReduction:
             state = init_game(cfg)
             ticks, _ = reference_run(copy.deepcopy(state), 100)
             expected = [tick.demand[0] for tick in ticks]
-            got = [int(step(state).demand[0]) for _ in range(100)]
+            got = [int(one_tick(state).demand[0]) for _ in range(100)]
             assert got == expected, f"case {case}: {cfg}"
 
 
@@ -378,7 +395,7 @@ def assert_steps_like_reference(state, ticks):
     ref_ticks, ref = reference_run(copy.deepcopy(state), ticks)
     got = []
     for expected in ref_ticks:
-        got.append(tick_tuple(step(state)))
+        got.append(tick_tuple(one_tick(state)))
         assert got[-1] == tuple(expected), f"tick {got[-1][0]}"
     assert np.array_equal(state.utilities, np.array(ref.utilities))
     assert state.rng.bit_generator.state == ref.rng.bit_generator.state
@@ -409,7 +426,7 @@ class TestAgainstReference:
 def played_game():
     state = init_game(GameConfig(n_agents=40, seed=11, n_markets=3, memory=3, payoff="sign"))
     for _ in range(5):
-        step(state)
+        one_tick(state)
     return state
 
 
@@ -459,7 +476,7 @@ class TestStateViews:
         assert not np.shares_memory(twin.scores, state.scores)
         assert not np.shares_memory(twin.tables, state.tables)
         for _ in range(30):
-            assert tick_tuple(step(twin)) == tick_tuple(step(state))
+            assert tick_tuple(one_tick(twin)) == tick_tuple(one_tick(state))
         assert np.array_equal(twin.utilities, state.utilities)
         assert twin.rng.bit_generator.state == state.rng.bit_generator.state
 

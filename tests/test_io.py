@@ -231,6 +231,29 @@ class TestRecordFormats:
         assert line.startswith('{"t":0,"O":[')
         assert '"astar":' in line and '"C":' in line
 
+    @pytest.mark.parametrize("k_markets", [1, 2, 3])
+    def test_jsonl_matches_json_dumps(self, k_markets):
+        # each line is the object json.dumps writes for the tick; the game
+        # has negative demands and, at t=0, the first tick's C=0, the
+        # random record multi-digit negatives in every column
+        game = run(GameConfig(n_agents=9, seed=k_markets, n_markets=k_markets, memory=3), 40)
+        assert (game.demand < 0).any() and game.t[0] == 0 and game.n_switched[0] == 0
+        draw = np.random.default_rng(k_markets).integers
+        wide = RunRecords(3, np.arange(30) * 7, *(draw(-5000, 5000, (30, k_markets)) for _ in range(4)),
+                          draw(-5000, 5000, 30))
+        keys = ("t", "O", "A", "astar", "mu", "C")
+        fields = ("t", "occupancy", "demand", "minority", "history", "n_switched")
+        for rec in (game, wide, RunRecords.empty(0, k_markets, 3)):
+            ticks = zip(*(getattr(rec, name).tolist() for name in fields))
+            text = render_records(rec, "jsonl")
+            assert text == "".join(
+                json.dumps(dict(zip(keys, tick)), separators=(",", ":")) + "\n" for tick in ticks
+            )
+            if rec.n_ticks:
+                back = parse_records(text, "jsonl", memory=3)
+                for name in fields:
+                    assert np.array_equal(getattr(back, name), getattr(rec, name)), name
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             render_records(self.records(), "parquet")

@@ -243,6 +243,17 @@ class TestPredictions:
         assert math.fsum(values) == float(n)
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    def test_ratio_bits_unchanged(self):
+        # r = 2**-s has the bits of 1 / (1 << s) wherever the latter is defined
+        for s in (1, 2, 5, 52, 53, 64, 1000, 1023):
+            r = 1.0 / (1 << s)
+            assert predicted_occupancies(1, 2, s) == [1 - r, r]
+            assert predicted_irregular(0, 1, s) == (1 - r, r)
+
+    def test_ratio_underflows_past_float_range(self):
+        assert predicted_occupancies(5, 2, 1100) == [5.0, 0.0]
+        assert predicted_irregular(3, 4, 1100) == (7.0, 0.0)
+
     def test_irregular_values(self):
         assert predicted_irregular(1000, 301, 2) == (1225.75, 75.25)
         assert predicted_irregular(301, 301, 2) == (526.75, 75.25)

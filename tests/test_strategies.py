@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmg import GameConfig, draw_strategies, game_rng, init_game, run, step
+from helpers import one_tick
+from mmg import GameConfig, draw_strategies, game_rng, init_game, run
 
 
 def table_from_bits(bits, m):
@@ -30,14 +31,14 @@ def actions_at(table, m, histories):
     out = []
     for h in histories:
         state.histories[0] = h
-        out.append(int(step(state).demand[0]))
+        out.append(int(one_tick(state).demand[0]))
     return out
 
 
 def shift_in(state, winner):
     """Play one tick whose minority is ``winner``; return the new history."""
     state.tables[0, 0, 0] = -winner
-    step(state)
+    one_tick(state)
     return int(state.histories[0])
 
 
@@ -153,6 +154,6 @@ class TestDrawStrategies:
         state.utilities[0] = [[0.0, 0.0], [1.0, 0.0]]  # market 1, slot 0
         state.utilities[1] = [[0.0, 1.0], [0.0, 0.0]]  # market 0, slot 1
         mu = state.histories.copy()
-        rec = step(state)
+        rec = one_tick(state)
         assert rec.occupancy.tolist() == [1, 1]
         assert rec.demand.tolist() == [state.tables[1, 0, 1, mu[0]], state.tables[0, 1, 0, mu[1]]]

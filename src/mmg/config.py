@@ -113,6 +113,11 @@ class GameConfig:
         """Control parameter: agents per history pattern, N / 2**m."""
         return self.n_agents / (1 << self.memory)
 
+    @property
+    def table_bytes(self) -> int:
+        """Size of the int8 strategy tables, N*K*s*2**m bytes."""
+        return (self.n_agents * self.n_markets * self.n_strategies) << self.memory
+
     def validate(self) -> None:
         if self.n_agents < 1:
             raise ConfigError(f"N: must be >= 1, got {self.n_agents}")
@@ -124,10 +129,9 @@ class GameConfig:
             raise ConfigError(f"s: must be >= 1, got {self.n_strategies}")
         if not 1 <= self.memory <= MAX_MEMORY:
             raise ConfigError(f"m: must be in [1, {MAX_MEMORY}], got {self.memory}")
-        table_bytes = (self.n_agents * self.n_markets * self.n_strategies) << self.memory
-        if table_bytes > MAX_TABLE_BYTES:
+        if self.table_bytes > MAX_TABLE_BYTES:
             raise ConfigError(
-                f"m: strategy tables need N*K*s*2**m = {table_bytes} bytes, over the "
+                f"m: strategy tables need N*K*s*2**m = {self.table_bytes} bytes, over the "
                 f"budget of {MAX_TABLE_BYTES}; lower m, N, K or s"
             )
         if self.payoff not in PAYOFF_KINDS:

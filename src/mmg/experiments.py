@@ -273,9 +273,12 @@ def _fig5_table(cfg: GameConfig, ticks: int) -> Table:
 
 
 def _fig6_table(cfg: GameConfig, ticks: int, theta: float) -> Table:
-    """Utility traces of three agents picked by how many of their strategies
-    on the first fluctuating market won at the fluctuation tick (2, 1, 0);
-    lowest agent index represents each class."""
+    """Utility traces of three agents picked by how many of their two
+    strategies on the first fluctuating market won at the fluctuation tick
+    (2, 1, 0); lowest agent index represents each class. Needs s = 2."""
+    if cfg.n_strategies != 2:
+        raise ConfigError(f"s: fig6 classes agents by 2, 1 or 0 good strategies of two, "
+                          f"so it needs s = 2, got {cfg.n_strategies}")
     records = run(cfg, ticks)
     state = init_game(cfg)  # the run's tables and initial utilities
     large = _large_fluctuations(records.occupancy, records.demand, theta)

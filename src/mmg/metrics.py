@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
+from .config import MAX_TABLE_BYTES, ConfigError, GameConfig
 from .engine import RunRecords
 
 __all__ = [
@@ -198,14 +198,27 @@ def predicted_occupancies(n_agents: int, n_markets: int, n_strategies: int) -> l
     """Asymptotic occupancies, largest market first; sums exactly to N.
 
     With r = 1/2**s, the k-th largest market keeps N(1-r)r**(k-1) agents
-    and the smallest keeps the remainder N r**(K-1).
+    and the smallest keeps the remainder N r**(K-1). Past one market, the
+    inputs are bounded like a game's: N, K and s whose strategy tables
+    exceed ``MAX_TABLE_BYTES`` even at m=1 are refused before anything is
+    built.
     """
     for key, value in (("N", n_agents), ("K", n_markets), ("s", n_strategies)):
         if value < 1:
             raise ConfigError(f"{key}: must be >= 1, got {value}")
-    r = 2.0 ** -n_strategies
     if n_markets == 1:
         return [float(n_agents)]
+    table_bytes = GameConfig(n_agents=n_agents, seed=0, n_markets=n_markets,
+                             n_strategies=n_strategies, memory=1).table_bytes
+    if table_bytes > MAX_TABLE_BYTES:
+        # K is at fault when the one-market game would fit
+        key = "K" if table_bytes // n_markets <= MAX_TABLE_BYTES else "N"
+        raise ConfigError(
+            f"{key}: no game with N={n_agents}, K={n_markets}, s={n_strategies} can be "
+            f"played: its strategy tables need {table_bytes} bytes even at m=1, over the "
+            f"budget of {MAX_TABLE_BYTES}; lower N, K or s"
+        )
+    r = 2.0 ** -n_strategies
     out = [n_agents * (1 - r) * r**k for k in range(n_markets - 1)]
     out.append(n_agents * r ** (n_markets - 1))
     return out

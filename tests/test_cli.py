@@ -49,11 +49,18 @@ class TestPredict:
         assert cli_main(["predict", *argv]) == 0
         assert capsys.readouterr().out == out
 
+    def test_one_market_has_no_table_bound(self, capsys):
+        # one market keeps all N agents; no table budget applies
+        assert cli_main(["predict", "--N", "2000000000", "--K", "1"]) == 0
+        assert capsys.readouterr().out == "2000000000\n"
+
     @pytest.mark.parametrize("argv, key", [
         (["--N", "-5"], "N"),
         (["--N", "5", "--K", "0"], "K"),
         (["--N", "5", "--s", "0"], "s"),
         (["--n1", "-1", "--n2", "3"], "n1"),
+        (["--N", "5", "--K", "2000000000"], "K"),
+        (["--N", "2000000000", "--K", "2"], "N"),
     ])
     def test_bad_input_names_key(self, capsys, argv, key):
         assert cli_main(["predict", *argv]) == 2

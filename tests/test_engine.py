@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import one_tick
 from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, init_game, run, step
+from mmg.engine import SCALAR_DRAWS
 from reference import reference_run
 
 
@@ -341,6 +342,36 @@ class TestSingleMarketReduction:
             assert got == expected, f"case {case}: {cfg}"
 
 
+class TestDrawStream:
+    """``step`` draws a tick's tie-breaks one scalar call at a time or in
+    one array call, by their count, and its coins in one ``size=`` call,
+    where ``tests/reference.py`` makes one scalar call per draw; each pair
+    must read the same numbers from the generator and leave it in the same
+    state. ``lead`` coins drawn first leave PCG64's buffered 32-bit half
+    full or empty."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**63), lead=st.integers(0, 3),
+           highs=st.lists(st.integers(1, 64), max_size=40))
+    def test_array_high_matches_scalar_calls(self, seed, lead, highs):
+        array_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (array_rng, scalar_rng):
+            rng.integers(0, 2, size=lead)
+        got = array_rng.integers(0, np.array(highs, dtype=np.int64)).tolist()
+        assert got == [int(scalar_rng.integers(0, h)) for h in highs]
+        assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**63), lead=st.integers(0, 3), n=st.integers(0, 40))
+    def test_sized_coins_match_scalar_calls(self, seed, lead, n):
+        array_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (array_rng, scalar_rng):
+            rng.integers(0, 2, size=lead)
+        got = array_rng.integers(0, 2, size=n).tolist()
+        assert got == [int(scalar_rng.integers(0, 2)) for _ in range(n)]
+        assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
 def reference_grid():
     """Every payoff, tie, zero-demand and init rule on K = 1, 2, 3 regular
     and the two-market irregular topology; N, s and m vary across cases."""
@@ -381,6 +412,19 @@ LARGE_GRID = [
                topology=MarketTopology.irregular(60, 60)),
 ]
 
+# Tick 0 of a zero-utility game ties every agent between all its linked
+# strategies, so N sets the number of tie draws that tick: one, exactly
+# SCALAR_DRAWS, one more, and far more. Each count is played on the regular
+# topology and on the irregular one, where the unlinked mask leaves the
+# first n1 agents s maximizers instead of K*s.
+TIE_BOUNDARY_GRID = [
+    GameConfig(n_agents=n, seed=40 + n, memory=3, payoff=payoff, topology=topology)
+    for n in (1, SCALAR_DRAWS, SCALAR_DRAWS + 1, 60)
+    for payoff, topology in (("linear", MarketTopology.regular()),
+                             ("sign", MarketTopology.irregular(n // 2, n - n // 2)))
+]
+
+
 
 def tick_tuple(rec):
     return (
@@ -412,6 +456,20 @@ class TestAgainstReference:
         _, ref = assert_steps_like_reference(init_game(cfg), 100)
         if cfg.tie_break == "random":
             assert ref.tie_draws >= 100 * 100
+
+    @pytest.mark.parametrize("cfg", TIE_BOUNDARY_GRID,
+                             ids=lambda cfg: f"N{cfg.n_agents}-{cfg.topology.kind}")
+    def test_tie_draws_around_scalar_bound(self, cfg):
+        _, first = reference_run(init_game(cfg), 1)
+        assert first.tie_draws == cfg.n_agents
+        assert_steps_like_reference(init_game(cfg), 200)
+
+    def test_many_coins_per_tick(self):
+        # under the coin rule every empty or balanced market draws a coin:
+        # eleven agents on 40 markets leave at least 29 empty every tick
+        cfg = GameConfig(n_agents=11, seed=5, n_markets=40, memory=5)
+        _, ref = assert_steps_like_reference(init_game(cfg), 200)
+        assert ref.coin_draws >= 200 * 29
 
     def test_grid_covers_random_paths(self):
         assert len(REFERENCE_GRID) >= 72

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mmg import (
+    ConfigError,
     GameConfig,
     MarketTopology,
     RunSummary,
@@ -17,7 +18,7 @@ from mmg import (
     subseed,
     summarize_run,
 )
-from mmg.experiments import FIGURE_NAMES, summary_table, sweep_row
+from mmg.experiments import FIGURE_NAMES, _fig6_table, summary_table, sweep_row
 from mmg.io import render_table
 
 
@@ -211,6 +212,16 @@ class TestFigureDatasets:
         classes = set(table["klass"])
         assert classes <= {"both-good", "one-good", "none-good"}
         assert len(table["t"]) % 121 == 0
+
+    def test_fig6_refuses_other_strategy_counts(self):
+        # the classes count good strategies out of two: at s=3 "both-good"
+        # would mean two of three, and an agent with all three good would
+        # fall in no class
+        for s in (3, 1):
+            cfg = GameConfig(n_agents=200, seed=subseed(0, 0), n_strategies=s,
+                             init_utilities="uniform")
+            with pytest.raises(ConfigError, match="^s:"):
+                _fig6_table(cfg, 120, 0.7)
 
     def test_fig6_theta_validated(self):
         with pytest.raises(ValueError, match="theta"):

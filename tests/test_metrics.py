@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmg import GameConfig, RunRecords, run
+from mmg import ConfigError, GameConfig, RunRecords, run
+from mmg.config import MAX_TABLE_BYTES
 from mmg.metrics import (
     big_small_markets,
     classify_mode,
@@ -253,6 +254,17 @@ class TestPredictions:
     def test_ratio_underflows_past_float_range(self):
         assert predicted_occupancies(5, 2, 1100) == [5.0, 0.0]
         assert predicted_irregular(3, 4, 1100) == (7.0, 0.0)
+
+    def test_market_count_bounded_by_table_budget(self):
+        # N*K*s*2 int8 bytes at m=1: 2**27 agents fill the budget at K=2
+        n = MAX_TABLE_BYTES >> 3
+        assert predicted_occupancies(n, 2, 2) == [0.75 * n, 0.25 * n]
+        with pytest.raises(ConfigError, match="^K:"):
+            predicted_occupancies(n, 3, 2)
+        # past the budget at K=1, N is at fault; one market is never refused
+        with pytest.raises(ConfigError, match="^N:"):
+            predicted_occupancies(4 * n, 2, 2)
+        assert predicted_occupancies(4 * n, 1, 2) == [4.0 * n]
 
     def test_irregular_values(self):
         assert predicted_irregular(1000, 301, 2) == (1225.75, 75.25)

@@ -11,6 +11,7 @@ the default output directory for ``figure``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -42,6 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mmg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

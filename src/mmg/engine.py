@@ -33,9 +33,16 @@ plain-Python per-agent loop in ``tests/reference.py`` follows the same
 order and random stream and serves as its oracle. ``run`` allocates the
 columnar ``RunRecords`` once, and ``step`` writes tick i straight into its
 row i; that is the one layout io renders and parses and every estimator
-reads. The per-market work of a tick (minority, coins, next histories) runs
-on Python ints, since K is small and a NumPy call on a K-vector costs more
-than the arithmetic.
+reads. Aggregation depends on agents per market. From ``ONE_HOT_AGENTS``
+up, each market's counts come from its block of the one-hot ``(K, s, N)``
+of the choices, and each agent's chosen (market, slot) row, its active
+market and ``GameState.last_market`` stay in the dtype of
+``GameState.weights``, the smallest unsigned type that holds K*s (uint8
+while K*s <= 255), so the switch count compares bytes. Below it, the counts
+come from ``bincount`` over the gathered actions, and the chosen rows are
+intp, which ``take`` and ``bincount`` index with. The per-market work of a
+tick (minority, coins, next histories) runs on Python ints, since K is
+small and a NumPy call on a K-vector costs more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -63,6 +70,18 @@ __all__ = [
 # (numpy 2.4.6, 2-vCPU Xeon): one array call costs about as much as 5-6
 # scalar tie draws.
 SCALAR_DRAWS = 4
+
+# A tick with at least this many agents per market (N >= K * ONE_HOT_AGENTS)
+# counts each market's occupancy and demand from the one-hot of the chosen
+# rows, one ``count_nonzero`` per contiguous (s, N) block of the market; with
+# fewer, from two ``bincount`` calls over the gathered actions. Both give the
+# same integers. The one-hot work grows with K*s*N, the bincounts' with N.
+# Measured on whole ticks, both paths alternated in one process (m=5, s=2,
+# linear payoff, random ties; numpy 2.4.6, 2-vCPU Xeon), one-hot over
+# bincount speed at 384 / 512 / 640 agents per market: K=2 0.97-0.99x /
+# 1.01-1.02x / 1.05x, K=3 0.98-0.99x / 1.00-1.02x / 1.06x, K=5 0.92x /
+# 1.05x / -. At K=40 the one-hot aggregation alone is 0.2-0.3x at any size.
+ONE_HOT_AGENTS = 512
 
 
 @dataclass(eq=False)
@@ -121,6 +140,7 @@ class GameState:
     choice_mask: np.ndarray = field(init=False)  # (N, K*s) linked-strategy mask
     unlinked: np.ndarray | None = field(init=False)  # (K*s, N) 0 or -inf; None if all linked
     weights: np.ndarray = field(init=False)  # (K*s, 1) K*s down to 1, in flat order
+    rows: np.ndarray = field(init=False)  # (K*s, 1) 0 up to K*s - 1, dtype of ``weights``
     agents: np.ndarray = field(init=False)  # (N,) agent indices
 
     def __post_init__(self) -> None:
@@ -131,6 +151,7 @@ class GameState:
         if not link_mask.all():
             self.unlinked = np.ascontiguousarray(np.where(self.choice_mask.T, 0.0, -np.inf))
         self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
+        self.rows = rows - self.weights
         self.agents = np.arange(len(link_mask))
 
     @property
@@ -173,12 +194,13 @@ def _gain(demand: np.ndarray, cfg: GameConfig) -> np.ndarray:
     return demand / cfg.n_agents  # scaled
 
 
-def _choose_all(state: GameState) -> np.ndarray:
-    """Flat (market*s + slot) choice per agent; consumes RNG only on ties."""
+def _choose_all(state: GameState, dtype: np.typing.DTypeLike) -> np.ndarray:
+    """Flat (market*s + slot) choice per agent, as ``dtype``; consumes RNG
+    only on ties."""
     util = state.scores if state.unlinked is None else state.scores + state.unlinked
     is_max = util == util.max(axis=0)
     # the first maximizer carries the largest weight
-    choice = np.subtract(len(state.weights), (is_max * state.weights).max(axis=0), dtype=np.intp)
+    choice = np.subtract(len(state.weights), (is_max * state.weights).max(axis=0), dtype=dtype)
     if state.config.tie_break == "random":
         counts = is_max.sum(axis=0, dtype=state.weights.dtype)
         tied = (counts > 1).nonzero()[0]
@@ -207,15 +229,26 @@ def step(state: GameState, out: RunRecords, i: int) -> None:
     storage = state.tables.transpose(1, 3, 2, 0).reshape(-1, s, n)
     acts = storage.take([(k << cfg.memory) + h for k, h in enumerate(mu)], axis=0)
 
-    # (1) strategy choice
-    choice = _choose_all(state)
+    # (1) strategy choice, in intp below ONE_HOT_AGENTS since take and
+    # bincount index with it
+    one_hot = n >= k_markets * ONE_HOT_AGENTS
+    choice = _choose_all(state, state.weights.dtype if one_hot else np.intp)
     market = choice // s
-    action = acts.take(choice * n + state.agents)  # each agent's entry of its chosen (K*s) row
 
-    # (2) aggregation over active agents
-    out.occupancy[i] = np.bincount(market, minlength=k_markets)
+    # (2) aggregation over active agents; a chosen entry is +1 or -1
     demand = out.demand[i]
-    demand[:] = np.bincount(market, weights=action, minlength=k_markets)
+    if one_hot:
+        chosen = (choice == state.rows).reshape(k_markets, s, n)
+        plus = acts > 0
+        plus &= chosen
+        occupancy = [np.count_nonzero(block) for block in chosen]
+        out.occupancy[i] = occupancy
+        demand[:] = [2 * np.count_nonzero(block) - o for block, o in zip(plus, occupancy)]
+    else:
+        # each agent's entry of its chosen (K*s) row
+        action = acts.take(choice * n + state.agents)
+        out.occupancy[i] = np.bincount(market, minlength=k_markets)
+        demand[:] = np.bincount(market, weights=action, minlength=k_markets)
 
     # (3) minority action, zero-demand markets resolved in market order
     demands = demand.tolist()

@@ -368,12 +368,21 @@ def summary_table(summaries: list[RunSummary], k_markets: int) -> Table:
     return table
 
 
+def _one_value(name: str, overrides: dict, default: int) -> int:
+    """Population of a figure that plays one game, from ``values``."""
+    values = list(overrides.pop("values", [default]))
+    if len(values) != 1:
+        raise ConfigError(f"values: {name} plays one game and takes one value, got {values}")
+    return int(values[0])
+
+
 def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     """Dataset behind a canned experiment, keyed by output file stem.
 
     Overrides: ``seed`` (master, >= 0), ``ticks``, ``n_seeds``, ``values``,
     ``theta`` and ``n2`` (fig8) where the experiment uses them; any other
-    raises ConfigError naming it before a game is played.
+    raises ConfigError naming it before a game is played. fig5, fig6 and
+    fig010 play one game, so their ``values`` must hold exactly one.
     """
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure {name!r}; known: {', '.join(FIGURE_NAMES)}")
@@ -396,7 +405,7 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
         out = {name: table}
     elif name in ("fig5", "fig6"):
         ticks = int(overrides.pop("ticks", 300))
-        cfg = GameConfig(n_agents=int(overrides.pop("values", [1600])[0]), seed=subseed(seed, 0),
+        cfg = GameConfig(n_agents=_one_value(name, overrides, 1600), seed=subseed(seed, 0),
                          init_utilities="uniform")
         out = {name: _fig5_table(cfg, ticks) if name == "fig5" else _fig6_table(cfg, ticks, theta)}
     elif name == "fig6_0":
@@ -437,7 +446,7 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
         out = {name: q_sweep(spec)}
     else:  # fig010
         ticks = int(overrides.pop("ticks", 5000))
-        cfg = GameConfig(n_agents=int(overrides.pop("values", [3001])[0]), seed=subseed(seed, 0),
+        cfg = GameConfig(n_agents=_one_value(name, overrides, 3001), seed=subseed(seed, 0),
                          n_markets=3)
         rec = run(cfg, ticks)
         table: Table = {"t": rec.t}

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from mmg import experiments
-from mmg.cli import cli_main
+from mmg.cli import _build_parser, cli_main
 from mmg.config import CONFIG_KEYS
 from mmg.io import content_hash, parse_manifest
 
@@ -184,6 +184,29 @@ class TestRun:
         want = value if isinstance(kind, tuple) else kind(value)
         assert json.loads(man.read_text())["config"][key] == want
         assert getattr(parse_manifest(man.read_text()).config, field) == want
+
+
+class TestParserReuse:
+    # the later run leaves out every flag the first one set but --N, -T, --seed
+    CALLS = [
+        ["run", "--N", "7", "-T", "20", "--seed", "3", "--payoff", "sign",
+         "--tie-break", "lowest-index", "--format", "jsonl"],
+        ["ensemble", "--N", "9", "-T", "30", "--seeds", "2", "--seed", "4", "--K", "3"],
+        ["run", "--N", "5", "-T", "20", "--seed", "3"],
+    ]
+
+    def test_flags_do_not_leak_between_calls(self, capsys):
+        def output(argv):
+            assert cli_main(argv) == 0
+            return capsys.readouterr().out
+
+        fresh = []
+        for argv in self.CALLS:
+            _build_parser.cache_clear()
+            fresh.append(output(argv))
+        _build_parser.cache_clear()
+        assert [output(argv) for argv in self.CALLS] == fresh
+        assert _build_parser() is _build_parser()
 
 
 class TestEnsembleAndSweep:

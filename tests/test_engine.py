@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import one_tick
 from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, init_game, run, step
-from mmg.engine import SCALAR_DRAWS
+from mmg.engine import ONE_HOT_AGENTS, SCALAR_DRAWS
 from reference import reference_run
 
 
@@ -425,6 +425,19 @@ TIE_BOUNDARY_GRID = [
 ]
 
 
+# Games one agent per market below, at and one above ONE_HOT_AGENTS, where
+# aggregation switches from bincount to the one-hot count: regular and
+# irregular K=2 and regular K=3. The last is above it with K*s = 260, so its
+# chosen rows are uint16.
+ONE_HOT_BOUNDARY_GRID = [
+    GameConfig(n_agents=n, seed=70 + d, n_markets=k, memory=4, payoff=payoff,
+               topology=(MarketTopology.irregular(n // 3, n - n // 3) if irregular
+                         else MarketTopology.regular()))
+    for d in (-1, 0, 1)
+    for k, payoff, irregular in ((2, "linear", False), (2, "sign", True), (3, "linear", False))
+    for n in [k * (ONE_HOT_AGENTS + d)]
+] + [GameConfig(n_agents=2 * (ONE_HOT_AGENTS + 1), seed=80, n_strategies=130, memory=1)]
+
 
 def tick_tuple(rec):
     return (
@@ -463,6 +476,14 @@ class TestAgainstReference:
         _, first = reference_run(init_game(cfg), 1)
         assert first.tie_draws == cfg.n_agents
         assert_steps_like_reference(init_game(cfg), 200)
+
+    @pytest.mark.parametrize("cfg", ONE_HOT_BOUNDARY_GRID, ids=lambda cfg: (
+        f"N{cfg.n_agents}-K{cfg.n_markets}-s{cfg.n_strategies}-{cfg.topology.kind}"))
+    def test_counts_around_one_hot_bound(self, cfg):
+        state = init_game(cfg)
+        assert state.weights.dtype == (np.uint16 if cfg.n_strategies == 130 else np.uint8)
+        _, ref = assert_steps_like_reference(state, 100)
+        assert ref.tie_draws > 0
 
     def test_many_coins_per_tick(self):
         # under the coin rule every empty or balanced market draws a coin:

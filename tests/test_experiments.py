@@ -265,6 +265,13 @@ class TestFigureDatasets:
         with pytest.raises(ValueError):
             figure_dataset("fig5", ticks=10, values=[8], bogus=1)
 
+    @pytest.mark.parametrize("name", ["fig5", "fig6", "fig010"])
+    @pytest.mark.parametrize("values", [[24, 300], []])
+    def test_one_game_figures_take_one_value(self, name, values):
+        # these figures play one game; extra values were silently dropped
+        with pytest.raises(ConfigError, match="^values:"):
+            figure_dataset(name, ticks=10, values=values, seed=3)
+
     def test_deterministic(self):
         a = figure_dataset("fig5", ticks=30, values=[16], seed=8)["fig5"]
         b = figure_dataset("fig5", ticks=30, values=[16], seed=8)["fig5"]

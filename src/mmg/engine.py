@@ -33,16 +33,27 @@ plain-Python per-agent loop in ``tests/reference.py`` follows the same
 order and random stream and serves as its oracle. ``run`` allocates the
 columnar ``RunRecords`` once, and ``step`` writes tick i straight into its
 row i; that is the one layout io renders and parses and every estimator
-reads. Aggregation depends on agents per market. From ``ONE_HOT_AGENTS``
-up, each market's counts come from its block of the one-hot ``(K, s, N)``
-of the choices, and each agent's chosen (market, slot) row, its active
-market and ``GameState.last_market`` stay in the dtype of
-``GameState.weights``, the smallest unsigned type that holds K*s (uint8
-while K*s <= 255), so the switch count compares bytes. Below it, the counts
-come from ``bincount`` over the gathered actions, and the chosen rows are
-intp, which ``take`` and ``bincount`` index with. The per-market work of a
-tick (minority, coins, next histories) runs on Python ints, since K is
-small and a NumPy call on a K-vector costs more than the arithmetic.
+reads. Aggregation depends on agents per market and on K*s. From
+``ONE_HOT_AGENTS`` agents per market up, while K*s <= ``ONE_HOT_ROWS``,
+each market's counts come from its block of the one-hot ``(K, s, N)`` of
+the choices, and each agent's chosen (market, slot) row, its active market
+and ``GameState.last_market`` stay in the dtype of ``GameState.weights``,
+the smallest unsigned type that holds K*s (uint8 here), so the switch
+count compares bytes. Otherwise the counts come from ``bincount`` over the
+gathered actions, and the chosen rows are intp, which ``take`` and
+``bincount`` index with. The per-market work of a tick (minority, coins,
+next histories) runs on Python ints, since K is small and a NumPy call on a
+K-vector costs more than the arithmetic.
+
+Scores are int32 when every utility is an integer that stays above
+``UNLINKED_SCORE``: a linear or sign game from zero utilities whose length
+``run`` passes to ``init_game``. The unlinked entries of such a game hold
+that sentinel in ``scores`` itself, so the choice reads the scores
+directly. Every other game (scaled, uniform initial utilities, too long a
+game, or ``init_game`` without ticks) has float64 scores, and its choice
+adds the -inf of ``GameState.unlinked`` to them. Both make the same
+comparisons, since a float64 sum of integers of this size is exact; the
+int32 ones read half the bytes.
 """
 
 from __future__ import annotations
@@ -80,8 +91,23 @@ SCALAR_DRAWS = 4
 # linear payoff, random ties; numpy 2.4.6, 2-vCPU Xeon), one-hot over
 # bincount speed at 384 / 512 / 640 agents per market: K=2 0.97-0.99x /
 # 1.01-1.02x / 1.05x, K=3 0.98-0.99x / 1.00-1.02x / 1.06x, K=5 0.92x /
-# 1.05x / -. At K=40 the one-hot aggregation alone is 0.2-0.3x at any size.
+# 1.05x / -.
 ONE_HOT_AGENTS = 512
+
+# ... and only while it has at most this many (market, slot) rows, K*s <=
+# ONE_HOT_ROWS, since the bincounts' work does not grow with K*s. Measured
+# the same way (m=2, int32 scores; K from 2 to 40, 512 and 1024 agents per
+# market), median one-hot over bincount speed by K*s: 8 1.05x, 12 1.04x, 14
+# 1.02x, 16 0.98x, 20 0.97x, 24 0.98x, 32 0.95x, 40 0.92x, 80 (K=40, s=2)
+# 0.85x; single games spread up to 0.1x around these.
+ONE_HOT_ROWS = 14
+
+# Score of an unlinked (agent, market) entry in a game with int32 scores.
+# A linear or sign game from zero utilities moves a utility by at most N
+# (linear) or 1 (sign) a tick; ``init_game`` gives it int32 scores only when
+# that bound times T stays above this sentinel, so the sentinel sits below
+# every linked score. Unlinked entries score action 0 and keep it.
+UNLINKED_SCORE = -(1 << 30)
 
 
 @dataclass(eq=False)
@@ -127,18 +153,21 @@ class GameState:
     ``scores`` holds the utilities agent-minor; ``utilities`` is its
     ``(N, K, s)`` view, and assigning to ``utilities`` writes into
     ``scores``. The fields after ``t`` are derived once from the endowment;
-    ``step`` reads all of them but ``choice_mask`` every tick.
+    ``step`` reads all of them but ``choice_mask`` every tick. Integer
+    ``scores`` hold ``UNLINKED_SCORE`` at the unlinked entries and leave
+    ``unlinked`` None; float64 ``scores`` hold 0 there, and ``unlinked``
+    adds -inf to them before each choice (None when every entry is linked).
     """
 
     config: GameConfig
     rng: np.random.Generator
     endowment: Endowment
-    scores: np.ndarray  # (K*s, N) float64, row k*s + i is slot i on market k
+    scores: np.ndarray  # (K*s, N) int32 or float64, row k*s + i is slot i on market k
     histories: np.ndarray  # (K,) int64
     last_market: np.ndarray | None = None  # (N,) active market at t-1
     t: int = 0
     choice_mask: np.ndarray = field(init=False)  # (N, K*s) linked-strategy mask
-    unlinked: np.ndarray | None = field(init=False)  # (K*s, N) 0 or -inf; None if all linked
+    unlinked: np.ndarray | None = field(init=False)  # (K*s, N) 0 or -inf, or None
     weights: np.ndarray = field(init=False)  # (K*s, 1) K*s down to 1, in flat order
     rows: np.ndarray = field(init=False)  # (K*s, 1) 0 up to K*s - 1, dtype of ``weights``
     agents: np.ndarray = field(init=False)  # (N,) agent indices
@@ -149,7 +178,10 @@ class GameState:
         rows = self.choice_mask.shape[1]
         self.unlinked = None
         if not link_mask.all():
-            self.unlinked = np.ascontiguousarray(np.where(self.choice_mask.T, 0.0, -np.inf))
+            if self.scores.dtype == np.int32:
+                self.scores[~self.choice_mask.T] = UNLINKED_SCORE
+            else:
+                self.unlinked = np.ascontiguousarray(np.where(self.choice_mask.T, 0.0, -np.inf))
         self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
         self.rows = rows - self.weights
         self.agents = np.arange(len(link_mask))
@@ -169,14 +201,27 @@ class GameState:
         return self.endowment.actions
 
 
-def init_game(cfg: GameConfig) -> GameState:
-    """Draw the endowment, initial utilities and initial histories."""
+def _score_dtype(cfg: GameConfig, ticks: int | None) -> type:
+    """int32 when every utility of a ``ticks``-tick game is an integer above
+    ``UNLINKED_SCORE``; float64 otherwise and when ``ticks`` is None."""
+    if ticks is None or cfg.init_utilities != "zero" or cfg.payoff not in ("linear", "sign"):
+        return np.float64
+    per_tick = cfg.n_agents if cfg.payoff == "linear" else 1
+    return np.int32 if per_tick * ticks < -UNLINKED_SCORE else np.float64
+
+
+def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
+    """Draw the endowment, initial utilities and initial histories.
+
+    Given the number of ticks to be played, an integral game gets int32
+    scores (see ``UNLINKED_SCORE``); without it, the scores are float64.
+    """
     cfg.validate()
     rng = game_rng(cfg.seed)
     n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
     link_mask = cfg.topology.link_mask(n, k_markets)
     endowment = draw_strategies(rng, n, k_markets, s, cfg.memory, link_mask)
-    scores = np.zeros((k_markets * s, n), dtype=np.float64)
+    scores = np.zeros((k_markets * s, n), dtype=_score_dtype(cfg, ticks))
     if cfg.init_utilities == "uniform":
         utilities = scores.reshape(k_markets, s, n, copy=False).transpose(2, 0, 1)
         utilities[link_mask] = rng.uniform(cfg.u_low, cfg.u_high, size=(int(link_mask.sum()), s))
@@ -186,11 +231,12 @@ def init_game(cfg: GameConfig) -> GameState:
     )
 
 
-def _gain(demand: np.ndarray, cfg: GameConfig) -> np.ndarray:
+def _gain(demand: np.ndarray, cfg: GameConfig, dtype: type = np.float64) -> np.ndarray:
+    """g(demand) in ``dtype``, the dtype of the scores; scaled is float64."""
     if cfg.payoff == "linear":
-        return demand.astype(np.float64)
+        return demand.astype(dtype)
     if cfg.payoff == "sign":
-        return np.sign(demand).astype(np.float64)
+        return np.sign(demand).astype(dtype)
     return demand / cfg.n_agents  # scaled
 
 
@@ -229,9 +275,9 @@ def step(state: GameState, out: RunRecords, i: int) -> None:
     storage = state.tables.transpose(1, 3, 2, 0).reshape(-1, s, n)
     acts = storage.take([(k << cfg.memory) + h for k, h in enumerate(mu)], axis=0)
 
-    # (1) strategy choice, in intp below ONE_HOT_AGENTS since take and
+    # (1) strategy choice, in intp off the one-hot side since take and
     # bincount index with it
-    one_hot = n >= k_markets * ONE_HOT_AGENTS
+    one_hot = n >= k_markets * ONE_HOT_AGENTS and k_markets * s <= ONE_HOT_ROWS
     choice = _choose_all(state, state.weights.dtype if one_hot else np.intp)
     market = choice // s
 
@@ -260,7 +306,7 @@ def step(state: GameState, out: RunRecords, i: int) -> None:
     # (4) score every linked strategy, active and passive; unlinked entries
     # hold action 0 and stay untouched
     scores = state.scores.reshape(k_markets, s, n, copy=False)
-    scores -= acts * _gain(demand, cfg)[:, None, None]
+    scores -= acts * _gain(demand, cfg, scores.dtype)[:, None, None]
 
     # (5) histories shift in the minority actions
     mask = (1 << cfg.memory) - 1
@@ -285,7 +331,7 @@ def run(cfg: GameConfig, ticks: int) -> RunRecords:
     """Play ``ticks`` ticks from a fresh game and return the columnar record."""
     if ticks < 1:
         raise ConfigError(f"T: must be >= 1, got {ticks}")
-    state = init_game(cfg)
+    state = init_game(cfg, ticks)
     out = RunRecords.empty(ticks, cfg.n_markets, cfg.memory)
     for i in range(ticks):
         step(state, out, i)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import one_tick
-from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, init_game, run, step
-from mmg.engine import ONE_HOT_AGENTS, SCALAR_DRAWS
+from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, engine, init_game, run, step
+from mmg.engine import ONE_HOT_AGENTS, ONE_HOT_ROWS, SCALAR_DRAWS, UNLINKED_SCORE
 from reference import reference_run
 
 
@@ -427,8 +427,8 @@ TIE_BOUNDARY_GRID = [
 
 # Games one agent per market below, at and one above ONE_HOT_AGENTS, where
 # aggregation switches from bincount to the one-hot count: regular and
-# irregular K=2 and regular K=3. The last is above it with K*s = 260, so its
-# chosen rows are uint16.
+# irregular K=2 and regular K=3. The last is above it with K*s = 260, which
+# needs uint16 weights and, over ONE_HOT_ROWS, counts with bincounts.
 ONE_HOT_BOUNDARY_GRID = [
     GameConfig(n_agents=n, seed=70 + d, n_markets=k, memory=4, payoff=payoff,
                topology=(MarketTopology.irregular(n // 3, n - n // 3) if irregular
@@ -485,6 +485,18 @@ class TestAgainstReference:
         _, ref = assert_steps_like_reference(state, 100)
         assert ref.tie_draws > 0
 
+    @pytest.mark.parametrize("s", [ONE_HOT_ROWS // 2, ONE_HOT_ROWS // 2 + 1])
+    def test_counts_around_one_hot_rows(self, s):
+        # ONE_HOT_AGENTS agents per market with K*s at ONE_HOT_ROWS counts
+        # from the one-hot (uint8 rows); one slot more, from the bincounts
+        # (intp rows)
+        cfg = GameConfig(n_agents=2 * ONE_HOT_AGENTS, seed=90 + s, n_strategies=s, memory=2)
+        state = init_game(cfg, 12)
+        _, ref = assert_steps_like_reference(state, 12)
+        one_hot = 2 * s <= ONE_HOT_ROWS
+        assert state.last_market.dtype == (np.uint8 if one_hot else np.intp)
+        assert ref.tie_draws > 0
+
     def test_many_coins_per_tick(self):
         # under the coin rule every empty or balanced market draws a coin:
         # eleven agents on 40 markets leave at least 29 empty every tick
@@ -500,6 +512,101 @@ class TestAgainstReference:
             draws["tie"] += ref.tie_draws
             draws["coin"] += ref.coin_draws
         assert draws["tie"] > 0 and draws["coin"] > 0
+
+
+def integral(cfg):
+    return cfg.payoff in ("linear", "sign") and cfg.init_utilities == "zero"
+
+
+# The zero-init linear and sign games of the grids above: ``init_game(cfg,
+# ticks)`` gives them int32 scores, as ``run`` does. Each plays as many
+# ticks as its float64 test but the one-hot boundary games, whose reference
+# runs are the slowest and whose ties come in the first ticks.
+INTEGRAL_GRID = [
+    (cfg, ticks)
+    for grid, ticks in ((REFERENCE_GRID, 200), (LARGE_GRID, 100), (TIE_BOUNDARY_GRID, 200),
+                        (ONE_HOT_BOUNDARY_GRID, 30))
+    for cfg in grid if integral(cfg)
+]
+
+
+class TestIntegerScores:
+    """Linear and sign games from zero utilities play on int32 scores, with
+    the unlinked entries held at ``UNLINKED_SCORE``; they must step exactly
+    like the reference engine and like the same game on float64 scores."""
+
+    @pytest.mark.parametrize("cfg, ticks", INTEGRAL_GRID, ids=lambda case: (
+        f"N{case.n_agents}-K{case.n_markets}-s{case.n_strategies}-{case.payoff}-"
+        f"{case.topology.kind}-{case.seed}" if isinstance(case, GameConfig) else f"T{case}"))
+    def test_steps_like_reference(self, cfg, ticks):
+        state = init_game(cfg, ticks)
+        assert state.scores.dtype == np.int32 and state.unlinked is None
+        assert_steps_like_reference(state, ticks)
+
+    @pytest.mark.parametrize("payoff", ["linear", "sign"])
+    def test_unlinked_entries_keep_sentinel(self, payoff):
+        cfg = GameConfig(n_agents=30, seed=3, memory=3, payoff=payoff,
+                         topology=MarketTopology.irregular(12, 18))
+        state = init_game(cfg, 300)
+        unlinked = ~state.choice_mask.T
+        assert unlinked.sum() == 12 * 2
+        assert (state.scores[unlinked] == UNLINKED_SCORE).all()
+        for _ in range(300):
+            one_tick(state)
+        assert (state.scores[unlinked] == UNLINKED_SCORE).all()
+        linked = state.scores[~unlinked]
+        assert linked.any() and (linked > UNLINKED_SCORE).all()
+
+    def test_run_plays_integer_scores(self, monkeypatch):
+        played = []
+
+        def init_and_keep(cfg, ticks=None):
+            played.append(init_game(cfg, ticks))
+            return played[-1]
+
+        monkeypatch.setattr(engine, "init_game", init_and_keep)
+        run(GameConfig(n_agents=11, seed=1, topology=MarketTopology.irregular(5, 6)), 50)
+        assert played[0].scores.dtype == np.int32 and played[0].t == 50
+
+    @pytest.mark.parametrize("cfg", [
+        GameConfig(n_agents=1200, seed=2, topology=MarketTopology.irregular(900, 300)),
+        GameConfig(n_agents=301, seed=3, n_markets=3, payoff="sign", zero_demand="plus-one"),
+    ], ids=["irregular-linear", "K3-sign"])
+    def test_run_matches_float_scores(self, cfg):
+        ticks = 300
+        want = init_game(cfg)
+        assert want.scores.dtype == np.float64
+        out = RunRecords.empty(ticks, cfg.n_markets, cfg.memory)
+        for i in range(ticks):
+            step(want, out, i)
+        got = run(cfg, ticks)
+        for name in ("t", "occupancy", "demand", "minority", "history", "n_switched"):
+            assert np.array_equal(getattr(got, name), getattr(out, name)), name
+
+    @pytest.mark.parametrize("payoff, n, ticks, dtype", [
+        ("linear", 33, (2**30 - 1) // 33, np.int32),  # N*T = 2**30 - 1
+        ("linear", 32, 2**25, np.float64),  # N*T = 2**30
+        ("sign", 5, 2**30 - 1, np.int32),
+        ("sign", 5, 2**30, np.float64),
+    ])
+    def test_dtype_at_bound(self, payoff, n, ticks, dtype):
+        cfg = GameConfig(n_agents=n, seed=1, payoff=payoff,
+                         topology=MarketTopology.irregular(2, n - 2))
+        state = init_game(cfg, ticks)
+        assert state.scores.dtype == dtype
+        assert (state.unlinked is None) == (dtype == np.int32)
+
+    @pytest.mark.parametrize("kw, ticks", [
+        (dict(payoff="scaled"), 10),
+        (dict(init_utilities="uniform"), 10),
+        (dict(), None),
+        (dict(payoff="sign"), None),
+    ], ids=["scaled", "uniform", "linear-no-ticks", "sign-no-ticks"])
+    def test_float_scores_elsewhere(self, kw, ticks):
+        cfg = GameConfig(n_agents=9, seed=1, topology=MarketTopology.irregular(4, 5), **kw)
+        state = init_game(cfg, ticks)
+        assert state.scores.dtype == np.float64
+        assert np.isneginf(state.unlinked[2:, :4]).all()
 
 
 def played_game():

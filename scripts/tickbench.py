@@ -9,6 +9,8 @@ game is the median of 5 runs. The games:
 
 - N11, N128: regular, K=2, linear payoff;
 - N1447s: regular, K=2, sign payoff (many tied agents per tick);
+- N1447sK3s3: the same with K=3 and s=3, so K*s = 9 (many tied agents
+  over more (market, slot) rows);
 - N10301: irregular n1=10000, n2=301, linear (the perfbench big_run game);
 - N11K40: regular, 40 markets, coin rule (many coins per tick);
 - below/at ONE_HOT_AGENTS: regular, K=2, linear, with one agent per market
@@ -21,24 +23,40 @@ game is the median of 5 runs. The games:
   exactly that many: both count with bincounts, the second because K*s =
   80 is over ``ONE_HOT_ROWS``.
 
-Prints one JSON line, game/tie-rule -> microseconds per tick. Takes no
-options and runs in 10-20 s:
+Prints one JSON line, game/tie-rule -> microseconds per tick. Runs in
+10-20 s:
 
     PYTHONPATH=src python3 scripts/tickbench.py
 
-Where the host's speed drifts, compare two versions over several
-alternated runs; one run per side can differ by more than the change.
+Where the host's speed drifts, one run per side can differ by more than a
+change does. ``--parent DIR`` compares the ``mmg`` on the path with the one
+under ``DIR/src`` (say, a checkout of the parent commit) in one process:
+both play each game side by side, alternated in blocks of ticks (which side
+goes first alternates too), and the line maps game/tie-rule to the parent's
+and this version's median microseconds per tick and the number of blocks
+this version was faster in. Both must write the same records, or it stops:
+
+    PYTHONPATH=src python3 scripts/tickbench.py --parent ../parent
 """
 
+import argparse
+import importlib.util
 import json
 import statistics
+import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
+import numpy as np
+
+import mmg
 from mmg import GameConfig, MarketTopology
 from mmg.engine import ONE_HOT_AGENTS, ONE_HOT_ROWS, RunRecords, init_game, step
 
 RUNS = 5
+BLOCKS = 21
+FIELDS = ("t", "occupancy", "demand", "minority", "history", "n_switched")
 
 
 def games():
@@ -48,6 +66,8 @@ def games():
         ("N11", GameConfig(n_agents=11, seed=1), 2000),
         ("N128", GameConfig(n_agents=128, seed=1), 2000),
         ("N1447s", GameConfig(n_agents=1447, seed=1, payoff="sign"), 600),
+        ("N1447sK3s3", GameConfig(n_agents=1447, seed=1, payoff="sign", n_markets=3,
+                                  n_strategies=3), 400),
         ("N10301", GameConfig(n_agents=10301, seed=1,
                               topology=MarketTopology.irregular(10000, 301)), 200),
         ("N11K40", GameConfig(n_agents=11, seed=1, n_markets=40), 1000),
@@ -73,13 +93,74 @@ def us_per_tick(cfg, ticks):
     return (time.perf_counter() - start) / ticks * 1e6
 
 
-def main():
+def medians():
     result = {}
     for name, cfg, ticks in games():
         for tie in ("random", "lowest-index"):
             times = [us_per_tick(replace(cfg, tie_break=tie), ticks) for _ in range(RUNS)]
             result[f"{name}/{tie}"] = round(statistics.median(times), 1)
-    print(json.dumps(result))
+    return result
+
+
+def import_parent(root):
+    """The ``mmg`` package under ``root/src``, imported as ``mmg_parent``."""
+    init = Path(root, "src", "mmg", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        "mmg_parent", init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["mmg_parent"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def side_by_side(parent, cfg, ticks):
+    """Play ``cfg`` on ``parent`` and on this ``mmg`` in ``BLOCKS`` alternated
+    blocks of ``ticks // RUNS`` ticks; return the per-tick microseconds of
+    each block, parent's then this version's."""
+    block = max(ticks // RUNS, 1)
+    total = BLOCKS * block
+    sides = []
+    for pkg in (parent, mmg):
+        # each package's own config classes, so each validates with its own code
+        kw = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+        kw["topology"] = pkg.MarketTopology(cfg.topology.kind, cfg.topology.n1, cfg.topology.n2)
+        own = pkg.GameConfig(**kw)
+        state = pkg.init_game(own, total)
+        sides.append((pkg.step, state, pkg.RunRecords.empty(total, cfg.n_markets, cfg.memory)))
+    times = ([], [])
+    for b in range(BLOCKS):
+        for side in ((0, 1) if b % 2 == 0 else (1, 0)):
+            play, state, out = sides[side]
+            start = time.perf_counter()
+            for i in range(b * block, (b + 1) * block):
+                play(state, out, i)
+            times[side].append((time.perf_counter() - start) / block * 1e6)
+    for name in FIELDS:
+        if not np.array_equal(getattr(sides[0][2], name), getattr(sides[1][2], name)):
+            raise SystemExit(f"{cfg}: the two versions wrote different {name} records")
+    return times
+
+
+def against_parent(root):
+    parent = import_parent(root)
+    result = {}
+    for name, cfg, ticks in games():
+        for tie in ("random", "lowest-index"):
+            old, new = side_by_side(parent, replace(cfg, tie_break=tie), ticks)
+            result[f"{name}/{tie}"] = {
+                "parent": round(statistics.median(old), 1),
+                "change": round(statistics.median(new), 1),
+                "wins": f"{sum(b < a for a, b in zip(old, new))}/{BLOCKS}",
+            }
+    return result
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", metavar="DIR",
+                        help="compare with the mmg under DIR/src, in one process")
+    args = parser.parse_args()
+    print(json.dumps(against_parent(args.parent) if args.parent else medians()))
 
 
 if __name__ == "__main__":

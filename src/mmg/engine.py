@@ -19,7 +19,12 @@ in market index order (coin rule only). A (config, seed) pair therefore
 determines the full trajectory bit for bit. The tie-breaks read the same
 stream whether they are made one scalar call at a time or in one array
 call; their count this tick picks which (``SCALAR_DRAWS``). The coins are
-always one ``size=`` call.
+always one ``size=`` call. An agent's draw p picks its (p+1)-th maximizer;
+with many tied agents (``GameState.count_ties``) that is the row whose
+running count of maximizers down the K*s rows first exceeds p, for every
+agent at once, and otherwise it is found among the gathered rows of the tied
+agents alone. Both pick the same row, so the tie count picks only the cheaper
+path.
 
 ``step`` works on whole arrays of agents and is the only implementation of
 the tick; there are no per-agent helpers. Its arrays keep the agent axis
@@ -75,12 +80,28 @@ __all__ = [
 ]
 
 # A tick with at most this many tie-breaks makes them one scalar
-# ``integers(0, n)`` call each, and with more makes them in one call with an
-# array of n. Both read the same numbers and leave the generator in the same
-# state, so the count picks only the cheaper path. Measured at N=11, K*s=4
-# (numpy 2.4.6, 2-vCPU Xeon): one array call costs about as much as 5-6
+# ``integers(0, n)`` call each, each picking among its agent's own maximizer
+# rows, and with more makes them in one call with an array of n, picking as
+# set out below. Both read the same numbers and leave the generator in the
+# same state, so the count picks only the cheaper path. Measured at N=11,
+# K*s=4 (numpy 2.4.6, 2-vCPU Xeon): one array call costs about as much as 5-6
 # scalar tie draws.
 SCALAR_DRAWS = 4
+
+# A tick with more than SCALAR_DRAWS tie-breaks finds every agent's pick in
+# one running count of maximizers down the K*s rows when at least
+# ceil(log2 K*s) * max(COUNT_TIES, N // COUNT_SHARE) agents tie
+# (``GameState.count_ties``), and among the gathered rows of the tied agents
+# otherwise. The count makes ceil(log2 K*s) doubling passes over all N agents;
+# the gather's cost grows with the tied agents alone. Measured on
+# ``_choose_all`` over 15 alternations on the same scores (numpy 2.4.6, 2-vCPU
+# Xeon), count over gather time on every tick with more than SCALAR_DRAWS
+# ties: N=1447 sign, K*s = 4 / 9 / 16 / 32: 0.74x / 0.67x / 0.53x / 0.57x;
+# N=300 sign, K*s=15: 0.89x. The bound keeps the gather where the count was
+# slower: N=60 sign K*s=9 1.07x, N=11 K=40 1.12x, N=4096 K=8 1.11x and
+# N=20480 K=40 1.52x (and on most ticks of the big_run game, 0.95x).
+COUNT_TIES = 8
+COUNT_SHARE = 32
 
 # A tick with at least this many agents per market (N >= K * ONE_HOT_AGENTS)
 # counts each market's occupancy and demand from the one-hot of the chosen
@@ -125,13 +146,14 @@ class RunRecords:
     minority: np.ndarray  # (T, K)
     history: np.ndarray  # (T, K)
     n_switched: np.ndarray  # (T,)
+    n_tied: np.ndarray | None = None  # (T,) tie draws; not serialized, None when parsed
 
     @classmethod
     def empty(cls, ticks: int, k_markets: int, memory: int) -> RunRecords:
         """Unfilled records of ``ticks`` ticks on ``k_markets`` markets."""
         per_market = [np.empty((ticks, k_markets), dtype=np.int64) for _ in range(4)]
         return cls(memory, np.empty(ticks, dtype=np.int64), *per_market,
-                   np.empty(ticks, dtype=np.int64))
+                   np.empty(ticks, dtype=np.int64), np.empty(ticks, dtype=np.int64))
 
     @property
     def n_ticks(self) -> int:
@@ -171,6 +193,7 @@ class GameState:
     weights: np.ndarray = field(init=False)  # (K*s, 1) K*s down to 1, in flat order
     rows: np.ndarray = field(init=False)  # (K*s, 1) 0 up to K*s - 1, dtype of ``weights``
     agents: np.ndarray = field(init=False)  # (N,) agent indices
+    count_ties: int = field(init=False)  # fewest tied agents picked by the running count
 
     def __post_init__(self) -> None:
         link_mask = self.endowment.link_mask
@@ -185,6 +208,9 @@ class GameState:
         self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
         self.rows = rows - self.weights
         self.agents = np.arange(len(link_mask))
+        doublings = (rows - 1).bit_length()
+        self.count_ties = max(SCALAR_DRAWS + 1,
+                              doublings * max(COUNT_TIES, len(link_mask) // COUNT_SHARE))
 
     @property
     def utilities(self) -> np.ndarray:
@@ -240,26 +266,41 @@ def _gain(demand: np.ndarray, cfg: GameConfig, dtype: type = np.float64) -> np.n
     return demand / cfg.n_agents  # scaled
 
 
-def _choose_all(state: GameState, dtype: np.typing.DTypeLike) -> np.ndarray:
-    """Flat (market*s + slot) choice per agent, as ``dtype``; consumes RNG
-    only on ties."""
+def _choose_all(state: GameState, dtype: np.typing.DTypeLike) -> tuple[np.ndarray, int]:
+    """Flat (market*s + slot) choice per agent, as ``dtype``, and the number
+    of tie draws made; consumes RNG only on ties."""
     util = state.scores if state.unlinked is None else state.scores + state.unlinked
     is_max = util == util.max(axis=0)
-    # the first maximizer carries the largest weight
-    choice = np.subtract(len(state.weights), (is_max * state.weights).max(axis=0), dtype=dtype)
-    if state.config.tie_break == "random":
-        counts = is_max.sum(axis=0, dtype=state.weights.dtype)
-        tied = (counts > 1).nonzero()[0]
-        if len(tied) <= SCALAR_DRAWS:
-            for j in tied.tolist():
-                rows = is_max[:, j].nonzero()[0]
-                choice[j] = rows[state.rng.integers(0, len(rows))]
-        else:
-            # maximizer rows of every tied agent, agent by agent in row order
-            rows = is_max[:, tied].T.nonzero()[1]
-            highs = counts[tied].astype(np.int64)
-            choice[tied] = rows[np.cumsum(highs) - highs + state.rng.integers(0, highs)]
-    return choice
+    weights = state.weights
+    if state.config.tie_break != "random":
+        # the first maximizer carries the largest weight
+        return np.subtract(len(weights), (is_max * weights).max(axis=0), dtype=dtype), 0
+    counts = is_max.sum(axis=0, dtype=weights.dtype)
+    tied = (counts > 1).nonzero()[0]
+    if len(tied) >= state.count_ties:
+        # running count of maximizers down the rows, in ceil(log2 K*s)
+        # doublings in place (numpy reads overlapping operands as if copied)
+        ranks = is_max.astype(weights.dtype)
+        d = 1
+        while d < len(ranks):
+            ranks[d:] += ranks[:-d]
+            d *= 2
+        pick = np.zeros(len(counts), dtype=weights.dtype)
+        pick[tied] = state.rng.integers(0, counts[tied].astype(np.int64))
+        # the (pick+1)-th maximizer: the rows above it count at most pick
+        above = (ranks <= pick).view(np.uint8)
+        return above.sum(axis=0, dtype=weights.dtype).astype(dtype, copy=False), len(tied)
+    choice = np.subtract(len(weights), (is_max * weights).max(axis=0), dtype=dtype)
+    if len(tied) <= SCALAR_DRAWS:
+        for j in tied.tolist():
+            rows = is_max[:, j].nonzero()[0]
+            choice[j] = rows[state.rng.integers(0, len(rows))]
+    else:
+        # maximizer rows of every tied agent, agent by agent in row order
+        rows = is_max[:, tied].T.nonzero()[1]
+        highs = counts[tied].astype(np.int64)
+        choice[tied] = rows[np.cumsum(highs) - highs + state.rng.integers(0, highs)]
+    return choice, len(tied)
 
 
 def step(state: GameState, out: RunRecords, i: int) -> None:
@@ -278,7 +319,7 @@ def step(state: GameState, out: RunRecords, i: int) -> None:
     # (1) strategy choice, in intp off the one-hot side since take and
     # bincount index with it
     one_hot = n >= k_markets * ONE_HOT_AGENTS and k_markets * s <= ONE_HOT_ROWS
-    choice = _choose_all(state, state.weights.dtype if one_hot else np.intp)
+    choice, out.n_tied[i] = _choose_all(state, state.weights.dtype if one_hot else np.intp)
     market = choice // s
 
     # (2) aggregation over active agents; a chosen entry is +1 or -1

@@ -43,8 +43,12 @@ class ReferenceGame:
         ]
         self.last_market = None if state.last_market is None else state.last_market.tolist()
         self.t = state.t
-        self.tie_draws = 0
+        self.tick_tie_draws = []  # tie draws of each tick played
         self.coin_draws = 0
+
+    @property
+    def tie_draws(self) -> int:
+        return sum(self.tick_tie_draws)
 
     def _gain(self, demand: int) -> float:
         if self.cfg.payoff == "linear":
@@ -59,6 +63,7 @@ class ReferenceGame:
 
         # (1) every agent activates its highest-utility strategy
         markets, actions = [], []
+        tie_draws = 0
         for agent, held in enumerate(self.strategies):
             util = self.utilities[agent]
             best = max(util[k][i] for k, i in held)
@@ -66,10 +71,11 @@ class ReferenceGame:
             pick = 0
             if len(maximizers) > 1 and cfg.tie_break == "random":
                 pick = int(rng.integers(0, len(maximizers)))
-                self.tie_draws += 1
+                tie_draws += 1
             k, i = maximizers[pick]
             markets.append(k)
             actions.append(self.tables[agent][k][i][mu[k]])
+        self.tick_tie_draws.append(tie_draws)
 
         # (2) occupancy and signed demand per market
         occupancy = [0] * n_markets

@@ -514,6 +514,40 @@ class TestAgainstReference:
         assert draws["tie"] > 0 and draws["coin"] > 0
 
 
+# K*s on both sides of every doubling depth of the running count, from 3 (two
+# doublings) to 33 (six), and 260 (nine, with 16-bit ranks). Tick 0 of a
+# zero-utility game ties every agent, so all N agents draw and, with at least
+# ``count_ties`` of them, the tick picks from the count.
+DOUBLING_GRID = [
+    GameConfig(n_agents=n, seed=100 + k * s, n_markets=k, n_strategies=s, memory=2,
+               payoff="sign")
+    for k, s, n in ((3, 1, 60), (1, 5, 60), (2, 3, 60), (7, 1, 60), (3, 3, 60), (2, 8, 60),
+                    (1, 17, 60), (3, 11, 60), (2, 130, 80))
+]
+
+
+class TestRunningCount:
+    @pytest.mark.parametrize("cfg", DOUBLING_GRID,
+                             ids=lambda cfg: f"Ks{cfg.n_markets * cfg.n_strategies}")
+    @pytest.mark.parametrize("ticks", [50, None], ids=["int32", "float64"])
+    def test_steps_like_reference(self, cfg, ticks):
+        state = init_game(cfg, ticks)
+        assert state.scores.dtype == (np.float64 if ticks is None else np.int32)
+        assert state.count_ties <= cfg.n_agents
+        _, ref = assert_steps_like_reference(state, 50)
+        assert ref.tick_tie_draws[0] == cfg.n_agents
+
+    @pytest.mark.parametrize("cfg", REFERENCE_GRID + LARGE_GRID + TIE_BOUNDARY_GRID,
+                             ids=lambda cfg: f"N{cfg.n_agents}-K{cfg.n_markets}-"
+                             f"s{cfg.n_strategies}-{cfg.tie_break}-{cfg.seed}")
+    def test_tie_draws_recorded(self, cfg):
+        # run records each tick's tie draws, as the reference counts them
+        # (none under lowest-index ties)
+        ticks = 100
+        _, ref = reference_run(init_game(cfg), ticks)
+        assert run(cfg, ticks).n_tied.tolist() == ref.tick_tie_draws
+
+
 def integral(cfg):
     return cfg.payoff in ("linear", "sign") and cfg.init_utilities == "zero"
 

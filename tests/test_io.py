@@ -258,6 +258,19 @@ class TestRecordFormats:
         with pytest.raises(ValueError):
             render_records(self.records(), "parquet")
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_tie_draws_are_not_serialized(self, fmt):
+        # n_tied is kept in memory only: the same records without it render
+        # the same bytes, and parsing leaves it None
+        cfg = GameConfig(n_agents=60, seed=4, memory=3, payoff="sign")
+        rec = run(cfg, 30)
+        assert rec.n_tied.any()
+        text = render_records(rec, fmt)
+        assert render_records(dataclasses.replace(rec, n_tied=None), fmt) == text
+        back = parse_records(text, fmt, memory=cfg.memory)
+        assert back.n_tied is None
+        assert render_records(back, fmt) == text
+
 
 class TestParseLayout:
     """parse_records accepts only rows in the layout render_records writes."""

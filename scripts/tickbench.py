@@ -3,15 +3,18 @@
 
 Every game has m=5 and s=2 unless named otherwise; each is played under
 both tie rules. A run draws the game with ``init_game(cfg, ticks)``, as
-``run`` does, so a linear or sign game has the integer scores that ``run``
-plays (not timed), and then times only its ``step`` calls; the figure for a
-game is the median of 5 runs. The games:
+``run`` does, so a linear or sign game from zero utilities has the integer
+scores that ``run`` plays and every other game float64 scores (not timed),
+and then times only its ``step`` calls; the figure for a game is the median
+of 5 runs. The games:
 
 - N11, N128: regular, K=2, linear payoff;
 - N1447s: regular, K=2, sign payoff (many tied agents per tick);
 - N1447sK3s3: the same with K=3 and s=3, so K*s = 9 (many tied agents
   over more (market, slot) rows);
 - N10301: irregular n1=10000, n2=301, linear (the perfbench big_run game);
+- N10301scaled, N10301uniform: the same topology with the scaled payoff,
+  and linear from uniform initial utilities (float64 scores);
 - N11K40: regular, 40 markets, coin rule (many coins per tick);
 - below/at ONE_HOT_AGENTS: regular, K=2, linear, with one agent per market
   fewer than ``engine.ONE_HOT_AGENTS`` and with exactly that many, the two
@@ -62,14 +65,18 @@ FIELDS = ("t", "occupancy", "demand", "minority", "history", "n_switched")
 def games():
     """(name, config, ticks) of every timed game, random ties."""
     edge = 2 * ONE_HOT_AGENTS
+    big_run = MarketTopology.irregular(10000, 301)
     return [
         ("N11", GameConfig(n_agents=11, seed=1), 2000),
         ("N128", GameConfig(n_agents=128, seed=1), 2000),
         ("N1447s", GameConfig(n_agents=1447, seed=1, payoff="sign"), 600),
         ("N1447sK3s3", GameConfig(n_agents=1447, seed=1, payoff="sign", n_markets=3,
                                   n_strategies=3), 400),
-        ("N10301", GameConfig(n_agents=10301, seed=1,
-                              topology=MarketTopology.irregular(10000, 301)), 200),
+        ("N10301", GameConfig(n_agents=10301, seed=1, topology=big_run), 200),
+        ("N10301scaled", GameConfig(n_agents=10301, seed=1, topology=big_run,
+                                    payoff="scaled"), 200),
+        ("N10301uniform", GameConfig(n_agents=10301, seed=1, topology=big_run,
+                                     init_utilities="uniform"), 200),
         ("N11K40", GameConfig(n_agents=11, seed=1, n_markets=40), 1000),
         (f"N{edge - 2}", GameConfig(n_agents=edge - 2, seed=1), 1000),
         (f"N{edge}", GameConfig(n_agents=edge, seed=1), 1000),

@@ -28,8 +28,8 @@ INIT_UTILITIES = ("zero", "uniform")
 TOPOLOGY_KINDS = ("regular", "irregular")
 MAX_MEMORY = 24  # keeps 2**m indexable in a machine word with headroom
 # Largest strategy-table array a game may ask for: N*K*s*2**m int8 bytes.
-# The utilities add 4*N*K*s bytes in a game with int32 scores and 8*N*K*s
-# in the rest, at most four times as much.
+# The scores, unlinked entries included, add 4*N*K*s bytes in a game with
+# int32 scores and 8*N*K*s in the rest: at most four times the tables, at m=1.
 MAX_TABLE_BYTES = 1 << 30
 
 

@@ -52,13 +52,12 @@ K-vector costs more than the arithmetic.
 
 Scores are int32 when every utility is an integer that stays above
 ``UNLINKED_SCORE``: a linear or sign game from zero utilities whose length
-``run`` passes to ``init_game``. The unlinked entries of such a game hold
-that sentinel in ``scores`` itself, so the choice reads the scores
-directly. Every other game (scaled, uniform initial utilities, too long a
-game, or ``init_game`` without ticks) has float64 scores, and its choice
-adds the -inf of ``GameState.unlinked`` to them. Both make the same
-comparisons, since a float64 sum of integers of this size is exact; the
-int32 ones read half the bytes.
+``run`` passes to ``init_game``. Every other game (scaled, uniform initial
+utilities, too long a game, or ``init_game`` without ticks) has float64
+scores. The unlinked entries of either hold a sentinel below every linked
+score in ``scores`` itself, ``UNLINKED_SCORE`` or -inf, so the choice reads
+the scores directly. Both make the same comparisons, since a float64 sum of
+integers of this size is exact; the int32 ones read half the bytes.
 """
 
 from __future__ import annotations
@@ -173,12 +172,12 @@ class GameState:
     """Full mutable state of one game run.
 
     ``scores`` holds the utilities agent-minor; ``utilities`` is its
-    ``(N, K, s)`` view, and assigning to ``utilities`` writes into
-    ``scores``. The fields after ``t`` are derived once from the endowment;
-    ``step`` reads all of them but ``choice_mask`` every tick. Integer
-    ``scores`` hold ``UNLINKED_SCORE`` at the unlinked entries and leave
-    ``unlinked`` None; float64 ``scores`` hold 0 there, and ``unlinked``
-    adds -inf to them before each choice (None when every entry is linked).
+    read-only ``(N, K, s)`` view, whose items write into ``scores``. The
+    fields after ``t`` are derived once from the endowment; ``step`` reads
+    all of them but ``choice_mask`` every tick. ``__post_init__`` writes the
+    unlinked entries of ``scores``: ``UNLINKED_SCORE`` in int32 scores and
+    -inf in float64 ones. A write through ``utilities`` must leave them so,
+    or an agent may pick a strategy on a market it is not linked to.
     """
 
     config: GameConfig
@@ -189,7 +188,6 @@ class GameState:
     last_market: np.ndarray | None = None  # (N,) active market at t-1
     t: int = 0
     choice_mask: np.ndarray = field(init=False)  # (N, K*s) linked-strategy mask
-    unlinked: np.ndarray | None = field(init=False)  # (K*s, N) 0 or -inf, or None
     weights: np.ndarray = field(init=False)  # (K*s, 1) K*s down to 1, in flat order
     rows: np.ndarray = field(init=False)  # (K*s, 1) 0 up to K*s - 1, dtype of ``weights``
     agents: np.ndarray = field(init=False)  # (N,) agent indices
@@ -199,12 +197,8 @@ class GameState:
         link_mask = self.endowment.link_mask
         self.choice_mask = np.repeat(link_mask, self.endowment.n_strategies, axis=1)
         rows = self.choice_mask.shape[1]
-        self.unlinked = None
-        if not link_mask.all():
-            if self.scores.dtype == np.int32:
-                self.scores[~self.choice_mask.T] = UNLINKED_SCORE
-            else:
-                self.unlinked = np.ascontiguousarray(np.where(self.choice_mask.T, 0.0, -np.inf))
+        unlinked = UNLINKED_SCORE if self.scores.dtype == np.int32 else -np.inf
+        self.scores[~self.choice_mask.T] = unlinked
         self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
         self.rows = rows - self.weights
         self.agents = np.arange(len(link_mask))
@@ -217,10 +211,6 @@ class GameState:
         """(N, K, s) view of ``scores``."""
         k_markets, s = self.config.n_markets, self.config.n_strategies
         return self.scores.reshape(k_markets, s, -1, copy=False).transpose(2, 0, 1)
-
-    @utilities.setter
-    def utilities(self, value) -> None:
-        self.utilities[...] = value
 
     @property
     def tables(self) -> np.ndarray:
@@ -248,13 +238,16 @@ def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
     link_mask = cfg.topology.link_mask(n, k_markets)
     endowment = draw_strategies(rng, n, k_markets, s, cfg.memory, link_mask)
     scores = np.zeros((k_markets * s, n), dtype=_score_dtype(cfg, ticks))
+    uniform = None
     if cfg.init_utilities == "uniform":
-        utilities = scores.reshape(k_markets, s, n, copy=False).transpose(2, 0, 1)
-        utilities[link_mask] = rng.uniform(cfg.u_low, cfg.u_high, size=(int(link_mask.sum()), s))
+        uniform = rng.uniform(cfg.u_low, cfg.u_high, size=(int(link_mask.sum()), s))
     histories = rng.integers(0, 1 << cfg.memory, size=k_markets, dtype=np.int64)
-    return GameState(
+    state = GameState(
         config=cfg, rng=rng, endowment=endowment, scores=scores, histories=histories
     )
+    if uniform is not None:
+        state.utilities[link_mask] = uniform
+    return state
 
 
 def _gain(demand: np.ndarray, cfg: GameConfig, dtype: type = np.float64) -> np.ndarray:
@@ -269,8 +262,7 @@ def _gain(demand: np.ndarray, cfg: GameConfig, dtype: type = np.float64) -> np.n
 def _choose_all(state: GameState, dtype: np.typing.DTypeLike) -> tuple[np.ndarray, int]:
     """Flat (market*s + slot) choice per agent, as ``dtype``, and the number
     of tie draws made; consumes RNG only on ties."""
-    util = state.scores if state.unlinked is None else state.scores + state.unlinked
-    is_max = util == util.max(axis=0)
+    is_max = state.scores == state.scores.max(axis=0)
     weights = state.weights
     if state.config.tie_break != "random":
         # the first maximizer carries the largest weight

@@ -73,9 +73,13 @@ def summarize_run(
     seed: int = 0,
     theta: float = DEFAULT_THETA,
     window: tuple[int, int] | None = None,
-    n_strategies: int = 2,
+    *,
+    n_strategies: int,
 ) -> RunSummary:
-    """Condense one run's records into the standard per-seed summary."""
+    """Condense one run's records into the standard per-seed summary.
+
+    ``n_strategies`` is the game's s, which sets the split levels that
+    ``tau0`` settles to; the records do not hold it."""
     stats = series_stats(records, window)
     big, small = big_small_markets(stats)
     split = split_detected(records, window)

@@ -61,7 +61,7 @@ def sweep(ens1447):
     for v in values:
         if v == 1447:  # the ens1447 games: same config, child seeds subseed(MASTER, i)
             summaries = [
-                summarize_run(rec, run_index=i, seed=subseed(MASTER, i))
+                summarize_run(rec, run_index=i, seed=subseed(MASTER, i), n_strategies=2)
                 for i, rec in enumerate(ens1447)
             ]
         else:

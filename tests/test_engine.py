@@ -105,7 +105,7 @@ class TestChooseActiveStrategy:
         # adding a constant to all utilities changes no choice, any tick
         state_a = init_game(small_config(seed=9))
         state_b = copy.deepcopy(state_a)
-        state_b.utilities += 17.25
+        state_b.utilities[...] += 17.25
         for _ in range(50):
             rec_a = one_tick(state_a)
             rec_b = one_tick(state_b)
@@ -174,7 +174,8 @@ class TestStep:
     def test_hand_trace(self):
         # Two agents confined to market 0, one strategy each: agent 0 always
         # +1, agent 1 always -1. Demand cancels, minority falls to plus-one,
-        # linear payoff of zero demand leaves utilities untouched.
+        # linear payoff of zero demand leaves utilities untouched; the
+        # unlinked market-1 entries hold -inf.
         cfg = GameConfig(
             n_agents=2, seed=1, n_strategies=1, memory=1,
             topology=MarketTopology.irregular(2, 0),
@@ -190,7 +191,8 @@ class TestStep:
             assert rec.demand.tolist() == [0, 0]
             assert rec.minority.tolist() == [1, 1]
             assert rec.n_switched == 0
-            assert np.all(state.utilities == 0.0)
+            assert np.all(state.utilities[:, 0] == 0.0)
+            assert np.all(np.isneginf(state.utilities[:, 1]))
             assert state.histories.tolist() == [1, 1]  # m=1: all-ones after shift
 
     def test_single_agent_alternates_markets(self):
@@ -306,8 +308,11 @@ class TestInvariants:
         if cfg.payoff in ("linear", "sign"):
             assert np.array_equal(state.utilities, expected)
         else:
+            # the unlinked entries stay at -inf, where a difference is nan
+            linked = state.endowment.link_mask
             tol = 2**-40 * ticks * cfg.n_agents
-            assert np.max(np.abs(state.utilities - expected)) <= tol
+            assert np.max(np.abs(state.utilities[linked] - expected[linked])) <= tol
+            assert np.array_equal(state.utilities[~linked], expected[~linked])
 
     def test_complement_antisymmetry(self):
         # complementary tables on one market keep a constant utility sum
@@ -574,22 +579,30 @@ class TestIntegerScores:
         f"{case.topology.kind}-{case.seed}" if isinstance(case, GameConfig) else f"T{case}"))
     def test_steps_like_reference(self, cfg, ticks):
         state = init_game(cfg, ticks)
-        assert state.scores.dtype == np.int32 and state.unlinked is None
+        assert state.scores.dtype == np.int32
+        assert (state.scores[~state.choice_mask.T] == UNLINKED_SCORE).all()
         assert_steps_like_reference(state, ticks)
 
-    @pytest.mark.parametrize("payoff", ["linear", "sign"])
-    def test_unlinked_entries_keep_sentinel(self, payoff):
-        cfg = GameConfig(n_agents=30, seed=3, memory=3, payoff=payoff,
-                         topology=MarketTopology.irregular(12, 18))
-        state = init_game(cfg, 300)
+    @pytest.mark.parametrize("kw, ticks, sentinel", [
+        (dict(payoff="linear"), 300, UNLINKED_SCORE),
+        (dict(payoff="sign"), 300, UNLINKED_SCORE),
+        (dict(payoff="scaled"), 300, -np.inf),
+        (dict(init_utilities="uniform"), 300, -np.inf),
+        (dict(), None, -np.inf),
+    ], ids=["linear", "sign", "scaled", "uniform", "linear-no-ticks"])
+    def test_unlinked_entries_keep_sentinel(self, kw, ticks, sentinel):
+        cfg = GameConfig(n_agents=30, seed=3, memory=3,
+                         topology=MarketTopology.irregular(12, 18), **kw)
+        state = init_game(cfg, ticks)
+        assert state.scores.dtype == (np.int32 if sentinel == UNLINKED_SCORE else np.float64)
         unlinked = ~state.choice_mask.T
         assert unlinked.sum() == 12 * 2
-        assert (state.scores[unlinked] == UNLINKED_SCORE).all()
+        assert (state.scores[unlinked] == sentinel).all()
         for _ in range(300):
             one_tick(state)
-        assert (state.scores[unlinked] == UNLINKED_SCORE).all()
+        assert (state.scores[unlinked] == sentinel).all()
         linked = state.scores[~unlinked]
-        assert linked.any() and (linked > UNLINKED_SCORE).all()
+        assert linked.any() and np.isfinite(linked).all() and (linked > UNLINKED_SCORE).all()
 
     def test_run_plays_integer_scores(self, monkeypatch):
         played = []
@@ -628,7 +641,8 @@ class TestIntegerScores:
                          topology=MarketTopology.irregular(2, n - 2))
         state = init_game(cfg, ticks)
         assert state.scores.dtype == dtype
-        assert (state.unlinked is None) == (dtype == np.int32)
+        sentinel = UNLINKED_SCORE if dtype == np.int32 else -np.inf
+        assert (state.scores[2:, :2] == sentinel).all()
 
     @pytest.mark.parametrize("kw, ticks", [
         (dict(payoff="scaled"), 10),
@@ -640,7 +654,7 @@ class TestIntegerScores:
         cfg = GameConfig(n_agents=9, seed=1, topology=MarketTopology.irregular(4, 5), **kw)
         state = init_game(cfg, ticks)
         assert state.scores.dtype == np.float64
-        assert np.isneginf(state.unlinked[2:, :4]).all()
+        assert np.isneginf(state.scores[2:, :4]).all()
 
 
 def played_game():
@@ -674,14 +688,7 @@ class TestStateViews:
     @pytest.mark.parametrize("copied", [False, True])
     def test_inplace_add(self, copied):
         def write(state):
-            state.utilities += np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 25.0]])
-        self.assert_write_reaches_step(write, copied)
-
-    @pytest.mark.parametrize("copied", [False, True])
-    def test_reassignment(self, copied):
-        def write(state):
-            state.utilities = -state.utilities
-            assert np.shares_memory(state.utilities, state.scores)
+            state.utilities[...] += np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 25.0]])
         self.assert_write_reaches_step(write, copied)
 
     @pytest.mark.parametrize("copied", [False, True])
@@ -710,6 +717,9 @@ class TestStateViews:
 
     def test_unlinked_mask_is_agent_minor(self):
         cfg = GameConfig(n_agents=9, seed=1, topology=MarketTopology.irregular(4, 5))
-        unlinked = init_game(cfg).unlinked
-        assert unlinked.shape == (4, 9) and unlinked.flags.c_contiguous
-        assert np.isneginf(unlinked[2:, :4]).all() and not unlinked[:, 4:].any()
+        scores = init_game(cfg).scores
+        assert scores.shape == (4, 9) and scores.flags.c_contiguous
+        # -inf at market 1 (rows 2 and 3) of the four n1 agents only
+        unlinked = np.zeros((4, 9), dtype=bool)
+        unlinked[2:, :4] = True
+        assert np.array_equal(np.isneginf(scores), unlinked)

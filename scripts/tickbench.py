@@ -24,7 +24,12 @@ of 5 runs. The games:
   above it (bincounts);
 - K=40, m=2, one agent per market fewer than ``ONE_HOT_AGENTS`` and
   exactly that many: both count with bincounts, the second because K*s =
-  80 is over ``ONE_HOT_ROWS``.
+  80 is over ``ONE_HOT_ROWS``;
+- below/at ARGMAX_AGENTS: regular, K=2, linear, with one agent fewer than
+  ``engine.ARGMAX_AGENTS`` (choice from ``argmax``) and exactly that many
+  (the weights formula);
+- N11K5: regular, 5 markets, coin rule (at most four balanced markets a
+  tick, so each coin is one scalar call).
 
 Prints one JSON line, game/tie-rule -> microseconds per tick. Runs in
 10-20 s:
@@ -55,7 +60,7 @@ import numpy as np
 
 import mmg
 from mmg import GameConfig, MarketTopology
-from mmg.engine import ONE_HOT_AGENTS, ONE_HOT_ROWS, RunRecords, init_game, step
+from mmg.engine import ARGMAX_AGENTS, ONE_HOT_AGENTS, ONE_HOT_ROWS, RunRecords, init_game, step
 
 RUNS = 5
 BLOCKS = 21
@@ -88,6 +93,9 @@ def games():
          GameConfig(n_agents=40 * (ONE_HOT_AGENTS - 1), seed=1, n_markets=40, memory=2), 30),
         (f"N{40 * ONE_HOT_AGENTS}K40",
          GameConfig(n_agents=40 * ONE_HOT_AGENTS, seed=1, n_markets=40, memory=2), 30),
+        (f"N{ARGMAX_AGENTS - 1}", GameConfig(n_agents=ARGMAX_AGENTS - 1, seed=1), 2000),
+        (f"N{ARGMAX_AGENTS}", GameConfig(n_agents=ARGMAX_AGENTS, seed=1), 2000),
+        ("N11K5", GameConfig(n_agents=11, seed=1, n_markets=5), 2000),
     ]
 
 

@@ -18,13 +18,16 @@ slot) order (random tie-breaking only), then one coin per balanced market
 in market index order (coin rule only). A (config, seed) pair therefore
 determines the full trajectory bit for bit. The tie-breaks read the same
 stream whether they are made one scalar call at a time or in one array
-call; their count this tick picks which (``SCALAR_DRAWS``). The coins are
-always one ``size=`` call. An agent's draw p picks its (p+1)-th maximizer;
-with many tied agents (``GameState.count_ties``) that is the row whose
-running count of maximizers down the K*s rows first exceeds p, for every
-agent at once, and otherwise it is found among the gathered rows of the tied
-agents alone. Both pick the same row, so the tie count picks only the cheaper
-path.
+call, and so do the coins; their count this tick picks which
+(``SCALAR_DRAWS``). An agent's draw p picks its (p+1)-th maximizer; with
+many tied agents (``GameState.count_ties``) that is the row whose running
+count of maximizers down the K*s rows first exceeds p, for every agent at
+once, and otherwise it is found among the gathered rows of the tied agents
+alone. Both pick the same row, so the tie count picks only the cheaper
+path. A game with fewer than ``ARGMAX_AGENTS`` agents takes every agent's
+first maximizer from ``argmax`` and finds its tied agents as those whose
+last maximizer (an ``argmax`` up the reversed rows) is another row; it
+picks among the tied agents' own columns, never from the running count.
 
 ``step`` works on whole arrays of agents and is the only implementation of
 the tick; there are no per-agent helpers. Its arrays keep the agent axis
@@ -81,11 +84,30 @@ __all__ = [
 # A tick with at most this many tie-breaks makes them one scalar
 # ``integers(0, n)`` call each, each picking among its agent's own maximizer
 # rows, and with more makes them in one call with an array of n, picking as
-# set out below. Both read the same numbers and leave the generator in the
-# same state, so the count picks only the cheaper path. Measured at N=11,
-# K*s=4 (numpy 2.4.6, 2-vCPU Xeon): one array call costs about as much as 5-6
-# scalar tie draws.
+# set out below. Likewise a tick with at most this many balanced markets
+# draws their coins one scalar ``integers(0, 2)`` call each, and with more
+# in one ``size=`` call. Both read the same numbers and leave the generator
+# in the same state, so the count picks only the cheaper path. Measured at
+# N=11, K*s=4 (numpy 2.4.6, 2-vCPU Xeon): one array call costs about as
+# much as 5-6 scalar tie draws; one ``size=1`` coin about 8.6 us against
+# 2.2 us for a scalar one.
 SCALAR_DRAWS = 4
+
+# A game with fewer than this many agents takes each agent's first maximizer
+# from ``argmax`` down its K*s rows and, under random ties, finds the tied
+# agents as those whose first and last maximizers differ, then picks among
+# the tied agents' own columns (one scalar call each, or one gather); it
+# never reads ``weights``, ``rows`` or ``count_ties``. Larger games keep the
+# weights formula and the count of maximizers, since ``argmax`` along axis 0
+# runs one inner loop per agent. Measured on whole ticks, both sides
+# alternated in one process (m=5, s=2, linear payoff, int32 scores; numpy
+# 2.4.6, 2-vCPU Xeon; two runs), argmax over weights speed at N = 16 / 48 /
+# 64 / 80 / 128, random ties: K=2 0.99-1.13x / 1.00-1.06x / 1.02-1.04x /
+# 0.96-1.00x / 0.92-0.95x, K=3 1.15-1.25x / 1.05x / 1.00-1.01x / 0.96-0.98x
+# / 0.90x, K=5 1.09-1.10x / 0.98-1.00x / 0.97-0.99x / 0.95x / 0.89-0.90x.
+# Lowest-index ties gain at every N measured (1.12-1.46x), so the bound sits
+# at the random-tie crossover of K = 2 and 3.
+ARGMAX_AGENTS = 64
 
 # A tick with more than SCALAR_DRAWS tie-breaks finds every agent's pick in
 # one running count of maximizers down the K*s rows when at least
@@ -174,10 +196,15 @@ class GameState:
     ``scores`` holds the utilities agent-minor; ``utilities`` is its
     read-only ``(N, K, s)`` view, whose items write into ``scores``. The
     fields after ``t`` are derived once from the endowment; ``step`` reads
-    all of them but ``choice_mask`` every tick. ``__post_init__`` writes the
-    unlinked entries of ``scores``: ``UNLINKED_SCORE`` in int32 scores and
-    -inf in float64 ones. A write through ``utilities`` must leave them so,
-    or an agent may pick a strategy on a market it is not linked to.
+    all of them but ``choice_mask`` every tick, except that a game with
+    fewer than ``ARGMAX_AGENTS`` agents reads neither ``weights``, ``rows``
+    nor ``count_ties``. ``table_rows`` is a view of the table storage under
+    ``tables``, on a deep copy of the state too, so a write through
+    ``tables`` reaches ``step``. ``step`` writes the next histories into
+    ``histories`` in place. ``__post_init__`` writes the unlinked entries of
+    ``scores``: ``UNLINKED_SCORE`` in int32 scores and -inf in float64 ones.
+    A write through ``utilities`` must leave them so, or an agent may pick a
+    strategy on a market it is not linked to.
     """
 
     config: GameConfig
@@ -191,6 +218,8 @@ class GameState:
     weights: np.ndarray = field(init=False)  # (K*s, 1) K*s down to 1, in flat order
     rows: np.ndarray = field(init=False)  # (K*s, 1) 0 up to K*s - 1, dtype of ``weights``
     agents: np.ndarray = field(init=False)  # (N,) agent indices
+    table_rows: np.ndarray = field(init=False)  # (K*2**m, s, N) view of the table storage
+    market_rows: np.ndarray = field(init=False)  # (K,) int64 first row k * 2**m of market k
     count_ties: int = field(init=False)  # fewest tied agents picked by the running count
 
     def __post_init__(self) -> None:
@@ -202,9 +231,21 @@ class GameState:
         self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
         self.rows = rows - self.weights
         self.agents = np.arange(len(link_mask))
+        n, k_markets, s, histories = self.endowment.actions.shape
+        storage = self.endowment.actions.transpose(1, 3, 2, 0)
+        self.table_rows = storage.reshape(-1, s, n, copy=False)
+        self.market_rows = np.arange(k_markets) * histories
         doublings = (rows - 1).bit_length()
         self.count_ties = max(SCALAR_DRAWS + 1,
                               doublings * max(COUNT_TIES, len(link_mask) // COUNT_SHARE))
+
+    def __setstate__(self, state: dict) -> None:
+        # a deep copy or an unpickled state views its own endowment's tables;
+        # pickle stores them agent-first, so they are laid out again
+        vars(self).update(state)
+        storage = np.ascontiguousarray(self.endowment.actions.transpose(1, 3, 2, 0))
+        self.endowment.actions = storage.transpose(3, 0, 2, 1)
+        self.table_rows = storage.reshape(self.table_rows.shape)
 
     @property
     def utilities(self) -> np.ndarray:
@@ -262,7 +303,26 @@ def _gain(demand: np.ndarray, cfg: GameConfig, dtype: type = np.float64) -> np.n
 def _choose_all(state: GameState, dtype: np.typing.DTypeLike) -> tuple[np.ndarray, int]:
     """Flat (market*s + slot) choice per agent, as ``dtype``, and the number
     of tie draws made; consumes RNG only on ties."""
-    is_max = state.scores == state.scores.max(axis=0)
+    scores = state.scores
+    if len(state.agents) < ARGMAX_AGENTS:
+        # each agent's first maximizer, in intp: a game this small never
+        # counts from the one-hot, so intp is the dtype asked for
+        choice = scores.argmax(axis=0)
+        if state.config.tie_break != "random":
+            return choice, 0
+        # tied where the first maximizer is not the last
+        tied = (choice + scores[::-1].argmax(axis=0) != len(scores) - 1).nonzero()[0]
+        if len(tied) <= SCALAR_DRAWS:
+            for j in tied.tolist():
+                column = scores[:, j]
+                rows = (column == column[choice[j]]).nonzero()[0]
+                choice[j] = rows[state.rng.integers(0, len(rows))]
+        else:
+            columns = scores[:, tied]
+            is_max = columns == columns.max(axis=0)
+            _gather(state.rng, choice, tied, is_max, is_max.sum(axis=0))
+        return choice, len(tied)
+    is_max = scores == scores.max(axis=0)
     weights = state.weights
     if state.config.tie_break != "random":
         # the first maximizer carries the largest weight
@@ -288,11 +348,18 @@ def _choose_all(state: GameState, dtype: np.typing.DTypeLike) -> tuple[np.ndarra
             rows = is_max[:, j].nonzero()[0]
             choice[j] = rows[state.rng.integers(0, len(rows))]
     else:
-        # maximizer rows of every tied agent, agent by agent in row order
-        rows = is_max[:, tied].T.nonzero()[1]
-        highs = counts[tied].astype(np.int64)
-        choice[tied] = rows[np.cumsum(highs) - highs + state.rng.integers(0, highs)]
+        _gather(state.rng, choice, tied, is_max[:, tied], counts[tied].astype(np.int64))
     return choice, len(tied)
+
+
+def _gather(rng: np.random.Generator, choice: np.ndarray, tied: np.ndarray,
+            is_max: np.ndarray, highs: np.ndarray) -> None:
+    """Draw each ``tied`` agent's row among its maximizers into ``choice``,
+    in one array call; ``is_max`` is the (K*s, len(tied)) maximizer mask of
+    the tied agents and ``highs`` its int64 column counts."""
+    # maximizer rows of every tied agent, agent by agent in row order
+    rows = is_max.T.nonzero()[1]
+    choice[tied] = rows[np.cumsum(highs) - highs + rng.integers(0, highs)]
 
 
 def step(state: GameState, out: RunRecords, i: int) -> None:
@@ -305,8 +372,7 @@ def step(state: GameState, out: RunRecords, i: int) -> None:
 
     # (K, s, N) action of every strategy at the current histories: one row
     # of the (K*2**m, s, N) table storage per market
-    storage = state.tables.transpose(1, 3, 2, 0).reshape(-1, s, n)
-    acts = storage.take([(k << cfg.memory) + h for k, h in enumerate(mu)], axis=0)
+    acts = state.table_rows.take(state.market_rows + state.histories, axis=0)
 
     # (1) strategy choice, in intp off the one-hot side since take and
     # bincount index with it
@@ -333,7 +399,11 @@ def step(state: GameState, out: RunRecords, i: int) -> None:
     demands = demand.tolist()
     minority = [-1 if a > 0 else 1 for a in demands]
     if cfg.zero_demand == "coin" and 0 in demands:
-        coins = iter(state.rng.integers(0, 2, size=demands.count(0)).tolist())
+        balanced = demands.count(0)
+        if balanced <= SCALAR_DRAWS:
+            coins = iter([int(state.rng.integers(0, 2)) for _ in range(balanced)])
+        else:
+            coins = iter(state.rng.integers(0, 2, size=balanced).tolist())
         minority = [2 * next(coins) - 1 if a == 0 else x for a, x in zip(demands, minority)]
 
     # (4) score every linked strategy, active and passive; unlinked entries
@@ -343,9 +413,7 @@ def step(state: GameState, out: RunRecords, i: int) -> None:
 
     # (5) histories shift in the minority actions
     mask = (1 << cfg.memory) - 1
-    state.histories = np.array(
-        [((h << 1) | (x > 0)) & mask for h, x in zip(mu, minority)], dtype=np.int64
-    )
+    state.histories[:] = [((h << 1) | (x > 0)) & mask for h, x in zip(mu, minority)]
 
     # (6) market-switch count; first tick defined as 0
     n_switched = 0

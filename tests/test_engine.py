@@ -1,5 +1,7 @@
 import copy
 import itertools
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import one_tick
 from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, engine, init_game, run, step
-from mmg.engine import ONE_HOT_AGENTS, ONE_HOT_ROWS, SCALAR_DRAWS, UNLINKED_SCORE
+from mmg.engine import (
+    ARGMAX_AGENTS, ONE_HOT_AGENTS, ONE_HOT_ROWS, SCALAR_DRAWS, UNLINKED_SCORE,
+)
 from reference import reference_run
 
 
@@ -349,11 +353,11 @@ class TestSingleMarketReduction:
 
 class TestDrawStream:
     """``step`` draws a tick's tie-breaks one scalar call at a time or in
-    one array call, by their count, and its coins in one ``size=`` call,
-    where ``tests/reference.py`` makes one scalar call per draw; each pair
-    must read the same numbers from the generator and leave it in the same
-    state. ``lead`` coins drawn first leave PCG64's buffered 32-bit half
-    full or empty."""
+    one array call, and its coins one scalar call at a time or in one
+    ``size=`` call, each by their count, where ``tests/reference.py`` makes
+    one scalar call per draw; each pair must read the same numbers from the
+    generator and leave it in the same state. ``lead`` coins drawn first
+    leave PCG64's buffered 32-bit half full or empty."""
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**63), lead=st.integers(0, 3),
@@ -553,6 +557,102 @@ class TestRunningCount:
         assert run(cfg, ticks).n_tied.tolist() == ref.tick_tie_draws
 
 
+# Games one agent below and at ARGMAX_AGENTS, where the choice switches
+# from argmax to the weights formula and the count of maximizers: regular
+# and irregular (unlinked sentinel rows) K=2, K=3 with s=3, the scaled payoff
+# and uniform initial utilities (float64 scores), a sign game, and K*s = 260.
+# Each starts but the uniform one from zero utilities, so tick 0 ties every
+# agent: below the bound the tick gathers, at it the tick takes the count
+# (but for K*s = 260, whose ``count_ties`` is 72).
+ARGMAX_GAMES = [  # (game of N agents, ticks)
+    (lambda n: dict(), 150),
+    (lambda n: dict(topology=MarketTopology.irregular(n // 3, n - n // 3)), 150),
+    (lambda n: dict(n_markets=3, n_strategies=3), 150),
+    (lambda n: dict(payoff="scaled"), 150),
+    (lambda n: dict(init_utilities="uniform"), 150),
+    (lambda n: dict(payoff="sign", memory=2), 150),
+    (lambda n: dict(n_strategies=130, memory=1, payoff="sign"), 40),
+]
+ARGMAX_BOUNDARY_GRID = [
+    (GameConfig(**{"n_agents": n, "seed": 110 + 2 * i + d, "memory": 4, "tie_break": tie,
+                   "zero_demand": zero, **game(n)}), ticks)
+    for i, (game, ticks) in enumerate(ARGMAX_GAMES)
+    for d, n in enumerate((ARGMAX_AGENTS - 1, ARGMAX_AGENTS))
+    for tie in ("random", "lowest-index")
+    for zero in ("coin", "plus-one")
+]
+
+
+class TestArgmaxBound:
+    """A game with fewer than ``ARGMAX_AGENTS`` agents chooses from
+    ``argmax``, a larger one from the weights formula; both must step like
+    the reference engine."""
+
+    @pytest.mark.parametrize("cfg, ticks", ARGMAX_BOUNDARY_GRID, ids=lambda case: (
+        f"N{case.n_agents}-K{case.n_markets}-s{case.n_strategies}-{case.payoff}-"
+        f"{case.init_utilities}-{case.topology.kind}-{case.tie_break}-{case.zero_demand}"
+        if isinstance(case, GameConfig) else f"T{case}"))
+    def test_steps_like_reference(self, cfg, ticks):
+        state = init_game(cfg, ticks)
+        float_scores = cfg.payoff == "scaled" or cfg.init_utilities == "uniform"
+        assert state.scores.dtype == (np.float64 if float_scores else np.int32)
+        _, ref = assert_steps_like_reference(state, ticks)
+        assert run(cfg, ticks).n_tied.tolist() == ref.tick_tie_draws
+        if cfg.tie_break == "random" and cfg.init_utilities == "zero":
+            assert ref.tick_tie_draws[0] == cfg.n_agents
+
+    @pytest.mark.parametrize("tie", ["random", "lowest-index"])
+    def test_small_game_reads_no_weights(self, tie):
+        # below the bound the choice reads neither weights, rows nor
+        # count_ties; at the bound it needs them
+        for n in (ARGMAX_AGENTS - 1, ARGMAX_AGENTS):
+            state = init_game(GameConfig(n_agents=n, seed=1, tie_break=tie), 20)
+            state.weights = state.rows = state.count_ties = None
+            if n < ARGMAX_AGENTS:
+                for _ in range(20):
+                    one_tick(state)
+            else:
+                with pytest.raises((AttributeError, TypeError)):
+                    one_tick(state)
+
+    @pytest.mark.parametrize("n", [ARGMAX_AGENTS - 1, ARGMAX_AGENTS])
+    def test_grid_covers_every_tie_side(self, n):
+        # ticks with scalar draws, with a gather-sized count, and with at
+        # least count_ties draws (gathered below the bound, counted at it)
+        sides = set()
+        for cfg, ticks in ARGMAX_BOUNDARY_GRID:
+            if cfg.n_agents == n and cfg.tie_break == "random":
+                count_ties = init_game(cfg, ticks).count_ties
+                for tied in run(cfg, ticks).n_tied.tolist():
+                    sides.add(0 if tied == 0 else 1 if tied <= SCALAR_DRAWS
+                              else 2 if tied < count_ties else 3)
+        assert sides == {0, 1, 2, 3}
+
+    def test_scalar_and_sized_coins(self):
+        # eleven agents on eight markets balance from one to seven markets a
+        # tick, so the coins come one scalar call each on some ticks and in
+        # one sized call on others
+        cfg = GameConfig(n_agents=11, seed=3, n_markets=8, memory=3)
+        _, ref = assert_steps_like_reference(init_game(cfg, 200), 200)
+        balanced = (run(cfg, 200).demand == 0).sum(axis=1)
+        assert ref.coin_draws == balanced.sum()
+        assert (balanced <= SCALAR_DRAWS).any() and (balanced > SCALAR_DRAWS).any()
+
+    @pytest.mark.parametrize("cfg", DOUBLING_GRID[:-1],
+                             ids=lambda cfg: f"Ks{cfg.n_markets * cfg.n_strategies}")
+    @pytest.mark.parametrize("ticks", [50, None], ids=["int32", "float64"])
+    def test_running_count_at_bound(self, cfg, ticks):
+        # the running count needs at least ARGMAX_AGENTS agents: the
+        # doubling games at that size play every doubling depth on it (the
+        # last, K*s = 260 at N=80, already does)
+        cfg = replace(cfg, n_agents=ARGMAX_AGENTS)
+        state = init_game(cfg, ticks)
+        assert state.scores.dtype == (np.float64 if ticks is None else np.int32)
+        assert state.count_ties <= cfg.n_agents
+        _, ref = assert_steps_like_reference(state, 50)
+        assert ref.tick_tie_draws[0] == cfg.n_agents
+
+
 def integral(cfg):
     return cfg.payoff in ("linear", "sign") and cfg.init_utilities == "zero"
 
@@ -714,6 +814,25 @@ class TestStateViews:
         assert state.utilities.shape == (40, 3, 2)
         assert state.tables.shape == (40, 3, 2, 8)
         assert state.tables.transpose(1, 3, 2, 0).flags.c_contiguous
+
+    def test_table_rows_are_a_view(self):
+        # step reads the (K*2**m, s, N) rows of the table storage itself,
+        # and writes the next histories into the same array
+        state = played_game()
+        assert state.table_rows.shape == (3 * 8, 2, 40)
+        assert np.shares_memory(state.table_rows, state.endowment.actions)
+        for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            assert twin.tables is twin.endowment.actions
+            assert np.shares_memory(twin.table_rows, twin.tables)
+            assert not np.shares_memory(twin.table_rows, state.tables)
+            assert np.array_equal(twin.table_rows, state.table_rows)
+        assert state.market_rows.tolist() == [0, 8, 16]
+        histories = state.histories
+        mu = histories.tolist()
+        one_tick(state)
+        assert state.histories is histories
+        assert np.array_equal(state.table_rows[state.market_rows + mu],
+                              state.tables.transpose(1, 3, 2, 0)[[0, 1, 2], mu])
 
     def test_unlinked_mask_is_agent_minor(self):
         cfg = GameConfig(n_agents=9, seed=1, topology=MarketTopology.irregular(4, 5))

@@ -36,7 +36,7 @@ from .experiments import (
     summarize_run,
 )
 from .rng import game_rng, subseed
-from .strategies import Endowment, draw_strategies
+from .strategies import draw_strategies
 
 __all__ = [
     "__version__",
@@ -45,7 +45,6 @@ __all__ = [
     "MarketTopology",
     "GameState",
     "RunRecords",
-    "Endowment",
     "CriticalFluctuation",
     "MuHistogram",
     "SeriesStats",

@@ -30,6 +30,7 @@ MAX_MEMORY = 24  # keeps 2**m indexable in a machine word with headroom
 # Largest strategy-table array a game may ask for: N*K*s*2**m int8 bytes.
 # The scores, unlinked entries included, add 4*N*K*s bytes in a game with
 # int32 scores and 8*N*K*s in the rest: at most four times the tables, at m=1.
+# A run's records, 8*T*(4K+3) bytes, are held to the same budget.
 MAX_TABLE_BYTES = 1 << 30
 
 
@@ -118,6 +119,18 @@ class GameConfig:
     def table_bytes(self) -> int:
         """Size of the int8 strategy tables, N*K*s*2**m bytes."""
         return (self.n_agents * self.n_markets * self.n_strategies) << self.memory
+
+    def check_ticks(self, ticks: int) -> None:
+        """Refuse a run of ``ticks`` ticks before anything is allocated: T < 1,
+        or int64 records of 8*T*(4K+3) bytes over ``MAX_TABLE_BYTES``."""
+        if ticks < 1:
+            raise ConfigError(f"T: must be >= 1, got {ticks}")
+        record_bytes = 8 * ticks * (4 * self.n_markets + 3)
+        if record_bytes > MAX_TABLE_BYTES:
+            raise ConfigError(
+                f"T: records of T={ticks} ticks need 8*T*(4K+3) = {record_bytes} bytes, "
+                f"over the budget of {MAX_TABLE_BYTES}; lower T"
+            )
 
     def validate(self) -> None:
         if self.n_agents < 1:

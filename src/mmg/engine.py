@@ -33,10 +33,11 @@ picks among the tied agents' own columns, never from the running count.
 the tick; there are no per-agent helpers. Its arrays keep the agent axis
 last: utilities are stored as ``GameState.scores``, one row of length N
 per (market, slot) pair in flat order, and strategy tables as
-``(K, 2**m, s, N)`` (see ``mmg.strategies``). So every per-tick reduction
-runs across K*s contiguous rows rather than along a short inner axis.
-``GameState.utilities`` and ``Endowment.actions`` are transposed views in
-the agent-first shapes ``(N, K, s)`` and ``(N, K, s, 2**m)``. The
+``GameState.tables``, one ``(s, N)`` block per (market, history) pair (see
+``mmg.strategies``). So every per-tick reduction runs across K*s
+contiguous rows rather than along a short inner axis, and a tick reads its
+actions as one ``take`` of K table rows. ``GameState.utilities`` is a
+transposed view of the scores in the agent-first shape ``(N, K, s)``. The
 plain-Python per-agent loop in ``tests/reference.py`` follows the same
 order and random stream and serves as its oracle. ``run`` allocates the
 columnar ``RunRecords`` once, and ``step`` writes tick i straight into its
@@ -69,9 +70,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, GameConfig
+from .config import GameConfig
 from .rng import game_rng
-from .strategies import Endowment, draw_strategies
+from .strategies import draw_strategies
 
 __all__ = [
     "RunRecords",
@@ -193,23 +194,23 @@ class RunRecords:
 class GameState:
     """Full mutable state of one game run.
 
-    ``scores`` holds the utilities agent-minor; ``utilities`` is its
-    read-only ``(N, K, s)`` view, whose items write into ``scores``. The
-    fields after ``t`` are derived once from the endowment; ``step`` reads
-    all of them but ``choice_mask`` every tick, except that a game with
-    fewer than ``ARGMAX_AGENTS`` agents reads neither ``weights``, ``rows``
-    nor ``count_ties``. ``table_rows`` is a view of the table storage under
-    ``tables``, on a deep copy of the state too, so a write through
-    ``tables`` reaches ``step``. ``step`` writes the next histories into
-    ``histories`` in place. ``__post_init__`` writes the unlinked entries of
-    ``scores``: ``UNLINKED_SCORE`` in int32 scores and -inf in float64 ones.
-    A write through ``utilities`` must leave them so, or an agent may pick a
+    ``tables`` and ``scores`` are plain arrays with the agent axis last (see
+    ``mmg.strategies`` and the module docstring); ``utilities`` is the
+    read-only ``(N, K, s)`` view of ``scores``, whose items write into
+    ``scores``. A deep copy or an unpickled state owns copies of both. The
+    fields after ``t`` are derived once from the config; ``step`` reads all
+    of them but ``choice_mask`` every tick, except that a game with fewer
+    than ``ARGMAX_AGENTS`` agents reads neither ``weights``, ``rows`` nor
+    ``count_ties``. ``step`` writes the next histories into ``histories`` in
+    place. ``__post_init__`` writes the unlinked entries of ``scores``:
+    ``UNLINKED_SCORE`` in int32 scores and -inf in float64 ones. A write
+    through ``utilities`` must leave them so, or an agent may pick a
     strategy on a market it is not linked to.
     """
 
     config: GameConfig
     rng: np.random.Generator
-    endowment: Endowment
+    tables: np.ndarray  # (K*2**m, s, N) int8, row k*2**m + mu is market k at history mu
     scores: np.ndarray  # (K*s, N) int32 or float64, row k*s + i is slot i on market k
     histories: np.ndarray  # (K,) int64
     last_market: np.ndarray | None = None  # (N,) active market at t-1
@@ -218,44 +219,29 @@ class GameState:
     weights: np.ndarray = field(init=False)  # (K*s, 1) K*s down to 1, in flat order
     rows: np.ndarray = field(init=False)  # (K*s, 1) 0 up to K*s - 1, dtype of ``weights``
     agents: np.ndarray = field(init=False)  # (N,) agent indices
-    table_rows: np.ndarray = field(init=False)  # (K*2**m, s, N) view of the table storage
     market_rows: np.ndarray = field(init=False)  # (K,) int64 first row k * 2**m of market k
     count_ties: int = field(init=False)  # fewest tied agents picked by the running count
 
     def __post_init__(self) -> None:
-        link_mask = self.endowment.link_mask
-        self.choice_mask = np.repeat(link_mask, self.endowment.n_strategies, axis=1)
+        cfg = self.config
+        link_mask = cfg.topology.link_mask(cfg.n_agents, cfg.n_markets)
+        self.choice_mask = np.repeat(link_mask, cfg.n_strategies, axis=1)
         rows = self.choice_mask.shape[1]
         unlinked = UNLINKED_SCORE if self.scores.dtype == np.int32 else -np.inf
         self.scores[~self.choice_mask.T] = unlinked
         self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
         self.rows = rows - self.weights
         self.agents = np.arange(len(link_mask))
-        n, k_markets, s, histories = self.endowment.actions.shape
-        storage = self.endowment.actions.transpose(1, 3, 2, 0)
-        self.table_rows = storage.reshape(-1, s, n, copy=False)
-        self.market_rows = np.arange(k_markets) * histories
+        self.market_rows = np.arange(cfg.n_markets) << cfg.memory
         doublings = (rows - 1).bit_length()
         self.count_ties = max(SCALAR_DRAWS + 1,
                               doublings * max(COUNT_TIES, len(link_mask) // COUNT_SHARE))
-
-    def __setstate__(self, state: dict) -> None:
-        # a deep copy or an unpickled state views its own endowment's tables;
-        # pickle stores them agent-first, so they are laid out again
-        vars(self).update(state)
-        storage = np.ascontiguousarray(self.endowment.actions.transpose(1, 3, 2, 0))
-        self.endowment.actions = storage.transpose(3, 0, 2, 1)
-        self.table_rows = storage.reshape(self.table_rows.shape)
 
     @property
     def utilities(self) -> np.ndarray:
         """(N, K, s) view of ``scores``."""
         k_markets, s = self.config.n_markets, self.config.n_strategies
         return self.scores.reshape(k_markets, s, -1, copy=False).transpose(2, 0, 1)
-
-    @property
-    def tables(self) -> np.ndarray:
-        return self.endowment.actions
 
 
 def _score_dtype(cfg: GameConfig, ticks: int | None) -> type:
@@ -268,7 +254,7 @@ def _score_dtype(cfg: GameConfig, ticks: int | None) -> type:
 
 
 def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
-    """Draw the endowment, initial utilities and initial histories.
+    """Draw the strategy tables, initial utilities and initial histories.
 
     Given the number of ticks to be played, an integral game gets int32
     scores (see ``UNLINKED_SCORE``); without it, the scores are float64.
@@ -277,14 +263,14 @@ def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
     rng = game_rng(cfg.seed)
     n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
     link_mask = cfg.topology.link_mask(n, k_markets)
-    endowment = draw_strategies(rng, n, k_markets, s, cfg.memory, link_mask)
+    tables = draw_strategies(rng, n, k_markets, s, cfg.memory, link_mask)
     scores = np.zeros((k_markets * s, n), dtype=_score_dtype(cfg, ticks))
     uniform = None
     if cfg.init_utilities == "uniform":
         uniform = rng.uniform(cfg.u_low, cfg.u_high, size=(int(link_mask.sum()), s))
     histories = rng.integers(0, 1 << cfg.memory, size=k_markets, dtype=np.int64)
     state = GameState(
-        config=cfg, rng=rng, endowment=endowment, scores=scores, histories=histories
+        config=cfg, rng=rng, tables=tables, scores=scores, histories=histories
     )
     if uniform is not None:
         state.utilities[link_mask] = uniform
@@ -370,9 +356,9 @@ def step(state: GameState, out: RunRecords, i: int) -> None:
     n = len(state.agents)
     mu = state.histories.tolist()
 
-    # (K, s, N) action of every strategy at the current histories: one row
-    # of the (K*2**m, s, N) table storage per market
-    acts = state.table_rows.take(state.market_rows + state.histories, axis=0)
+    # (K, s, N) action of every strategy at the current histories: one table
+    # row per market
+    acts = state.tables.take(state.market_rows + state.histories, axis=0)
 
     # (1) strategy choice, in intp off the one-hot side since take and
     # bincount index with it
@@ -430,8 +416,7 @@ def step(state: GameState, out: RunRecords, i: int) -> None:
 
 def run(cfg: GameConfig, ticks: int) -> RunRecords:
     """Play ``ticks`` ticks from a fresh game and return the columnar record."""
-    if ticks < 1:
-        raise ConfigError(f"T: must be >= 1, got {ticks}")
+    cfg.check_ticks(ticks)
     state = init_game(cfg, ticks)
     out = RunRecords.empty(ticks, cfg.n_markets, cfg.memory)
     for i in range(ticks):

@@ -111,10 +111,12 @@ def ensemble_run(
 ) -> list[RunSummary]:
     """Run ``n_seeds`` independent games on substreams of ``cfg.seed``.
 
-    A run that raises is recorded as failed and does not abort the rest.
+    A run that raises is recorded as failed and does not abort the rest; a
+    bad ``ticks`` or ``n_seeds`` raises ConfigError before the first.
     """
     if n_seeds < 1:
         raise ConfigError(f"seeds: must be >= 1, got {n_seeds}")
+    cfg.check_ticks(ticks)
     out: list[RunSummary] = []
     for i in range(n_seeds):
         child = subseed(cfg.seed, i)
@@ -292,7 +294,8 @@ def _fig6_table(cfg: GameConfig, ticks: int, theta: float) -> Table:
         )
     t1, k_star = np.unravel_index(np.argmax(large), large.shape)  # first tick, lowest market
     winner = records.minority[t1, k_star]
-    n_good = (state.tables[:, k_star, :, records.history[t1, k_star]] == winner).sum(axis=1)
+    block = state.tables[state.market_rows[k_star] + records.history[t1, k_star]]  # (s, N)
+    n_good = (block == winner).sum(axis=0)
     picks = [
         (klass, int(np.flatnonzero(n_good == count)[0]))
         for count, klass in ((2, "both-good"), (1, "one-good"), (0, "none-good"))
@@ -304,7 +307,7 @@ def _fig6_table(cfg: GameConfig, ticks: int, theta: float) -> Table:
     gain = _gain(records.demand, cfg)[:, :, None]
     traces = []
     for _, agent in picks:
-        steps = -state.tables[agent][np.arange(k_markets), :, records.history] * gain
+        steps = -state.tables[state.market_rows + records.history, :, agent] * gain
         utilities = np.cumsum(np.concatenate([state.utilities[agent][None], steps]), axis=0)
         traces.append(utilities.reshape(ticks + 1, k_markets * s))
     columns = np.concatenate(traces)  # (rows, K*s)

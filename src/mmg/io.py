@@ -151,8 +151,8 @@ def _build(raw: dict) -> ParsedConfig:
     game.validate()
 
     ticks = raw.get("T")
-    if ticks is not None and ticks < 1:
-        raise ConfigError(f"T: must be >= 1, got {ticks}")
+    if ticks is not None:
+        game.check_ticks(ticks)
     n_seeds = raw.get("seeds")
     if n_seeds is not None and n_seeds < 1:
         raise ConfigError(f"seeds: must be >= 1, got {n_seeds}")

@@ -34,12 +34,12 @@ class ReferenceGame:
         cfg = state.config
         self.cfg = cfg
         self.rng = state.rng
-        self.tables = state.tables.tolist()  # [agent][market][slot][mu]
+        self.tables = state.tables.tolist()  # [market * 2**m + mu][slot][agent]
         self.utilities = state.utilities.tolist()  # [agent][market][slot]
         self.histories = [int(h) for h in state.histories]
         self.strategies = [  # (market, slot) pairs each agent holds, flat order
             [(k, i) for k in range(cfg.n_markets) if links[k] for i in range(cfg.n_strategies)]
-            for links in state.endowment.link_mask.tolist()
+            for links in cfg.topology.link_mask(cfg.n_agents, cfg.n_markets).tolist()
         ]
         self.last_market = None if state.last_market is None else state.last_market.tolist()
         self.t = state.t
@@ -74,7 +74,7 @@ class ReferenceGame:
                 tie_draws += 1
             k, i = maximizers[pick]
             markets.append(k)
-            actions.append(self.tables[agent][k][i][mu[k]])
+            actions.append(self.tables[(k << cfg.memory) + mu[k]][i][agent])
         self.tick_tie_draws.append(tie_draws)
 
         # (2) occupancy and signed demand per market
@@ -101,7 +101,9 @@ class ReferenceGame:
         gains = [self._gain(a) for a in demand]
         for agent, held in enumerate(self.strategies):
             for k, i in held:
-                self.utilities[agent][k][i] -= self.tables[agent][k][i][mu[k]] * gains[k]
+                self.utilities[agent][k][i] -= (
+                    self.tables[(k << cfg.memory) + mu[k]][i][agent] * gains[k]
+                )
 
         # (5) shift the minority actions into the histories
         mask = (1 << cfg.memory) - 1

@@ -320,7 +320,7 @@ class TestCriterion12Properties:
         for _ in range(200):
             rec = one_tick(state)
             for k in range(2):
-                expected[:, k, :] -= tables[:, k, :, rec.history[k]] * float(rec.demand[k])
+                expected[:, k, :] -= tables[(k << cfg.memory) + rec.history[k]].T * float(rec.demand[k])
         ok = np.array_equal(state.utilities, expected)
         report(12, "utility-replay-exact", ok)
         assert ok
@@ -330,7 +330,7 @@ class TestCriterion12Properties:
         from mmg import init_game
 
         state = init_game(GameConfig(n_agents=7, seed=12, memory=3))
-        state.tables[0, 0, 1] = -state.tables[0, 0, 0]
+        state.tables[:1 << 3, 1, 0] = -state.tables[:1 << 3, 0, 0]
         for _ in range(150):
             one_tick(state)
             assert state.utilities[0, 0, 0] + state.utilities[0, 0, 1] == 0.0

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from mmg import experiments
+from mmg import engine, experiments
 from mmg.cli import _build_parser, cli_main
 from mmg.config import CONFIG_KEYS
+from mmg.experiments import FIGURE_NAMES
 from mmg.io import content_hash, parse_manifest
 
 # a config-file value and a different flag value for every key of CONFIG_KEYS
@@ -127,6 +128,27 @@ class TestExitCodes:
                 "--u-low", "0", "--u-high", "inf"]
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("config error: u_low/u_high:")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--N", "11", "--seed", "0"],
+        ["ensemble", "--N", "11", "--seed", "0", "--seeds", "3"],
+        ["sweep", "--N", "11", "--seed", "0", "--seeds", "3"],
+        *(["figure", name] for name in FIGURE_NAMES),
+    ], ids=lambda argv: "-".join(argv[:2]) if argv[0] == "figure" else argv[0])
+    def test_records_over_budget(self, tmp_path, capsys, monkeypatch, argv):
+        # 10**11 ticks of two markets need 8*T*(4K+3) = 8.8e12 bytes of records
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was started")
+
+        monkeypatch.setattr(engine, "init_game", no_game)
+        if argv[0] == "sweep":
+            cfg = tmp_path / "sweep.cfg"
+            cfg.write_text("sweep=N values=11,13\n")
+            argv = argv + ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert cli_main(argv + ["-T", "100000000000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: T: ")
+        assert not out.exists()
 
     def test_runtime_failure(self, tmp_path):
         # fig6 needs a large fluctuation; two ticks cannot contain one

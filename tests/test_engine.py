@@ -33,7 +33,7 @@ def small_config(**kw):
 class TestInitGame:
     def test_regular_counts(self):
         state = init_game(GameConfig(n_agents=11, seed=1, memory=5))
-        assert state.endowment.link_mask.sum() * 2 == 44
+        assert np.count_nonzero(state.tables) == 44 << 5  # 44 tables of 2**m actions
         assert state.histories.shape == (2,)
         assert state.utilities.shape == (11, 2, 2)
 
@@ -44,8 +44,8 @@ class TestInitGame:
         )
         state = init_game(cfg)
         # 3 agents hold 2 tables (market 0 only), 2 agents hold 4
-        assert state.endowment.link_mask.sum() * 2 == 14
-        assert np.all(state.endowment.actions[:3, 1] == 0)
+        assert np.count_nonzero(state.tables) == 14 << 2
+        assert np.all(state.tables[1 << 2:, :, :3] == 0)
 
     def test_zero_initial_utilities(self):
         state = init_game(GameConfig(n_agents=11, seed=1, memory=5))
@@ -63,6 +63,16 @@ class TestInitGame:
         with pytest.raises(ConfigError):
             init_game(cfg)
 
+    def test_run_refuses_records_over_budget(self, monkeypatch):
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game was started")
+
+        monkeypatch.setattr(engine, "init_game", no_game)
+        with pytest.raises(ConfigError, match="^T: "):
+            run(GameConfig(n_agents=11, seed=0), 100_000_000_000)
+        with pytest.raises(ConfigError, match="^T: must be >= 1"):
+            run(GameConfig(n_agents=11, seed=0), 0)
+
     def test_memory_cap(self):
         with pytest.raises(ConfigError):
             init_game(GameConfig(n_agents=2, seed=1, memory=25))
@@ -72,8 +82,8 @@ def two_slot_agent(utilities):
     """One agent on two markets whose slot 0 plays +1 and slot 1 plays -1 at
     every history, so the record's demand names the active slot."""
     state = init_game(small_config(n_agents=1))
-    state.tables[0, :, 0, :] = 1
-    state.tables[0, :, 1, :] = -1
+    state.tables[:, 0, 0] = 1
+    state.tables[:, 1, 0] = -1
     state.utilities[0] = utilities
     return state
 
@@ -98,8 +108,8 @@ class TestChooseActiveStrategy:
         # hold slot 0 on each market
         n = 4000
         state = init_game(small_config(n_agents=n, tie_break="random"))
-        state.tables[:, :, 0, :] = 1
-        state.tables[:, :, 1, :] = -1
+        state.tables[:, 0, :] = 1
+        state.tables[:, 1, :] = -1
         rec = one_tick(state)
         slot0 = (rec.occupancy + rec.demand) // 2
         picks = np.concatenate([slot0, rec.occupancy - slot0]) / n
@@ -131,9 +141,9 @@ def fixed_action_game(actions, n_markets=1, payoff="linear", zero_demand="plus-o
         zero_demand=zero_demand,
     )
     state = init_game(cfg)
-    column = np.array(actions, dtype=np.int8)[:, None]
-    state.tables[:, 0, 0, :] = column
-    state.tables[:, 0, 1, :] = -column
+    column = np.array(actions, dtype=np.int8)
+    state.tables[:1 << 1, 0, :] = column
+    state.tables[:1 << 1, 1, :] = -column
     return state
 
 
@@ -186,8 +196,8 @@ class TestStep:
             tie_break="lowest-index", zero_demand="plus-one",
         )
         state = init_game(cfg)
-        state.tables[0, 0, 0, :] = 1
-        state.tables[1, 0, 0, :] = -1
+        state.tables[:1 << 1, 0, 0] = 1
+        state.tables[:1 << 1, 0, 1] = -1
         for t in range(3):
             rec = one_tick(state)
             assert rec.t == t
@@ -308,12 +318,12 @@ class TestInvariants:
                     g = float(np.sign(rec.demand[k]))
                 else:
                     g = rec.demand[k] / cfg.n_agents
-                expected[:, k, :] -= tables[:, k, :, rec.history[k]] * g
+                expected[:, k, :] -= tables[(k << cfg.memory) + rec.history[k]].T * g
         if cfg.payoff in ("linear", "sign"):
             assert np.array_equal(state.utilities, expected)
         else:
             # the unlinked entries stay at -inf, where a difference is nan
-            linked = state.endowment.link_mask
+            linked = cfg.topology.link_mask(cfg.n_agents, cfg.n_markets)
             tol = 2**-40 * ticks * cfg.n_agents
             assert np.max(np.abs(state.utilities[linked] - expected[linked])) <= tol
             assert np.array_equal(state.utilities[~linked], expected[~linked])
@@ -321,7 +331,7 @@ class TestInvariants:
     def test_complement_antisymmetry(self):
         # complementary tables on one market keep a constant utility sum
         state = init_game(GameConfig(n_agents=5, seed=21, memory=3))
-        state.tables[0, 0, 1] = -state.tables[0, 0, 0]
+        state.tables[:1 << 3, 1, 0] = -state.tables[:1 << 3, 0, 0]
         total0 = state.utilities[0, 0, 0] + state.utilities[0, 0, 1]
         for _ in range(100):
             one_tick(state)
@@ -765,8 +775,9 @@ def played_game():
 
 
 class TestStateViews:
-    """``utilities`` and ``tables`` are agent-first views of the engine's
-    agent-minor storage; writes through them must reach the next tick."""
+    """``utilities`` is an agent-first view of the engine's agent-minor
+    scores and ``tables`` the table storage itself; writes through either
+    must reach the next tick."""
 
     def assert_write_reaches_step(self, write, copied):
         state = played_game()
@@ -794,45 +805,49 @@ class TestStateViews:
     @pytest.mark.parametrize("copied", [False, True])
     def test_table_assignment(self, copied):
         def write(state):
-            state.tables[:20] = -state.tables[:20]
+            state.tables[:, :, :20] = -state.tables[:, :, :20]
         self.assert_write_reaches_step(write, copied)
 
     def test_deepcopy_steps_identically(self):
+        # a deep copy and an unpickled copy each own their arrays
         state = played_game()
-        twin = copy.deepcopy(state)
-        assert not np.shares_memory(twin.scores, state.scores)
-        assert not np.shares_memory(twin.tables, state.tables)
+        twins = [copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+        for twin in twins:
+            for name in ("tables", "scores", "histories"):
+                assert not np.shares_memory(getattr(twin, name), getattr(state, name)), name
+        assert not np.shares_memory(twins[0].tables, twins[1].tables)
         for _ in range(30):
-            assert tick_tuple(one_tick(twin)) == tick_tuple(one_tick(state))
-        assert np.array_equal(twin.utilities, state.utilities)
-        assert twin.rng.bit_generator.state == state.rng.bit_generator.state
+            want = tick_tuple(one_tick(state))
+            assert [tick_tuple(one_tick(twin)) for twin in twins] == [want, want]
+        for twin in twins:
+            assert np.array_equal(twin.tables, state.tables)
+            assert np.array_equal(twin.utilities, state.utilities)
+            assert twin.rng.bit_generator.state == state.rng.bit_generator.state
 
     def test_storage_is_agent_minor(self):
         state = played_game()
         assert state.scores.shape == (6, 40) and state.scores.flags.c_contiguous
         assert np.shares_memory(state.utilities, state.scores)
         assert state.utilities.shape == (40, 3, 2)
-        assert state.tables.shape == (40, 3, 2, 8)
-        assert state.tables.transpose(1, 3, 2, 0).flags.c_contiguous
+        assert state.tables.shape == (3 * 8, 2, 40) and state.tables.flags.c_contiguous
 
-    def test_table_rows_are_a_view(self):
-        # step reads the (K*2**m, s, N) rows of the table storage itself,
-        # and writes the next histories into the same array
+    def test_market_rows_and_histories_in_place(self):
+        # step reads row k*2**m + mu of the tables for market k, and writes
+        # the next histories into the same array
         state = played_game()
-        assert state.table_rows.shape == (3 * 8, 2, 40)
-        assert np.shares_memory(state.table_rows, state.endowment.actions)
-        for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
-            assert twin.tables is twin.endowment.actions
-            assert np.shares_memory(twin.table_rows, twin.tables)
-            assert not np.shares_memory(twin.table_rows, state.tables)
-            assert np.array_equal(twin.table_rows, state.table_rows)
         assert state.market_rows.tolist() == [0, 8, 16]
         histories = state.histories
-        mu = histories.tolist()
         one_tick(state)
         assert state.histories is histories
-        assert np.array_equal(state.table_rows[state.market_rows + mu],
-                              state.tables.transpose(1, 3, 2, 0)[[0, 1, 2], mu])
+
+    def test_state_read_by_tracer(self):
+        # perfbench's layer tracer reads these shapes and sizes from a game
+        # (its tied-agent count and engine.state_bytes)
+        state = played_game()
+        n, k_markets, s, m = 40, 3, 2, 3
+        assert state.utilities.shape[0] == n
+        assert state.utilities.reshape(n, -1).shape == state.choice_mask.shape
+        assert state.tables.nbytes == n * k_markets * s * (1 << m)
 
     def test_unlinked_mask_is_agent_minor(self):
         cfg = GameConfig(n_agents=9, seed=1, topology=MarketTopology.irregular(4, 5))

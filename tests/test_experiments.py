@@ -63,6 +63,17 @@ class TestEnsembleRun:
         with pytest.raises(Exception):
             ensemble_run(tiny_cfg(), 10, 0)
 
+    @pytest.mark.parametrize("ticks", [100_000_000_000, 0])
+    def test_bad_ticks_raise_before_any_seed(self, monkeypatch, ticks):
+        from mmg import experiments
+
+        def no_game(cfg, ticks):
+            raise AssertionError("a game was started")
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        with pytest.raises(ConfigError, match="^T: "):
+            ensemble_run(tiny_cfg(), ticks, 3)
+
     def test_failure_keeps_exception_type(self, monkeypatch):
         from mmg import experiments
 

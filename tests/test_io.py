@@ -75,6 +75,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^m: "):
             parse_config(f"N={n} K=3 m=10 seed=1")
 
+    def test_record_budget_names_ticks(self):
+        # a run's records take 8*T*(4K+3) bytes, 88*T at K=2: T is refused
+        # over the budget, inclusively, before anything is allocated
+        most = MAX_TABLE_BYTES // 88
+        cfg = GameConfig(n_agents=11, seed=1)
+        cfg.check_ticks(most)
+        with pytest.raises(ConfigError, match="^T: "):
+            cfg.check_ticks(most + 1)
+        with pytest.raises(ConfigError, match="^T: must be >= 1"):
+            cfg.check_ticks(0)
+        assert parse_config(f"N=11 seed=1 T={most}").ticks == most
+        with pytest.raises(ConfigError, match="^T: .*8800000000000 bytes"):
+            parse_config("N=11 seed=1 T=100000000000")
+        with pytest.raises(ConfigError, match="^T: "):
+            parse_config(f"N=11 K=3 seed=1 T={most}")
+
     def test_irregular_population(self):
         parsed = parse_config("topology=irregular n1=1146 n2=301 seed=9")
         assert parsed.game.n_agents == 1447

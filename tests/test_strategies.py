@@ -21,7 +21,7 @@ def lone_agent(m, table=None):
     )
     state = init_game(cfg)
     if table is not None:
-        state.tables[0, 0, 0] = table
+        state.tables[:, 0, 0] = table
     return state
 
 
@@ -37,7 +37,7 @@ def actions_at(table, m, histories):
 
 def shift_in(state, winner):
     """Play one tick whose minority is ``winner``; return the new history."""
-    state.tables[0, 0, 0] = -winner
+    state.tables[:, 0, 0] = -winner
     one_tick(state)
     return int(state.histories[0])
 
@@ -60,7 +60,7 @@ class TestEvaluate:
         for m in range(1, 7):
             cfg = GameConfig(n_agents=3, seed=m, memory=m)
             state = init_game(cfg)
-            assert state.tables.shape[-1] == 1 << state.endowment.memory == 1 << m
+            assert state.tables.shape == (2 << m, 2, 3)
             assert run(cfg, 40).history.max() < 1 << m
 
     @given(bits=st.integers(min_value=0, max_value=2**16 - 1))
@@ -107,53 +107,53 @@ class TestUpdateHistory:
 
 class TestDrawStrategies:
     def test_table_count(self):
-        e = draw_strategies(game_rng(0), 2, 2, 2, 2)
-        assert e.actions.shape == (2, 2, 2, 4)
-        assert e.link_mask.sum() * e.n_strategies == 8
+        tables = draw_strategies(game_rng(0), 2, 2, 2, 2)
+        assert tables.shape == (2 * 4, 2, 2)
+        assert np.count_nonzero(tables) == 8 * 4  # 8 tables of 4 actions
 
     def test_determinism(self):
         a = draw_strategies(game_rng(42), 3, 2, 2, 3)
         b = draw_strategies(game_rng(42), 3, 2, 2, 3)
-        assert np.array_equal(a.actions, b.actions)
+        assert np.array_equal(a, b)
 
     def test_values_are_actions(self):
-        e = draw_strategies(game_rng(7), 5, 2, 2, 4)
-        assert set(np.unique(e.actions)) <= {-1, 1}
+        tables = draw_strategies(game_rng(7), 5, 2, 2, 4)
+        assert set(np.unique(tables)) <= {-1, 1}
 
     def test_link_mask_zeroes_unlinked(self):
         mask = np.array([[True, False], [True, True], [True, False]])
-        e = draw_strategies(game_rng(3), 3, 2, 2, 3, link_mask=mask)
-        assert e.link_mask.sum() * e.n_strategies == 8
-        assert np.all(e.actions[0, 1] == 0)
-        assert np.all(e.actions[2, 1] == 0)
-        assert set(np.unique(e.actions[1])) <= {-1, 1}
+        tables = draw_strategies(game_rng(3), 3, 2, 2, 3, link_mask=mask)
+        assert np.count_nonzero(tables) == 8 * 8  # 8 tables of 8 actions
+        assert np.all(tables[1 << 3:, :, 0] == 0)
+        assert np.all(tables[1 << 3:, :, 2] == 0)
+        assert set(np.unique(tables[:, :, 1])) <= {-1, 1}
 
     def test_uniform_over_tables(self):
         # N=K=s=1, m=1: four possible 2-bit tables, each expected 1/4 of seeds.
         scipy_stats = pytest.importorskip("scipy.stats")
         counts = np.zeros(4, dtype=int)
         for seed in range(10_000):
-            e = draw_strategies(game_rng(seed), 1, 1, 1, 1)
-            bits = (e.actions[0, 0, 0] + 1) // 2
+            tables = draw_strategies(game_rng(seed), 1, 1, 1, 1)
+            bits = (tables[:, 0, 0] + 1) // 2
             counts[bits[0] * 2 + bits[1]] += 1
         res = scipy_stats.chisquare(counts)
         assert res.pvalue > 1e-4, f"counts {counts} too far from uniform"
 
     def test_good_strategy_fraction(self):
         # P(at least one of s tables says a0 at h0) = 1 - 1/2**s = 0.75 for s=2.
-        e = draw_strategies(game_rng(11), 4000, 1, 2, 5)
-        frac = np.mean(np.any(e.actions[:, 0, :, 7] == 1, axis=1))
+        tables = draw_strategies(game_rng(11), 4000, 1, 2, 5)
+        frac = np.mean(np.any(tables[(0 << 5) + 7] == 1, axis=0))
         assert abs(frac - 0.75) < 0.03
 
     def test_table_view_matches_engine_layout(self):
         # step reads agent n's slot-i action on market k at history mu
-        # from endowment.actions[n, k, i, mu]
+        # from tables[k * 2**m + mu, i, n]
         state = init_game(GameConfig(n_agents=2, seed=5, memory=3, tie_break="lowest-index"))
-        assert state.tables is state.endowment.actions
-        assert state.tables.shape == (2, 2, 2, 8)
+        assert state.tables.shape == (2 * 8, 2, 2)
         state.utilities[0] = [[0.0, 0.0], [1.0, 0.0]]  # market 1, slot 0
         state.utilities[1] = [[0.0, 1.0], [0.0, 0.0]]  # market 0, slot 1
         mu = state.histories.copy()
         rec = one_tick(state)
         assert rec.occupancy.tolist() == [1, 1]
-        assert rec.demand.tolist() == [state.tables[1, 0, 1, mu[0]], state.tables[0, 1, 0, mu[1]]]
+        assert rec.demand.tolist() == [state.tables[(0 << 3) + mu[0], 1, 1],
+                                       state.tables[(1 << 3) + mu[1], 0, 0]]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time ``engine.step`` in process: microseconds per tick on fixed games.
+"""Time ``engine.step`` and ``init_game`` in process on fixed games.
 
 Every game has m=5 and s=2 unless named otherwise; each is played under
 both tie rules. A run draws the game with ``init_game(cfg, ticks)``, as
@@ -31,8 +31,9 @@ of 5 runs. The games:
 - N11K5: regular, 5 markets, coin rule (at most four balanced markets a
   tick, so each coin is one scalar call).
 
-Prints one JSON line, game/tie-rule -> microseconds per tick. Runs in
-10-20 s:
+Prints one JSON line, game/tie-rule -> microseconds per tick, and
+game/init -> ``init_game``'s median microseconds (``us``) and the peak bytes
+tracemalloc traces while it runs, in KiB (``peak_kib``). Runs in 10-20 s:
 
     PYTHONPATH=src python3 scripts/tickbench.py
 
@@ -42,7 +43,10 @@ under ``DIR/src`` (say, a checkout of the parent commit) in one process:
 both play each game side by side, alternated in blocks of ticks (which side
 goes first alternates too), and the line maps game/tie-rule to the parent's
 and this version's median microseconds per tick and the number of blocks
-this version was faster in. Both must write the same records, or it stops:
+this version was faster in. Each game/init maps to both versions' median
+``init_game`` microseconds over ``BLOCKS`` alternated calls, the calls this
+version was faster in, and both traced peaks (``parent_peak_kib``,
+``change_peak_kib``). Both must write the same records, or it stops:
 
     PYTHONPATH=src python3 scripts/tickbench.py --parent ../parent
 """
@@ -53,6 +57,7 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -108,12 +113,32 @@ def us_per_tick(cfg, ticks):
     return (time.perf_counter() - start) / ticks * 1e6
 
 
+def init_us(init, cfg, ticks):
+    """Microseconds of one ``init(cfg, ticks)``."""
+    start = time.perf_counter()
+    init(cfg, ticks)
+    return (time.perf_counter() - start) * 1e6
+
+
+def init_peak_kib(init, cfg, ticks):
+    """Peak KiB that tracemalloc traces during one ``init(cfg, ticks)``."""
+    tracemalloc.start()
+    try:
+        init(cfg, ticks)
+        return round(tracemalloc.get_traced_memory()[1] / 1024, 1)
+    finally:
+        tracemalloc.stop()
+
+
 def medians():
     result = {}
     for name, cfg, ticks in games():
         for tie in ("random", "lowest-index"):
             times = [us_per_tick(replace(cfg, tie_break=tie), ticks) for _ in range(RUNS)]
             result[f"{name}/{tie}"] = round(statistics.median(times), 1)
+        times = [init_us(init_game, cfg, ticks) for _ in range(RUNS)]
+        result[f"{name}/init"] = {"us": round(statistics.median(times), 1),
+                                  "peak_kib": init_peak_kib(init_game, cfg, ticks)}
     return result
 
 
@@ -128,6 +153,14 @@ def import_parent(root):
     return module
 
 
+def own_config(pkg, cfg):
+    """``cfg`` built from ``pkg``'s own config classes, so each version
+    validates with its own code."""
+    kw = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    kw["topology"] = pkg.MarketTopology(cfg.topology.kind, cfg.topology.n1, cfg.topology.n2)
+    return pkg.GameConfig(**kw)
+
+
 def side_by_side(parent, cfg, ticks):
     """Play ``cfg`` on ``parent`` and on this ``mmg`` in ``BLOCKS`` alternated
     blocks of ``ticks // RUNS`` ticks; return the per-tick microseconds of
@@ -136,11 +169,7 @@ def side_by_side(parent, cfg, ticks):
     total = BLOCKS * block
     sides = []
     for pkg in (parent, mmg):
-        # each package's own config classes, so each validates with its own code
-        kw = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-        kw["topology"] = pkg.MarketTopology(cfg.topology.kind, cfg.topology.n1, cfg.topology.n2)
-        own = pkg.GameConfig(**kw)
-        state = pkg.init_game(own, total)
+        state = pkg.init_game(own_config(pkg, cfg), total)
         sides.append((pkg.step, state, pkg.RunRecords.empty(total, cfg.n_markets, cfg.memory)))
     times = ([], [])
     for b in range(BLOCKS):
@@ -156,17 +185,28 @@ def side_by_side(parent, cfg, ticks):
     return times
 
 
+def compared(old, new):
+    return {
+        "parent": round(statistics.median(old), 1),
+        "change": round(statistics.median(new), 1),
+        "wins": f"{sum(b < a for a, b in zip(old, new))}/{BLOCKS}",
+    }
+
+
 def against_parent(root):
     parent = import_parent(root)
     result = {}
     for name, cfg, ticks in games():
         for tie in ("random", "lowest-index"):
-            old, new = side_by_side(parent, replace(cfg, tie_break=tie), ticks)
-            result[f"{name}/{tie}"] = {
-                "parent": round(statistics.median(old), 1),
-                "change": round(statistics.median(new), 1),
-                "wins": f"{sum(b < a for a, b in zip(old, new))}/{BLOCKS}",
-            }
+            result[f"{name}/{tie}"] = compared(*side_by_side(parent, replace(cfg, tie_break=tie), ticks))
+        sides = [(pkg.init_game, own_config(pkg, cfg)) for pkg in (parent, mmg)]
+        times = ([], [])
+        for b in range(BLOCKS):
+            for side in ((0, 1) if b % 2 == 0 else (1, 0)):
+                times[side].append(init_us(*sides[side], ticks))
+        result[f"{name}/init"] = compared(*times)
+        for label, side in zip(("parent", "change"), sides):
+            result[f"{name}/init"][f"{label}_peak_kib"] = init_peak_kib(*side, ticks)
     return result
 
 

@@ -30,6 +30,9 @@ MAX_MEMORY = 24  # keeps 2**m indexable in a machine word with headroom
 # Largest strategy-table array a game may ask for: N*K*s*2**m int8 bytes.
 # The scores, unlinked entries included, add 4*N*K*s bytes in a game with
 # int32 scores and 8*N*K*s in the rest: at most four times the tables, at m=1.
+# ``init_game`` draws the tables and uniform initial utilities in place, one
+# chunk of agents at a time, so it holds the arrays the game keeps plus one
+# chunk (``strategies._CHUNK_BYTES``), never a second copy of the tables.
 # A run's records, 8*T*(4K+3) bytes, are held to the same budget.
 MAX_TABLE_BYTES = 1 << 30
 

@@ -72,7 +72,7 @@ import numpy as np
 
 from .config import GameConfig
 from .rng import game_rng
-from .strategies import draw_strategies
+from .strategies import agent_chunks, draw_strategies
 
 __all__ = [
     "RunRecords",
@@ -224,18 +224,18 @@ class GameState:
 
     def __post_init__(self) -> None:
         cfg = self.config
-        link_mask = cfg.topology.link_mask(cfg.n_agents, cfg.n_markets)
-        self.choice_mask = np.repeat(link_mask, cfg.n_strategies, axis=1)
+        n = cfg.n_agents
+        self.choice_mask = np.repeat(cfg.topology.link_mask(n, cfg.n_markets),
+                                     cfg.n_strategies, axis=1)
         rows = self.choice_mask.shape[1]
         unlinked = UNLINKED_SCORE if self.scores.dtype == np.int32 else -np.inf
         self.scores[~self.choice_mask.T] = unlinked
         self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
         self.rows = rows - self.weights
-        self.agents = np.arange(len(link_mask))
+        self.agents = np.arange(n)
         self.market_rows = np.arange(cfg.n_markets) << cfg.memory
         doublings = (rows - 1).bit_length()
-        self.count_ties = max(SCALAR_DRAWS + 1,
-                              doublings * max(COUNT_TIES, len(link_mask) // COUNT_SHARE))
+        self.count_ties = max(SCALAR_DRAWS + 1, doublings * max(COUNT_TIES, n // COUNT_SHARE))
 
     @property
     def utilities(self) -> np.ndarray:
@@ -258,6 +258,10 @@ def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
 
     Given the number of ticks to be played, an integral game gets int32
     scores (see ``UNLINKED_SCORE``); without it, the scores are float64.
+    Tables and uniform initial utilities are drawn in place, one chunk of
+    agents at a time (``mmg.strategies.agent_chunks``), every table chunk
+    before the first utility chunk; so init holds the arrays the game keeps
+    plus one chunk, and reads the random stream as one call per draw would.
     """
     cfg.validate()
     rng = game_rng(cfg.seed)
@@ -265,16 +269,14 @@ def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
     link_mask = cfg.topology.link_mask(n, k_markets)
     tables = draw_strategies(rng, n, k_markets, s, cfg.memory, link_mask)
     scores = np.zeros((k_markets * s, n), dtype=_score_dtype(cfg, ticks))
-    uniform = None
     if cfg.init_utilities == "uniform":
-        uniform = rng.uniform(cfg.u_low, cfg.u_high, size=(int(link_mask.sum()), s))
+        # (N, K, s) view of the scores; uniform reads one 64-bit word a value
+        utilities = scores.reshape(k_markets, s, n).transpose(2, 0, 1)
+        for agents, mask in agent_chunks(link_mask, 8 * s):
+            pairs = int(np.count_nonzero(mask))
+            utilities[agents][mask] = rng.uniform(cfg.u_low, cfg.u_high, size=(pairs, s))
     histories = rng.integers(0, 1 << cfg.memory, size=k_markets, dtype=np.int64)
-    state = GameState(
-        config=cfg, rng=rng, tables=tables, scores=scores, histories=histories
-    )
-    if uniform is not None:
-        state.utilities[link_mask] = uniform
-    return state
+    return GameState(config=cfg, rng=rng, tables=tables, scores=scores, histories=histories)
 
 
 def _gain(demand: np.ndarray, cfg: GameConfig, dtype: type = np.float64) -> np.ndarray:

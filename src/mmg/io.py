@@ -202,29 +202,48 @@ def format_number(x) -> str:
     return f"{value:.17g}"
 
 
-_CSV_ROW = ",".join(["{}"] * 7).format
+_CSV_ROW = (",".join(["{}"] * 7) + "\n").format
 _JSONL_KEYS = ("t", "O", "A", "astar", "mu", "C")
 _FIELDS = ("t", "occupancy", "demand", "minority", "history", "n_switched")
 
+# Ticks rendered at a time: besides the records and the text, rendering
+# holds the Python rows of one chunk of ticks.
+_RENDER_TICKS = 1 << 12
+
+
+def _csv_lines(records: RunRecords, ticks: slice) -> str:
+    k_markets = records.n_markets
+    t = records.t[ticks]
+    rows = np.column_stack([
+        np.repeat(t, k_markets), np.tile(np.arange(k_markets), len(t)),
+        records.occupancy[ticks].ravel(), records.demand[ticks].ravel(),
+        records.minority[ticks].ravel(), records.history[ticks].ravel(),
+        np.repeat(records.n_switched[ticks], k_markets),
+    ]).tolist()
+    return "".join([_CSV_ROW(*row) for row in rows])
+
+
+def _jsonl_lines(records: RunRecords, ticks: slice) -> str:
+    # the text json.dumps(..., separators=(",", ":")) gives each tick's object
+    arrays = "".join(f',"{key}":[' + ",".join(["{}"] * records.n_markets) + "]"
+                     for key in _JSONL_KEYS[1:5])
+    line = ('{{"t":{}' + arrays + ',"C":{}}}\n').format
+    rows = np.column_stack([getattr(records, name)[ticks] for name in _FIELDS]).tolist()
+    return "".join([line(*row) for row in rows])
+
+
+# format -> (text before the first record, renderer of a slice of ticks)
+_RENDERERS = {"csv": (CSV_HEADER + "\n", _csv_lines), "jsonl": ("", _jsonl_lines)}
+
 
 def render_records(records: RunRecords, fmt: str = "csv") -> str:
-    """Serialize records to one deterministic string."""
-    n_ticks, k_markets = records.n_ticks, records.n_markets
-    if fmt == "csv":
-        rows = np.column_stack([
-            np.repeat(records.t, k_markets), np.tile(np.arange(k_markets), n_ticks),
-            records.occupancy.ravel(), records.demand.ravel(), records.minority.ravel(),
-            records.history.ravel(), np.repeat(records.n_switched, k_markets),
-        ]).tolist()
-        return "\n".join([CSV_HEADER] + [_CSV_ROW(*row) for row in rows]) + "\n"
-    if fmt == "jsonl":
-        # the text json.dumps(..., separators=(",", ":")) gives each tick's object
-        arrays = "".join(f',"{key}":[' + ",".join(["{}"] * k_markets) + "]"
-                         for key in _JSONL_KEYS[1:5])
-        line = ('{{"t":{}' + arrays + ',"C":{}}}\n').format
-        rows = np.column_stack([getattr(records, name) for name in _FIELDS]).tolist()
-        return "".join([line(*row) for row in rows])
-    raise ValueError(f"unknown record format {fmt!r}")
+    """Serialize records to one deterministic string, built one chunk of
+    ``_RENDER_TICKS`` ticks at a time and joined once."""
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown record format {fmt!r}")
+    head, lines = _RENDERERS[fmt]
+    return "".join([head] + [lines(records, slice(start, start + _RENDER_TICKS))
+                             for start in range(0, records.n_ticks, _RENDER_TICKS)])
 
 
 def parse_records(text: str, fmt: str = "csv", *, memory: int) -> RunRecords:

@@ -12,13 +12,35 @@ A game's tables live in one contiguous int8 array of shape
 agent's s slots on market k at history mu, one ``(s, N)`` block, which is
 what the engine reads each tick. Agent n's slot-i action there is
 ``tables[k * 2**m + mu, i, n]``.
+
+The draw writes the tables in place, one chunk of whole agents at a time
+(``agent_chunks``), so it holds the tables plus one chunk, never a
+second array the size of the tables. The chunks read the random stream
+exactly as one call over the whole game would.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 __all__ = ["draw_strategies"]
+
+# Most bytes one chunk of an in-place draw holds: its drawn values and the
+# two intp indices per linked (agent, market) pair that scatter them. A
+# chunk holds at least one agent.
+_CHUNK_BYTES = 1 << 18
+
+
+def agent_chunks(link_mask: np.ndarray, pair_bytes: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Runs of whole agents, in agent order, with each run's rows of
+    ``link_mask``: at most ``_CHUNK_BYTES`` a run, counting ``pair_bytes``
+    of values and 16 bytes of index per linked pair."""
+    n_agents, n_markets = link_mask.shape
+    step = max(_CHUNK_BYTES // (n_markets * (pair_bytes + 16)), 1)
+    for start in range(0, n_agents, step):
+        yield slice(start, start + step), link_mask[start:start + step]
 
 
 def draw_strategies(
@@ -35,8 +57,14 @@ def draw_strategies(
     (agent, market) pairs are zero and never consulted. Bits are consumed
     agent-major, then market, then slot, then history index, and only for
     linked (agent, market) pairs, so a seed pins the tables bit for bit.
-    The storage order does not change the draw order: the bits are
-    scattered through an agent-major view of the tables.
+    The storage order does not change the draw order: each chunk of agents
+    is scattered through an agent-major view of the tables.
+
+    NumPy's int8 draw takes four values from each 32-bit word and drops the
+    unused bytes of a call's last word. So each chunk draws its values
+    rounded up to a multiple of four, and the 0-3 values past its own carry
+    over to the next chunk: the chunks read the same words as one call over
+    the whole game, and leave the generator in the same state.
     """
     if min(n_agents, n_markets, n_strategies, memory) < 1:
         raise ValueError("n_agents, n_markets, n_strategies and memory must be >= 1")
@@ -46,10 +74,18 @@ def draw_strategies(
     link_mask = np.asarray(link_mask, dtype=bool)
     if link_mask.shape != (n_agents, n_markets):
         raise ValueError("link_mask shape does not match (n_agents, n_markets)")
-    n_linked = int(link_mask.sum())
-    bits = rng.integers(0, 2, size=(n_linked, n_strategies, P), dtype=np.int8)
     tables = np.zeros((n_markets * P, n_strategies, n_agents), dtype=np.int8)
     # (N, K, s, 2**m) view: agent, market, slot, history
     agent_first = tables.reshape(n_markets, P, n_strategies, n_agents).transpose(3, 0, 2, 1)
-    agent_first[link_mask] = 2 * bits - 1
+    carry = np.empty(0, dtype=np.int8)
+    for agents, mask in agent_chunks(link_mask, n_strategies * P):
+        pairs = int(np.count_nonzero(mask))
+        need = pairs * n_strategies * P
+        bits = rng.integers(0, 2, size=(need - len(carry) + 3) // 4 * 4, dtype=np.int8)
+        if len(carry):
+            bits = np.concatenate([carry, bits])
+        bits, carry = bits[:need], bits[need:]
+        bits *= 2
+        bits -= 1
+        agent_first[agents][mask] = bits.reshape(pairs, n_strategies, P)
     return tables

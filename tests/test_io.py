@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, run
+from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, io, run
 from mmg.config import CONFIG_KEYS, MAX_TABLE_BYTES
 from mmg.io import (
     RunManifest,
@@ -286,6 +287,72 @@ class TestRecordFormats:
         back = parse_records(text, fmt, memory=cfg.memory)
         assert back.n_tied is None
         assert render_records(back, fmt) == text
+
+
+def one_shot_render(records, fmt):
+    """The records' text built from one row list over the whole run: the
+    bytes that rendering chunk by chunk reproduces."""
+    n_ticks, k_markets = records.n_ticks, records.n_markets
+    if fmt == "csv":
+        rows = np.column_stack([
+            np.repeat(records.t, k_markets), np.tile(np.arange(k_markets), n_ticks),
+            records.occupancy.ravel(), records.demand.ravel(), records.minority.ravel(),
+            records.history.ravel(), np.repeat(records.n_switched, k_markets),
+        ]).tolist()
+        return "\n".join(["t,k,O,A,astar,mu,C"] + [",".join(map(str, row)) for row in rows]) + "\n"
+    fields = ("t", "occupancy", "demand", "minority", "history", "n_switched")
+    keys = ("t", "O", "A", "astar", "mu", "C")
+    ticks = zip(*(getattr(records, name).tolist() for name in fields))
+    return "".join(json.dumps(dict(zip(keys, tick)), separators=(",", ":")) + "\n" for tick in ticks)
+
+
+def wide_records(ticks, k_markets, seed=0):
+    """Records of ``ticks`` ticks holding multi-digit values of either sign."""
+    draw = np.random.default_rng(seed).integers
+    return RunRecords(5, np.arange(ticks), *(draw(-5000, 5000, (ticks, k_markets)) for _ in range(4)),
+                      draw(0, 5000, ticks))
+
+
+def head(records, ticks):
+    """The first ``ticks`` ticks of ``records``."""
+    return RunRecords(records.memory, *(getattr(records, name)[:ticks] for name in
+                                        ("t", "occupancy", "demand", "minority", "history",
+                                         "n_switched")))
+
+
+class TestChunkedRender:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_chunk_edges_match_one_shot(self, fmt):
+        chunk = io._RENDER_TICKS
+        game = run(GameConfig(n_agents=5, seed=3, memory=2), chunk + 1)
+        for ticks in (chunk - 1, chunk, chunk + 1):
+            rec = head(game, ticks)
+            assert render_records(rec, fmt) == one_shot_render(rec, fmt), ticks
+
+    @pytest.mark.parametrize("k_markets", [1, 3])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_many_small_chunks_match_one_shot(self, monkeypatch, fmt, k_markets):
+        monkeypatch.setattr(io, "_RENDER_TICKS", 3)
+        rec = wide_records(11, k_markets)
+        for ticks in range(12):
+            assert render_records(head(rec, ticks), fmt) == one_shot_render(head(rec, ticks), fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_peak_is_text_twice_plus_one_chunk(self, fmt):
+        # the chunks' texts and their join, plus what one chunk of ticks
+        # takes to render; one row list over the run takes 4-6x the records
+        def peak(rec):
+            tracemalloc.start()
+            try:
+                text = render_records(rec, fmt)
+                return len(text), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rec = wide_records(8 * io._RENDER_TICKS, 2)
+        _, one_chunk = peak(head(rec, io._RENDER_TICKS))
+        size, whole = peak(rec)
+        assert whole <= 2 * size + one_chunk
 
 
 class TestParseLayout:

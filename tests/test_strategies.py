@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import one_tick
-from mmg import GameConfig, draw_strategies, game_rng, init_game, run
+from mmg import GameConfig, MarketTopology, draw_strategies, game_rng, init_game, run, strategies
 
 
 def table_from_bits(bits, m):
@@ -157,3 +159,121 @@ class TestDrawStrategies:
         assert rec.occupancy.tolist() == [1, 1]
         assert rec.demand.tolist() == [state.tables[(0 << 3) + mu[0], 1, 1],
                                        state.tables[(1 << 3) + mu[1], 0, 0]]
+
+
+def one_call_draw(rng, n_agents, n_markets, n_strategies, memory, link_mask):
+    """Every table bit of a game from one ``integers`` call: the draw whose
+    tables and generator state the chunked draw reproduces."""
+    P = 1 << memory
+    bits = rng.integers(0, 2, size=(int(link_mask.sum()), n_strategies, P), dtype=np.int8)
+    tables = np.zeros((n_markets * P, n_strategies, n_agents), dtype=np.int8)
+    agent_first = tables.reshape(n_markets, P, n_strategies, n_agents).transpose(3, 0, 2, 1)
+    agent_first[link_mask] = 2 * bits - 1
+    return tables
+
+
+def one_call_init(cfg):
+    """Tables, (N, K, s) utilities, histories and generator state of a game
+    from uniform initial utilities, each draw one call over the whole game."""
+    n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
+    rng = game_rng(cfg.seed)
+    link_mask = cfg.topology.link_mask(n, k_markets)
+    tables = one_call_draw(rng, n, k_markets, s, cfg.memory, link_mask)
+    utilities = np.full((n, k_markets, s), -np.inf)
+    utilities[link_mask] = rng.uniform(cfg.u_low, cfg.u_high, size=(int(link_mask.sum()), s))
+    histories = rng.integers(0, 1 << cfg.memory, size=k_markets, dtype=np.int64)
+    return tables, utilities, histories, rng.bit_generator.state
+
+
+# (N, K, topology): regular at K = 1, 2, 3 with odd and even N, and the
+# irregular topology with odd and even n1
+GRID_GAMES = [(n, k, MarketTopology.regular()) for n in (5, 6) for k in (1, 2, 3)] + [
+    (n1 + n2, 2, MarketTopology.irregular(n1, n2)) for n1, n2 in ((5, 3), (4, 3), (1, 6), (6, 1))
+]
+
+# 1 is the smallest chunk (one agent each); 160 bytes puts a few agents in
+# each, so a chunk of an odd count of m=1, odd-s pairs carries values over
+CHUNKS = [1, 160]
+
+
+class TestChunkedDraw:
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_tables_and_stream_match_one_call(self, monkeypatch, m, s, chunk):
+        monkeypatch.setattr(strategies, "_CHUNK_BYTES", chunk)
+        for n, k_markets, topology in GRID_GAMES:
+            link_mask = topology.link_mask(n, k_markets)
+            seed = n * 100 + k_markets * 10 + m
+            want_rng, rng = game_rng(seed), game_rng(seed)
+            want = one_call_draw(want_rng, n, k_markets, s, m, link_mask)
+            got = draw_strategies(rng, n, k_markets, s, m, link_mask)
+            assert np.array_equal(got, want), (n, k_markets, topology)
+            assert rng.bit_generator.state == want_rng.bit_generator.state, (n, k_markets, topology)
+
+    def test_default_chunks_match_one_call(self):
+        # the big_run game's 1.26 MiB of tables span several default chunks
+        n, link_mask = 10301, MarketTopology.irregular(10000, 301).link_mask(10301, 2)
+        want_rng, rng = game_rng(3), game_rng(3)
+        want = one_call_draw(want_rng, n, 2, 2, 5, link_mask)
+        assert want.nbytes > 4 * strategies._CHUNK_BYTES
+        assert np.array_equal(draw_strategies(rng, n, 2, 2, 5, link_mask), want)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_uniform_utilities_match_one_call(self, monkeypatch, m, s, chunk):
+        monkeypatch.setattr(strategies, "_CHUNK_BYTES", chunk)
+        for n, k_markets, topology in GRID_GAMES:
+            cfg = GameConfig(n_agents=n, seed=n + m, n_markets=k_markets, n_strategies=s,
+                             memory=m, topology=topology, init_utilities="uniform",
+                             u_low=-2.0, u_high=3.0)
+            tables, utilities, histories, rng_state = one_call_init(cfg)
+            state = init_game(cfg, 10)
+            assert np.array_equal(state.tables, tables), cfg
+            assert np.array_equal(state.utilities, utilities), cfg
+            assert np.array_equal(state.histories, histories), cfg
+            assert state.rng.bit_generator.state == rng_state, cfg
+
+
+def traced_overhead(fn):
+    """Peak traced bytes while ``fn()`` runs, less the bytes still held when
+    it returns (its result among them)."""
+    tracemalloc.start()
+    try:
+        result = fn()  # noqa: F841 -- held until the bytes are read
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - live
+
+
+# the big_run game, and an m=1, s=1 irregular one with odd n1, whose tables
+# are 4 bytes an agent: an index array over all its linked pairs (16 bytes
+# a pair) would be four times them
+BIG_GAMES = {
+    "big_run": dict(n_agents=10301, topology=MarketTopology.irregular(10000, 301)),
+    "m1s1": dict(n_agents=100001, memory=1, n_strategies=1,
+                 topology=MarketTopology.irregular(99001, 1000)),
+}
+# Python objects and the game's few per-market arrays
+SLACK = 16 << 10
+
+
+class TestInitMemory:
+    @pytest.mark.parametrize("name", BIG_GAMES)
+    def test_draw_holds_tables_plus_one_chunk(self, name):
+        cfg = GameConfig(seed=1, **BIG_GAMES[name])
+        link_mask = cfg.topology.link_mask(cfg.n_agents, 2)
+        over = traced_overhead(lambda: draw_strategies(
+            game_rng(1), cfg.n_agents, 2, cfg.n_strategies, cfg.memory, link_mask))
+        assert over <= strategies._CHUNK_BYTES + SLACK
+
+    @pytest.mark.parametrize("init_utilities", ["zero", "uniform"])
+    @pytest.mark.parametrize("name", BIG_GAMES)
+    def test_init_game_holds_kept_arrays_plus_one_chunk(self, name, init_utilities):
+        # besides one chunk, init holds the (N, K) link mask it draws with
+        cfg = GameConfig(seed=1, init_utilities=init_utilities, **BIG_GAMES[name])
+        over = traced_overhead(lambda: init_game(cfg, 300))
+        assert over <= strategies._CHUNK_BYTES + cfg.n_agents * cfg.n_markets + SLACK

@@ -197,15 +197,19 @@ class GameState:
     ``tables`` and ``scores`` are plain arrays with the agent axis last (see
     ``mmg.strategies`` and the module docstring); ``utilities`` is the
     read-only ``(N, K, s)`` view of ``scores``, whose items write into
-    ``scores``. A deep copy or an unpickled state owns copies of both. The
-    fields after ``t`` are derived once from the config; ``step`` reads all
-    of them but ``choice_mask`` every tick, except that a game with fewer
+    ``scores``; no module of ``mmg`` reads it (``experiments`` traces fig6
+    from ``scores``). A deep copy or an unpickled state owns copies of both.
+    The fields after ``t`` are derived once from the config; ``step`` reads
+    all of them but ``choice_mask`` every tick, except that a game with fewer
     than ``ARGMAX_AGENTS`` agents reads neither ``weights``, ``rows`` nor
     ``count_ties``. ``step`` writes the next histories into ``histories`` in
     place. ``__post_init__`` writes the unlinked entries of ``scores``:
     ``UNLINKED_SCORE`` in int32 scores and -inf in float64 ones. A write
     through ``utilities`` must leave them so, or an agent may pick a
-    strategy on a market it is not linked to.
+    strategy on a market it is not linked to. Besides the tables and the
+    scores, a game keeps ``choice_mask`` (N*K*s bytes), ``agents`` (8*N)
+    and ``last_market`` (8*N, or N on the one-hot side of ``step``); see
+    ``config.MAX_TABLE_BYTES`` for what that adds up to.
     """
 
     config: GameConfig

@@ -13,10 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, GameConfig, MarketTopology
-from .engine import RunRecords, _gain, init_game, run
+from .engine import RunRecords, init_game, run, step
 from .metrics import (
     DEFAULT_THETA,
-    _large_fluctuations,
     CriticalFluctuation,
     SeriesStats,
     big_small_markets,
@@ -209,6 +208,8 @@ def sweep_row(
 def q_sweep(spec: SweepSpec) -> Table:
     """Ensemble at every swept value, one ``sweep_row`` each, rows ordered
     by Q. The value column is ``N``, or ``N1`` for an n1 sweep."""
+    if not spec.values:
+        raise ConfigError("values: a sweep needs at least one value")
     value_col = "N" if spec.param == "N" else "N1"
     rows = []
     for value, cfg in spec.configs():
@@ -239,85 +240,81 @@ def estimate_critical_q(table: Table, low: float = 0.25, high: float = 0.75) -> 
 
 # --- figure datasets -------------------------------------------------------
 
-FIGURE_NAMES = (
-    "fig3", "fig4", "fig5", "fig6", "fig6_0", "fig6_1", "fig7", "fig8", "fig010",
-)
-#: Overrides a figure reads besides ``seed``, ``ticks`` and ``values``.
-_FIGURE_OVERRIDES = {
-    "fig6": ("theta",),
-    "fig6_1": ("n_seeds", "theta"),
-    "fig7": ("n_seeds", "theta"),
-    "fig8": ("n_seeds", "theta", "n2"),
+#: Overrides each figure reads besides ``seed``, with their defaults. A
+#: figure whose default ``values`` holds one population plays one game.
+_FIGURES = {
+    "fig3": dict(ticks=5000, values=(11, 253, 1447)),
+    "fig4": dict(ticks=5000, values=(11, 253, 1447)),
+    "fig5": dict(ticks=300, values=(1600,)),
+    "fig6": dict(ticks=300, values=(1600,), theta=DEFAULT_THETA),
+    "fig6_0": dict(ticks=5000, values=(1447, 11)),
+    "fig6_1": dict(ticks=5000, values=(253, 362, 512, 724, 1024, 1447, 2048), n_seeds=10,
+                   theta=DEFAULT_THETA),
+    "fig7": dict(ticks=5000, values=(11, 64, 128, 256, 512, 1024, 1447), n_seeds=10,
+                 theta=DEFAULT_THETA),
+    "fig8": dict(ticks=5000, values=(301, 1000, 3000, 10000), n_seeds=10, theta=DEFAULT_THETA,
+                 n2=301),
+    "fig010": dict(ticks=5000, values=(3001,)),
 }
+FIGURE_NAMES = tuple(_FIGURES)
 
 
-def _series_table(cfgs: list[GameConfig], ticks: int, col: str) -> Table:
-    ns, ts, out = [], [], {f"{col}{k + 1}": [] for k in range(cfgs[0].n_markets)}
+def _records_table(cfgs: list[GameConfig], ticks: int, names: tuple[str, ...]) -> Table:
+    """The ``names`` columns of one run per config, stacked in config order:
+    ``N`` (the run's population), ``t``, ``O{k}`` and ``A{k}`` (occupancy
+    and demand of market k) and ``C`` (switch count)."""
+    runs = []
     for cfg in cfgs:
-        rec = run(cfg, ticks)
-        data = rec.occupancy if col == "O" else rec.demand
-        ns.append(np.full(ticks, cfg.n_agents))
-        ts.append(rec.t)
+        rec = run(cfg, ticks)  # refuses a bad T before the N column is built
+        columns = {"N": np.full(ticks, cfg.n_agents), "t": rec.t, "C": rec.n_switched}
         for k in range(cfg.n_markets):
-            out[f"{col}{k + 1}"].append(data[:, k])
-    table: Table = {"N": np.concatenate(ns), "t": np.concatenate(ts)}
-    for key, chunks in out.items():
-        table[key] = np.concatenate(chunks)
-    return table
-
-
-def _fig5_table(cfg: GameConfig, ticks: int) -> Table:
-    rec = run(cfg, ticks)
-    return {
-        "t": rec.t,
-        "O1": rec.occupancy[:, 0],
-        "O2": rec.occupancy[:, 1],
-        "A1": rec.demand[:, 0],
-        "A2": rec.demand[:, 1],
-        "C": rec.n_switched,
-    }
+            columns[f"O{k + 1}"] = rec.occupancy[:, k]
+            columns[f"A{k + 1}"] = rec.demand[:, k]
+        runs.append([columns[name] for name in names])
+    return {name: np.concatenate(chunks) for name, chunks in zip(names, zip(*runs))}
 
 
 def _fig6_table(cfg: GameConfig, ticks: int, theta: float) -> Table:
     """Utility traces of three agents picked by how many of their two
     strategies on the first fluctuating market won at the fluctuation tick
-    (2, 1, 0); lowest agent index represents each class. Needs s = 2."""
+    (2, 1, 0); lowest agent index represents each class. The first is the
+    earliest fluctuation, on the lowest market of equals. The traces replay
+    the game through ``step``. Needs s = 2."""
     if cfg.n_strategies != 2:
         raise ConfigError(f"s: fig6 classes agents by 2, 1 or 0 good strategies of two, "
                           f"so it needs s = 2, got {cfg.n_strategies}")
     records = run(cfg, ticks)
-    state = init_game(cfg)  # the run's tables and initial utilities
-    large = _large_fluctuations(records.occupancy, records.demand, theta)
-    if not large.any():
+    firsts = [detect_critical_history(records, k, theta) for k in range(cfg.n_markets)]
+    crit = min(filter(None, firsts), key=lambda crit: crit.first_tick, default=None)
+    if crit is None:
         raise RuntimeError(
             "no large fluctuation within the run; lengthen it or change the seed"
         )
-    t1, k_star = np.unravel_index(np.argmax(large), large.shape)  # first tick, lowest market
-    winner = records.minority[t1, k_star]
-    block = state.tables[state.market_rows[k_star] + records.history[t1, k_star]]  # (s, N)
-    n_good = (block == winner).sum(axis=0)
+    # float64 scores, as ``run``'s may not be: -inf in the unlinked entries
+    state = init_game(cfg)
+    winner = records.minority[crit.first_tick, crit.market]
+    n_good = (state.tables[state.market_rows[crit.market] + crit.history] == winner).sum(axis=0)
     picks = [
         (klass, int(np.flatnonzero(n_good == count)[0]))
         for count, klass in ((2, "both-good"), (1, "one-good"), (0, "none-good"))
         if (n_good == count).any()
     ]
 
-    # replay the utilities step applies: U(t+1) = U(t) - a(mu_t) * g(A_t)
-    _, k_markets, s = state.utilities.shape
-    gain = _gain(records.demand, cfg)[:, :, None]
-    traces = []
-    for _, agent in picks:
-        steps = -state.tables[state.market_rows + records.history, :, agent] * gain
-        utilities = np.cumsum(np.concatenate([state.utilities[agent][None], steps]), axis=0)
-        traces.append(utilities.reshape(ticks + 1, k_markets * s))
-    columns = np.concatenate(traces)  # (rows, K*s)
+    # (K*s, picks, T+1) scores of the picked agents before each tick and after the last
+    agents = [agent for _, agent in picks]
+    traces = np.empty((len(state.scores), len(agents), ticks + 1))
+    traces[:, :, 0] = state.scores[:, agents]
+    replay = RunRecords.empty(1, cfg.n_markets, cfg.memory)  # each tick overwrites row 0
+    for i in range(ticks):
+        step(state, replay, 0)
+        traces[:, :, i + 1] = state.scores[:, agents]
     table: Table = {
         "klass": np.repeat([klass for klass, _ in picks], ticks + 1),
-        "agent": np.repeat([agent for _, agent in picks], ticks + 1),
+        "agent": np.repeat(agents, ticks + 1),
         "t": np.tile(np.arange(ticks + 1), len(picks)),
     }
-    for j in range(k_markets * s):
-        table[f"U_m{j // s + 1}_s{j % s + 1}"] = columns[:, j]
+    for j, column in enumerate(traces.reshape(len(traces), -1)):
+        table[f"U_m{j // 2 + 1}_s{j % 2 + 1}"] = column
     return table
 
 
@@ -375,91 +372,64 @@ def summary_table(summaries: list[RunSummary], k_markets: int) -> Table:
     return table
 
 
-def _one_value(name: str, overrides: dict, default: int) -> int:
-    """Population of a figure that plays one game, from ``values``."""
-    values = list(overrides.pop("values", [default]))
-    if len(values) != 1:
-        raise ConfigError(f"values: {name} plays one game and takes one value, got {values}")
-    return int(values[0])
-
-
 def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     """Dataset behind a canned experiment, keyed by output file stem.
 
-    Overrides: ``seed`` (master, >= 0), ``ticks``, ``n_seeds``, ``values``,
-    ``theta`` and ``n2`` (fig8) where the experiment uses them; any other
-    raises ConfigError naming it before a game is played. fig5, fig6 and
-    fig010 play one game, so their ``values`` must hold exactly one.
+    Overrides: ``seed`` (master, >= 0) and the figure's keys in
+    ``_FIGURES``. An unknown one, or ``values`` that are empty, repeat a
+    population or hold more than one for a figure that plays one game
+    (fig5, fig6, fig010), raise ConfigError before a game is played.
     """
-    if name not in FIGURE_NAMES:
+    if name not in _FIGURES:
         raise ValueError(f"unknown figure {name!r}; known: {', '.join(FIGURE_NAMES)}")
-    known = {"seed", "ticks", "values", *_FIGURE_OVERRIDES.get(name, ())}
+    known = {"seed", *_FIGURES[name]}
     unused = sorted(set(overrides) - known)
     if unused:
         raise ConfigError(
             f"{unused[0]}: {name} does not use it; it reads {', '.join(sorted(known))}"
         )
-    seed = int(overrides.pop("seed", 0))
+    opts = {**_FIGURES[name], **overrides}
+    seed = int(overrides.get("seed", 0))
     if seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {seed}")
-    theta = float(overrides.pop("theta", DEFAULT_THETA))
+    ticks = int(opts["ticks"])
+    values = [int(v) for v in opts["values"]]
+    if len(_FIGURES[name]["values"]) == 1 and len(values) != 1:
+        raise ConfigError(f"values: {name} plays one game and takes one value, got {values}")
+    if not values or len(set(values)) < len(values):
+        raise ConfigError(f"values: {name} needs distinct populations, at least one, "
+                          f"got {values}")
 
-    if name in ("fig3", "fig4"):
-        ticks = int(overrides.pop("ticks", 5000))
-        values = list(overrides.pop("values", [11, 253, 1447]))
-        cfgs = [GameConfig(n_agents=v, seed=subseed(seed, i)) for i, v in enumerate(values)]
-        table = _series_table(cfgs, ticks, "O" if name == "fig3" else "A")
-        out = {name: table}
-    elif name in ("fig5", "fig6"):
-        ticks = int(overrides.pop("ticks", 300))
-        cfg = GameConfig(n_agents=_one_value(name, overrides, 1600), seed=subseed(seed, 0),
-                         init_utilities="uniform")
-        out = {name: _fig5_table(cfg, ticks) if name == "fig5" else _fig6_table(cfg, ticks, theta)}
-    elif name == "fig6_0":
-        ticks = int(overrides.pop("ticks", 5000))
-        values = list(overrides.pop("values", [1447, 11]))
-        cfgs = [GameConfig(n_agents=v, seed=subseed(seed, i)) for i, v in enumerate(values)]
-        out = _fig6_0_tables(cfgs, ticks)
-    elif name in ("fig6_1", "fig7"):
-        default = ((253, 362, 512, 724, 1024, 1447, 2048) if name == "fig6_1"
-                   else (11, 64, 128, 256, 512, 1024, 1447))
-        spec = SweepSpec(
-            base=GameConfig(n_agents=11, seed=seed),
-            param="N",
-            values=tuple(overrides.pop("values", default)),
-            n_seeds=int(overrides.pop("n_seeds", 10)),
-            ticks=int(overrides.pop("ticks", 5000)),
-            theta=theta,
-        )
-        table = q_sweep(spec)
+    if name in ("fig6_1", "fig7", "fig8"):
+        base = GameConfig(n_agents=11, seed=seed)
+        if name == "fig8":
+            n2 = int(opts["n2"])
+            base = GameConfig(n_agents=2 * n2, seed=seed, topology=MarketTopology.irregular(n2, n2))
+        table = q_sweep(SweepSpec(
+            base=base,
+            param="n1" if name == "fig8" else "N",
+            values=tuple(values),
+            n_seeds=int(opts["n_seeds"]),
+            ticks=ticks,
+            theta=float(opts["theta"]),
+        ))
         if name == "fig6_1":  # relaxation time against Q
-            table = {
-                "Q": table["Q"], "N": table["N"], "tau0_mean": table["tau0_mean"],
-                "tau0_std": table["tau0_std"], "n_defined": table["tau0_defined"],
-                "n_seeds": table["n_seeds"],
-            }
-        out = {name: table}
-    elif name == "fig8":
-        n2 = int(overrides.pop("n2", 301))
-        spec = SweepSpec(
-            base=GameConfig(n_agents=2 * n2, seed=seed,
-                            topology=MarketTopology.irregular(n2, n2)),
-            param="n1",
-            values=tuple(overrides.pop("values", [301, 1000, 3000, 10000])),
-            n_seeds=int(overrides.pop("n_seeds", 10)),
-            ticks=int(overrides.pop("ticks", 5000)),
-            theta=theta,
-        )
-        out = {name: q_sweep(spec)}
-    else:  # fig010
-        ticks = int(overrides.pop("ticks", 5000))
-        cfg = GameConfig(n_agents=_one_value(name, overrides, 3001), seed=subseed(seed, 0),
-                         n_markets=3)
-        rec = run(cfg, ticks)
-        table: Table = {"t": rec.t}
-        for k in range(3):
-            table[f"A{k + 1}"] = rec.demand[:, k]
-        for k in range(3):
-            table[f"O{k + 1}"] = rec.occupancy[:, k]
-        out = {name: table}
-    return out
+            table["n_defined"] = table["tau0_defined"]
+            keep = ("Q", "N", "tau0_mean", "tau0_std", "n_defined", "n_seeds")
+            table = {col: table[col] for col in keep}
+        return {name: table}
+
+    game = {"fig5": dict(init_utilities="uniform"), "fig6": dict(init_utilities="uniform"),
+            "fig010": dict(n_markets=3)}.get(name, {})
+    cfgs = [GameConfig(n_agents=v, seed=subseed(seed, i), **game) for i, v in enumerate(values)]
+    if name == "fig6":
+        return {name: _fig6_table(cfgs[0], ticks, float(opts["theta"]))}
+    if name == "fig6_0":
+        return _fig6_0_tables(cfgs, ticks)
+    columns = {
+        "fig3": ("N", "t", "O1", "O2"),
+        "fig4": ("N", "t", "A1", "A2"),
+        "fig5": ("t", "O1", "O2", "A1", "A2", "C"),
+        "fig010": ("t", "A1", "A2", "A3", "O1", "O2", "O3"),
+    }
+    return {name: _records_table(cfgs, ticks, columns[name])}

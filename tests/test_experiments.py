@@ -13,12 +13,13 @@ from mmg import (
     ensemble_run,
     estimate_critical_q,
     figure_dataset,
+    init_game,
     q_sweep,
     run,
     subseed,
     summarize_run,
 )
-from mmg.experiments import FIGURE_NAMES, _fig6_table, summary_table, sweep_row
+from mmg.experiments import FIGURE_NAMES, _FIGURES, _fig6_table, summary_table, sweep_row
 from mmg.io import render_table
 
 
@@ -26,6 +27,14 @@ def tiny_cfg(**kw):
     defaults = dict(n_agents=9, seed=17, memory=3)
     defaults.update(kw)
     return GameConfig(**defaults)
+
+
+class Played(BaseException):
+    """Raised in place of a game; no ``except Exception`` catches it."""
+
+
+def no_game(*args, **kwargs):
+    raise Played
 
 
 class TestEnsembleRun:
@@ -141,6 +150,14 @@ class TestQSweep:
         assert table["o_big_mean"][0] == direct["o_big_mean"]
         assert table["o_big_std"][0] == direct["o_big_std"]
         assert table["split_fraction"][0] == direct["split_fraction"]
+
+    def test_empty_values_raise_before_any_game(self, monkeypatch):
+        from mmg import experiments
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        spec = SweepSpec(base=tiny_cfg(), param="N", values=(), n_seeds=2, ticks=30)
+        with pytest.raises(ConfigError, match="^values:"):
+            q_sweep(spec)
 
     def test_points_ordered_by_q(self):
         spec = SweepSpec(
@@ -277,6 +294,8 @@ class TestFigureDatasets:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         assert set(module.QUICK_OVERRIDES) == set(FIGURE_NAMES)
+        for name, overrides in module.QUICK_OVERRIDES.items():
+            assert set(overrides) <= set(_FIGURES[name]), name
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -293,8 +312,86 @@ class TestFigureDatasets:
         with pytest.raises(ConfigError, match="^values:"):
             figure_dataset(name, ticks=10, values=values, seed=3)
 
+    @pytest.mark.parametrize("name", FIGURE_NAMES)
+    def test_empty_values_raise_before_any_game(self, monkeypatch, name):
+        from mmg import experiments
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        with pytest.raises(ConfigError, match="^values:"):
+            figure_dataset(name, ticks=10, values=[], seed=3)
+
+    @pytest.mark.parametrize("name", ["fig3", "fig6_0", "fig7"])
+    def test_repeated_values_raise_before_any_game(self, monkeypatch, name):
+        # fig6_0 keys its tables by N, so a repeated N dropped a game; fig3
+        # gave two blocks under one N, and a sweep the same ensemble twice
+        from mmg import experiments
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        with pytest.raises(ConfigError, match="^values:"):
+            figure_dataset(name, ticks=10, values=[11, 11], seed=3)
+
     def test_deterministic(self):
         a = figure_dataset("fig5", ticks=30, values=[16], seed=8)["fig5"]
         b = figure_dataset("fig5", ticks=30, values=[16], seed=8)["fig5"]
         for key in a:
             assert np.array_equal(a[key], b[key])
+
+
+def closed_form_fig6(cfg: GameConfig, ticks: int, theta: float) -> dict:
+    """fig6 from the closed form U(t) = U(0) - cumsum(a(mu_t) * g(A_t)) over
+    the run's records, starting from ``init_game(cfg)``."""
+    records = run(cfg, ticks)
+    state = init_game(cfg)
+    occ, dem = records.occupancy, records.demand
+    large = (occ > 0) & (np.abs(dem) >= theta * occ)
+    assert large.any(), "the game must fluctuate"
+    t1, k_star = np.unravel_index(np.argmax(large), large.shape)
+    winner = records.minority[t1, k_star]
+    block = state.tables[state.market_rows[k_star] + records.history[t1, k_star]]
+    n_good = (block == winner).sum(axis=0)
+    picks = [
+        (klass, int(np.flatnonzero(n_good == count)[0]))
+        for count, klass in ((2, "both-good"), (1, "one-good"), (0, "none-good"))
+        if (n_good == count).any()
+    ]
+    gain = {
+        "linear": dem.astype(np.float64),
+        "sign": np.sign(dem).astype(np.float64),
+        "scaled": dem / cfg.n_agents,
+    }[cfg.payoff][:, :, None]
+    _, k_markets, s = state.utilities.shape
+    traces = []
+    for _, agent in picks:
+        steps = -state.tables[state.market_rows + records.history, :, agent] * gain
+        utilities = np.cumsum(np.concatenate([state.utilities[agent][None], steps]), axis=0)
+        traces.append(utilities.reshape(ticks + 1, k_markets * s))
+    columns = np.concatenate(traces)
+    table = {
+        "klass": np.repeat([klass for klass, _ in picks], ticks + 1),
+        "agent": np.repeat([agent for _, agent in picks], ticks + 1),
+        "t": np.tile(np.arange(ticks + 1), len(picks)),
+    }
+    for j in range(k_markets * s):
+        table[f"U_m{j // s + 1}_s{j % s + 1}"] = columns[:, j]
+    return table
+
+
+# (config, ticks, theta); the irregular game has unlinked entries, which
+# hold -inf in the float64 scores of ``init_game(cfg)``
+FIG6_GAMES = {
+    "default": (GameConfig(n_agents=1600, seed=subseed(0, 0), init_utilities="uniform"),
+                300, 0.9),
+    "K3-uniform": (GameConfig(n_agents=300, seed=1, n_markets=3, init_utilities="uniform"),
+                   2000, 0.5),
+    "irregular": (GameConfig(n_agents=200, seed=1, topology=MarketTopology.irregular(150, 50)),
+                  2000, 0.5),
+    "scaled": (GameConfig(n_agents=300, seed=1, payoff="scaled"), 2000, 0.5),
+    "sign": (GameConfig(n_agents=300, seed=1, payoff="sign"), 2000, 0.5),
+}
+
+
+@pytest.mark.parametrize("game", sorted(FIG6_GAMES))
+def test_fig6_matches_closed_form(game):
+    cfg, ticks, theta = FIG6_GAMES[game]
+    expected = render_table(closed_form_fig6(cfg, ticks, theta))
+    assert render_table(_fig6_table(cfg, ticks, theta)) == expected

@@ -3,29 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import ConfigError, GameConfig, MarketTopology
-from .engine import (
-    GameState,
-    RunRecords,
-    init_game,
-    run,
-    step,
-)
-from .metrics import (
-    CriticalFluctuation,
-    MuHistogram,
-    SeriesStats,
-    big_small_markets,
-    classify_mode,
-    detect_critical_history,
-    fluctuation_frequency,
-    mean_c_at_recurrence,
-    mu_histogram,
-    predicted_irregular,
-    predicted_occupancies,
-    relaxation_time,
-    series_stats,
-    split_detected,
-)
+from .engine import GameState, RunRecords, init_game, run, step
 from .experiments import (
     RunSummary,
     SweepSpec,
@@ -35,8 +13,7 @@ from .experiments import (
     q_sweep,
     summarize_run,
 )
-from .rng import game_rng, subseed
-from .strategies import draw_strategies
+from .rng import subseed
 
 __all__ = [
     "__version__",
@@ -45,31 +22,15 @@ __all__ = [
     "MarketTopology",
     "GameState",
     "RunRecords",
-    "CriticalFluctuation",
-    "MuHistogram",
-    "SeriesStats",
+    "init_game",
+    "step",
+    "run",
     "RunSummary",
     "SweepSpec",
-    "big_small_markets",
-    "classify_mode",
-    "detect_critical_history",
-    "draw_strategies",
+    "summarize_run",
     "ensemble_run",
+    "q_sweep",
     "estimate_critical_q",
     "figure_dataset",
-    "fluctuation_frequency",
-    "game_rng",
-    "init_game",
-    "mean_c_at_recurrence",
-    "mu_histogram",
-    "predicted_irregular",
-    "predicted_occupancies",
-    "q_sweep",
-    "relaxation_time",
-    "run",
-    "series_stats",
-    "split_detected",
-    "step",
     "subseed",
-    "summarize_run",
 ]

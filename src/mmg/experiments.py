@@ -25,6 +25,7 @@ from .metrics import (
     mean_c_at_recurrence,
     mu_histogram,
     relaxation_time,
+    resolve_window,
     series_stats,
     split_detected,
 )
@@ -111,11 +112,15 @@ def ensemble_run(
     """Run ``n_seeds`` independent games on substreams of ``cfg.seed``.
 
     A run that raises is recorded as failed and does not abort the rest; a
-    bad ``ticks`` or ``n_seeds`` raises ConfigError before the first.
+    bad ``ticks``, ``n_seeds``, ``window`` or ``theta`` raises ConfigError
+    before the first.
     """
     if n_seeds < 1:
         raise ConfigError(f"seeds: must be >= 1, got {n_seeds}")
     cfg.check_ticks(ticks)
+    resolve_window(ticks, window)
+    if not 0 < theta <= 1:
+        raise ConfigError(f"theta: must be in (0, 1], got {theta}")
     out: list[RunSummary] = []
     for i in range(n_seeds):
         child = subseed(cfg.seed, i)
@@ -152,6 +157,24 @@ class SweepSpec:
     ticks: int = 5000
     window: tuple[int, int] | None = None
     theta: float = DEFAULT_THETA
+
+    def validate(self) -> None:
+        """Refuse, naming ``values`` or ``sweep``, values that are empty or
+        repeat, a swept game without an agent and an n1 sweep of a regular
+        base; then run ``GameConfig.validate`` on every swept game."""
+        swept = self.configs()  # refuses an unknown parameter
+        values = list(self.values)
+        if not values or len(set(values)) < len(values):
+            raise ConfigError(f"values: a sweep needs distinct values, at least one, got {values}")
+        if self.param == "n1" and self.base.topology.kind != "irregular":
+            raise ConfigError("sweep=n1 requires topology=irregular with n1/n2")
+        # every swept game needs N >= 1; an n1 sweep keeps the base's n2
+        low = 1 if self.param == "N" else max(0, 1 - self.base.topology.n2)
+        if min(values) < low:
+            raise ConfigError(f"values: sweep={self.param} needs values >= {low}, "
+                              f"got {min(values)}")
+        for _, cfg in swept:
+            cfg.validate()
 
     def configs(self) -> list[tuple[int, GameConfig]]:
         if self.param == "N":
@@ -208,8 +231,7 @@ def sweep_row(
 def q_sweep(spec: SweepSpec) -> Table:
     """Ensemble at every swept value, one ``sweep_row`` each, rows ordered
     by Q. The value column is ``N``, or ``N1`` for an n1 sweep."""
-    if not spec.values:
-        raise ConfigError("values: a sweep needs at least one value")
+    spec.validate()
     value_col = "N" if spec.param == "N" else "N1"
     rows = []
     for value, cfg in spec.configs():

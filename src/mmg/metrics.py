@@ -45,12 +45,13 @@ def _large_fluctuations(occ: np.ndarray, dem: np.ndarray, theta: float) -> np.nd
 
 
 def resolve_window(n_ticks: int, window: tuple[int, int] | None) -> tuple[int, int]:
-    """Validate ``window`` against the recorded range; ``None`` -> last half."""
+    """Validate ``window`` against the recorded range, raising ConfigError
+    naming ``window``; ``None`` -> last half."""
     if window is None:
         window = (n_ticks // 2, n_ticks)
     start, stop = int(window[0]), int(window[1])
     if not 0 <= start < stop <= n_ticks:
-        raise ValueError(f"window [{start}, {stop}) invalid for {n_ticks} recorded ticks")
+        raise ConfigError(f"window: [{start}, {stop}) invalid for {n_ticks} recorded ticks")
     return start, stop
 
 

@@ -9,6 +9,15 @@ from mmg.config import CONFIG_KEYS
 from mmg.experiments import FIGURE_NAMES
 from mmg.io import content_hash, parse_manifest
 
+
+class Played(BaseException):
+    """Raised in place of a game; no ``except Exception`` catches it."""
+
+
+def no_game(cfg, ticks):
+    raise Played
+
+
 # a config-file value and a different flag value for every key of CONFIG_KEYS
 FILE_AND_FLAG = {
     "seed": ("1", "2"),
@@ -113,6 +122,20 @@ class TestExitCodes:
         cfg.write_text(f"{game} m=20 seed=1 T=5 seeds=1\n")
         assert cli_main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error: m:")
+
+    @pytest.mark.parametrize("game", [
+        "N=9 sweep=N values=9,9",
+        "topology=irregular n1=3 n2=3 sweep=n1 values=4,4",
+    ])
+    def test_repeated_sweep_values(self, tmp_path, capsys, monkeypatch, game):
+        # a repeat would replay the same ensemble and write an identical row
+        monkeypatch.setattr(experiments, "run", no_game)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"{game} m=3 seed=17 T=30 seeds=2\n")
+        out = tmp_path / "points.csv"
+        assert cli_main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: values:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("window", ["20:10", "0:50"])
     def test_window_beyond_run(self, tmp_path, capsys, window):

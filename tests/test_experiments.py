@@ -83,6 +83,20 @@ class TestEnsembleRun:
         with pytest.raises(ConfigError, match="^T: "):
             ensemble_run(tiny_cfg(), ticks, 3)
 
+    @pytest.mark.parametrize("kwargs, key", [
+        (dict(window=(0, 500)), "window"),
+        (dict(window=(30, 20)), "window"),
+        (dict(theta=0.0), "theta"),
+        (dict(theta=1.5), "theta"),
+    ])
+    def test_bad_window_or_theta_raise_before_any_seed(self, monkeypatch, kwargs, key):
+        # both are known before the first seed; a bad one would fail every seed after its game
+        from mmg import experiments
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            ensemble_run(tiny_cfg(), 50, 2, **kwargs)
+
     def test_failure_keeps_exception_type(self, monkeypatch):
         from mmg import experiments
 
@@ -157,6 +171,35 @@ class TestQSweep:
         monkeypatch.setattr(experiments, "run", no_game)
         spec = SweepSpec(base=tiny_cfg(), param="N", values=(), n_seeds=2, ticks=30)
         with pytest.raises(ConfigError, match="^values:"):
+            q_sweep(spec)
+
+    @pytest.mark.parametrize("param, base, values, key", [
+        ("N", tiny_cfg(), (9, 9), "values"),
+        ("n1", tiny_cfg(n_agents=6, topology=MarketTopology.irregular(3, 3)), (4, 0, 4), "values"),
+        ("N", tiny_cfg(), (9, 0), "values"),
+        ("n1", tiny_cfg(n_agents=6, topology=MarketTopology.irregular(3, 0)), (0, 4), "values"),
+        ("n1", tiny_cfg(), (4,), "sweep"),
+        ("N", tiny_cfg(memory=20), (9, 2000), "m"),
+    ])
+    def test_bad_spec_raises_before_any_game(self, monkeypatch, param, base, values, key):
+        # a repeated value would replay the same child seeds and give identical rows
+        from mmg import experiments
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        spec = SweepSpec(base=base, param=param, values=values, n_seeds=2, ticks=30)
+        with pytest.raises(ConfigError, match=f"^{key}[:=]"):
+            q_sweep(spec)
+
+    @pytest.mark.parametrize("kwargs, key", [
+        (dict(window=(0, 500)), "window"),
+        (dict(theta=0.0), "theta"),
+    ])
+    def test_bad_window_or_theta_raise_before_any_game(self, monkeypatch, kwargs, key):
+        from mmg import experiments
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        spec = SweepSpec(base=tiny_cfg(), param="N", values=(9,), n_seeds=2, ticks=50, **kwargs)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
             q_sweep(spec)
 
     def test_points_ordered_by_q(self):

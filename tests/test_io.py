@@ -136,6 +136,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="values"):
             parse_config(text)
 
+    @pytest.mark.parametrize("text", [
+        "N=9 m=3 seed=17 T=30 seeds=2 sweep=N values=9,9",
+        "topology=irregular n1=3 n2=3 seed=1 sweep=n1 values=4,0,4",
+    ])
+    def test_repeated_sweep_values(self, text):
+        with pytest.raises(ConfigError, match="^values:"):
+            parse_config(text)
+
     def test_swept_n1_may_be_zero(self):
         parsed = parse_config("topology=irregular n1=3 n2=3 seed=1 sweep=n1 values=0,4")
         assert parsed.sweep.values == (0, 4)
@@ -416,6 +424,10 @@ class TestFormatNumber:
     def test_integers_verbatim(self):
         assert format_number(1200) == "1200"
         assert format_number(np.int64(-3)) == "-3"
+
+    def test_bools_print_as_integers(self):
+        cells = [format_number(x) for x in (True, False, np.True_, np.False_)]
+        assert cells == ["1", "0", "1", "0"]
 
     def test_float_17_digits(self):
         assert format_number(0.1) == "0.10000000000000001"

@@ -4,7 +4,8 @@ Tools that walk the public surface, such as the layer tracer in
 ``perfbench``, call ``getattr`` on each entry, so a name left behind after
 a deletion breaks them. A module that imports another's underscore name
 ties itself to that module's internals, so none may; dunders such as
-``__version__`` are public.
+``__version__`` are public. The package root exports the names needed to
+play and study games; every other public name lives in its own module.
 """
 
 import ast
@@ -20,6 +21,36 @@ import mmg
 MODULES = ["mmg"] + [
     f"mmg.{info.name}" for info in pkgutil.iter_modules(mmg.__path__) if info.name != "__main__"
 ]
+
+ROOT_NAMES = {
+    "__version__", "ConfigError", "GameConfig", "MarketTopology",
+    "GameState", "RunRecords", "init_game", "step", "run",
+    "RunSummary", "SweepSpec", "summarize_run", "ensemble_run", "q_sweep",
+    "estimate_critical_q", "figure_dataset", "subseed",
+}
+# public names the root does not re-export, by the module that exports them
+MODULE_NAMES = {
+    "mmg.metrics": [
+        "SeriesStats", "MuHistogram", "CriticalFluctuation", "big_small_markets",
+        "classify_mode", "detect_critical_history", "fluctuation_frequency",
+        "mean_c_at_recurrence", "mu_histogram", "predicted_irregular",
+        "predicted_occupancies", "relaxation_time", "series_stats", "split_detected",
+    ],
+    "mmg.rng": ["game_rng"],
+    "mmg.strategies": ["draw_strategies"],
+}
+
+
+def test_root_exports_exactly_the_entry_points():
+    assert sorted(mmg.__all__) == sorted(ROOT_NAMES)
+    assert len(mmg.__all__) == len(ROOT_NAMES)
+
+
+@pytest.mark.parametrize("modname", sorted(MODULE_NAMES))
+def test_names_left_out_of_the_root_stay_in_their_module(modname):
+    exported = importlib.import_module(modname).__all__
+    assert [name for name in MODULE_NAMES[modname] if name not in exported] == []
+    assert set(MODULE_NAMES[modname]).isdisjoint(mmg.__all__)
 
 
 @pytest.mark.parametrize("modname", MODULES)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import one_tick
-from mmg import GameConfig, MarketTopology, draw_strategies, game_rng, init_game, run, strategies
+from mmg import GameConfig, MarketTopology, init_game, run, strategies
+from mmg.rng import game_rng
+from mmg.strategies import draw_strategies
 
 
 def table_from_bits(bits, m):

@@ -92,12 +92,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(args) -> ParsedConfig:
+def _load_config(args, *required: str) -> ParsedConfig:
+    """Flags over the config file; each ``required`` key (T, seeds or sweep) must be set."""
     text = ""
     if args.config is not None:
-        text = Path(args.config).read_text()
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"config: cannot read {args.config}: {reason}") from None
     overrides = {k: v for k, v in vars(args).items() if k in FILE_KEYS}  # flags named by key
-    return parse_config(text, overrides=overrides)
+    parsed = parse_config(text, overrides=overrides)
+    given = {"T": parsed.ticks, "seeds": parsed.n_seeds, "sweep": parsed.sweep}
+    for key in required:
+        if given[key] is None:
+            raise ConfigError(f"{key}: required for {args.command}")
+    return parsed
 
 
 def _write(text: str, out: Path | None) -> None:
@@ -109,9 +119,7 @@ def _write(text: str, out: Path | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    parsed = _load_config(args)
-    if parsed.ticks is None:
-        raise ConfigError("T: required for run")
+    parsed = _load_config(args, "T")
     records = run_game(parsed.game, parsed.ticks)
     text = render_records(records, args.format)
     _write(text, args.out)
@@ -122,22 +130,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    parsed = _load_config(args)
-    if parsed.ticks is None:
-        raise ConfigError("T: required for ensemble")
-    if parsed.n_seeds is None:
-        raise ConfigError("seeds: required for ensemble")
+    parsed = _load_config(args, "T", "seeds")
     summaries = ensemble_run(parsed.game, parsed.ticks, parsed.n_seeds, window=parsed.window)
     _write(render_table(summary_table(summaries, parsed.game.n_markets)), args.out)
+    if all(s.failed for s in summaries):
+        raise RuntimeError(f"all {len(summaries)} runs failed; run 0: {summaries[0].error}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    parsed = _load_config(args)
-    if parsed.sweep is None:
-        raise ConfigError("sweep: the sweep command needs sweep= and values= keys")
-    if parsed.ticks is None:
-        raise ConfigError("T: required for sweep")
+    parsed = _load_config(args, "sweep", "T")
     _write(render_table(q_sweep(parsed.sweep)), args.out)
     return 0
 

@@ -119,11 +119,6 @@ class GameConfig:
     zero_demand: str = "coin"
 
     @property
-    def q(self) -> float:
-        """Control parameter: agents per history pattern, N / 2**m."""
-        return self.n_agents / (1 << self.memory)
-
-    @property
     def table_bytes(self) -> int:
         """Size of the int8 strategy tables, N*K*s*2**m bytes."""
         return (self.n_agents * self.n_markets * self.n_strategies) << self.memory

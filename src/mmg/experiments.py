@@ -19,6 +19,7 @@ from .metrics import (
     CriticalFluctuation,
     SeriesStats,
     big_small_markets,
+    check_theta,
     classify_mode,
     detect_critical_history,
     fluctuation_frequency,
@@ -35,6 +36,7 @@ __all__ = [
     "RunSummary",
     "SweepSpec",
     "summarize_run",
+    "check_run",
     "ensemble_run",
     "summary_table",
     "sweep_row",
@@ -102,6 +104,19 @@ def summarize_run(
     )
 
 
+def check_run(cfg: GameConfig, ticks: int | None, n_seeds: int | None = None,
+              window: tuple[int, int] | None = None, theta: float = DEFAULT_THETA) -> None:
+    """Refuse, with a ConfigError naming the key, a ``ticks``, ``n_seeds``,
+    ``window`` or ``theta`` no ensemble of ``cfg`` can use; None is unchecked."""
+    if n_seeds is not None and n_seeds < 1:
+        raise ConfigError(f"seeds: must be >= 1, got {n_seeds}")
+    if ticks is not None:
+        cfg.check_ticks(ticks)
+    if window is not None:
+        resolve_window(ticks, window)
+    check_theta(theta)
+
+
 def ensemble_run(
     cfg: GameConfig,
     ticks: int,
@@ -113,14 +128,9 @@ def ensemble_run(
 
     A run that raises is recorded as failed and does not abort the rest; a
     bad ``ticks``, ``n_seeds``, ``window`` or ``theta`` raises ConfigError
-    before the first.
+    (``check_run``) before the first.
     """
-    if n_seeds < 1:
-        raise ConfigError(f"seeds: must be >= 1, got {n_seeds}")
-    cfg.check_ticks(ticks)
-    resolve_window(ticks, window)
-    if not 0 < theta <= 1:
-        raise ConfigError(f"theta: must be in (0, 1], got {theta}")
+    check_run(cfg, ticks, n_seeds, window, theta)
     out: list[RunSummary] = []
     for i in range(n_seeds):
         child = subseed(cfg.seed, i)
@@ -161,20 +171,22 @@ class SweepSpec:
     def validate(self) -> None:
         """Refuse, naming ``values`` or ``sweep``, values that are empty or
         repeat, a swept game without an agent and an n1 sweep of a regular
-        base; then run ``GameConfig.validate`` on every swept game."""
+        base; then run ``GameConfig.validate`` on every swept game and
+        ``check_run`` on the run keys."""
         swept = self.configs()  # refuses an unknown parameter
         values = list(self.values)
-        if not values or len(set(values)) < len(values):
-            raise ConfigError(f"values: a sweep needs distinct values, at least one, got {values}")
+        if not values or len(set(values)) < len(values):  # a repeat replays the same seeds
+            raise ConfigError(f"values: need distinct values, at least one, got {values}")
         if self.param == "n1" and self.base.topology.kind != "irregular":
             raise ConfigError("sweep=n1 requires topology=irregular with n1/n2")
         # every swept game needs N >= 1; an n1 sweep keeps the base's n2
         low = 1 if self.param == "N" else max(0, 1 - self.base.topology.n2)
         if min(values) < low:
-            raise ConfigError(f"values: sweep={self.param} needs values >= {low}, "
+            raise ConfigError(f"values: every game needs an agent, so values >= {low}, "
                               f"got {min(values)}")
         for _, cfg in swept:
             cfg.validate()
+        check_run(self.base, self.ticks, self.n_seeds, self.window, self.theta)
 
     def configs(self) -> list[tuple[int, GameConfig]]:
         if self.param == "N":
@@ -398,9 +410,9 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     """Dataset behind a canned experiment, keyed by output file stem.
 
     Overrides: ``seed`` (master, >= 0) and the figure's keys in
-    ``_FIGURES``. An unknown one, or ``values`` that are empty, repeat a
-    population or hold more than one for a figure that plays one game
-    (fig5, fig6, fig010), raise ConfigError before a game is played.
+    ``_FIGURES``. An unknown one, more than one value for a figure that plays
+    one game (fig5, fig6, fig010), or what ``SweepSpec.validate`` refuses in
+    the figure's games raise ConfigError before a game is played.
     """
     if name not in _FIGURES:
         raise ValueError(f"unknown figure {name!r}; known: {', '.join(FIGURE_NAMES)}")
@@ -410,48 +422,39 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
         raise ConfigError(
             f"{unused[0]}: {name} does not use it; it reads {', '.join(sorted(known))}"
         )
-    opts = {**_FIGURES[name], **overrides}
-    seed = int(overrides.get("seed", 0))
-    if seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {seed}")
-    ticks = int(opts["ticks"])
-    values = [int(v) for v in opts["values"]]
+    opts = {"seed": 0, **_FIGURES[name], **overrides}
+    seed = int(opts["seed"])
+    game = {"fig5": dict(init_utilities="uniform"), "fig6": dict(init_utilities="uniform"),
+            "fig010": dict(n_markets=3)}.get(name, {})
+    base = GameConfig(n_agents=11, seed=seed, **game)
+    if name == "fig8":
+        n2 = int(opts["n2"])
+        base = GameConfig(n_agents=2 * n2, seed=seed, topology=MarketTopology.irregular(n2, n2))
+    values = tuple(int(v) for v in opts["values"])
     if len(_FIGURES[name]["values"]) == 1 and len(values) != 1:
         raise ConfigError(f"values: {name} plays one game and takes one value, got {values}")
-    if not values or len(set(values)) < len(values):
-        raise ConfigError(f"values: {name} needs distinct populations, at least one, "
-                          f"got {values}")
+    spec = SweepSpec(base, "n1" if name == "fig8" else "N", values, ticks=int(opts["ticks"]),
+                     n_seeds=int(opts.get("n_seeds", 1)),
+                     theta=float(opts.get("theta", DEFAULT_THETA)))
+    spec.validate()
 
     if name in ("fig6_1", "fig7", "fig8"):
-        base = GameConfig(n_agents=11, seed=seed)
-        if name == "fig8":
-            n2 = int(opts["n2"])
-            base = GameConfig(n_agents=2 * n2, seed=seed, topology=MarketTopology.irregular(n2, n2))
-        table = q_sweep(SweepSpec(
-            base=base,
-            param="n1" if name == "fig8" else "N",
-            values=tuple(values),
-            n_seeds=int(opts["n_seeds"]),
-            ticks=ticks,
-            theta=float(opts["theta"]),
-        ))
+        table = q_sweep(spec)
         if name == "fig6_1":  # relaxation time against Q
             table["n_defined"] = table["tau0_defined"]
             keep = ("Q", "N", "tau0_mean", "tau0_std", "n_defined", "n_seeds")
             table = {col: table[col] for col in keep}
         return {name: table}
 
-    game = {"fig5": dict(init_utilities="uniform"), "fig6": dict(init_utilities="uniform"),
-            "fig010": dict(n_markets=3)}.get(name, {})
-    cfgs = [GameConfig(n_agents=v, seed=subseed(seed, i), **game) for i, v in enumerate(values)]
+    cfgs = [replace(cfg, seed=subseed(seed, i)) for i, (_, cfg) in enumerate(spec.configs())]
     if name == "fig6":
-        return {name: _fig6_table(cfgs[0], ticks, float(opts["theta"]))}
+        return {name: _fig6_table(cfgs[0], spec.ticks, spec.theta)}
     if name == "fig6_0":
-        return _fig6_0_tables(cfgs, ticks)
+        return _fig6_0_tables(cfgs, spec.ticks)
     columns = {
         "fig3": ("N", "t", "O1", "O2"),
         "fig4": ("N", "t", "A1", "A2"),
         "fig5": ("t", "O1", "O2", "A1", "A2", "C"),
         "fig010": ("t", "A1", "A2", "A3", "O1", "O2", "O3"),
     }
-    return {name: _records_table(cfgs, ticks, columns[name])}
+    return {name: _records_table(cfgs, spec.ticks, columns[name])}

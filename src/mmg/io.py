@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import CONFIG_KEYS, TOPOLOGY_KINDS, ConfigError, GameConfig, MarketTopology
 from .engine import RunRecords
-from .experiments import SweepSpec
+from .experiments import SweepSpec, check_run
 
 __all__ = [
     "FILE_KEYS",
@@ -107,7 +107,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ParsedConfig:
             raise ConfigError(f"duplicate key {key!r}", lineno, col)
         try:
             raw[key] = _convert(key, value)
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(str(exc), lineno, col) from None
     if overrides:
         for key, value in overrides.items():
@@ -118,17 +118,17 @@ def parse_config(text: str, overrides: dict | None = None) -> ParsedConfig:
     return _build(raw)
 
 
-def _convert(key: str, value):
-    """A value of ``key`` from its config-file text or manifest JSON value."""
+def _convert(key: str, value: str):
+    """A value of ``key`` from its config-file text, or ConfigError naming ``key``."""
     kind = FILE_KEYS[key]
     if isinstance(kind, tuple):
         if value not in kind:
-            raise ValueError(f"{key}: expected one of {', '.join(kind)}, got {value!r}")
+            raise ConfigError(f"{key}: expected one of {', '.join(kind)}, got {value!r}")
         return value
     try:
         return kind(value)
     except ValueError:
-        raise ValueError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}") from None
+        raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {value!r}") from None
 
 
 def _build(raw: dict) -> ParsedConfig:
@@ -150,19 +150,8 @@ def _build(raw: dict) -> ParsedConfig:
     game = GameConfig(topology=topology, **fields)
     game.validate()
 
-    ticks = raw.get("T")
-    if ticks is not None:
-        game.check_ticks(ticks)
-    n_seeds = raw.get("seeds")
-    if n_seeds is not None and n_seeds < 1:
-        raise ConfigError(f"seeds: must be >= 1, got {n_seeds}")
-    window = raw.get("window")
-    if window is not None:
-        start, stop = window
-        if not 0 <= start < stop or (ticks is not None and stop > ticks):
-            raise ConfigError(
-                f"window: need 0 <= start < stop <= T, got {start}:{stop} (T={ticks})"
-            )
+    ticks, n_seeds, window = raw.get("T"), raw.get("seeds"), raw.get("window")
+    check_run(game, ticks, n_seeds, window)
 
     sweep = None
     if "sweep" in raw:
@@ -351,19 +340,22 @@ def serialize_manifest(manifest: RunManifest) -> str:
 
 
 def parse_manifest(text: str) -> RunManifest:
+    """Inverse of ``serialize_manifest``. ``config``, with ``topology`` read as
+    the keys ``topology``, ``n1`` and ``n2``, and ``T`` are checked as the
+    keys of a config file, so an unplayable game raises ConfigError naming one."""
     obj = json.loads(text)
-    c = obj["config"]
-    topo = c["topology"]
-    topology = (
-        MarketTopology.irregular(int(topo["n1"]), int(topo["n2"]))
-        if topo["kind"] == "irregular"
-        else MarketTopology.regular()
-    )
-    fields = {field: _convert(key, c[key]) for key, (field, _, _) in CONFIG_KEYS.items()}
+    config = dict(obj["config"])
+    topology = dict(config.pop("topology", {}))
+    unknown = sorted(({*config} - {*CONFIG_KEYS}) | ({*topology} - {"kind", "n1", "n2"}))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}")
+    keys = {**config, "topology": topology.pop("kind", None), **topology, "T": obj["T"]}
+    # a JSON value is read as its text in a config file, so 2.5 is no integer
+    parsed = _build({key: _convert(key, str(value)) for key, value in keys.items()})
     return RunManifest(
-        config=GameConfig(topology=topology, **fields),
+        config=parsed.game,
         seed=int(obj["seed"]),
-        ticks=int(obj["T"]),
+        ticks=parsed.ticks,
         fmt=obj["format"],
         version=obj["version"],
         content_hash=obj["content_hash"],

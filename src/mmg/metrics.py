@@ -19,6 +19,7 @@ __all__ = [
     "MuHistogram",
     "CriticalFluctuation",
     "resolve_window",
+    "check_theta",
     "series_stats",
     "mu_histogram",
     "mean_c_at_recurrence",
@@ -37,21 +38,27 @@ __all__ = [
 DEFAULT_THETA = 0.9
 
 
+def check_theta(theta: float) -> None:
+    """Refuse a threshold outside (0, 1] with a ConfigError naming ``theta``."""
+    if not 0 < theta <= 1:
+        raise ConfigError(f"theta: must be in (0, 1], got {theta}")
+
+
 def _large_fluctuations(occ: np.ndarray, dem: np.ndarray, theta: float) -> np.ndarray:
     """Where a non-empty market fluctuates by |A| >= theta * O."""
-    if not 0 < theta <= 1:
-        raise ValueError(f"theta must be in (0, 1], got {theta}")
+    check_theta(theta)
     return (occ > 0) & (np.abs(dem) >= theta * occ)
 
 
-def resolve_window(n_ticks: int, window: tuple[int, int] | None) -> tuple[int, int]:
-    """Validate ``window`` against the recorded range, raising ConfigError
-    naming ``window``; ``None`` -> last half."""
+def resolve_window(n_ticks: int | None, window: tuple[int, int] | None) -> tuple[int, int]:
+    """Validate ``window`` against the recorded range, unbounded when ``n_ticks``
+    is None, raising ConfigError naming ``window``; ``None`` -> last half."""
     if window is None:
         window = (n_ticks // 2, n_ticks)
     start, stop = int(window[0]), int(window[1])
-    if not 0 <= start < stop <= n_ticks:
-        raise ConfigError(f"window: [{start}, {stop}) invalid for {n_ticks} recorded ticks")
+    if not 0 <= start < stop <= (stop if n_ticks is None else n_ticks):
+        raise ConfigError(f"window: need 0 <= start < stop <= T, got [{start}, {stop}) "
+                          f"for T={n_ticks}")
     return start, stop
 
 

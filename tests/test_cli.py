@@ -7,7 +7,7 @@ from mmg import engine, experiments
 from mmg.cli import _build_parser, cli_main
 from mmg.config import CONFIG_KEYS
 from mmg.experiments import FIGURE_NAMES
-from mmg.io import content_hash, parse_manifest
+from mmg.io import FILE_KEYS, content_hash, parse_manifest
 
 
 class Played(BaseException):
@@ -31,6 +31,16 @@ FILE_AND_FLAG = {
     "init_utilities": ("zero", "uniform"),
     "u_low": ("0", "-0.5"),
     "u_high": ("1", "2.5"),
+}
+
+# a value of the wrong kind for every key of FILE_KEYS
+BAD_FILE_VALUES = {
+    **{key: "2.5" for key in ("seed", "N", "K", "s", "m", "n1", "n2", "T", "seeds")},
+    **{key: "x" for key in ("u_low", "u_high")},
+    **{key: "bogus" for key in ("payoff", "tie_break", "zero_demand", "init_utilities",
+                                "topology", "sweep")},
+    "values": "8,x",
+    "window": "10",
 }
 
 
@@ -91,6 +101,20 @@ class TestExitCodes:
 
     def test_invalid_domain_value(self):
         assert cli_main(["run", "--N", "0", "--seed", "1", "-T", "2"]) == 2
+
+    @pytest.mark.parametrize("key", sorted(FILE_KEYS))
+    def test_bad_file_value_names_key(self, tmp_path, capsys, key):
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text(f"{key}={BAD_FILE_VALUES[key]}\n")
+        assert cli_main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: line 1, col 1: {key}: ")
+
+    @pytest.mark.parametrize("command", ["run", "ensemble", "sweep"])
+    def test_unreadable_config_file(self, tmp_path, capsys, command):
+        # an unreadable file is bad input, like a bad key, not a runtime failure
+        for path in (tmp_path / "missing.cfg", tmp_path):
+            assert cli_main([command, "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: config: cannot read {path}")
 
     def test_negative_seed(self, capsys):
         assert cli_main(["run", "--N", "5", "--seed", "-1", "-T", "3"]) == 2
@@ -276,12 +300,32 @@ class TestEnsembleAndSweep:
             "ensemble", "--N", "9", "--m", "3", "--seed", "5",
             "--seeds", "2", "-T", "30", "--out", str(out),
         ])
-        assert code == 0
+        assert code == 3  # no seed succeeded
         with out.open(newline="") as f:
             rows = list(csv.reader(f))
         assert len(rows) == 3
         assert all(len(row) == len(rows[0]) for row in rows)
         assert rows[1][-1] == 'ValueError: shape (3, 2) does not fit "x"\nat all'
+
+    @pytest.mark.parametrize("failing, code", [(1, 0), (2, 3)])
+    def test_ensemble_exits_3_when_no_seed_succeeds(self, tmp_path, capsys, monkeypatch,
+                                                    failing, code):
+        play, calls = experiments.run, []
+
+        def fail_first(cfg, ticks):
+            calls.append(cfg)
+            if len(calls) <= failing:
+                raise RuntimeError("boom")
+            return play(cfg, ticks)
+
+        monkeypatch.setattr(experiments, "run", fail_first)
+        out = tmp_path / "summaries.csv"
+        argv = ["ensemble", "--N", "9", "--m", "3", "--seed", "5", "--seeds", "2", "-T", "30"]
+        assert cli_main(argv + ["--out", str(out)]) == code
+        errors = [row[-1] for row in csv.reader(out.open(newline=""))][1:]
+        assert errors == ["RuntimeError: boom"] * failing + [""] * (2 - failing)
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else "error: all 2 runs failed; run 0: RuntimeError: boom\n")
 
     def test_sweep_from_config(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"

@@ -849,6 +849,30 @@ class TestStateViews:
         assert state.utilities.reshape(n, -1).shape == state.choice_mask.shape
         assert state.tables.nbytes == n * k_markets * s * (1 << m)
 
+    def test_results_and_names_read_by_tracer(self):
+        # the tracer's other hooks read these results, and its per-layer
+        # metrics name these functions, which it finds through each __all__
+        import importlib
+
+        from mmg.experiments import ensemble_run
+        from mmg.io import render_records
+
+        records = run(small_config(), 6)
+        assert records.n_ticks == 6 and records.demand.shape == (6, 2)
+        assert isinstance(render_records(records, "jsonl"), str)  # its hook encodes the text
+        assert [s.failed for s in ensemble_run(small_config(), 20, 2)] == [False, False]
+        named = {
+            "engine": ["step", "run", "init_game"],
+            "strategies": ["draw_strategies"],
+            "experiments": ["summarize_run", "ensemble_run"],
+            "io": ["render_records", "content_hash", "render_table"],
+            "cli": ["cli_main"],
+        }
+        for layer, functions in named.items():
+            exported = importlib.import_module(f"mmg.{layer}").__all__
+            assert [name for name in functions if name not in exported] == [], layer
+        assert importlib.import_module("mmg.rng").__all__  # rng.busy_s spans its functions
+
     def test_unlinked_mask_is_agent_minor(self):
         cfg = GameConfig(n_agents=9, seed=1, topology=MarketTopology.irregular(4, 5))
         scores = init_game(cfg).scores

@@ -304,8 +304,12 @@ class TestFigureDatasets:
             with pytest.raises(ConfigError, match="^s:"):
                 _fig6_table(cfg, 120, 0.7)
 
-    def test_fig6_theta_validated(self):
-        with pytest.raises(ValueError, match="theta"):
+    def test_fig6_theta_validated(self, monkeypatch):
+        # theta is known before the game, so a bad one must not cost a run
+        from mmg import experiments
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        with pytest.raises(ConfigError, match="^theta: "):
             figure_dataset("fig6", ticks=20, values=[64], seed=0, theta=0.0)
 
     def test_fig6_without_fluctuation_raises(self):

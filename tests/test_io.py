@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, io, run
-from mmg.config import CONFIG_KEYS, MAX_TABLE_BYTES
+from mmg.config import CONFIG_KEYS, MAX_MEMORY, MAX_TABLE_BYTES
 from mmg.io import (
     RunManifest,
     content_hash,
@@ -459,18 +459,23 @@ def topologies():
 
 @st.composite
 def manifest_configs(draw):
+    """Games that can be played: parse_manifest refuses the others."""
     topology = draw(topologies())
     if topology.kind == "irregular":
         n_agents, n_markets = topology.n1 + topology.n2, 2
     else:
         n_agents = draw(st.integers(1, 5000))
         n_markets = draw(st.integers(1, 4))
+    n_strategies = draw(st.integers(1, 4))
+    # the largest m whose strategy tables fit the budget
+    tables_per_pattern = n_agents * n_markets * n_strategies
+    max_memory = min(MAX_MEMORY, (MAX_TABLE_BYTES // tables_per_pattern).bit_length() - 1)
     return GameConfig(
         n_agents=n_agents,
         seed=draw(st.integers(0, 2**63 - 1)),
         n_markets=n_markets,
-        n_strategies=draw(st.integers(1, 4)),
-        memory=draw(st.integers(1, 24)),
+        n_strategies=n_strategies,
+        memory=draw(st.integers(1, max_memory)),
         payoff=draw(st.sampled_from(("linear", "sign", "scaled"))),
         topology=topology,
         init_utilities=draw(st.sampled_from(("zero", "uniform"))),
@@ -490,6 +495,44 @@ class TestManifest:
             version="0.1.0", content_hash=content_hash("x"),
         )
         assert parse_manifest(serialize_manifest(manifest)) == manifest
+
+    @staticmethod
+    def manifest_with(config=None, **top):
+        """Manifest text of a playable game, with some values replaced."""
+        cfg = GameConfig(n_agents=12, seed=5, topology=MarketTopology.irregular(4, 8))
+        obj = json.loads(serialize_manifest(make_manifest(cfg, 10, "csv", "payload")))
+        obj["config"].update(config or {})
+        obj.update(top)
+        return json.dumps(obj)
+
+    def test_unplayable_game_names_key(self):
+        with pytest.raises(ConfigError, match="^N: "):
+            parse_manifest(self.manifest_with({"N": -5, "m": 99}))
+
+    # a non-integer, a non-number or an unknown choice for every key of CONFIG_KEYS
+    BAD_VALUES = {
+        key: ("bogus" if isinstance(kind, tuple) else "x" if kind is float else 2.5)
+        for key, (_, kind, _) in CONFIG_KEYS.items()
+    }
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_bad_value_names_key(self, key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_manifest(self.manifest_with({key: self.BAD_VALUES[key]}))
+
+    @pytest.mark.parametrize("config, top, key", [
+        ({"topology": {"kind": "ring"}}, {}, "topology"),
+        ({"topology": {"n1": 4, "n2": 8}}, {}, "topology"),
+        ({"topology": {"kind": "regular", "n3": 1}}, {}, "unknown key 'n3'"),
+        ({"topology": {"kind": "irregular", "n1": 4, "n2": "x"}}, {}, "n2"),
+        ({"topology": {"kind": "irregular", "n1": 5, "n2": 8}}, {}, "topology"),
+        ({}, {"T": 0}, "T"),
+        ({}, {"T": 10**11}, "T"),
+        ({"seeds": 3}, {}, "unknown key 'seeds'"),
+    ])
+    def test_bad_topology_ticks_or_key(self, config, top, key):
+        with pytest.raises(ConfigError, match=f"^{key}"):
+            parse_manifest(self.manifest_with(config, **top))
 
     def test_serialize_is_fixed_point(self):
         cfg = GameConfig(n_agents=12, seed=5)

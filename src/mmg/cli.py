@@ -2,8 +2,10 @@
 
 Subcommands: ``run`` (single game), ``ensemble`` (multi-seed summaries),
 ``sweep`` (parameter sweep table), ``figure`` (canned experiment datasets),
-``predict`` (closed-form occupancies). Flags override config-file keys.
-Exit codes: 0 success, 1 usage, 2 configuration error, 3 runtime failure.
+``predict`` (closed-form occupancies), ``verify MANIFEST FILE`` (replay a
+run manifest and check FILE against it). Flags override config-file keys.
+Exit codes: 0 success, 1 usage, 2 configuration error (an unreadable file
+included), 3 runtime failure, 4 ``verify`` mismatch.
 Data goes to files or stdout; diagnostics go to stderr. MMG_OUT_DIR sets
 the default output directory for ``figure``.
 """
@@ -12,19 +14,26 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
+import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .config import CONFIG_KEYS, TOPOLOGY_KINDS, ConfigError, GameConfig
 from .engine import run as run_game
 from .experiments import FIGURE_NAMES, ensemble_run, figure_dataset, q_sweep, summary_table
 from .io import (
     FILE_KEYS,
     ParsedConfig,
+    content_hash,
     format_number,
     make_manifest,
     parse_config,
+    parse_manifest,
     render_records,
     render_table,
     serialize_manifest,
@@ -89,18 +98,25 @@ def _build_parser() -> _Parser:
                         help="strategies per market")
     p_pred.add_argument("--n1", type=int, help="exclusive agents (irregular)")
     p_pred.add_argument("--n2", type=int, help="shared agents (irregular)")
+
+    p_verify = sub.add_parser("verify", help="replay a run manifest and check a records file")
+    p_verify.add_argument("manifest", type=Path, help="manifest written by run --manifest")
+    p_verify.add_argument("file", type=Path, help="records file the manifest describes")
     return parser
+
+
+def _read(path: Path, what: str) -> str:
+    """``path`` as UTF-8 with line endings kept; ConfigError naming ``what`` if unreadable."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{what}: cannot read {path}: {reason}") from None
 
 
 def _load_config(args, *required: str) -> ParsedConfig:
     """Flags over the config file; each ``required`` key (T, seeds or sweep) must be set."""
-    text = ""
-    if args.config is not None:
-        try:
-            text = Path(args.config).read_text()
-        except (OSError, UnicodeError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise ConfigError(f"config: cannot read {args.config}: {reason}") from None
+    text = "" if args.config is None else _read(args.config, "config")
     overrides = {k: v for k, v in vars(args).items() if k in FILE_KEYS}  # flags named by key
     parsed = parse_config(text, overrides=overrides)
     given = {"T": parsed.ticks, "seeds": parsed.n_seeds, "sweep": parsed.sweep}
@@ -173,12 +189,35 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _cmd_verify(args) -> int:
+    manifest = parse_manifest(_read(args.manifest, "manifest"))
+    text = _read(args.file, "file")
+    replay = render_records(run_game(manifest.config, manifest.ticks), manifest.fmt)
+    hashes = {"manifest": manifest.content_hash, "file": content_hash(text),
+              "replay": content_hash(replay)}
+    differ = [(a, b) for a, b in itertools.combinations(hashes, 2) if hashes[a] != hashes[b]]
+    for a, b in differ:
+        print(f"verify: {a} {hashes[a]} != {b} {hashes[b]}", file=sys.stderr)
+    if text != replay:
+        # lazily: both texts as lists of lines could outgrow the records' budget
+        lines = [(m.group() for m in re.finditer(r".*\n?", t)) for t in (text, replay)]
+        pairs = enumerate(itertools.zip_longest(*lines, fillvalue=""), 1)
+        line, (ours, theirs) = next((i, p) for i, p in pairs if p[0] != p[1])
+        print(f"verify: first difference at line {line}\n  file:   {ours!r}\n"
+              f"  replay: {theirs!r}", file=sys.stderr)
+    if differ:
+        print(f"verify: manifest written by mmg {manifest.version}; replayed by mmg "
+              f"{__version__} with numpy {np.__version__}", file=sys.stderr)
+    return 4 if differ else 0
+
+
 _COMMANDS = {
     "run": _cmd_run,
     "ensemble": _cmd_ensemble,
     "sweep": _cmd_sweep,
     "figure": _cmd_figure,
     "predict": _cmd_predict,
+    "verify": _cmd_verify,
 }
 
 

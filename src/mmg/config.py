@@ -74,22 +74,25 @@ class MarketTopology:
     def irregular(cls, n1: int, n2: int) -> "MarketTopology":
         return cls(kind="irregular", n1=n1, n2=n2)
 
+    def n_agents(self) -> int:
+        """n1 + n2 of an irregular topology; ConfigError when either is unset."""
+        if self.n1 is None or self.n2 is None:
+            raise ConfigError("topology: irregular requires n1 and n2")
+        return self.n1 + self.n2
+
     def validate(self, n_agents: int, n_markets: int) -> None:
         if self.kind == "regular":
             return
         if self.kind != "irregular":
             raise ConfigError(f"topology: unknown kind {self.kind!r}")
-        if self.n1 is None or self.n2 is None:
-            raise ConfigError("topology: irregular requires n1 and n2")
+        linked = self.n_agents()
         if self.n1 < 0 or self.n2 < 0:
             raise ConfigError("topology: n1 and n2 must be >= 0")
         if n_markets != 2:
             raise ConfigError("topology: irregular is defined for exactly 2 markets")
-        if self.n1 + self.n2 != n_agents:
-            raise ConfigError(
-                f"topology: n1 + n2 = {self.n1 + self.n2} does not match N = {n_agents}"
-            )
-        if self.n1 + self.n2 < 1:
+        if linked != n_agents:
+            raise ConfigError(f"topology: n1 + n2 = {linked} does not match N = {n_agents}")
+        if linked < 1:
             raise ConfigError("topology: at least one agent required")
 
     def link_mask(self, n_agents: int, n_markets: int) -> np.ndarray:
@@ -135,15 +138,17 @@ class GameConfig:
                 f"over the budget of {MAX_TABLE_BYTES}; lower T"
             )
 
+    @staticmethod
+    def check_counts(**counts: int) -> None:
+        """Refuse, in the order given, a count (N, K or s) below 1, naming its key."""
+        for key, value in counts.items():
+            if value < 1:
+                raise ConfigError(f"{key}: must be >= 1, got {value}")
+
     def validate(self) -> None:
-        if self.n_agents < 1:
-            raise ConfigError(f"N: must be >= 1, got {self.n_agents}")
+        GameConfig.check_counts(N=self.n_agents, K=self.n_markets, s=self.n_strategies)
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if self.n_markets < 1:
-            raise ConfigError(f"K: must be >= 1, got {self.n_markets}")
-        if self.n_strategies < 1:
-            raise ConfigError(f"s: must be >= 1, got {self.n_strategies}")
         if not 1 <= self.memory <= MAX_MEMORY:
             raise ConfigError(f"m: must be in [1, {MAX_MEMORY}], got {self.memory}")
         if self.table_bytes > MAX_TABLE_BYTES:

@@ -41,8 +41,8 @@ transposed view of the scores in the agent-first shape ``(N, K, s)``. The
 plain-Python per-agent loop in ``tests/reference.py`` follows the same
 order and random stream and serves as its oracle. ``run`` allocates the
 columnar ``RunRecords`` once, and ``step`` writes tick i straight into its
-row i; that is the one layout io renders and parses and every estimator
-reads. Aggregation depends on agents per market and on K*s. From
+row i; that is the one layout io renders and every estimator reads.
+Aggregation depends on agents per market and on K*s. From
 ``ONE_HOT_AGENTS`` agents per market up, while K*s <= ``ONE_HOT_ROWS``,
 each market's counts come from its block of the one-hot ``(K, s, N)`` of
 the choices, and each agent's chosen (market, slot) row, its active market
@@ -157,7 +157,7 @@ UNLINKED_SCORE = -(1 << 30)
 class RunRecords:
     """Observables of a whole run, one row per tick.
 
-    This is the only layout records are stored, serialized and parsed in;
+    This is the only layout records are stored and serialized in;
     ``step`` writes tick i into row i.
     """
 
@@ -168,7 +168,7 @@ class RunRecords:
     minority: np.ndarray  # (T, K)
     history: np.ndarray  # (T, K)
     n_switched: np.ndarray  # (T,)
-    n_tied: np.ndarray | None = None  # (T,) tie draws; not serialized, None when parsed
+    n_tied: np.ndarray | None = None  # (T,) tie draws; not serialized; None if not built with it
 
     @classmethod
     def empty(cls, ticks: int, k_markets: int, memory: int) -> RunRecords:

@@ -5,8 +5,7 @@ comments; unknown and duplicate keys are rejected with a source location.
 Run records serialize to long-form CSV (header ``t,k,O,A,astar,mu,C``,
 one row per tick and market, t-major) or JSONL (one object per tick with
 per-market arrays). Both are rendered straight from the column arrays of
-``RunRecords`` and parsed straight back into them; parsing rejects rows out
-of render layout. Integers print verbatim and reals with 17 significant
+``RunRecords``. Integers print verbatim and reals with 17 significant
 digits, so identical data always yields identical bytes.
 """
 
@@ -29,16 +28,12 @@ __all__ = [
     "RunManifest",
     "parse_config",
     "render_records",
-    "parse_records",
     "render_table",
     "format_number",
     "serialize_manifest",
     "parse_manifest",
     "content_hash",
 ]
-
-CSV_HEADER = "t,k,O,A,astar,mu,C"
-
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v)
@@ -133,10 +128,8 @@ def _convert(key: str, value: str):
 
 def _build(raw: dict) -> ParsedConfig:
     if raw.get("topology") == "irregular":
-        if "n1" not in raw or "n2" not in raw:
-            raise ConfigError("topology: irregular requires n1 and n2")
-        topology = MarketTopology.irregular(raw["n1"], raw["n2"])
-        raw.setdefault("N", topology.n1 + topology.n2)
+        topology = MarketTopology.irregular(raw.get("n1"), raw.get("n2"))
+        raw.setdefault("N", topology.n_agents())
     else:
         if "n1" in raw or "n2" in raw:
             raise ConfigError("n1/n2: only valid with topology=irregular")
@@ -179,7 +172,6 @@ def format_number(x) -> str:
 
 
 _CSV_ROW = (",".join(["{}"] * 7) + "\n").format
-_JSONL_KEYS = ("t", "O", "A", "astar", "mu", "C")
 _FIELDS = ("t", "occupancy", "demand", "minority", "history", "n_switched")
 
 # Ticks rendered at a time: besides the records and the text, rendering
@@ -202,14 +194,14 @@ def _csv_lines(records: RunRecords, ticks: slice) -> str:
 def _jsonl_lines(records: RunRecords, ticks: slice) -> str:
     # the text json.dumps(..., separators=(",", ":")) gives each tick's object
     arrays = "".join(f',"{key}":[' + ",".join(["{}"] * records.n_markets) + "]"
-                     for key in _JSONL_KEYS[1:5])
+                     for key in ("O", "A", "astar", "mu"))
     line = ('{{"t":{}' + arrays + ',"C":{}}}\n').format
     rows = np.column_stack([getattr(records, name)[ticks] for name in _FIELDS]).tolist()
     return "".join([line(*row) for row in rows])
 
 
 # format -> (text before the first record, renderer of a slice of ticks)
-_RENDERERS = {"csv": (CSV_HEADER + "\n", _csv_lines), "jsonl": ("", _jsonl_lines)}
+_RENDERERS = {"csv": ("t,k,O,A,astar,mu,C\n", _csv_lines), "jsonl": ("", _jsonl_lines)}
 
 
 def render_records(records: RunRecords, fmt: str = "csv") -> str:
@@ -220,59 +212,6 @@ def render_records(records: RunRecords, fmt: str = "csv") -> str:
     head, lines = _RENDERERS[fmt]
     return "".join([head] + [lines(records, slice(start, start + _RENDER_TICKS))
                              for start in range(0, records.n_ticks, _RENDER_TICKS)])
-
-
-def parse_records(text: str, fmt: str = "csv", *, memory: int) -> RunRecords:
-    """Inverse of render_records; render(parse(render(x))) == render(x).
-
-    Rows must be in render layout: ticks in increasing order and, in CSV,
-    one row per market k = 0..K-1 within each tick; anything else raises
-    ValueError. The records do not carry the memory length, so the caller
-    names it.
-    """
-    if fmt == "csv":
-        lines = [ln.split(",") for ln in text.splitlines() if ln]
-        if not lines or lines[0] != CSV_HEADER.split(","):
-            raise ValueError("missing or unexpected CSV header")
-        if len(lines) == 1:
-            raise ValueError("no records to parse")
-        if any(len(row) != 7 for row in lines):
-            raise ValueError("every CSV row must hold 7 integers")
-        rows = np.array(lines[1:], dtype=np.int64)
-        # K is the number of rows of the first tick
-        k_markets = int(np.argmax(rows[:, 0] != rows[0, 0])) or len(rows)
-        if len(rows) % k_markets:
-            raise ValueError(f"{len(rows)} rows do not split into ticks of {k_markets} markets")
-        ticks = rows.reshape(-1, k_markets, 7)
-        same_tick = (ticks[:, :, [0, 6]] == ticks[:, :1, [0, 6]]).all(axis=(1, 2))
-        bad = ~same_tick | (ticks[:, :, 1] != np.arange(k_markets)).any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"CSV rows {i * k_markets + 1}..{(i + 1) * k_markets}: expected the rows "
-                f"k = 0..{k_markets - 1} of one tick, in order (K = {k_markets} from the "
-                "first tick)"
-            )
-        columns = [ticks[:, 0, 0], *(ticks[:, :, j] for j in range(2, 6)), ticks[:, 0, 6]]
-    elif fmt == "jsonl":
-        objs = [json.loads(ln) for ln in text.splitlines() if ln]
-        if not objs:
-            raise ValueError("no records to parse")
-        layout = "every JSONL tick must hold t, O, A, astar, mu and C, with K values per market"
-        try:
-            columns = [np.array([obj[key] for obj in objs], dtype=np.int64) for key in _JSONL_KEYS]
-        except (KeyError, ValueError):
-            raise ValueError(layout) from None
-        if columns[1].ndim != 2 or {col.shape for col in columns[1:5]} != {columns[1].shape}:
-            raise ValueError(layout)
-    else:
-        raise ValueError(f"unknown record format {fmt!r}")
-    t = columns[0]
-    back = np.flatnonzero(np.diff(t) <= 0)
-    if len(back):
-        i = int(back[0])
-        raise ValueError(f"ticks out of order: t={t[i + 1]} follows t={t[i]}")
-    return RunRecords(memory, *columns)
 
 
 def _csv_text(text: str) -> str:
@@ -307,10 +246,9 @@ def content_hash(text: str) -> str:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce and verify one emitted dataset."""
+    """Everything needed to reproduce and verify one emitted dataset; its seed is the config's."""
 
     config: GameConfig
-    seed: int
     ticks: int
     fmt: str
     version: str
@@ -330,7 +268,7 @@ def _config_obj(cfg: GameConfig) -> dict:
 def serialize_manifest(manifest: RunManifest) -> str:
     obj = {
         "version": manifest.version,
-        "seed": manifest.seed,
+        "seed": manifest.config.seed,
         "T": manifest.ticks,
         "format": manifest.fmt,
         "content_hash": manifest.content_hash,
@@ -339,33 +277,50 @@ def serialize_manifest(manifest: RunManifest) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+_MANIFEST_KEYS = ("config", "content_hash", "format", "seed", "T", "version")
+
+
+def _json_object(value, key: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected a JSON object, got {type(value).__name__}")
+    return dict(value)
+
+
 def parse_manifest(text: str) -> RunManifest:
     """Inverse of ``serialize_manifest``. ``config``, with ``topology`` read as
     the keys ``topology``, ``n1`` and ``n2``, and ``T`` are checked as the
-    keys of a config file, so an unplayable game raises ConfigError naming one."""
-    obj = json.loads(text)
-    config = dict(obj["config"])
-    topology = dict(config.pop("topology", {}))
-    unknown = sorted(({*config} - {*CONFIG_KEYS}) | ({*topology} - {"kind", "n1", "n2"}))
+    keys of a config file, ``format`` must be csv or jsonl and ``seed`` the
+    config's; ConfigError names the key at fault, or ``manifest`` for text
+    that is no JSON object."""
+    try:
+        obj = _json_object(json.loads(text), "manifest")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"manifest: not JSON: {exc}") from None
+    missing = [key for key in _MANIFEST_KEYS if key not in obj]
+    if missing:
+        raise ConfigError(f"{missing[0]}: required")
+    config = _json_object(obj.pop("config"), "config")
+    topology = _json_object(config.pop("topology", {}), "topology")
+    unknown = sorted(({*obj} - {*_MANIFEST_KEYS}) | ({*config} - {*CONFIG_KEYS})
+                     | ({*topology} - {"kind", "n1", "n2"}))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r}")
+    if obj["format"] not in _RENDERERS:
+        raise ConfigError(f"format: expected one of {', '.join(_RENDERERS)}, "
+                          f"got {obj['format']!r}")
     keys = {**config, "topology": topology.pop("kind", None), **topology, "T": obj["T"]}
     # a JSON value is read as its text in a config file, so 2.5 is no integer
     parsed = _build({key: _convert(key, str(value)) for key, value in keys.items()})
-    return RunManifest(
-        config=parsed.game,
-        seed=int(obj["seed"]),
-        ticks=parsed.ticks,
-        fmt=obj["format"],
-        version=obj["version"],
-        content_hash=obj["content_hash"],
-    )
+    if _convert("seed", str(obj["seed"])) != parsed.game.seed:
+        raise ConfigError(f"seed: {obj['seed']} differs from the config's seed "
+                          f"{parsed.game.seed}")
+    return RunManifest(config=parsed.game, ticks=parsed.ticks, fmt=obj["format"],
+                       version=obj["version"], content_hash=obj["content_hash"])
 
 
 def make_manifest(cfg: GameConfig, ticks: int, fmt: str, rendered: str) -> RunManifest:
     return RunManifest(
         config=cfg,
-        seed=cfg.seed,
         ticks=ticks,
         fmt=fmt,
         version=__version__,

@@ -211,9 +211,7 @@ def predicted_occupancies(n_agents: int, n_markets: int, n_strategies: int) -> l
     exceed ``MAX_TABLE_BYTES`` even at m=1 are refused before anything is
     built.
     """
-    for key, value in (("N", n_agents), ("K", n_markets), ("s", n_strategies)):
-        if value < 1:
-            raise ConfigError(f"{key}: must be >= 1, got {value}")
+    GameConfig.check_counts(N=n_agents, K=n_markets, s=n_strategies)
     if n_markets == 1:
         return [float(n_agents)]
     table_bytes = GameConfig(n_agents=n_agents, seed=0, n_markets=n_markets,
@@ -234,9 +232,10 @@ def predicted_occupancies(n_agents: int, n_markets: int, n_strategies: int) -> l
 
 def predicted_irregular(n1: int, n2: int, n_strategies: int) -> tuple[float, float]:
     """Large-n1 asymptote of the exclusive market and limit of the shared one."""
-    for key, value, low in (("n1", n1, 0), ("n2", n2, 0), ("s", n_strategies, 1)):
-        if value < low:
-            raise ConfigError(f"{key}: must be >= {low}, got {value}")
+    for key, value in (("n1", n1), ("n2", n2)):
+        if value < 0:
+            raise ConfigError(f"{key}: must be >= 0, got {value}")
+    GameConfig.check_counts(s=n_strategies)
     r = 2.0 ** -n_strategies
     return n1 + (1 - r) * n2, n2 * r
 

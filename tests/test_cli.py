@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from mmg import engine, experiments
+from mmg import cli, engine, experiments
 from mmg.cli import _build_parser, cli_main
 from mmg.config import CONFIG_KEYS
 from mmg.experiments import FIGURE_NAMES
@@ -253,6 +253,75 @@ class TestRun:
         want = value if isinstance(kind, tuple) else kind(value)
         assert json.loads(man.read_text())["config"][key] == want
         assert getattr(parse_manifest(man.read_text()).config, field) == want
+
+
+def disagreeing_pairs(err):
+    """The pairs named by ``verify``'s "verify: A sha256:.. != B sha256:.." lines."""
+    return [line.split()[1::3] for line in err.splitlines() if " != " in line]
+
+
+class TestVerify:
+    @staticmethod
+    def written(tmp_path, fmt="csv"):
+        """Paths of the records and manifest ``run`` writes for one game."""
+        out, man = tmp_path / f"records.{fmt}", tmp_path / "run.json"
+        argv = ["run", "--N", "9", "--m", "3", "--seed", "7", "-T", "12", "--format", fmt,
+                "--out", str(out), "--manifest", str(man)]
+        assert cli_main(argv) == 0
+        return man, out
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_run_output_verifies(self, tmp_path, capsys, fmt):
+        man, out = self.written(tmp_path, fmt)
+        assert cli_main(["verify", str(man), str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_changed_digit_names_line(self, tmp_path, capsys):
+        man, out = self.written(tmp_path)
+        lines = out.read_text().splitlines(keepends=True)
+        row = lines[6].split(",")
+        row[2] = str(int(row[2]) + 1)
+        lines[6] = ",".join(row)
+        out.write_text("".join(lines))
+        assert cli_main(["verify", str(man), str(out)]) == 4
+        err = capsys.readouterr().err
+        assert disagreeing_pairs(err) == [["manifest", "file"], ["file", "replay"]]
+        assert "first difference at line 7" in err
+        assert repr(lines[6]) in err
+        assert "numpy" in err
+
+    def test_crlf_copy_fails(self, tmp_path, capsys):
+        man, out = self.written(tmp_path)
+        out.write_bytes(out.read_bytes().replace(b"\n", b"\r\n"))
+        assert cli_main(["verify", str(man), str(out)]) == 4
+        assert "first difference at line 1" in capsys.readouterr().err
+
+    def test_manifest_hash_differs(self, tmp_path, capsys):
+        man, out = self.written(tmp_path)
+        obj = json.loads(man.read_text())
+        obj["content_hash"] = content_hash("other")
+        man.write_text(json.dumps(obj))
+        assert cli_main(["verify", str(man), str(out)]) == 4
+        err = capsys.readouterr().err
+        assert disagreeing_pairs(err) == [["manifest", "file"], ["manifest", "replay"]]
+        assert "first difference" not in err
+
+    @pytest.mark.parametrize("missing", ["manifest", "file"])
+    def test_unreadable_input_is_named(self, tmp_path, capsys, missing):
+        paths = dict(zip(("manifest", "file"), self.written(tmp_path)))
+        for bad in (tmp_path / "missing", tmp_path):
+            argv = [str(bad if key == missing else path) for key, path in paths.items()]
+            assert cli_main(["verify", *argv]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: {missing}: cannot read {bad}")
+
+    def test_records_over_budget_refused_before_replay(self, tmp_path, capsys, monkeypatch):
+        man, out = self.written(tmp_path)
+        obj = json.loads(man.read_text())
+        obj["T"] = 10**11
+        man.write_text(json.dumps(obj))
+        monkeypatch.setattr(cli, "run_game", no_game)
+        assert cli_main(["verify", str(man), str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: T: ")
 
 
 class TestParserReuse:

@@ -17,29 +17,10 @@ from mmg.io import (
     make_manifest,
     parse_config,
     parse_manifest,
-    parse_records,
     render_records,
     render_table,
     serialize_manifest,
 )
-from mmg.metrics import mu_histogram
-
-
-@st.composite
-def record_configs(draw):
-    n_markets = draw(st.integers(1, 3))
-    n_agents = draw(st.integers(1, 9))
-    topology = MarketTopology.regular()
-    if n_markets == 2 and draw(st.booleans()):
-        n1 = draw(st.integers(0, n_agents))
-        topology = MarketTopology.irregular(n1, n_agents - n1)
-    return GameConfig(
-        n_agents=n_agents,
-        seed=draw(st.integers(0, 2**32)),
-        n_markets=n_markets,
-        memory=draw(st.integers(1, 6)),
-        topology=topology,
-    )
 
 
 class TestParseConfig:
@@ -96,6 +77,20 @@ class TestParseConfig:
         parsed = parse_config("topology=irregular n1=1146 n2=301 seed=9")
         assert parsed.game.n_agents == 1447
         assert parsed.game.topology == MarketTopology.irregular(1146, 301)
+
+    @pytest.mark.parametrize("text", [
+        "topology=irregular n1=5 seed=1",
+        "topology=irregular n2=5 seed=1",
+        "topology=irregular N=5 seed=1",
+    ])
+    def test_irregular_needs_both_populations(self, text):
+        # the same message as a game whose topology lacks n2
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(text)
+        unset = MarketTopology(kind="irregular", n1=5)
+        with pytest.raises(ConfigError) as game:
+            GameConfig(n_agents=5, seed=1, topology=unset).validate()
+        assert str(parsed.value) == str(game.value) == "topology: irregular requires n1 and n2"
 
     def test_irregular_population_mismatch(self):
         with pytest.raises(ConfigError):
@@ -239,18 +234,6 @@ class TestRecordFormats:
         assert a == b
         assert content_hash(a) == content_hash(b)
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    @settings(max_examples=30, deadline=None)
-    @given(cfg=record_configs(), ticks=st.integers(1, 20))
-    def test_render_parse_fixed_point(self, fmt, cfg, ticks):
-        rec = run(cfg, ticks)
-        text = render_records(rec, fmt)
-        back = parse_records(text, fmt, memory=cfg.memory)
-        assert render_records(back, fmt) == text
-        assert np.array_equal(back.occupancy, rec.occupancy)
-        assert np.array_equal(back.history, rec.history)
-        assert len(mu_histogram(back, 0).counts) == 2**cfg.memory
-
     def test_jsonl_key_order(self):
         line = render_records(self.records(), "jsonl").splitlines()[0]
         assert line.startswith('{"t":0,"O":[')
@@ -274,10 +257,6 @@ class TestRecordFormats:
             assert text == "".join(
                 json.dumps(dict(zip(keys, tick)), separators=(",", ":")) + "\n" for tick in ticks
             )
-            if rec.n_ticks:
-                back = parse_records(text, "jsonl", memory=3)
-                for name in fields:
-                    assert np.array_equal(getattr(back, name), getattr(rec, name)), name
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -286,15 +265,11 @@ class TestRecordFormats:
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_tie_draws_are_not_serialized(self, fmt):
         # n_tied is kept in memory only: the same records without it render
-        # the same bytes, and parsing leaves it None
-        cfg = GameConfig(n_agents=60, seed=4, memory=3, payoff="sign")
-        rec = run(cfg, 30)
+        # the same bytes
+        rec = run(GameConfig(n_agents=60, seed=4, memory=3, payoff="sign"), 30)
         assert rec.n_tied.any()
         text = render_records(rec, fmt)
         assert render_records(dataclasses.replace(rec, n_tied=None), fmt) == text
-        back = parse_records(text, fmt, memory=cfg.memory)
-        assert back.n_tied is None
-        assert render_records(back, fmt) == text
 
 
 def one_shot_render(records, fmt):
@@ -361,63 +336,6 @@ class TestChunkedRender:
         _, one_chunk = peak(head(rec, io._RENDER_TICKS))
         size, whole = peak(rec)
         assert whole <= 2 * size + one_chunk
-
-
-class TestParseLayout:
-    """parse_records accepts only rows in the layout render_records writes."""
-
-    HEADER = "t,k,O,A,astar,mu,C"
-    ROWS = ["0,0,4,2,-1,5,0", "0,1,3,1,-1,2,0", "1,0,5,1,-1,3,1", "1,1,2,0,1,5,1"]
-
-    def parse(self, rows):
-        return parse_records("\n".join([self.HEADER, *rows]) + "\n", "csv", memory=3)
-
-    def test_render_layout_parses(self):
-        rec = self.parse(self.ROWS)
-        assert rec.n_ticks == 2 and rec.n_markets == 2
-        assert rec.occupancy.tolist() == [[4, 3], [5, 2]]
-        assert rec.n_switched.tolist() == [0, 1]
-
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            pytest.param([ROWS[0], ROWS[1], ROWS[3]], id="missing-market-row"),
-            pytest.param([ROWS[0], ROWS[0], ROWS[1], ROWS[2], ROWS[3]], id="duplicate-row"),
-            pytest.param([ROWS[1], ROWS[0], ROWS[2], ROWS[3]], id="markets-reordered"),
-            pytest.param([ROWS[0], ROWS[2], ROWS[1], ROWS[3]], id="ticks-interleaved"),
-            pytest.param([*ROWS, "1,2,1,1,1,0,1"], id="extra-market"),
-            pytest.param([ROWS[0], ROWS[1], "1,0,5,1,-1,3,1", "1,1,2,0,1,5,2"], id="c-differs"),
-        ],
-    )
-    def test_rows_out_of_layout(self, rows):
-        with pytest.raises(ValueError, match="of one tick, in order|do not split into ticks"):
-            self.parse(rows)
-
-    def test_ticks_out_of_order(self):
-        with pytest.raises(ValueError, match="t=0 follows t=1"):
-            self.parse([*self.ROWS[2:], *self.ROWS[:2]])
-
-    def test_jsonl_ticks_out_of_order(self):
-        text = render_records(run(GameConfig(n_agents=5, seed=2, memory=2), 3), "jsonl")
-        lines = text.splitlines()
-        with pytest.raises(ValueError, match="t=1 follows t=2"):
-            parse_records("\n".join([lines[0], lines[2], lines[1]]), "jsonl", memory=2)
-
-    @pytest.mark.parametrize(
-        "second",
-        [
-            pytest.param('{"t":1,"O":[5],"A":[1,0],"astar":[-1,1],"mu":[3,0],"C":2}', id="short"),
-            pytest.param('{"t":1,"O":[5,0],"A":[1,0],"astar":[-1,1],"C":2}', id="no-mu"),
-        ],
-    )
-    def test_jsonl_tick_out_of_layout(self, second):
-        first = '{"t":0,"O":[3,2],"A":[1,0],"astar":[-1,1],"mu":[1,2],"C":0}'
-        with pytest.raises(ValueError, match="K values per market"):
-            parse_records(f"{first}\n{second}\n", "jsonl", memory=2)
-
-    def test_ragged_csv_row(self):
-        with pytest.raises(ValueError, match="7 integers"):
-            self.parse([self.ROWS[0], "0,1,3,1,-1,2"])
 
 
 class TestFormatNumber:
@@ -491,7 +409,7 @@ class TestManifest:
     @given(cfg=manifest_configs(), ticks=st.integers(1, 10**6))
     def test_round_trip(self, cfg, ticks):
         manifest = RunManifest(
-            config=cfg, seed=cfg.seed, ticks=ticks, fmt="csv",
+            config=cfg, ticks=ticks, fmt="csv",
             version="0.1.0", content_hash=content_hash("x"),
         )
         assert parse_manifest(serialize_manifest(manifest)) == manifest
@@ -504,6 +422,39 @@ class TestManifest:
         obj["config"].update(config or {})
         obj.update(top)
         return json.dumps(obj)
+
+    @pytest.mark.parametrize("text", ["{not json", "", '["config"]', "null"])
+    def test_no_json_object_names_manifest(self, text):
+        with pytest.raises(ConfigError, match="^manifest: "):
+            parse_manifest(text)
+
+    @pytest.mark.parametrize("key", ["config", "content_hash", "format", "seed", "T", "version"])
+    def test_missing_key_is_named(self, key):
+        obj = json.loads(self.manifest_with())
+        del obj[key]
+        with pytest.raises(ConfigError, match=f"^{key}: required$"):
+            parse_manifest(json.dumps(obj))
+
+    @pytest.mark.parametrize("fmt", ["parquet", "CSV", None])
+    def test_unknown_format_is_named(self, fmt):
+        with pytest.raises(ConfigError, match="^format: expected one of csv, jsonl"):
+            parse_manifest(self.manifest_with(format=fmt))
+
+    @pytest.mark.parametrize("seed", [99, 3.0])
+    def test_seed_other_than_config_seed(self, seed):
+        # the game plays config.seed, so a different top-level seed is refused
+        with pytest.raises(ConfigError, match="^seed: "):
+            parse_manifest(self.manifest_with({"seed": 3}, seed=seed))
+
+    @pytest.mark.parametrize("key", ["config", "topology"])
+    def test_config_and_topology_are_objects(self, key):
+        obj = json.loads(self.manifest_with())
+        if key == "config":
+            obj["config"] = [1, 2]
+        else:
+            obj["config"]["topology"] = "irregular"
+        with pytest.raises(ConfigError, match=f"^{key}: expected a JSON object"):
+            parse_manifest(json.dumps(obj))
 
     def test_unplayable_game_names_key(self):
         with pytest.raises(ConfigError, match="^N: "):
@@ -529,6 +480,7 @@ class TestManifest:
         ({}, {"T": 0}, "T"),
         ({}, {"T": 10**11}, "T"),
         ({"seeds": 3}, {}, "unknown key 'seeds'"),
+        ({}, {"window": "0:5"}, "unknown key 'window'"),
     ])
     def test_bad_topology_ticks_or_key(self, config, top, key):
         with pytest.raises(ConfigError, match=f"^{key}"):
@@ -546,4 +498,4 @@ class TestManifest:
         text = render_records(rec, "csv")
         m = make_manifest(cfg, 5, "csv", text)
         assert m.content_hash == content_hash(text)
-        assert m.seed == 8 and m.ticks == 5
+        assert m.config.seed == 8 and m.ticks == 5

@@ -266,6 +266,19 @@ class TestPredictions:
             predicted_occupancies(4 * n, 2, 2)
         assert predicted_occupancies(4 * n, 1, 2) == [4.0 * n]
 
+    @pytest.mark.parametrize("n, k, s, key", [(0, 2, 2, "N"), (5, 0, 2, "K"), (5, 2, 0, "s")])
+    def test_count_below_one_refused_as_by_a_game(self, n, k, s, key):
+        # one rule, one message: the prediction and the game refuse alike
+        with pytest.raises(ConfigError) as predicted:
+            predicted_occupancies(n, k, s)
+        with pytest.raises(ConfigError) as game:
+            GameConfig(n_agents=n, seed=1, n_markets=k, n_strategies=s).validate()
+        assert str(predicted.value) == str(game.value) == f"{key}: must be >= 1, got 0"
+        if key == "s":
+            with pytest.raises(ConfigError) as irregular:
+                predicted_irregular(3, 4, s)
+            assert str(irregular.value) == str(game.value)
+
     def test_irregular_values(self):
         assert predicted_irregular(1000, 301, 2) == (1225.75, 75.25)
         assert predicted_irregular(301, 301, 2) == (526.75, 75.25)

@@ -30,11 +30,16 @@ ROOT_NAMES = {
 }
 # public names the root does not re-export, by the module that exports them
 MODULE_NAMES = {
+    "mmg.io": [
+        "FILE_KEYS", "ParsedConfig", "RunManifest", "content_hash", "format_number",
+        "parse_config", "parse_manifest", "render_records", "render_table", "serialize_manifest",
+    ],
     "mmg.metrics": [
         "SeriesStats", "MuHistogram", "CriticalFluctuation", "big_small_markets",
-        "classify_mode", "detect_critical_history", "fluctuation_frequency",
+        "check_theta", "classify_mode", "detect_critical_history", "fluctuation_frequency",
         "mean_c_at_recurrence", "mu_histogram", "predicted_irregular",
-        "predicted_occupancies", "relaxation_time", "series_stats", "split_detected",
+        "predicted_occupancies", "relaxation_time", "resolve_window", "series_stats",
+        "split_detected",
     ],
     "mmg.rng": ["game_rng"],
     "mmg.strategies": ["draw_strategies"],
@@ -48,8 +53,9 @@ def test_root_exports_exactly_the_entry_points():
 
 @pytest.mark.parametrize("modname", sorted(MODULE_NAMES))
 def test_names_left_out_of_the_root_stay_in_their_module(modname):
+    # exactly these: a name added to or dropped from the module is a deliberate change
     exported = importlib.import_module(modname).__all__
-    assert [name for name in MODULE_NAMES[modname] if name not in exported] == []
+    assert sorted(set(exported) - set(mmg.__all__)) == sorted(MODULE_NAMES[modname])
     assert set(MODULE_NAMES[modname]).isdisjoint(mmg.__all__)
 
 

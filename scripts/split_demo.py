@@ -10,16 +10,8 @@ import sys
 
 import numpy as np
 
-from mmg import GameConfig, run
-from mmg.metrics import (
-    big_small_markets,
-    detect_critical_history,
-    fluctuation_frequency,
-    predicted_occupancies,
-    relaxation_time,
-    series_stats,
-    split_detected,
-)
+from mmg import GameConfig, run, summarize_run
+from mmg.metrics import predicted_occupancies
 
 
 def main(argv):
@@ -28,20 +20,18 @@ def main(argv):
     cfg = GameConfig(n_agents=n, seed=seed)
     records = run(cfg, ticks)
 
-    stats = series_stats(records)
-    big, small = big_small_markets(stats)
+    summary = summarize_run(records, n_strategies=cfg.n_strategies)
+    stats, big, small = summary.stats, summary.big_market, summary.small_market
     predicted = predicted_occupancies(n, 2, 2)
-    tau = relaxation_time(records, n, 2)
-    nu = fluctuation_frequency(records, big, 0.9)
-    crit = detect_critical_history(records, big, 0.9)
+    crit = summary.critical
 
     print(f"N={n}, m={cfg.memory}, s={cfg.n_strategies}, seed={seed}, T={ticks}")
-    print(f"split detected: {split_detected(records)}  (relaxation time {tau})")
+    print(f"split detected: {summary.split}  (relaxation time {summary.tau0})")
     print(f"mean occupancy big/small: {stats.mean_occupancy[big]:.1f} / "
           f"{stats.mean_occupancy[small]:.1f}   predicted {predicted[0]} / {predicted[1]}")
     print(f"per-capita demand variance big/small: {stats.per_capita_var[big]:.2f} / "
           f"{stats.per_capita_var[small]:.2f}")
-    print(f"large-fluctuation frequency on big market: {nu:.4f}   (1/2^m = {1/32:.4f})")
+    print(f"large-fluctuation frequency on big market: {summary.nu:.4f}   (1/2^m = {1/32:.4f})")
     if crit is not None:
         rc = crit.recurrences
         amp = np.abs(records.demand[rc, big]) / records.occupancy[rc, big]

@@ -29,12 +29,12 @@ TOPOLOGY_KINDS = ("regular", "irregular")
 MAX_MEMORY = 24  # keeps 2**m indexable in a machine word with headroom
 # Largest strategy-table array a game may ask for: N*K*s*2**m int8 bytes.
 # A game keeps more than its tables: the scores, unlinked entries included
-# (4*N*K*s bytes when int32, 8*N*K*s otherwise), ``GameState.choice_mask``
-# (N*K*s), ``agents`` (8*N) and ``last_market`` (8*N, or N on the one-hot
-# side of ``engine.step``). At m=1, s=1 that is 10x the tables for K=1 and
-# 7.75x for K=2 (float64 scores, one-hot side; 8x and 5.75x when int32),
-# and 13.5x and 9.5x for a game under 512*K agents, on the bincount side
-# (tracemalloc after ``init_game`` and one ``step``).
+# (4*N*K*s bytes when int32, 8*N*K*s otherwise), ``agents`` (8*N) and
+# ``last_market`` (8*N, or N on the one-hot side of ``engine.step``). At
+# m=1, s=1 that is 9.5x the tables for K=1 and 7.25x for K=2 (float64
+# scores, one-hot side; 7.5x and 5.25x when int32), and 13x and 9x for a
+# game under 512*K agents, on the bincount side (tracemalloc after
+# ``init_game`` and one ``step``, per byte of tables as N grows).
 # ``init_game`` draws the tables and uniform initial utilities in place, one
 # chunk of agents at a time, so it holds the arrays the game keeps plus one
 # chunk (``strategies._CHUNK_BYTES``), never a second copy of the tables.

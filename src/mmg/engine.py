@@ -10,7 +10,8 @@ every linked market -- active and passive alike -- is scored with
 (5) the minority actions are shifted into the histories; (6) the number of
 agents whose active market changed since the previous tick is recorded.
 
-Randomness is consumed in a pinned order: at init, endowment bits, then
+Randomness is consumed in a pinned order: at init, endowment bits (NumPy's
+int8 bits, read from its 32-bit words; see ``mmg.strategies``), then
 uniform initial utilities (when enabled), then one initial history per
 market; per tick, one draw in ``[0, n)`` per agent tied between n
 maximizers, in agent index order, picking among them in flat (market,
@@ -200,15 +201,15 @@ class GameState:
     ``scores``; no module of ``mmg`` reads it (``experiments`` traces fig6
     from ``scores``). A deep copy or an unpickled state owns copies of both.
     The fields after ``t`` are derived once from the config; ``step`` reads
-    all of them but ``choice_mask`` every tick, except that a game with fewer
-    than ``ARGMAX_AGENTS`` agents reads neither ``weights``, ``rows`` nor
+    all of them every tick, except that a game with fewer than
+    ``ARGMAX_AGENTS`` agents reads neither ``weights``, ``rows`` nor
     ``count_ties``. ``step`` writes the next histories into ``histories`` in
-    place. ``__post_init__`` writes the unlinked entries of ``scores``:
-    ``UNLINKED_SCORE`` in int32 scores and -inf in float64 ones. A write
-    through ``utilities`` must leave them so, or an agent may pick a
-    strategy on a market it is not linked to. Besides the tables and the
-    scores, a game keeps ``choice_mask`` (N*K*s bytes), ``agents`` (8*N)
-    and ``last_market`` (8*N, or N on the one-hot side of ``step``); see
+    place. ``__post_init__`` writes the unlinked entries of ``scores`` from
+    the topology's link mask: ``UNLINKED_SCORE`` in int32 scores and -inf in
+    float64 ones. A write through ``utilities`` must leave them so, or an
+    agent may pick a strategy on a market it is not linked to. Besides the
+    tables and the scores, a game keeps ``agents`` (8*N) and ``last_market``
+    (8*N, or N on the one-hot side of ``step``), not ``choice_mask``; see
     ``config.MAX_TABLE_BYTES`` for what that adds up to.
     """
 
@@ -219,7 +220,6 @@ class GameState:
     histories: np.ndarray  # (K,) int64
     last_market: np.ndarray | None = None  # (N,) active market at t-1
     t: int = 0
-    choice_mask: np.ndarray = field(init=False)  # (N, K*s) linked-strategy mask
     weights: np.ndarray = field(init=False)  # (K*s, 1) K*s down to 1, in flat order
     rows: np.ndarray = field(init=False)  # (K*s, 1) 0 up to K*s - 1, dtype of ``weights``
     agents: np.ndarray = field(init=False)  # (N,) agent indices
@@ -228,18 +228,24 @@ class GameState:
 
     def __post_init__(self) -> None:
         cfg = self.config
-        n = cfg.n_agents
-        self.choice_mask = np.repeat(cfg.topology.link_mask(n, cfg.n_markets),
-                                     cfg.n_strategies, axis=1)
-        rows = self.choice_mask.shape[1]
+        n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
+        rows = k_markets * s
         unlinked = UNLINKED_SCORE if self.scores.dtype == np.int32 else -np.inf
-        self.scores[~self.choice_mask.T] = unlinked
+        # the (K, N) link mask broadcast over each market's s slots
+        np.copyto(self.scores.reshape(k_markets, s, n, copy=False), unlinked,
+                  where=~cfg.topology.link_mask(n, k_markets).T[:, None, :])
         self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
         self.rows = rows - self.weights
         self.agents = np.arange(n)
         self.market_rows = np.arange(cfg.n_markets) << cfg.memory
         doublings = (rows - 1).bit_length()
         self.count_ties = max(SCALAR_DRAWS + 1, doublings * max(COUNT_TIES, n // COUNT_SHARE))
+
+    @property
+    def choice_mask(self) -> np.ndarray:
+        """(N, K*s) linked-strategy mask, from the topology; ``step`` never reads it."""
+        cfg = self.config
+        return np.repeat(cfg.topology.link_mask(cfg.n_agents, cfg.n_markets), cfg.n_strategies, 1)
 
     @property
     def utilities(self) -> np.ndarray:
@@ -283,7 +289,7 @@ def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
     return GameState(config=cfg, rng=rng, tables=tables, scores=scores, histories=histories)
 
 
-def _gain(demand: np.ndarray, cfg: GameConfig, dtype: type = np.float64) -> np.ndarray:
+def _gain(demand: np.ndarray, cfg: GameConfig, dtype: type) -> np.ndarray:
     """g(demand) in ``dtype``, the dtype of the scores; scaled is float64."""
     if cfg.payoff == "linear":
         return demand.astype(dtype)

@@ -85,8 +85,7 @@ def summarize_run(
     stats = series_stats(records, window)
     big, small = big_small_markets(stats)
     split = split_detected(records, window)
-    n_agents = records.n_agents
-    tau0 = relaxation_time(records, n_agents, n_strategies)
+    tau0 = relaxation_time(records, n_strategies)
     nu = fluctuation_frequency(records, big, theta, window)
     crit = detect_critical_history(records, big, theta)
     return RunSummary(
@@ -254,17 +253,22 @@ def q_sweep(spec: SweepSpec) -> Table:
     return {col: np.array([row[col] for row in rows]) for col in rows[0]}
 
 
-def estimate_critical_q(table: Table, low: float = 0.25, high: float = 0.75) -> float | None:
+#: The split fractions ``estimate_critical_q`` looks for a crossing between.
+CRITICAL_LOW = 0.25
+CRITICAL_HIGH = 0.75
+
+
+def estimate_critical_q(table: Table) -> float | None:
     """Midpoint of the narrowest Q interval over which the split fraction
-    crosses from below ``low`` to above ``high``; None when it never does.
-    Reads the ``Q`` and ``split_fraction`` columns of a sweep table."""
+    crosses from below ``CRITICAL_LOW`` to above ``CRITICAL_HIGH``; None when it
+    never does. Reads the ``Q`` and ``split_fraction`` columns of a sweep table."""
     pts = sorted(zip(table["Q"].tolist(), table["split_fraction"].tolist()), key=lambda p: p[0])
     best: tuple[float, float] | None = None
     for i, (qa, fa) in enumerate(pts):
-        if fa >= low:
+        if fa >= CRITICAL_LOW:
             continue
         for qb, fb in pts[i + 1 :]:
-            if fb > high:
+            if fb > CRITICAL_HIGH:
                 width = qb - qa
                 if best is None or width < best[0]:
                     best = (width, (qa + qb) / 2)

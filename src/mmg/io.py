@@ -289,9 +289,9 @@ def _json_object(value, key: str) -> dict:
 def parse_manifest(text: str) -> RunManifest:
     """Inverse of ``serialize_manifest``. ``config``, with ``topology`` read as
     the keys ``topology``, ``n1`` and ``n2``, and ``T`` are checked as the
-    keys of a config file, ``format`` must be csv or jsonl and ``seed`` the
-    config's; ConfigError names the key at fault, or ``manifest`` for text
-    that is no JSON object."""
+    keys of a config file, except that a number must be a JSON number;
+    ``format`` must be csv or jsonl and ``seed`` the config's. ConfigError
+    names the key at fault, or ``manifest`` for text that is no JSON object."""
     try:
         obj = _json_object(json.loads(text), "manifest")
     except json.JSONDecodeError as exc:
@@ -309,7 +309,10 @@ def parse_manifest(text: str) -> RunManifest:
         raise ConfigError(f"format: expected one of {', '.join(_RENDERERS)}, "
                           f"got {obj['format']!r}")
     keys = {**config, "topology": topology.pop("kind", None), **topology, "T": obj["T"]}
-    # a JSON value is read as its text in a config file, so 2.5 is no integer
+    # a number is a JSON number, read as its text in a config file: 2.5 is no integer
+    for key, value in [*keys.items(), ("seed", obj["seed"])]:
+        if FILE_KEYS[key] in (int, float) and isinstance(value, str):
+            raise ConfigError(f"{key}: expected {_EXPECTED[FILE_KEYS[key]]}, got {value!r}")
     parsed = _build({key: _convert(key, str(value)) for key, value in keys.items()})
     if _convert("seed", str(obj["seed"])) != parsed.game.seed:
         raise ConfigError(f"seed: {obj['seed']} differs from the config's seed "

@@ -37,6 +37,14 @@ __all__ = [
 #: full-market collective events from ordinary sqrt(O)-scale noise.
 DEFAULT_THETA = 0.9
 
+#: ``relaxation_time``'s band around each split level (a fraction of N) and
+#: the fewest ticks held in it up to the end of a run; ``split_detected``'s
+#: occupancy gap (a fraction of N) and the share of window ticks above it.
+RELAX_BELT = 0.05
+RELAX_MIN_STAY = 50
+SPLIT_GAP_FRAC = 0.2
+SPLIT_SUSTAIN = 0.9
+
 
 def check_theta(theta: float) -> None:
     """Refuse a threshold outside (0, 1] with a ConfigError naming ``theta``."""
@@ -171,33 +179,25 @@ def fluctuation_frequency(
     return float(np.count_nonzero(large) / (b - a))
 
 
-def relaxation_time(
-    records: RunRecords,
-    n_agents: int,
-    n_strategies: int,
-    belt: float = 0.05,
-    min_stay: int = 50,
-) -> int | None:
-    """First tick from which every occupancy stays in the +-belt*N band
+def relaxation_time(records: RunRecords, n_strategies: int) -> int | None:
+    """First tick from which every occupancy stays in the +-RELAX_BELT*N band
     around one of the split levels of ``predicted_occupancies`` for the
-    records' K markets until the end of the recorded range.
+    records' N agents and K markets until the end of the recorded range.
 
     "Forever" is only checkable to the end of the run; to keep a lucky
     final tick from counting as stabilization, the terminal in-band
-    stretch must span at least ``min_stay`` ticks, else None.
+    stretch must span at least ``RELAX_MIN_STAY`` ticks, else None.
     """
-    if not 0 < belt < 1:
-        raise ValueError(f"belt must be in (0, 1), got {belt}")
+    n_agents = records.n_agents
     levels = np.array(predicted_occupancies(n_agents, records.n_markets, n_strategies))
-    tol = belt * n_agents
-    near = np.abs(records.occupancy[:, :, None] - levels) <= tol
+    near = np.abs(records.occupancy[:, :, None] - levels) <= RELAX_BELT * n_agents
     ok = near.any(axis=2).all(axis=1)
     if ok.all():
         tau = 0
     else:
         last_bad = int(np.flatnonzero(~ok)[-1])
         tau = last_bad + 1
-    if tau >= records.n_ticks or records.n_ticks - tau < min_stay:
+    if tau >= records.n_ticks or records.n_ticks - tau < RELAX_MIN_STAY:
         return None
     return tau
 
@@ -240,19 +240,13 @@ def predicted_irregular(n1: int, n2: int, n_strategies: int) -> tuple[float, flo
     return n1 + (1 - r) * n2, n2 * r
 
 
-def split_detected(
-    records: RunRecords,
-    window: tuple[int, int] | None = None,
-    gap_frac: float = 0.2,
-    sustain: float = 0.9,
-) -> bool:
-    """True when the occupancy gap exceeds gap_frac * N on at least a
-    ``sustain`` fraction of the window's ticks."""
+def split_detected(records: RunRecords, window: tuple[int, int] | None = None) -> bool:
+    """True when the occupancy gap exceeds SPLIT_GAP_FRAC * N on at least a
+    ``SPLIT_SUSTAIN`` fraction of the window's ticks."""
     a, b = resolve_window(records.n_ticks, window)
     occ = records.occupancy[a:b]
-    n_agents = int(occ[0].sum())
     gap = occ.max(axis=1) - occ.min(axis=1)
-    return bool(np.mean(gap > gap_frac * n_agents) >= sustain)
+    return bool(np.mean(gap > SPLIT_GAP_FRAC * records.n_agents) >= SPLIT_SUSTAIN)
 
 
 #: Per-capita variance bands for the mode labels; 1.0 (random agents) lies

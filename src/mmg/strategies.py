@@ -60,11 +60,11 @@ def draw_strategies(
     The storage order does not change the draw order: each chunk of agents
     is scattered through an agent-major view of the tables.
 
-    NumPy's int8 draw takes four values from each 32-bit word and drops the
-    unused bytes of a call's last word. So each chunk draws its values
-    rounded up to a multiple of four, and the 0-3 values past its own carry
-    over to the next chunk: the chunks read the same words as one call over
-    the whole game, and leave the generator in the same state.
+    NumPy's int8 draw in [0, 2) reads each value from the top bit of a byte
+    of a 32-bit word, low byte first, and drops a call's unused last bytes.
+    So each chunk draws those words for its values rounded up to a multiple
+    of four, turns their bytes into values in place and carries the 0-3
+    values past its own over: the chunks read the same words as one call.
     """
     if min(n_agents, n_markets, n_strategies, memory) < 1:
         raise ValueError("n_agents, n_markets, n_strategies and memory must be >= 1")
@@ -81,7 +81,9 @@ def draw_strategies(
     for agents, mask in agent_chunks(link_mask, n_strategies * P):
         pairs = int(np.count_nonzero(mask))
         need = pairs * n_strategies * P
-        bits = rng.integers(0, 2, size=(need - len(carry) + 3) // 4 * 4, dtype=np.int8)
+        words = rng.integers(0, 1 << 32, size=(need - len(carry) + 3) // 4, dtype=np.uint32)
+        bits = words.astype("<u4", copy=False).view(np.uint8)  # little-endian bytes
+        bits = np.right_shift(bits, 7, out=bits).view(np.int8)
         if len(carry):
             bits = np.concatenate([carry, bits])
         bits, carry = bits[:need], bits[need:]

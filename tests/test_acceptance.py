@@ -94,7 +94,7 @@ def test_criterion_1_occupancy_split_levels(ens1447):
 
 
 def test_criterion_2_no_split_at_small_n(ens11):
-    undefined = sum(relaxation_time(rec, 11, 2) is None for rec in ens11)
+    undefined = sum(relaxation_time(rec, 2) is None for rec in ens11)
     report(2, "no-split-small-N", undefined >= 9, f"(tau0 undefined in {undefined}/10)")
     assert undefined >= 9
 
@@ -137,7 +137,7 @@ def stationary_recurrences(rec, big):
     crit = detect_critical_history(rec, big, THETA)
     if crit is None:
         return None, np.array([], dtype=int)
-    tau = relaxation_time(rec, rec.n_agents, 2)
+    tau = relaxation_time(rec, 2)
     start = max(tau or 0, rec.n_ticks // 2)
     return crit, crit.recurrences[crit.recurrences >= start]
 

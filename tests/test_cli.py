@@ -314,6 +314,17 @@ class TestVerify:
             assert cli_main(["verify", *argv]) == 2
             assert capsys.readouterr().err.startswith(f"config error: {missing}: cannot read {bad}")
 
+    @pytest.mark.parametrize("key", ["seed", "T", "N"])
+    def test_number_as_string_is_refused_before_replay(self, tmp_path, capsys, monkeypatch, key):
+        man, out = self.written(tmp_path)
+        obj = json.loads(man.read_text())
+        holder = obj["config"] if key == "N" else obj
+        holder[key] = str(holder[key])
+        man.write_text(json.dumps(obj))
+        monkeypatch.setattr(cli, "run_game", no_game)
+        assert cli_main(["verify", str(man), str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
     def test_records_over_budget_refused_before_replay(self, tmp_path, capsys, monkeypatch):
         man, out = self.written(tmp_path)
         obj = json.loads(man.read_text())

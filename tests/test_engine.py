@@ -366,8 +366,10 @@ class TestDrawStream:
     one array call, and its coins one scalar call at a time or in one
     ``size=`` call, each by their count, where ``tests/reference.py`` makes
     one scalar call per draw; each pair must read the same numbers from the
-    generator and leave it in the same state. ``lead`` coins drawn first
-    leave PCG64's buffered 32-bit half full or empty."""
+    generator and leave it in the same state. ``draw_strategies`` reads the
+    bits of NumPy's int8 draw from the 32-bit words that draw takes them
+    from. ``lead`` coins drawn first leave PCG64's buffered 32-bit half full
+    or empty."""
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**63), lead=st.integers(0, 3),
@@ -389,6 +391,17 @@ class TestDrawStream:
         got = array_rng.integers(0, 2, size=n).tolist()
         assert got == [int(scalar_rng.integers(0, 2)) for _ in range(n)]
         assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**63), lead=st.integers(0, 3), words=st.integers(0, 40))
+    def test_int8_bits_are_top_bits_of_words(self, seed, lead, words):
+        bits_rng, words_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (bits_rng, words_rng):
+            rng.integers(0, 2, size=lead)
+        bits = bits_rng.integers(0, 2, size=4 * words, dtype=np.int8)
+        drawn = words_rng.integers(0, 2**32, size=words, dtype=np.uint32)
+        assert np.array_equal(bits, drawn.astype("<u4").view(np.uint8) >> 7)
+        assert bits_rng.bit_generator.state == words_rng.bit_generator.state
 
 
 def reference_grid():

@@ -471,6 +471,24 @@ class TestManifest:
         with pytest.raises(ConfigError, match=f"^{key}: "):
             parse_manifest(self.manifest_with({key: self.BAD_VALUES[key]}))
 
+    # every number serialize_manifest writes, by its path in the manifest
+    NUMBER_PATHS = [("seed",), ("T",), *[("config", key) for key in (
+        "seed", "N", "K", "s", "m", "u_low", "u_high")], ("config", "topology", "n1"),
+        ("config", "topology", "n2")]
+
+    @pytest.mark.parametrize("retype", [str, lambda value: True], ids=["string", "boolean"])
+    @pytest.mark.parametrize("path", NUMBER_PATHS, ids="/".join)
+    def test_number_keys_take_json_numbers(self, path, retype):
+        # the value itself as a JSON string ("7"), or a JSON boolean
+        obj = json.loads(self.manifest_with())
+        *parents, key = path
+        holder = obj
+        for parent in parents:
+            holder = holder[parent]
+        holder[key] = retype(holder[key])
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_manifest(json.dumps(obj))
+
     @pytest.mark.parametrize("config, top, key", [
         ({"topology": {"kind": "ring"}}, {}, "topology"),
         ({"topology": {"n1": 4, "n2": 8}}, {}, "topology"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmg import ConfigError, GameConfig, RunRecords, run
+from mmg import ConfigError, GameConfig, RunRecords, metrics, run
 from mmg.config import MAX_TABLE_BYTES
 from mmg.metrics import (
     big_small_markets,
@@ -180,31 +180,34 @@ class TestRelaxationTime:
 
     def test_enters_and_stays(self):
         rec = make_records([[8, 8]] * 100 + self.level_series(300), [[0, 0]] * 400)
-        assert relaxation_time(rec, 16, 2) == 100
+        assert relaxation_time(rec, 2) == 100
 
     def test_never_inside(self):
         rec = make_records([[8, 8]] * 200, [[0, 0]] * 200)
-        assert relaxation_time(rec, 16, 2) is None
+        assert relaxation_time(rec, 2) is None
 
     def test_inside_from_start(self):
         rec = make_records(self.level_series(200), [[0, 0]] * 200)
-        assert relaxation_time(rec, 16, 2) == 0
+        assert relaxation_time(rec, 2) == 0
 
-    def test_short_terminal_stay_rejected(self):
+    def test_short_terminal_stay_rejected(self, monkeypatch):
         # a lucky landing on the levels for the last few ticks is not
         # stabilization
         rec = make_records([[8, 8]] * 197 + self.level_series(3), [[0, 0]] * 200)
-        assert relaxation_time(rec, 16, 2) is None
-        assert relaxation_time(rec, 16, 2, min_stay=3) == 197
+        assert relaxation_time(rec, 2) is None
+        monkeypatch.setattr(metrics, "RELAX_MIN_STAY", 3)
+        assert relaxation_time(rec, 2) == 197
 
-    def test_widening_belt_never_increases_tau(self):
+    def test_widening_belt_never_increases_tau(self, monkeypatch):
         rng = np.random.default_rng(5)
         occ1 = rng.integers(0, 17, size=(300, 1))
         occ = np.hstack([occ1, 16 - occ1])
         rec = make_records(occ, np.zeros_like(occ))
+        monkeypatch.setattr(metrics, "RELAX_MIN_STAY", 1)
         taus = []
         for belt in (0.05, 0.1, 0.2, 0.4):
-            taus.append(relaxation_time(rec, 16, 2, belt=belt, min_stay=1))
+            monkeypatch.setattr(metrics, "RELAX_BELT", belt)
+            taus.append(relaxation_time(rec, 2))
         defined = [t for t in taus if t is not None]
         assert defined == sorted(defined, reverse=True)
         for a, b in zip(taus, taus[1:]):
@@ -215,7 +218,7 @@ class TestRelaxationTime:
         # N=64, K=3, s=2: predicted levels 48, 12 and 4
         settled = [[48, 12, 4], [12, 48, 4], [4, 12, 48]] * 100
         rec = make_records([[22, 21, 21]] * 50 + settled, [[0, 0, 0]] * 350)
-        assert relaxation_time(rec, 64, 2) == 50
+        assert relaxation_time(rec, 2) == 50
 
 
 class TestPredictions:

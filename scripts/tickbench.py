@@ -40,10 +40,11 @@ tracemalloc traces while it runs, in KiB (``peak_kib``). Runs in 10-20 s:
 Where the host's speed drifts, one run per side can differ by more than a
 change does. ``--parent DIR`` compares the ``mmg`` on the path with the one
 under ``DIR/src`` (say, a checkout of the parent commit) in one process:
-both play each game side by side, alternated in blocks of ticks (which side
-goes first alternates too), and the line maps game/tie-rule to the parent's
-and this version's median microseconds per tick and the number of blocks
-this version was faster in. Each game/init maps to both versions' median
+each builds every game from the same config-file text with its own
+``mmg.io.parse_config``, both play it side by side, alternated in blocks of
+ticks (which side goes first alternates too), and the line maps
+game/tie-rule to the parent's and this version's median microseconds per
+tick and the number of blocks this version was faster in. Each game/init maps to both versions' median
 ``init_game`` microseconds over ``BLOCKS`` alternated calls, the calls this
 version was faster in, and both traced peaks (``parent_peak_kib``,
 ``change_peak_kib``). Both must write the same records, or it stops:
@@ -58,50 +59,48 @@ import statistics
 import sys
 import time
 import tracemalloc
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 import mmg
-from mmg import GameConfig, MarketTopology
 from mmg.engine import ARGMAX_AGENTS, ONE_HOT_AGENTS, ONE_HOT_ROWS, RunRecords, init_game, step
 
 RUNS = 5
 BLOCKS = 21
 FIELDS = ("t", "occupancy", "demand", "minority", "history", "n_switched")
+TIES = ("random", "lowest-index")
 
 
 def games():
-    """(name, config, ticks) of every timed game, random ties."""
+    """(name, config-file text, ticks) of every timed game; the text sets no tie rule."""
     edge = 2 * ONE_HOT_AGENTS
-    big_run = MarketTopology.irregular(10000, 301)
+    big_run = "topology=irregular n1=10000 n2=301 seed=1"
     return [
-        ("N11", GameConfig(n_agents=11, seed=1), 2000),
-        ("N128", GameConfig(n_agents=128, seed=1), 2000),
-        ("N1447s", GameConfig(n_agents=1447, seed=1, payoff="sign"), 600),
-        ("N1447sK3s3", GameConfig(n_agents=1447, seed=1, payoff="sign", n_markets=3,
-                                  n_strategies=3), 400),
-        ("N10301", GameConfig(n_agents=10301, seed=1, topology=big_run), 200),
-        ("N10301scaled", GameConfig(n_agents=10301, seed=1, topology=big_run,
-                                    payoff="scaled"), 200),
-        ("N10301uniform", GameConfig(n_agents=10301, seed=1, topology=big_run,
-                                     init_utilities="uniform"), 200),
-        ("N11K40", GameConfig(n_agents=11, seed=1, n_markets=40), 1000),
-        (f"N{edge - 2}", GameConfig(n_agents=edge - 2, seed=1), 1000),
-        (f"N{edge}", GameConfig(n_agents=edge, seed=1), 1000),
-        (f"N{edge}s{ONE_HOT_ROWS // 2}",
-         GameConfig(n_agents=edge, seed=1, n_strategies=ONE_HOT_ROWS // 2), 300),
-        (f"N{edge}s{ONE_HOT_ROWS // 2 + 1}",
-         GameConfig(n_agents=edge, seed=1, n_strategies=ONE_HOT_ROWS // 2 + 1), 300),
-        (f"N{40 * (ONE_HOT_AGENTS - 1)}K40",
-         GameConfig(n_agents=40 * (ONE_HOT_AGENTS - 1), seed=1, n_markets=40, memory=2), 30),
-        (f"N{40 * ONE_HOT_AGENTS}K40",
-         GameConfig(n_agents=40 * ONE_HOT_AGENTS, seed=1, n_markets=40, memory=2), 30),
-        (f"N{ARGMAX_AGENTS - 1}", GameConfig(n_agents=ARGMAX_AGENTS - 1, seed=1), 2000),
-        (f"N{ARGMAX_AGENTS}", GameConfig(n_agents=ARGMAX_AGENTS, seed=1), 2000),
-        ("N11K5", GameConfig(n_agents=11, seed=1, n_markets=5), 2000),
+        ("N11", "N=11 seed=1", 2000),
+        ("N128", "N=128 seed=1", 2000),
+        ("N1447s", "N=1447 seed=1 payoff=sign", 600),
+        ("N1447sK3s3", "N=1447 seed=1 payoff=sign K=3 s=3", 400),
+        ("N10301", big_run, 200),
+        ("N10301scaled", f"{big_run} payoff=scaled", 200),
+        ("N10301uniform", f"{big_run} init_utilities=uniform", 200),
+        ("N11K40", "N=11 seed=1 K=40", 1000),
+        (f"N{edge - 2}", f"N={edge - 2} seed=1", 1000),
+        (f"N{edge}", f"N={edge} seed=1", 1000),
+        (f"N{edge}s{ONE_HOT_ROWS // 2}", f"N={edge} seed=1 s={ONE_HOT_ROWS // 2}", 300),
+        (f"N{edge}s{ONE_HOT_ROWS // 2 + 1}", f"N={edge} seed=1 s={ONE_HOT_ROWS // 2 + 1}", 300),
+        (f"N{40 * (ONE_HOT_AGENTS - 1)}K40", f"N={40 * (ONE_HOT_AGENTS - 1)} seed=1 K=40 m=2", 30),
+        (f"N{40 * ONE_HOT_AGENTS}K40", f"N={40 * ONE_HOT_AGENTS} seed=1 K=40 m=2", 30),
+        (f"N{ARGMAX_AGENTS - 1}", f"N={ARGMAX_AGENTS - 1} seed=1", 2000),
+        (f"N{ARGMAX_AGENTS}", f"N={ARGMAX_AGENTS} seed=1", 2000),
+        ("N11K5", "N=11 seed=1 K=5", 2000),
     ]
+
+
+def parsed(pkg, text):
+    """The game of config-file ``text``, built by ``pkg``'s own parser, so
+    each version reads and validates it with its own code."""
+    return importlib.import_module(f"{pkg.__name__}.io").parse_config(text).game
 
 
 def us_per_tick(cfg, ticks):
@@ -132,10 +131,12 @@ def init_peak_kib(init, cfg, ticks):
 
 def medians():
     result = {}
-    for name, cfg, ticks in games():
-        for tie in ("random", "lowest-index"):
-            times = [us_per_tick(replace(cfg, tie_break=tie), ticks) for _ in range(RUNS)]
+    for name, text, ticks in games():
+        for tie in TIES:
+            cfg = parsed(mmg, f"{text} tie_break={tie}")
+            times = [us_per_tick(cfg, ticks) for _ in range(RUNS)]
             result[f"{name}/{tie}"] = round(statistics.median(times), 1)
+        cfg = parsed(mmg, text)
         times = [init_us(init_game, cfg, ticks) for _ in range(RUNS)]
         result[f"{name}/init"] = {"us": round(statistics.median(times), 1),
                                   "peak_kib": init_peak_kib(init_game, cfg, ticks)}
@@ -153,23 +154,17 @@ def import_parent(root):
     return module
 
 
-def own_config(pkg, cfg):
-    """``cfg`` built from ``pkg``'s own config classes, so each version
-    validates with its own code."""
-    kw = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    kw["topology"] = pkg.MarketTopology(cfg.topology.kind, cfg.topology.n1, cfg.topology.n2)
-    return pkg.GameConfig(**kw)
-
-
-def side_by_side(parent, cfg, ticks):
-    """Play ``cfg`` on ``parent`` and on this ``mmg`` in ``BLOCKS`` alternated
-    blocks of ``ticks // RUNS`` ticks; return the per-tick microseconds of
-    each block, parent's then this version's."""
+def side_by_side(parent, text, ticks):
+    """Play the game of config-file ``text`` on ``parent`` and on this
+    ``mmg`` in ``BLOCKS`` alternated blocks of ``ticks // RUNS`` ticks;
+    return the per-tick microseconds of each block, parent's then this
+    version's."""
     block = max(ticks // RUNS, 1)
     total = BLOCKS * block
     sides = []
     for pkg in (parent, mmg):
-        state = pkg.init_game(own_config(pkg, cfg), total)
+        cfg = parsed(pkg, text)
+        state = pkg.init_game(cfg, total)
         sides.append((pkg.step, state, pkg.RunRecords.empty(total, cfg.n_markets, cfg.memory)))
     times = ([], [])
     for b in range(BLOCKS):
@@ -181,7 +176,7 @@ def side_by_side(parent, cfg, ticks):
             times[side].append((time.perf_counter() - start) / block * 1e6)
     for name in FIELDS:
         if not np.array_equal(getattr(sides[0][2], name), getattr(sides[1][2], name)):
-            raise SystemExit(f"{cfg}: the two versions wrote different {name} records")
+            raise SystemExit(f"{text}: the two versions wrote different {name} records")
     return times
 
 
@@ -196,10 +191,10 @@ def compared(old, new):
 def against_parent(root):
     parent = import_parent(root)
     result = {}
-    for name, cfg, ticks in games():
-        for tie in ("random", "lowest-index"):
-            result[f"{name}/{tie}"] = compared(*side_by_side(parent, replace(cfg, tie_break=tie), ticks))
-        sides = [(pkg.init_game, own_config(pkg, cfg)) for pkg in (parent, mmg)]
+    for name, text, ticks in games():
+        for tie in TIES:
+            result[f"{name}/{tie}"] = compared(*side_by_side(parent, f"{text} tie_break={tie}", ticks))
+        sides = [(pkg.init_game, parsed(pkg, text)) for pkg in (parent, mmg)]
         times = ([], [])
         for b in range(BLOCKS):
             for side in ((0, 1) if b % 2 == 0 else (1, 0)):

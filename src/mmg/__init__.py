@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, GameConfig, MarketTopology
+from .config import ConfigError, GameConfig
 from .engine import GameState, RunRecords, init_game, run, step
 from .experiments import (
     RunSummary,
@@ -19,7 +19,6 @@ __all__ = [
     "__version__",
     "ConfigError",
     "GameConfig",
-    "MarketTopology",
     "GameState",
     "RunRecords",
     "init_game",

@@ -91,9 +91,9 @@ def _build_parser() -> _Parser:
     p_fig.add_argument("--seeds", type=int, help="runs per ensemble point")
 
     p_pred = sub.add_parser("predict", help="closed-form asymptotic occupancies")
-    p_pred.add_argument("--N", type=int, help="agent count (regular)")
+    p_pred.add_argument("--N", type=int, help="agent count (n1 + n2 if irregular)")
     p_pred.add_argument("--K", type=int, default=GameConfig.n_markets,
-                        help="market count (regular)")
+                        help="market count (2 if irregular)")
     p_pred.add_argument("--s", type=int, default=GameConfig.n_strategies,
                         help="strategies per market")
     p_pred.add_argument("--n1", type=int, help="exclusive agents (irregular)")
@@ -178,8 +178,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_predict(args) -> int:
     if args.n1 is not None or args.n2 is not None:
-        if args.n1 is None or args.n2 is None:
-            raise UsageError("predict: irregular prediction needs both --n1 and --n2")
+        GameConfig.check_irregular(args.n1, args.n2, args.N, args.K)
         values = predicted_irregular(args.n1, args.n2, args.s)
     else:
         if args.N is None:

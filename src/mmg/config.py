@@ -1,4 +1,12 @@
-"""Game configuration and market topology."""
+"""Game configuration.
+
+A ``GameConfig`` fixes one game. Its ``n_exclusive`` field, the paper's n1,
+is the market topology: None is the regular game, where every agent may act
+on every market; an int makes the two-market irregular game, where the
+first n1 agents may act only on market 0 and the other N - n1 on both. The
+config format writes that game as ``topology=irregular n1= n2=``
+(``mmg.io``).
+"""
 
 from __future__ import annotations
 
@@ -9,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "ConfigError",
-    "MarketTopology",
     "GameConfig",
     "PAYOFF_KINDS",
     "TIE_BREAKS",
@@ -54,59 +61,14 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class MarketTopology:
-    """Which markets each agent may act on.
-
-    ``regular``: every agent is linked to all markets. ``irregular`` (two
-    markets): the first n1 agents are linked only to market 0, the
-    remaining n2 agents to both.
-    """
-
-    kind: str
-    n1: int | None = None
-    n2: int | None = None
-
-    @classmethod
-    def regular(cls) -> "MarketTopology":
-        return cls(kind="regular")
-
-    @classmethod
-    def irregular(cls, n1: int, n2: int) -> "MarketTopology":
-        return cls(kind="irregular", n1=n1, n2=n2)
-
-    def n_agents(self) -> int:
-        """n1 + n2 of an irregular topology; ConfigError when either is unset."""
-        if self.n1 is None or self.n2 is None:
-            raise ConfigError("topology: irregular requires n1 and n2")
-        return self.n1 + self.n2
-
-    def validate(self, n_agents: int, n_markets: int) -> None:
-        if self.kind == "regular":
-            return
-        if self.kind != "irregular":
-            raise ConfigError(f"topology: unknown kind {self.kind!r}")
-        linked = self.n_agents()
-        if self.n1 < 0 or self.n2 < 0:
-            raise ConfigError("topology: n1 and n2 must be >= 0")
-        if n_markets != 2:
-            raise ConfigError("topology: irregular is defined for exactly 2 markets")
-        if linked != n_agents:
-            raise ConfigError(f"topology: n1 + n2 = {linked} does not match N = {n_agents}")
-        if linked < 1:
-            raise ConfigError("topology: at least one agent required")
-
-    def link_mask(self, n_agents: int, n_markets: int) -> np.ndarray:
-        """(N, K) boolean mask; every agent has at least one link."""
-        self.validate(n_agents, n_markets)
-        mask = np.ones((n_agents, n_markets), dtype=bool)
-        if self.kind == "irregular":
-            mask[: self.n1, 1] = False
-        return mask
-
-
-@dataclass(frozen=True)
 class GameConfig:
-    """Complete, seedable description of one game."""
+    """Complete, seedable description of one game.
+
+    ``n_exclusive`` is None in a regular game, where every agent is linked
+    to every market. Set, it is the paper's n1 of the irregular game (two
+    markets): the first n1 agents are linked only to market 0, the other
+    n2 = N - n1 agents to both.
+    """
 
     n_agents: int
     seed: int
@@ -114,7 +76,7 @@ class GameConfig:
     n_strategies: int = 2
     memory: int = 5
     payoff: str = "linear"
-    topology: MarketTopology = MarketTopology.regular()
+    n_exclusive: int | None = None
     init_utilities: str = "zero"
     u_low: float = 0.0
     u_high: float = 1.0
@@ -137,6 +99,31 @@ class GameConfig:
                 f"T: records of T={ticks} ticks need 8*T*(4K+3) = {record_bytes} bytes, "
                 f"over the budget of {MAX_TABLE_BYTES}; lower T"
             )
+
+    def link_mask(self) -> np.ndarray:
+        """(N, K) boolean mask of the markets each agent is linked to."""
+        mask = np.ones((self.n_agents, self.n_markets), dtype=bool)
+        if self.n_exclusive is not None:
+            mask[: self.n_exclusive, 1] = False
+        return mask
+
+    @staticmethod
+    def check_irregular(n1: int | None, n2: int | None, n_agents: int | None = None,
+                        n_markets: int = 2) -> int:
+        """N = n1 + n2 of an irregular game. Refuses, naming its key, a missing
+        or negative n1 or n2, a given ``n_agents`` other than n1 + n2 and
+        ``n_markets`` other than 2."""
+        for key, value in (("n1", n1), ("n2", n2)):
+            if value is None:
+                raise ConfigError(f"{key}: required for an irregular game")
+            if value < 0:
+                raise ConfigError(f"{key}: must be >= 0, got {value}")
+        if n_agents is not None and n_agents != n1 + n2:
+            raise ConfigError(f"N: must be n1 + n2 = {n1 + n2} in an irregular game, "
+                              f"got {n_agents}")
+        if n_markets != 2:
+            raise ConfigError(f"K: an irregular game has 2 markets, got {n_markets}")
+        return n1 + n2
 
     @staticmethod
     def check_counts(**counts: int) -> None:
@@ -175,14 +162,19 @@ class GameConfig:
             raise ConfigError(
                 f"zero_demand: must be one of {ZERO_DEMAND_RULES}, got {self.zero_demand!r}"
             )
-        self.topology.validate(self.n_agents, self.n_markets)
+        if self.n_exclusive is not None:
+            if self.n_exclusive > self.n_agents:
+                raise ConfigError(f"n1: must be <= N = {self.n_agents}, got {self.n_exclusive}")
+            # n2 = N - n1 >= 0 here, so only n1 < 0 and K != 2 are left to refuse
+            GameConfig.check_irregular(self.n_exclusive, self.n_agents - self.n_exclusive,
+                                       n_markets=self.n_markets)
 
 
 #: Config key -> (``GameConfig`` field, kind of value, flag help). The kind
 #: is ``int``, ``float`` or the tuple of allowed strings. Each key is a
 #: config-file key, a ``--key`` flag (``_`` -> ``-``) and a manifest
 #: ``config`` key; the defaults are the field defaults above. The topology
-#: (``topology``, ``n1``, ``n2``) is read apart.
+#: (``topology``, ``n1``, ``n2``), which sets ``n_exclusive``, is read apart.
 CONFIG_KEYS: dict[str, tuple[str, type | tuple[str, ...], str | None]] = {
     "seed": ("seed", int, "game seed (required unless in config)"),
     "N": ("n_agents", int, "agent count"),

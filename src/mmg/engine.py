@@ -205,7 +205,7 @@ class GameState:
     ``ARGMAX_AGENTS`` agents reads neither ``weights``, ``rows`` nor
     ``count_ties``. ``step`` writes the next histories into ``histories`` in
     place. ``__post_init__`` writes the unlinked entries of ``scores`` from
-    the topology's link mask: ``UNLINKED_SCORE`` in int32 scores and -inf in
+    the config's link mask: ``UNLINKED_SCORE`` in int32 scores and -inf in
     float64 ones. A write through ``utilities`` must leave them so, or an
     agent may pick a strategy on a market it is not linked to. Besides the
     tables and the scores, a game keeps ``agents`` (8*N) and ``last_market``
@@ -233,7 +233,7 @@ class GameState:
         unlinked = UNLINKED_SCORE if self.scores.dtype == np.int32 else -np.inf
         # the (K, N) link mask broadcast over each market's s slots
         np.copyto(self.scores.reshape(k_markets, s, n, copy=False), unlinked,
-                  where=~cfg.topology.link_mask(n, k_markets).T[:, None, :])
+                  where=~cfg.link_mask().T[:, None, :])
         self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
         self.rows = rows - self.weights
         self.agents = np.arange(n)
@@ -243,9 +243,8 @@ class GameState:
 
     @property
     def choice_mask(self) -> np.ndarray:
-        """(N, K*s) linked-strategy mask, from the topology; ``step`` never reads it."""
-        cfg = self.config
-        return np.repeat(cfg.topology.link_mask(cfg.n_agents, cfg.n_markets), cfg.n_strategies, 1)
+        """(N, K*s) linked-strategy mask, from the config's link mask; ``step`` never reads it."""
+        return np.repeat(self.config.link_mask(), self.config.n_strategies, 1)
 
     @property
     def utilities(self) -> np.ndarray:
@@ -276,7 +275,7 @@ def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
     cfg.validate()
     rng = game_rng(cfg.seed)
     n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
-    link_mask = cfg.topology.link_mask(n, k_markets)
+    link_mask = cfg.link_mask()
     tables = draw_strategies(rng, n, k_markets, s, cfg.memory, link_mask)
     scores = np.zeros((k_markets * s, n), dtype=_score_dtype(cfg, ticks))
     if cfg.init_utilities == "uniform":

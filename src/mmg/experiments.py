@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ConfigError, GameConfig, MarketTopology
+from .config import ConfigError, GameConfig
 from .engine import RunRecords, init_game, run, step
 from .metrics import (
     DEFAULT_THETA,
@@ -172,14 +172,14 @@ class SweepSpec:
         repeat, a swept game without an agent and an n1 sweep of a regular
         base; then run ``GameConfig.validate`` on every swept game and
         ``check_run`` on the run keys."""
+        if self.param == "n1" and self.base.n_exclusive is None:
+            raise ConfigError("sweep=n1 requires topology=irregular with n1/n2")
         swept = self.configs()  # refuses an unknown parameter
         values = list(self.values)
         if not values or len(set(values)) < len(values):  # a repeat replays the same seeds
             raise ConfigError(f"values: need distinct values, at least one, got {values}")
-        if self.param == "n1" and self.base.topology.kind != "irregular":
-            raise ConfigError("sweep=n1 requires topology=irregular with n1/n2")
-        # every swept game needs N >= 1; an n1 sweep keeps the base's n2
-        low = 1 if self.param == "N" else max(0, 1 - self.base.topology.n2)
+        # every swept game needs N >= 1; an n1 sweep keeps the base's n2 = N - n1
+        low = 1 if self.param == "N" else max(0, 1 - self.base.n_agents + self.base.n_exclusive)
         if min(values) < low:
             raise ConfigError(f"values: every game needs an agent, so values >= {low}, "
                               f"got {min(values)}")
@@ -189,15 +189,11 @@ class SweepSpec:
 
     def configs(self) -> list[tuple[int, GameConfig]]:
         if self.param == "N":
-            return [(v, replace(self.base, n_agents=v, topology=MarketTopology.regular()))
-                    for v in self.values]
+            return [(v, replace(self.base, n_agents=v, n_exclusive=None)) for v in self.values]
         if self.param == "n1":
-            n2 = self.base.topology.n2 or 0
-            return [
-                (v, replace(self.base, n_agents=v + n2, n_markets=2,
-                            topology=MarketTopology.irregular(v, n2)))
-                for v in self.values
-            ]
+            n2 = self.base.n_agents - self.base.n_exclusive
+            return [(v, replace(self.base, n_agents=v + n2, n_markets=2, n_exclusive=v))
+                    for v in self.values]
         raise ConfigError(f"sweep: unknown parameter {self.param!r}")
 
 
@@ -433,7 +429,7 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     base = GameConfig(n_agents=11, seed=seed, **game)
     if name == "fig8":
         n2 = int(opts["n2"])
-        base = GameConfig(n_agents=2 * n2, seed=seed, topology=MarketTopology.irregular(n2, n2))
+        base = GameConfig(n_agents=2 * n2, seed=seed, n_exclusive=n2)
     values = tuple(int(v) for v in opts["values"])
     if len(_FIGURES[name]["values"]) == 1 and len(values) != 1:
         raise ConfigError(f"values: {name} plays one game and takes one value, got {values}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import CONFIG_KEYS, TOPOLOGY_KINDS, ConfigError, GameConfig, MarketTopology
+from .config import CONFIG_KEYS, TOPOLOGY_KINDS, ConfigError, GameConfig
 from .engine import RunRecords
 from .experiments import SweepSpec, check_run
 
@@ -127,20 +127,21 @@ def _convert(key: str, value: str):
 
 
 def _build(raw: dict) -> ParsedConfig:
+    n_exclusive = None
     if raw.get("topology") == "irregular":
-        topology = MarketTopology.irregular(raw.get("n1"), raw.get("n2"))
-        raw.setdefault("N", topology.n_agents())
+        n_exclusive = raw.get("n1")
+        raw["N"] = GameConfig.check_irregular(n_exclusive, raw.get("n2"), raw.get("N"))
     else:
-        if "n1" in raw or "n2" in raw:
-            raise ConfigError("n1/n2: only valid with topology=irregular")
-        topology = MarketTopology.regular()
+        for key in ("n1", "n2"):
+            if key in raw:
+                raise ConfigError(f"{key}: only valid with topology=irregular")
         if "N" not in raw:
             raise ConfigError("N: required")
     if "seed" not in raw:
         raise ConfigError("seed: required (explicit seeding only)")
 
     fields = {field: raw[key] for key, (field, _, _) in CONFIG_KEYS.items() if key in raw}
-    game = GameConfig(topology=topology, **fields)
+    game = GameConfig(n_exclusive=n_exclusive, **fields)
     game.validate()
 
     ticks, n_seeds, window = raw.get("T"), raw.get("seeds"), raw.get("window")
@@ -256,12 +257,10 @@ class RunManifest:
 
 
 def _config_obj(cfg: GameConfig) -> dict:
-    topo: dict[str, object] = {"kind": cfg.topology.kind}
-    if cfg.topology.kind == "irregular":
-        topo["n1"] = cfg.topology.n1
-        topo["n2"] = cfg.topology.n2
     obj = {key: getattr(cfg, field) for key, (field, _, _) in CONFIG_KEYS.items()}
-    obj["topology"] = topo
+    n1 = cfg.n_exclusive
+    obj["topology"] = ({"kind": "regular"} if n1 is None else
+                       {"kind": "irregular", "n1": n1, "n2": cfg.n_agents - n1})
     return obj
 
 

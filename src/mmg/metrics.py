@@ -232,9 +232,7 @@ def predicted_occupancies(n_agents: int, n_markets: int, n_strategies: int) -> l
 
 def predicted_irregular(n1: int, n2: int, n_strategies: int) -> tuple[float, float]:
     """Large-n1 asymptote of the exclusive market and limit of the shared one."""
-    for key, value in (("n1", n1), ("n2", n2)):
-        if value < 0:
-            raise ConfigError(f"{key}: must be >= 0, got {value}")
+    GameConfig.check_irregular(n1, n2)
     GameConfig.check_counts(s=n_strategies)
     r = 2.0 ** -n_strategies
     return n1 + (1 - r) * n2, n2 * r

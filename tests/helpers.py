@@ -1,4 +1,4 @@
-"""Test helper: play one tick of a game through ``mmg.step``."""
+"""Test helpers: play one tick of a game through ``mmg.step``; name a game's topology."""
 
 from types import SimpleNamespace
 
@@ -14,3 +14,8 @@ def one_tick(state):
         t=int(out.t[0]), occupancy=out.occupancy[0], demand=out.demand[0],
         minority=out.minority[0], history=out.history[0], n_switched=int(out.n_switched[0]),
     )
+
+
+def topology_kind(cfg):
+    """``regular``, or ``irregular`` when ``cfg`` sets ``n_exclusive`` (the paper's n1)."""
+    return "regular" if cfg.n_exclusive is None else "irregular"

@@ -2,8 +2,8 @@
 
 One tick is a loop over per-agent lists, written to be read next to the
 model description rather than to be fast. It covers any K, s and m, the
-link mask of the irregular topology, all three payoffs, both tie rules and
-both zero-demand rules.
+irregular game (``GameConfig.n_exclusive``), all three payoffs, both tie
+rules and both zero-demand rules.
 
 It starts from a state built by ``init_game`` and draws from that state's
 generator in the order ``step`` does: one ``integers(0, len(maximizers))``
@@ -37,9 +37,11 @@ class ReferenceGame:
         self.tables = state.tables.tolist()  # [market * 2**m + mu][slot][agent]
         self.utilities = state.utilities.tolist()  # [agent][market][slot]
         self.histories = [int(h) for h in state.histories]
+        n1 = cfg.n_exclusive or 0  # the first n1 agents hold market 0 only
         self.strategies = [  # (market, slot) pairs each agent holds, flat order
-            [(k, i) for k in range(cfg.n_markets) if links[k] for i in range(cfg.n_strategies)]
-            for links in cfg.topology.link_mask(cfg.n_agents, cfg.n_markets).tolist()
+            [(k, i) for k in range(cfg.n_markets) if k == 0 or agent >= n1
+             for i in range(cfg.n_strategies)]
+            for agent in range(cfg.n_agents)
         ]
         self.last_market = None if state.last_market is None else state.last_market.tolist()
         self.t = state.t

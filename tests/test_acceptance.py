@@ -12,7 +12,6 @@ import pytest
 
 from mmg import (
     GameConfig,
-    MarketTopology,
     run,
     subseed,
 )
@@ -247,7 +246,7 @@ def test_criterion_9_irregular_limits():
             cfg = GameConfig(
                 n_agents=n1 + 301,
                 seed=subseed(MASTER, 100 + i),
-                topology=MarketTopology.irregular(n1, 301),
+                n_exclusive=n1,
             )
             stats = series_stats(run(cfg, 3000))
             o1s.append(float(stats.mean_occupancy[0]))

@@ -57,6 +57,10 @@ class TestPredict:
         assert cli_main(["predict", "--n1", "1000", "--n2", "301", "--s", "2"]) == 0
         assert capsys.readouterr().out == "1225.75 75.25\n"
 
+    def test_irregular_with_its_own_n_and_k(self, capsys):
+        assert cli_main(["predict", "--N", "7", "--K", "2", "--n1", "3", "--n2", "4"]) == 0
+        assert capsys.readouterr().out == "6 1\n"
+
     def test_missing_arguments(self, capsys):
         assert cli_main(["predict"]) == 1
 
@@ -81,6 +85,11 @@ class TestPredict:
         (["--n1", "-1", "--n2", "3"], "n1"),
         (["--N", "5", "--K", "2000000000"], "K"),
         (["--N", "2000000000", "--K", "2"], "N"),
+        (["--N", "5", "--n1", "3", "--n2", "4"], "N"),  # N is n1 + n2 = 7
+        (["--K", "3", "--n1", "3", "--n2", "4"], "K"),  # the irregular game has 2 markets
+        (["--n1", "5"], "n2"),
+        (["--n2", "5"], "n1"),
+        (["--n1", "3", "--n2", "-4"], "n2"),
     ])
     def test_bad_input_names_key(self, capsys, argv, key):
         assert cli_main(["predict", *argv]) == 2

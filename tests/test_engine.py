@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import one_tick
-from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, engine, init_game, run, step
+from helpers import one_tick, topology_kind
+from mmg import ConfigError, GameConfig, RunRecords, engine, init_game, run, step
 from mmg.engine import (
     ARGMAX_AGENTS, ONE_HOT_AGENTS, ONE_HOT_ROWS, SCALAR_DRAWS, UNLINKED_SCORE,
 )
+from mmg.io import parse_config
 from reference import reference_run
 
 
@@ -39,8 +40,7 @@ class TestInitGame:
 
     def test_irregular_counts(self):
         cfg = GameConfig(
-            n_agents=5, seed=1, n_strategies=2, memory=2,
-            topology=MarketTopology.irregular(3, 2),
+            n_agents=5, seed=1, n_strategies=2, memory=2, n_exclusive=3,
         )
         state = init_game(cfg)
         # 3 agents hold 2 tables (market 0 only), 2 agents hold 4
@@ -59,9 +59,14 @@ class TestInitGame:
         assert len(np.unique(state.utilities)) > 40
 
     def test_invalid_topology(self):
-        cfg = GameConfig(n_agents=5, seed=1, topology=MarketTopology.irregular(3, 3))
-        with pytest.raises(ConfigError):
-            init_game(cfg)
+        # n1 + n2 other than N can only be written in the config format; a
+        # game refuses n1 past N and an irregular game on other than 2 markets
+        with pytest.raises(ConfigError, match="^N: must be n1 \\+ n2 = 6"):
+            parse_config("topology=irregular n1=3 n2=3 N=5 seed=1")
+        with pytest.raises(ConfigError, match="^n1: must be <= N = 5, got 6"):
+            init_game(GameConfig(n_agents=5, seed=1, n_exclusive=6))
+        with pytest.raises(ConfigError, match="^K: an irregular game has 2 markets, got 3"):
+            init_game(GameConfig(n_agents=5, seed=1, n_markets=3, n_exclusive=2))
 
     def test_run_refuses_records_over_budget(self, monkeypatch):
         def no_game(*args, **kwargs):
@@ -134,10 +139,9 @@ def fixed_action_game(actions, n_markets=1, payoff="linear", zero_demand="plus-o
     entry of ``actions`` and a slot-1 strategy playing the opposite. With
     zero utilities and lowest-index ties, slot 0 is active at tick 0."""
     n = len(actions)
-    topology = MarketTopology.irregular(n, 0) if n_markets == 2 else MarketTopology.regular()
     cfg = GameConfig(
         n_agents=n, seed=1, n_markets=n_markets, n_strategies=2, memory=1,
-        payoff=payoff, topology=topology, tie_break="lowest-index",
+        payoff=payoff, n_exclusive=n if n_markets == 2 else None, tie_break="lowest-index",
         zero_demand=zero_demand,
     )
     state = init_game(cfg)
@@ -191,8 +195,7 @@ class TestStep:
         # linear payoff of zero demand leaves utilities untouched; the
         # unlinked market-1 entries hold -inf.
         cfg = GameConfig(
-            n_agents=2, seed=1, n_strategies=1, memory=1,
-            topology=MarketTopology.irregular(2, 0),
+            n_agents=2, seed=1, n_strategies=1, memory=1, n_exclusive=2,
             tie_break="lowest-index", zero_demand="plus-one",
         )
         state = init_game(cfg)
@@ -249,11 +252,10 @@ class TestStep:
         with pytest.raises(ConfigError):
             run(small_config(), 0)
 
-    @pytest.mark.parametrize("topology", [MarketTopology.regular(), MarketTopology.irregular(4, 7)],
-                             ids=["regular", "irregular"])
-    def test_run_is_step_row_by_row(self, topology):
+    @pytest.mark.parametrize("n_exclusive", [None, 4], ids=["regular", "irregular"])
+    def test_run_is_step_row_by_row(self, n_exclusive):
         # run(cfg, T) is T calls of step(state, out, i) on a fresh game
-        cfg = GameConfig(n_agents=11, seed=4, memory=3, payoff="sign", topology=topology)
+        cfg = GameConfig(n_agents=11, seed=4, memory=3, payoff="sign", n_exclusive=n_exclusive)
         ticks = 80
         want = run(cfg, ticks)
         state = init_game(cfg)
@@ -270,10 +272,9 @@ class TestStep:
 def game_configs(draw):
     n_markets = draw(st.integers(1, 3))
     n_agents = draw(st.integers(1, 12))
-    topology = MarketTopology.regular()
+    n_exclusive = None
     if n_markets == 2 and draw(st.booleans()):
-        n1 = draw(st.integers(0, n_agents))
-        topology = MarketTopology.irregular(n1, n_agents - n1)
+        n_exclusive = draw(st.integers(0, n_agents))
     return GameConfig(
         n_agents=n_agents,
         seed=draw(st.integers(0, 2**32)),
@@ -281,7 +282,7 @@ def game_configs(draw):
         n_strategies=draw(st.integers(1, 3)),
         memory=draw(st.integers(1, 4)),
         payoff=draw(st.sampled_from(("linear", "sign", "scaled"))),
-        topology=topology,
+        n_exclusive=n_exclusive,
         tie_break=draw(st.sampled_from(("random", "lowest-index"))),
         zero_demand=draw(st.sampled_from(("coin", "plus-one"))),
     )
@@ -323,7 +324,7 @@ class TestInvariants:
             assert np.array_equal(state.utilities, expected)
         else:
             # the unlinked entries stay at -inf, where a difference is nan
-            linked = cfg.topology.link_mask(cfg.n_agents, cfg.n_markets)
+            linked = cfg.link_mask()
             tol = 2**-40 * ticks * cfg.n_agents
             assert np.max(np.abs(state.utilities[linked] - expected[linked])) <= tol
             assert np.array_equal(state.utilities[~linked], expected[~linked])
@@ -417,13 +418,9 @@ def reference_grid():
     )
     for i, ((k, irregular), payoff, tie, zero, init) in enumerate(rules):
         n = 1 + i % 11
-        topology = MarketTopology.regular()
-        if irregular:
-            n1 = i % (n + 1)
-            topology = MarketTopology.irregular(n1, n - n1)
         cases.append(GameConfig(
             n_agents=n, seed=1000 + i, n_markets=k, n_strategies=1 + i % 3,
-            memory=1 + i % 4, payoff=payoff, topology=topology,
+            memory=1 + i % 4, payoff=payoff, n_exclusive=i % (n + 1) if irregular else None,
             init_utilities=init, tie_break=tie, zero_demand=zero,
         ))
     return cases
@@ -436,12 +433,12 @@ REFERENCE_GRID = reference_grid()
 # 16-bit choice weights
 LARGE_GRID = [
     GameConfig(n_agents=600, seed=7, n_strategies=5, memory=3, payoff="sign",
-               topology=MarketTopology.irregular(350, 250)),
+               n_exclusive=350),
     GameConfig(n_agents=300, seed=8, n_markets=3, n_strategies=3, memory=2, payoff="sign"),
     GameConfig(n_agents=200, seed=9, n_markets=4, n_strategies=3, memory=4,
                init_utilities="uniform", tie_break="lowest-index", zero_demand="plus-one"),
     GameConfig(n_agents=120, seed=10, n_strategies=130, memory=1, payoff="sign",
-               topology=MarketTopology.irregular(60, 60)),
+               n_exclusive=60),
 ]
 
 # Tick 0 of a zero-utility game ties every agent between all its linked
@@ -450,10 +447,9 @@ LARGE_GRID = [
 # topology and on the irregular one, where the unlinked mask leaves the
 # first n1 agents s maximizers instead of K*s.
 TIE_BOUNDARY_GRID = [
-    GameConfig(n_agents=n, seed=40 + n, memory=3, payoff=payoff, topology=topology)
+    GameConfig(n_agents=n, seed=40 + n, memory=3, payoff=payoff, n_exclusive=n_exclusive)
     for n in (1, SCALAR_DRAWS, SCALAR_DRAWS + 1, 60)
-    for payoff, topology in (("linear", MarketTopology.regular()),
-                             ("sign", MarketTopology.irregular(n // 2, n - n // 2)))
+    for payoff, n_exclusive in (("linear", None), ("sign", n // 2))
 ]
 
 
@@ -463,8 +459,7 @@ TIE_BOUNDARY_GRID = [
 # needs uint16 weights and, over ONE_HOT_ROWS, counts with bincounts.
 ONE_HOT_BOUNDARY_GRID = [
     GameConfig(n_agents=n, seed=70 + d, n_markets=k, memory=4, payoff=payoff,
-               topology=(MarketTopology.irregular(n // 3, n - n // 3) if irregular
-                         else MarketTopology.regular()))
+               n_exclusive=n // 3 if irregular else None)
     for d in (-1, 0, 1)
     for k, payoff, irregular in ((2, "linear", False), (2, "sign", True), (3, "linear", False))
     for n in [k * (ONE_HOT_AGENTS + d)]
@@ -503,14 +498,14 @@ class TestAgainstReference:
             assert ref.tie_draws >= 100 * 100
 
     @pytest.mark.parametrize("cfg", TIE_BOUNDARY_GRID,
-                             ids=lambda cfg: f"N{cfg.n_agents}-{cfg.topology.kind}")
+                             ids=lambda cfg: f"N{cfg.n_agents}-{topology_kind(cfg)}")
     def test_tie_draws_around_scalar_bound(self, cfg):
         _, first = reference_run(init_game(cfg), 1)
         assert first.tie_draws == cfg.n_agents
         assert_steps_like_reference(init_game(cfg), 200)
 
     @pytest.mark.parametrize("cfg", ONE_HOT_BOUNDARY_GRID, ids=lambda cfg: (
-        f"N{cfg.n_agents}-K{cfg.n_markets}-s{cfg.n_strategies}-{cfg.topology.kind}"))
+        f"N{cfg.n_agents}-K{cfg.n_markets}-s{cfg.n_strategies}-{topology_kind(cfg)}"))
     def test_counts_around_one_hot_bound(self, cfg):
         state = init_game(cfg)
         assert state.weights.dtype == (np.uint16 if cfg.n_strategies == 130 else np.uint8)
@@ -589,7 +584,7 @@ class TestRunningCount:
 # (but for K*s = 260, whose ``count_ties`` is 72).
 ARGMAX_GAMES = [  # (game of N agents, ticks)
     (lambda n: dict(), 150),
-    (lambda n: dict(topology=MarketTopology.irregular(n // 3, n - n // 3)), 150),
+    (lambda n: dict(n_exclusive=n // 3), 150),
     (lambda n: dict(n_markets=3, n_strategies=3), 150),
     (lambda n: dict(payoff="scaled"), 150),
     (lambda n: dict(init_utilities="uniform"), 150),
@@ -613,7 +608,7 @@ class TestArgmaxBound:
 
     @pytest.mark.parametrize("cfg, ticks", ARGMAX_BOUNDARY_GRID, ids=lambda case: (
         f"N{case.n_agents}-K{case.n_markets}-s{case.n_strategies}-{case.payoff}-"
-        f"{case.init_utilities}-{case.topology.kind}-{case.tie_break}-{case.zero_demand}"
+        f"{case.init_utilities}-{topology_kind(case)}-{case.tie_break}-{case.zero_demand}"
         if isinstance(case, GameConfig) else f"T{case}"))
     def test_steps_like_reference(self, cfg, ticks):
         state = init_game(cfg, ticks)
@@ -699,7 +694,7 @@ class TestIntegerScores:
 
     @pytest.mark.parametrize("cfg, ticks", INTEGRAL_GRID, ids=lambda case: (
         f"N{case.n_agents}-K{case.n_markets}-s{case.n_strategies}-{case.payoff}-"
-        f"{case.topology.kind}-{case.seed}" if isinstance(case, GameConfig) else f"T{case}"))
+        f"{topology_kind(case)}-{case.seed}" if isinstance(case, GameConfig) else f"T{case}"))
     def test_steps_like_reference(self, cfg, ticks):
         state = init_game(cfg, ticks)
         assert state.scores.dtype == np.int32
@@ -715,7 +710,7 @@ class TestIntegerScores:
     ], ids=["linear", "sign", "scaled", "uniform", "linear-no-ticks"])
     def test_unlinked_entries_keep_sentinel(self, kw, ticks, sentinel):
         cfg = GameConfig(n_agents=30, seed=3, memory=3,
-                         topology=MarketTopology.irregular(12, 18), **kw)
+                         n_exclusive=12, **kw)
         state = init_game(cfg, ticks)
         assert state.scores.dtype == (np.int32 if sentinel == UNLINKED_SCORE else np.float64)
         unlinked = ~state.choice_mask.T
@@ -735,11 +730,11 @@ class TestIntegerScores:
             return played[-1]
 
         monkeypatch.setattr(engine, "init_game", init_and_keep)
-        run(GameConfig(n_agents=11, seed=1, topology=MarketTopology.irregular(5, 6)), 50)
+        run(GameConfig(n_agents=11, seed=1, n_exclusive=5), 50)
         assert played[0].scores.dtype == np.int32 and played[0].t == 50
 
     @pytest.mark.parametrize("cfg", [
-        GameConfig(n_agents=1200, seed=2, topology=MarketTopology.irregular(900, 300)),
+        GameConfig(n_agents=1200, seed=2, n_exclusive=900),
         GameConfig(n_agents=301, seed=3, n_markets=3, payoff="sign", zero_demand="plus-one"),
     ], ids=["irregular-linear", "K3-sign"])
     def test_run_matches_float_scores(self, cfg):
@@ -760,8 +755,7 @@ class TestIntegerScores:
         ("sign", 5, 2**30, np.float64),
     ])
     def test_dtype_at_bound(self, payoff, n, ticks, dtype):
-        cfg = GameConfig(n_agents=n, seed=1, payoff=payoff,
-                         topology=MarketTopology.irregular(2, n - 2))
+        cfg = GameConfig(n_agents=n, seed=1, payoff=payoff, n_exclusive=2)
         state = init_game(cfg, ticks)
         assert state.scores.dtype == dtype
         sentinel = UNLINKED_SCORE if dtype == np.int32 else -np.inf
@@ -774,7 +768,7 @@ class TestIntegerScores:
         (dict(payoff="sign"), None),
     ], ids=["scaled", "uniform", "linear-no-ticks", "sign-no-ticks"])
     def test_float_scores_elsewhere(self, kw, ticks):
-        cfg = GameConfig(n_agents=9, seed=1, topology=MarketTopology.irregular(4, 5), **kw)
+        cfg = GameConfig(n_agents=9, seed=1, n_exclusive=4, **kw)
         state = init_game(cfg, ticks)
         assert state.scores.dtype == np.float64
         assert np.isneginf(state.scores[2:, :4]).all()
@@ -887,7 +881,7 @@ class TestStateViews:
         assert importlib.import_module("mmg.rng").__all__  # rng.busy_s spans its functions
 
     def test_unlinked_mask_is_agent_minor(self):
-        cfg = GameConfig(n_agents=9, seed=1, topology=MarketTopology.irregular(4, 5))
+        cfg = GameConfig(n_agents=9, seed=1, n_exclusive=4)
         scores = init_game(cfg).scores
         assert scores.shape == (4, 9) and scores.flags.c_contiguous
         # -inf at market 1 (rows 2 and 3) of the four n1 agents only

@@ -7,7 +7,6 @@ import pytest
 from mmg import (
     ConfigError,
     GameConfig,
-    MarketTopology,
     RunSummary,
     SweepSpec,
     ensemble_run,
@@ -175,9 +174,9 @@ class TestQSweep:
 
     @pytest.mark.parametrize("param, base, values, key", [
         ("N", tiny_cfg(), (9, 9), "values"),
-        ("n1", tiny_cfg(n_agents=6, topology=MarketTopology.irregular(3, 3)), (4, 0, 4), "values"),
+        ("n1", tiny_cfg(n_agents=6, n_exclusive=3), (4, 0, 4), "values"),
         ("N", tiny_cfg(), (9, 0), "values"),
-        ("n1", tiny_cfg(n_agents=6, topology=MarketTopology.irregular(3, 0)), (0, 4), "values"),
+        ("n1", tiny_cfg(n_agents=3, n_exclusive=3), (0, 4), "values"),
         ("n1", tiny_cfg(), (4,), "sweep"),
         ("N", tiny_cfg(memory=20), (9, 2000), "m"),
     ])
@@ -216,15 +215,20 @@ class TestQSweep:
         assert table["o_big_mean"][0] + table["o_small_mean"][0] == pytest.approx(12.0)
 
     def test_irregular_sweep_configs(self):
-        base = tiny_cfg(
-            n_agents=6, topology=MarketTopology.irregular(3, 3), n_markets=2
-        )
+        base = tiny_cfg(n_agents=6, n_exclusive=3, n_markets=2)
         spec = SweepSpec(base=base, param="n1", values=(2, 5), n_seeds=2, ticks=30)
         table = q_sweep(spec)
         assert table["N1"].tolist() == [2, 5]
         # all agents accounted for at each point
         total = table["o_m1_mean"] + table["o_m2_mean"]
         assert total == pytest.approx(table["N1"] + 3)
+
+    def test_n1_sweep_of_a_base_without_exclusive_agents(self):
+        # n_exclusive = 0 is an irregular base whose n2 is all N agents
+        spec = SweepSpec(base=tiny_cfg(n_agents=5, n_exclusive=0), param="n1", values=(0, 3))
+        spec.validate()
+        assert [(v, cfg.n_agents, cfg.n_exclusive) for v, cfg in spec.configs()] == [
+            (0, 5, 0), (3, 8, 3)]
 
 
 class TestRelaxationTrend:
@@ -430,7 +434,7 @@ FIG6_GAMES = {
                 300, 0.9),
     "K3-uniform": (GameConfig(n_agents=300, seed=1, n_markets=3, init_utilities="uniform"),
                    2000, 0.5),
-    "irregular": (GameConfig(n_agents=200, seed=1, topology=MarketTopology.irregular(150, 50)),
+    "irregular": (GameConfig(n_agents=200, seed=1, n_exclusive=150),
                   2000, 0.5),
     "scaled": (GameConfig(n_agents=300, seed=1, payoff="scaled"), 2000, 0.5),
     "sign": (GameConfig(n_agents=300, seed=1, payoff="sign"), 2000, 0.5),

@@ -6,7 +6,8 @@ irregular topology and every payoff, tie rule, zero-demand rule and
 initial-utility rule. Each ``FIGURES`` entry pins every table of one canned
 experiment at small overrides, rendered with ``render_table``. Each
 ``ENSEMBLES`` and ``SWEEPS`` entry pins the CSV that ``mmg ensemble`` or
-``mmg sweep`` writes for one small config. Any change to the engine's
+``mmg sweep`` writes for one small config, and each ``MANIFESTS`` entry
+the manifest that ``mmg run --manifest`` writes. Any change to the engine's
 arithmetic or its random-number consumption moves at least one pin; a pure
 refactor or speed-up must leave all of them in place.
 """
@@ -15,7 +16,7 @@ import hashlib
 
 import pytest
 
-from mmg import GameConfig, MarketTopology, experiments, run, subseed
+from mmg import GameConfig, experiments, run, subseed
 from mmg.cli import cli_main
 from mmg.experiments import FIGURE_NAMES, figure_dataset
 from mmg.io import render_records, render_table
@@ -55,7 +56,7 @@ GOLDEN = {
         ),
     ),
     "irregular-linear": (
-        dict(n_agents=11, seed=4, topology=MarketTopology.irregular(6, 5), memory=3),
+        dict(n_agents=11, seed=4, n_exclusive=6, memory=3),
         dict(
             csv="6c4ae94958043bead3a3e3495ca116b3a04100391c6c88eb8a38e348a18c7053",
             jsonl="8855dc4b24fdb370b3c6baef21cb427850ee6e9e47b351b8bd1cbf45282a228a",
@@ -63,7 +64,7 @@ GOLDEN = {
     ),
     "irregular-sign-uniform": (
         dict(
-            n_agents=9, seed=5, topology=MarketTopology.irregular(0, 9),
+            n_agents=9, seed=5, n_exclusive=0,
             payoff="sign", init_utilities="uniform",
         ),
         dict(
@@ -244,6 +245,24 @@ SWEEPS = {
     ),
 }
 
+# ``mmg run --manifest`` flags: a regular game, an irregular one and one
+# with no exclusive agent (n1 = 0). The manifest holds the package version,
+# so a new version moves these pins.
+MANIFESTS = {
+    "regular": (
+        "--N 11 --K 3 --m 3 --seed 2 -T 50 --payoff sign",
+        "3317de12c11c9655397254c0a6d0f3e9c3a1c28604b1f738c5fb34bf4f2eb705",
+    ),
+    "irregular": (
+        "--topology irregular --n1 6 --n2 5 --m 3 --seed 4 -T 50 --format jsonl",
+        "e8df4a8ea33424cc1329886d41ffc3c7cda6de6ee8646e03e1634ae89cbbc596",
+    ),
+    "irregular-n1-0": (
+        "--topology irregular --n1 0 --n2 9 --m 2 --seed 5 -T 40",
+        "e474cbfcb5db6b5db2298cfa996e9b02067bdadf14873e6f3c3a17999ccaa978",
+    ),
+}
+
 # run 1 fails with a message that must be quoted; the other rows are kept
 FAILED_ENSEMBLE = "--N 9 --m 3 --seed 5 --seeds 3 -T 60"
 FAILED_ENSEMBLE_SHA = "46a5bfc7c1a9395b809f05b7e855d0ae3afbe4cd214e930d0dc111a61c53bdaf"
@@ -268,6 +287,16 @@ def test_golden_sweep(name, tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(text + "\n")
     assert sha256(cli_output(tmp_path, ["sweep", "--config", str(cfg)])) == pinned
+
+
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_golden_manifest(name, tmp_path):
+    flags, pinned = MANIFESTS[name]
+    records, manifest = tmp_path / "records", tmp_path / "manifest.json"
+    argv = ["run", *flags.split(), "--out", str(records), "--manifest", str(manifest)]
+    assert cli_main(argv) == 0
+    assert sha256(manifest.read_text()) == pinned
+    assert cli_main(["verify", str(manifest), str(records)]) == 0
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmg import ConfigError, GameConfig, MarketTopology, RunRecords, io, run
+from mmg import ConfigError, GameConfig, RunRecords, io, run
 from mmg.config import CONFIG_KEYS, MAX_MEMORY, MAX_TABLE_BYTES
 from mmg.io import (
     RunManifest,
@@ -76,7 +76,7 @@ class TestParseConfig:
     def test_irregular_population(self):
         parsed = parse_config("topology=irregular n1=1146 n2=301 seed=9")
         assert parsed.game.n_agents == 1447
-        assert parsed.game.topology == MarketTopology.irregular(1146, 301)
+        assert parsed.game.n_exclusive == 1146
 
     @pytest.mark.parametrize("text", [
         "topology=irregular n1=5 seed=1",
@@ -84,16 +84,24 @@ class TestParseConfig:
         "topology=irregular N=5 seed=1",
     ])
     def test_irregular_needs_both_populations(self, text):
-        # the same message as a game whose topology lacks n2
-        with pytest.raises(ConfigError) as parsed:
+        # the first of n1 and n2 that is missing is named
+        missing = "n2" if "n1=" in text else "n1"
+        with pytest.raises(ConfigError, match=f"^{missing}: required for an irregular game$"):
             parse_config(text)
-        unset = MarketTopology(kind="irregular", n1=5)
-        with pytest.raises(ConfigError) as game:
-            GameConfig(n_agents=5, seed=1, topology=unset).validate()
-        assert str(parsed.value) == str(game.value) == "topology: irregular requires n1 and n2"
+
+    @pytest.mark.parametrize("text, key", [
+        ("N=5 n1=2 seed=1", "n1"),
+        ("topology=regular N=5 n2=3 seed=1", "n2"),
+        ("topology=irregular n1=-1 n2=3 seed=1", "n1"),
+        ("topology=irregular n1=2 n2=-3 seed=1", "n2"),
+        ("topology=irregular n1=2 n2=3 K=3 seed=1", "K"),
+    ])
+    def test_irregular_input_names_key(self, text, key):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_config(text)
 
     def test_irregular_population_mismatch(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^N: must be n1 \\+ n2 = 5 in an irregular game, got 9$"):
             parse_config("topology=irregular n1=2 n2=3 N=9 seed=1")
 
     def test_unknown_key_with_location(self):
@@ -179,15 +187,15 @@ class TestParseConfig:
 class TestConfigKeys:
     def test_one_key_per_field(self):
         keyed = sorted(field for field, _, _ in CONFIG_KEYS.values())
-        fields = sorted(f.name for f in dataclasses.fields(GameConfig) if f.name != "topology")
+        fields = sorted(f.name for f in dataclasses.fields(GameConfig) if f.name != "n_exclusive")
         assert keyed == fields
 
     def test_file_defaults_are_dataclass_defaults(self):
         assert parse_config("N=5 seed=1").game == GameConfig(n_agents=5, seed=1)
 
-    @pytest.mark.parametrize("topology", [MarketTopology.regular(), MarketTopology.irregular(2, 3)])
+    @pytest.mark.parametrize("topology", [{}, {"n_exclusive": 2}])
     def test_manifest_config_keys(self, topology):
-        cfg = GameConfig(n_agents=5, seed=1, topology=topology)
+        cfg = GameConfig(n_agents=5, seed=1, **topology)
         obj = json.loads(serialize_manifest(make_manifest(cfg, 3, "csv", "x")))
         assert set(obj["config"]) == set(CONFIG_KEYS) | {"topology"}
 
@@ -367,20 +375,18 @@ class TestFormatNumber:
         )
 
 
-def topologies():
-    regular = st.just(MarketTopology.regular())
-    irregular = st.tuples(st.integers(0, 50), st.integers(0, 50)).filter(
-        lambda p: p[0] + p[1] > 0
-    ).map(lambda p: MarketTopology.irregular(*p))
-    return st.one_of(regular, irregular)
+def populations():
+    """(n1, n2) of an irregular game: both >= 0, at least one agent."""
+    return st.tuples(st.integers(0, 50), st.integers(0, 50)).filter(lambda p: p[0] + p[1] > 0)
 
 
 @st.composite
 def manifest_configs(draw):
     """Games that can be played: parse_manifest refuses the others."""
-    topology = draw(topologies())
-    if topology.kind == "irregular":
-        n_agents, n_markets = topology.n1 + topology.n2, 2
+    n_exclusive = None
+    if draw(st.booleans()):
+        n_exclusive, n2 = draw(populations())
+        n_agents, n_markets = n_exclusive + n2, 2
     else:
         n_agents = draw(st.integers(1, 5000))
         n_markets = draw(st.integers(1, 4))
@@ -395,7 +401,7 @@ def manifest_configs(draw):
         n_strategies=n_strategies,
         memory=draw(st.integers(1, max_memory)),
         payoff=draw(st.sampled_from(("linear", "sign", "scaled"))),
-        topology=topology,
+        n_exclusive=n_exclusive,
         init_utilities=draw(st.sampled_from(("zero", "uniform"))),
         u_low=draw(st.floats(-10, 0.5, allow_nan=False)),
         u_high=draw(st.floats(0.6, 10, allow_nan=False)),
@@ -414,10 +420,27 @@ class TestManifest:
         )
         assert parse_manifest(serialize_manifest(manifest)) == manifest
 
+    @settings(max_examples=60, deadline=None)
+    @given(populations=populations(), seed=st.integers(0, 2**63 - 1))
+    def test_irregular_game_round_trips(self, populations, seed):
+        # config text -> GameConfig -> manifest -> GameConfig, bytes unchanged
+        n1, n2 = populations
+        cfg = parse_config(f"topology=irregular n1={n1} n2={n2} seed={seed}").game
+        assert (cfg.n_agents, cfg.n_markets, cfg.n_exclusive) == (n1 + n2, 2, n1)
+        text = serialize_manifest(make_manifest(cfg, 10, "csv", "x"))
+        assert json.loads(text)["config"]["topology"] == {"kind": "irregular", "n1": n1, "n2": n2}
+        manifest = parse_manifest(text)
+        assert manifest.config == cfg
+        assert serialize_manifest(manifest) == text
+        # only the first n1 agents' second market is blocked
+        blocked = np.zeros((n1 + n2, 2), dtype=bool)
+        blocked[:n1, 1] = True
+        assert np.array_equal(~cfg.link_mask(), blocked)
+
     @staticmethod
     def manifest_with(config=None, **top):
         """Manifest text of a playable game, with some values replaced."""
-        cfg = GameConfig(n_agents=12, seed=5, topology=MarketTopology.irregular(4, 8))
+        cfg = GameConfig(n_agents=12, seed=5, n_exclusive=4)
         obj = json.loads(serialize_manifest(make_manifest(cfg, 10, "csv", "payload")))
         obj["config"].update(config or {})
         obj.update(top)
@@ -494,7 +517,7 @@ class TestManifest:
         ({"topology": {"n1": 4, "n2": 8}}, {}, "topology"),
         ({"topology": {"kind": "regular", "n3": 1}}, {}, "unknown key 'n3'"),
         ({"topology": {"kind": "irregular", "n1": 4, "n2": "x"}}, {}, "n2"),
-        ({"topology": {"kind": "irregular", "n1": 5, "n2": 8}}, {}, "topology"),
+        ({"topology": {"kind": "irregular", "n1": 5, "n2": 8}}, {}, "N"),  # N=12
         ({}, {"T": 0}, "T"),
         ({}, {"T": 10**11}, "T"),
         ({"seeds": 3}, {}, "unknown key 'seeds'"),

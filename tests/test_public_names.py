@@ -23,7 +23,7 @@ MODULES = ["mmg"] + [
 ]
 
 ROOT_NAMES = {
-    "__version__", "ConfigError", "GameConfig", "MarketTopology",
+    "__version__", "ConfigError", "GameConfig",
     "GameState", "RunRecords", "init_game", "step", "run",
     "RunSummary", "SweepSpec", "summarize_run", "ensemble_run", "q_sweep",
     "estimate_critical_q", "figure_dataset", "subseed",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import one_tick
-from mmg import GameConfig, MarketTopology, init_game, run, strategies
+from mmg import GameConfig, init_game, run, strategies
 from mmg.rng import game_rng
 from mmg.strategies import draw_strategies
 
@@ -179,7 +179,7 @@ def one_call_init(cfg):
     from uniform initial utilities, each draw one call over the whole game."""
     n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
     rng = game_rng(cfg.seed)
-    link_mask = cfg.topology.link_mask(n, k_markets)
+    link_mask = cfg.link_mask()
     tables = one_call_draw(rng, n, k_markets, s, cfg.memory, link_mask)
     utilities = np.full((n, k_markets, s), -np.inf)
     utilities[link_mask] = rng.uniform(cfg.u_low, cfg.u_high, size=(int(link_mask.sum()), s))
@@ -187,10 +187,10 @@ def one_call_init(cfg):
     return tables, utilities, histories, rng.bit_generator.state
 
 
-# (N, K, topology): regular at K = 1, 2, 3 with odd and even N, and the
-# irregular topology with odd and even n1
-GRID_GAMES = [(n, k, MarketTopology.regular()) for n in (5, 6) for k in (1, 2, 3)] + [
-    (n1 + n2, 2, MarketTopology.irregular(n1, n2)) for n1, n2 in ((5, 3), (4, 3), (1, 6), (6, 1))
+# (N, K, n_exclusive): regular at K = 1, 2, 3 with odd and even N, and the
+# irregular game with odd and even n1
+GRID_GAMES = [(n, k, None) for n in (5, 6) for k in (1, 2, 3)] + [
+    (n1 + n2, 2, n1) for n1, n2 in ((5, 3), (4, 3), (1, 6), (6, 1))
 ]
 
 # 1 is the smallest chunk (one agent each); 160 bytes puts a few agents in
@@ -204,18 +204,19 @@ class TestChunkedDraw:
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_tables_and_stream_match_one_call(self, monkeypatch, m, s, chunk):
         monkeypatch.setattr(strategies, "_CHUNK_BYTES", chunk)
-        for n, k_markets, topology in GRID_GAMES:
-            link_mask = topology.link_mask(n, k_markets)
+        for n, k_markets, n1 in GRID_GAMES:
+            link_mask = GameConfig(n_agents=n, seed=0, n_markets=k_markets,
+                                   n_exclusive=n1).link_mask()
             seed = n * 100 + k_markets * 10 + m
             want_rng, rng = game_rng(seed), game_rng(seed)
             want = one_call_draw(want_rng, n, k_markets, s, m, link_mask)
             got = draw_strategies(rng, n, k_markets, s, m, link_mask)
-            assert np.array_equal(got, want), (n, k_markets, topology)
-            assert rng.bit_generator.state == want_rng.bit_generator.state, (n, k_markets, topology)
+            assert np.array_equal(got, want), (n, k_markets, n1)
+            assert rng.bit_generator.state == want_rng.bit_generator.state, (n, k_markets, n1)
 
     def test_default_chunks_match_one_call(self):
         # the big_run game's 1.26 MiB of tables span several default chunks
-        n, link_mask = 10301, MarketTopology.irregular(10000, 301).link_mask(10301, 2)
+        n, link_mask = 10301, GameConfig(n_agents=10301, seed=3, n_exclusive=10000).link_mask()
         want_rng, rng = game_rng(3), game_rng(3)
         want = one_call_draw(want_rng, n, 2, 2, 5, link_mask)
         assert want.nbytes > 4 * strategies._CHUNK_BYTES
@@ -227,9 +228,9 @@ class TestChunkedDraw:
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_uniform_utilities_match_one_call(self, monkeypatch, m, s, chunk):
         monkeypatch.setattr(strategies, "_CHUNK_BYTES", chunk)
-        for n, k_markets, topology in GRID_GAMES:
+        for n, k_markets, n1 in GRID_GAMES:
             cfg = GameConfig(n_agents=n, seed=n + m, n_markets=k_markets, n_strategies=s,
-                             memory=m, topology=topology, init_utilities="uniform",
+                             memory=m, n_exclusive=n1, init_utilities="uniform",
                              u_low=-2.0, u_high=3.0)
             tables, utilities, histories, rng_state = one_call_init(cfg)
             state = init_game(cfg, 10)
@@ -255,9 +256,8 @@ def traced_overhead(fn):
 # are 4 bytes an agent: an index array over all its linked pairs (16 bytes
 # a pair) would be four times them
 BIG_GAMES = {
-    "big_run": dict(n_agents=10301, topology=MarketTopology.irregular(10000, 301)),
-    "m1s1": dict(n_agents=100001, memory=1, n_strategies=1,
-                 topology=MarketTopology.irregular(99001, 1000)),
+    "big_run": dict(n_agents=10301, n_exclusive=10000),
+    "m1s1": dict(n_agents=100001, memory=1, n_strategies=1, n_exclusive=99001),
 }
 # Python objects and the game's few per-market arrays
 SLACK = 16 << 10
@@ -267,7 +267,7 @@ class TestInitMemory:
     @pytest.mark.parametrize("name", BIG_GAMES)
     def test_draw_holds_tables_plus_one_chunk(self, name):
         cfg = GameConfig(seed=1, **BIG_GAMES[name])
-        link_mask = cfg.topology.link_mask(cfg.n_agents, 2)
+        link_mask = cfg.link_mask()
         over = traced_overhead(lambda: draw_strategies(
             game_rng(1), cfg.n_agents, 2, cfg.n_strategies, cfg.memory, link_mask))
         assert over <= strategies._CHUNK_BYTES + SLACK

@@ -20,7 +20,7 @@ def main(argv):
     cfg = GameConfig(n_agents=n, seed=seed)
     records = run(cfg, ticks)
 
-    summary = summarize_run(records, n_strategies=cfg.n_strategies)
+    summary = summarize_run(records)
     stats, big, small = summary.stats, summary.big_market, summary.small_market
     predicted = predicted_occupancies(n, 2, 2)
     crit = summary.critical

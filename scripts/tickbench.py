@@ -41,7 +41,8 @@ Where the host's speed drifts, one run per side can differ by more than a
 change does. ``--parent DIR`` compares the ``mmg`` on the path with the one
 under ``DIR/src`` (say, a checkout of the parent commit) in one process:
 each builds every game from the same config-file text with its own
-``mmg.io.parse_config``, both play it side by side, alternated in blocks of
+``mmg.io.parse_config`` and its records with its own ``RunRecords.empty``,
+both play it side by side, alternated in blocks of
 ticks (which side goes first alternates too), and the line maps
 game/tie-rule to the parent's and this version's median microseconds per
 tick and the number of blocks this version was faster in. Each game/init maps to both versions' median
@@ -54,6 +55,7 @@ version was faster in, and both traced peaks (``parent_peak_kib``,
 
 import argparse
 import importlib.util
+import inspect
 import json
 import statistics
 import sys
@@ -103,9 +105,18 @@ def parsed(pkg, text):
     return importlib.import_module(f"{pkg.__name__}.io").parse_config(text).game
 
 
+def empty_records(pkg, cfg, ticks):
+    """``pkg``'s unfilled records of ``ticks`` ticks of ``cfg``; records that
+    hold their config were made by ``empty(cfg, ticks)``, the older ones by
+    ``empty(ticks, K, m)``."""
+    if "memory" in inspect.signature(pkg.RunRecords.empty).parameters:
+        return pkg.RunRecords.empty(ticks, cfg.n_markets, cfg.memory)
+    return pkg.RunRecords.empty(cfg, ticks)
+
+
 def us_per_tick(cfg, ticks):
     state = init_game(cfg, ticks)
-    out = RunRecords.empty(ticks, cfg.n_markets, cfg.memory)
+    out = RunRecords.empty(cfg, ticks)
     start = time.perf_counter()
     for i in range(ticks):
         step(state, out, i)
@@ -165,7 +176,7 @@ def side_by_side(parent, text, ticks):
     for pkg in (parent, mmg):
         cfg = parsed(pkg, text)
         state = pkg.init_game(cfg, total)
-        sides.append((pkg.step, state, pkg.RunRecords.empty(total, cfg.n_markets, cfg.memory)))
+        sides.append((pkg.step, state, empty_records(pkg, cfg, total)))
     times = ([], [])
     for b in range(BLOCKS):
         for side in ((0, 1) if b % 2 == 0 else (1, 0)):

@@ -5,7 +5,8 @@ Subcommands: ``run`` (single game), ``ensemble`` (multi-seed summaries),
 ``predict`` (closed-form occupancies), ``verify MANIFEST FILE`` (replay a
 run manifest and check FILE against it). Flags override config-file keys.
 Exit codes: 0 success, 1 usage, 2 configuration error (an unreadable file
-included), 3 runtime failure, 4 ``verify`` mismatch.
+and a bad value of a key's flag included), 3 runtime failure, 4 ``verify``
+mismatch.
 Data goes to files or stdout; diagnostics go to stderr. MMG_OUT_DIR sets
 the default output directory for ``figure``.
 """
@@ -58,14 +59,19 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config_flags(p):
+        # the values of the key flags stay text: parse_config converts each
+        # one as it does a config file's, so a bad one names its key
+        def choices(kind):
+            return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
+
         p.add_argument("--config", type=Path, help="key=value config file")
-        p.add_argument("-T", "--ticks", type=int, dest="T", help="ticks to play")
+        p.add_argument("-T", "--ticks", dest="T", help="ticks to play")
         for key, (_, kind, help_text) in CONFIG_KEYS.items():
-            value = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **value)
-        p.add_argument("--topology", choices=TOPOLOGY_KINDS)
-        p.add_argument("--n1", type=int, help="agents on market 1 only (irregular)")
-        p.add_argument("--n2", type=int, help="agents on both markets (irregular)")
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text,
+                           metavar=choices(kind))
+        p.add_argument("--topology", metavar=choices(TOPOLOGY_KINDS))
+        p.add_argument("--n1", help="agents on market 1 only (irregular)")
+        p.add_argument("--n2", help="agents on both markets (irregular)")
 
     p_run = sub.add_parser("run", help="play one game and emit its records")
     add_config_flags(p_run)
@@ -75,12 +81,12 @@ def _build_parser() -> _Parser:
 
     p_ens = sub.add_parser("ensemble", help="summarize an ensemble of seeded runs")
     add_config_flags(p_ens)
-    p_ens.add_argument("--seeds", type=int, help="runs in the ensemble")
+    p_ens.add_argument("--seeds", help="runs in the ensemble")
     p_ens.add_argument("--out", type=Path, help="summary CSV (default stdout)")
 
     p_sweep = sub.add_parser("sweep", help="ensemble sweep over N or n1")
     add_config_flags(p_sweep)
-    p_sweep.add_argument("--seeds", type=int, help="runs per swept value")
+    p_sweep.add_argument("--seeds", help="runs per swept value")
     p_sweep.add_argument("--out", type=Path, help="sweep table CSV (default stdout)")
 
     p_fig = sub.add_parser("figure", help="generate a canned experiment dataset")

@@ -41,8 +41,8 @@ actions as one ``take`` of K table rows. ``GameState.utilities`` is a
 transposed view of the scores in the agent-first shape ``(N, K, s)``. The
 plain-Python per-agent loop in ``tests/reference.py`` follows the same
 order and random stream and serves as its oracle. ``run`` allocates the
-columnar ``RunRecords`` once, and ``step`` writes tick i straight into its
-row i; that is the one layout io renders and every estimator reads.
+columnar ``RunRecords`` of its config once, and ``step`` writes tick i into
+its row i; that is the one layout io renders and every estimator reads.
 Aggregation depends on agents per market and on K*s. From
 ``ONE_HOT_AGENTS`` agents per market up, while K*s <= ``ONE_HOT_ROWS``,
 each market's counts come from its block of the one-hot ``(K, s, N)`` of
@@ -156,39 +156,33 @@ UNLINKED_SCORE = -(1 << 30)
 
 @dataclass(eq=False)
 class RunRecords:
-    """Observables of a whole run, one row per tick.
+    """Observables of a whole run, one row per tick, and the game they came from.
 
     This is the only layout records are stored and serialized in;
-    ``step`` writes tick i into row i.
+    ``step`` writes tick i into row i. ``config`` is the played game, which
+    the estimators read N, K, s and m from; neither it nor ``n_tied`` is
+    serialized.
     """
 
-    memory: int
+    config: GameConfig
     t: np.ndarray  # (T,)
     occupancy: np.ndarray  # (T, K)
     demand: np.ndarray  # (T, K)
     minority: np.ndarray  # (T, K)
     history: np.ndarray  # (T, K)
     n_switched: np.ndarray  # (T,)
-    n_tied: np.ndarray | None = None  # (T,) tie draws; not serialized; None if not built with it
+    n_tied: np.ndarray  # (T,) tie draws
 
     @classmethod
-    def empty(cls, ticks: int, k_markets: int, memory: int) -> RunRecords:
-        """Unfilled records of ``ticks`` ticks on ``k_markets`` markets."""
-        per_market = [np.empty((ticks, k_markets), dtype=np.int64) for _ in range(4)]
-        return cls(memory, np.empty(ticks, dtype=np.int64), *per_market,
+    def empty(cls, cfg: GameConfig, ticks: int) -> RunRecords:
+        """Unfilled records of ``ticks`` ticks of the game ``cfg``."""
+        per_market = [np.empty((ticks, cfg.n_markets), dtype=np.int64) for _ in range(4)]
+        return cls(cfg, np.empty(ticks, dtype=np.int64), *per_market,
                    np.empty(ticks, dtype=np.int64), np.empty(ticks, dtype=np.int64))
 
     @property
     def n_ticks(self) -> int:
         return self.t.shape[0]
-
-    @property
-    def n_markets(self) -> int:
-        return self.occupancy.shape[1]
-
-    @property
-    def n_agents(self) -> int:
-        return int(self.occupancy[0].sum())
 
 
 @dataclass(eq=False)
@@ -429,7 +423,7 @@ def run(cfg: GameConfig, ticks: int) -> RunRecords:
     """Play ``ticks`` ticks from a fresh game and return the columnar record."""
     cfg.check_ticks(ticks)
     state = init_game(cfg, ticks)
-    out = RunRecords.empty(ticks, cfg.n_markets, cfg.memory)
+    out = RunRecords.empty(cfg, ticks)
     for i in range(ticks):
         step(state, out, i)
     return out

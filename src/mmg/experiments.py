@@ -75,17 +75,12 @@ def summarize_run(
     seed: int = 0,
     theta: float = DEFAULT_THETA,
     window: tuple[int, int] | None = None,
-    *,
-    n_strategies: int,
 ) -> RunSummary:
-    """Condense one run's records into the standard per-seed summary.
-
-    ``n_strategies`` is the game's s, which sets the split levels that
-    ``tau0`` settles to; the records do not hold it."""
+    """Condense one run's records into the standard per-seed summary."""
     stats = series_stats(records, window)
     big, small = big_small_markets(stats)
     split = split_detected(records, window)
-    tau0 = relaxation_time(records, n_strategies)
+    tau0 = relaxation_time(records)
     nu = fluctuation_frequency(records, big, theta, window)
     crit = detect_critical_history(records, big, theta)
     return RunSummary(
@@ -135,16 +130,7 @@ def ensemble_run(
         child = subseed(cfg.seed, i)
         try:
             records = run(replace(cfg, seed=child), ticks)
-            out.append(
-                summarize_run(
-                    records,
-                    run_index=i,
-                    seed=child,
-                    theta=theta,
-                    window=window,
-                    n_strategies=cfg.n_strategies,
-                )
-            )
+            out.append(summarize_run(records, i, child, theta, window))
         except Exception as exc:  # noqa: BLE001 - per-seed isolation is the contract
             error = f"{type(exc).__name__}: {exc}"
             out.append(RunSummary(run_index=i, seed=child, error=error))
@@ -338,7 +324,7 @@ def _fig6_table(cfg: GameConfig, ticks: int, theta: float) -> Table:
     agents = [agent for _, agent in picks]
     traces = np.empty((len(state.scores), len(agents), ticks + 1))
     traces[:, :, 0] = state.scores[:, agents]
-    replay = RunRecords.empty(1, cfg.n_markets, cfg.memory)  # each tick overwrites row 0
+    replay = RunRecords.empty(cfg, 1)  # each tick overwrites row 0
     for i in range(ticks):
         step(state, replay, 0)
         traces[:, :, i + 1] = state.scores[:, agents]

@@ -88,8 +88,9 @@ def _tokenize(text: str):
 def parse_config(text: str, overrides: dict | None = None) -> ParsedConfig:
     """Parse the key-value config format into a fully defaulted config.
 
-    ``overrides`` (same key names, already-typed values) win over file
-    keys; this is how command-line flags layer on top of a file.
+    ``overrides`` (same key names; values as text, or any whose ``str`` is
+    that text) win over file keys and are converted the same way; this is
+    how command-line flags layer on top of a file.
     """
     raw: dict[str, object] = {}
     for lineno, col, token in _tokenize(text):
@@ -109,7 +110,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ParsedConfig:
             if key not in FILE_KEYS:
                 raise ConfigError(f"unknown key {key!r}")
             if value is not None:
-                raw[key] = value
+                raw[key] = _convert(key, str(value))
     return _build(raw)
 
 
@@ -181,7 +182,7 @@ _RENDER_TICKS = 1 << 12
 
 
 def _csv_lines(records: RunRecords, ticks: slice) -> str:
-    k_markets = records.n_markets
+    k_markets = records.config.n_markets
     t = records.t[ticks]
     rows = np.column_stack([
         np.repeat(t, k_markets), np.tile(np.arange(k_markets), len(t)),
@@ -194,7 +195,7 @@ def _csv_lines(records: RunRecords, ticks: slice) -> str:
 
 def _jsonl_lines(records: RunRecords, ticks: slice) -> str:
     # the text json.dumps(..., separators=(",", ":")) gives each tick's object
-    arrays = "".join(f',"{key}":[' + ",".join(["{}"] * records.n_markets) + "]"
+    arrays = "".join(f',"{key}":[' + ",".join(["{}"] * records.config.n_markets) + "]"
                      for key in ("O", "A", "astar", "mu"))
     line = ('{{"t":{}' + arrays + ',"C":{}}}\n').format
     rows = np.column_stack([getattr(records, name)[ticks] for name in _FIELDS]).tolist()

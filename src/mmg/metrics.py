@@ -1,8 +1,9 @@
 """Estimators over run records and closed-form occupancy predictors.
 
-All estimators are pure functions of the columnar records. Windows are
-half-open tick ranges ``[start, stop)``; ``None`` means the last half of
-the run, which excludes the transient before the occupancies settle.
+All estimators are pure functions of the columnar records and of the
+game they hold, ``RunRecords.config``. Windows are half-open tick ranges
+``[start, stop)``; ``None`` means the last half of the run, which excludes
+the transient before the occupancies settle.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def mu_histogram(
 ) -> MuHistogram:
     a, b = resolve_window(records.n_ticks, window)
     values = records.history[a:b, market]
-    counts = np.bincount(values, minlength=1 << records.memory).astype(np.int64)
+    counts = np.bincount(values, minlength=1 << records.config.memory).astype(np.int64)
     return MuHistogram(market=market, window=(a, b), counts=counts, p=counts / (b - a))
 
 
@@ -179,18 +180,18 @@ def fluctuation_frequency(
     return float(np.count_nonzero(large) / (b - a))
 
 
-def relaxation_time(records: RunRecords, n_strategies: int) -> int | None:
+def relaxation_time(records: RunRecords) -> int | None:
     """First tick from which every occupancy stays in the +-RELAX_BELT*N band
     around one of the split levels of ``predicted_occupancies`` for the
-    records' N agents and K markets until the end of the recorded range.
+    records' game (its N, K and s) until the end of the recorded range.
 
     "Forever" is only checkable to the end of the run; to keep a lucky
     final tick from counting as stabilization, the terminal in-band
     stretch must span at least ``RELAX_MIN_STAY`` ticks, else None.
     """
-    n_agents = records.n_agents
-    levels = np.array(predicted_occupancies(n_agents, records.n_markets, n_strategies))
-    near = np.abs(records.occupancy[:, :, None] - levels) <= RELAX_BELT * n_agents
+    cfg = records.config
+    levels = np.array(predicted_occupancies(cfg.n_agents, cfg.n_markets, cfg.n_strategies))
+    near = np.abs(records.occupancy[:, :, None] - levels) <= RELAX_BELT * cfg.n_agents
     ok = near.any(axis=2).all(axis=1)
     if ok.all():
         tau = 0
@@ -232,8 +233,7 @@ def predicted_occupancies(n_agents: int, n_markets: int, n_strategies: int) -> l
 
 def predicted_irregular(n1: int, n2: int, n_strategies: int) -> tuple[float, float]:
     """Large-n1 asymptote of the exclusive market and limit of the shared one."""
-    GameConfig.check_irregular(n1, n2)
-    GameConfig.check_counts(s=n_strategies)
+    GameConfig.check_counts(N=GameConfig.check_irregular(n1, n2), s=n_strategies)
     r = 2.0 ** -n_strategies
     return n1 + (1 - r) * n2, n2 * r
 
@@ -244,7 +244,7 @@ def split_detected(records: RunRecords, window: tuple[int, int] | None = None) -
     a, b = resolve_window(records.n_ticks, window)
     occ = records.occupancy[a:b]
     gap = occ.max(axis=1) - occ.min(axis=1)
-    return bool(np.mean(gap > SPLIT_GAP_FRAC * records.n_agents) >= SPLIT_SUSTAIN)
+    return bool(np.mean(gap > SPLIT_GAP_FRAC * records.config.n_agents) >= SPLIT_SUSTAIN)
 
 
 #: Per-capita variance bands for the mode labels; 1.0 (random agents) lies

@@ -8,7 +8,7 @@ from mmg import RunRecords, step
 def one_tick(state):
     """Play one tick of ``state`` into a one-row ``RunRecords``; return that
     row's ``t``, its per-market ``(K,)`` arrays and its ``n_switched``."""
-    out = RunRecords.empty(1, state.config.n_markets, state.config.memory)
+    out = RunRecords.empty(state.config, 1)
     step(state, out, 0)
     return SimpleNamespace(
         t=int(out.t[0]), occupancy=out.occupancy[0], demand=out.demand[0],

@@ -60,7 +60,7 @@ def sweep(ens1447):
     for v in values:
         if v == 1447:  # the ens1447 games: same config, child seeds subseed(MASTER, i)
             summaries = [
-                summarize_run(rec, run_index=i, seed=subseed(MASTER, i), n_strategies=2)
+                summarize_run(rec, run_index=i, seed=subseed(MASTER, i))
                 for i, rec in enumerate(ens1447)
             ]
         else:
@@ -93,7 +93,7 @@ def test_criterion_1_occupancy_split_levels(ens1447):
 
 
 def test_criterion_2_no_split_at_small_n(ens11):
-    undefined = sum(relaxation_time(rec, 2) is None for rec in ens11)
+    undefined = sum(relaxation_time(rec) is None for rec in ens11)
     report(2, "no-split-small-N", undefined >= 9, f"(tau0 undefined in {undefined}/10)")
     assert undefined >= 9
 
@@ -136,7 +136,7 @@ def stationary_recurrences(rec, big):
     crit = detect_critical_history(rec, big, THETA)
     if crit is None:
         return None, np.array([], dtype=int)
-    tau = relaxation_time(rec, 2)
+    tau = relaxation_time(rec)
     start = max(tau or 0, rec.n_ticks // 2)
     return crit, crit.recurrences[crit.recurrences >= start]
 

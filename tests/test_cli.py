@@ -44,6 +44,12 @@ BAD_FILE_VALUES = {
 }
 
 
+def subparser(command):
+    """The parser of one ``mmg`` subcommand."""
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    return subparsers.choices[command]
+
+
 class TestPredict:
     def test_regular_two_markets(self, capsys):
         assert cli_main(["predict", "--N", "1600", "--K", "2", "--s", "2"]) == 0
@@ -72,6 +78,11 @@ class TestPredict:
         # 2**-s underflows to 0 instead of 1 / 2**s overflowing the float
         assert cli_main(["predict", *argv]) == 0
         assert capsys.readouterr().out == out
+
+    def test_irregular_game_without_agents(self, capsys):
+        # ``mmg run`` refuses the same game
+        assert cli_main(["predict", "--n1", "0", "--n2", "0"]) == 2
+        assert capsys.readouterr().err == "config error: N: must be >= 1, got 0\n"
 
     def test_one_market_has_no_table_bound(self, capsys):
         # one market keeps all N agents; no table budget applies
@@ -117,6 +128,16 @@ class TestExitCodes:
         cfg.write_text(f"{key}={BAD_FILE_VALUES[key]}\n")
         assert cli_main(["run", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: line 1, col 1: {key}: ")
+
+    @pytest.mark.parametrize("command, key, flag", [
+        (command, action.dest, action.option_strings[0])
+        for command in ("run", "ensemble", "sweep")
+        for action in subparser(command)._actions if action.dest in FILE_KEYS
+    ])
+    def test_bad_flag_value_names_key(self, capsys, command, key, flag):
+        # a flag's value is converted as the same key's value in a file is
+        assert cli_main([command, flag, BAD_FILE_VALUES[key]]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
     @pytest.mark.parametrize("command", ["run", "ensemble", "sweep"])
     def test_unreadable_config_file(self, tmp_path, capsys, command):

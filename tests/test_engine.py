@@ -259,13 +259,21 @@ class TestStep:
         ticks = 80
         want = run(cfg, ticks)
         state = init_game(cfg)
-        out = RunRecords.empty(ticks, cfg.n_markets, cfg.memory)
-        assert out.memory == want.memory
+        out = RunRecords.empty(cfg, ticks)
+        assert out.config == want.config
         for i in range(ticks):
             step(state, out, i)
             for name in ("t", "occupancy", "demand", "minority", "history", "n_switched"):
                 assert np.array_equal(getattr(out, name)[i], getattr(want, name)[i]), (i, name)
         assert state.t == ticks
+
+    @pytest.mark.parametrize("cfg", [
+        GameConfig(n_agents=11, seed=4),
+        GameConfig(n_agents=11, seed=4, n_exclusive=4),
+        GameConfig(n_agents=11, seed=4, n_markets=3),
+    ], ids=["regular", "irregular", "K3"])
+    def test_records_hold_their_game(self, cfg):
+        assert run(cfg, 5).config == cfg
 
 
 @st.composite
@@ -741,7 +749,7 @@ class TestIntegerScores:
         ticks = 300
         want = init_game(cfg)
         assert want.scores.dtype == np.float64
-        out = RunRecords.empty(ticks, cfg.n_markets, cfg.memory)
+        out = RunRecords.empty(cfg, ticks)
         for i in range(ticks):
             step(want, out, i)
         got = run(cfg, ticks)

@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +54,6 @@ class TestEnsembleRun:
             run(GameConfig(**{**cfg.__dict__, "seed": child}), 50),
             run_index=0,
             seed=child,
-            n_strategies=cfg.n_strategies,
         )
         got = summaries[0]
         assert got.seed == child
@@ -119,20 +119,18 @@ class TestSummarizeRun:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "detect_critical_history", counting)
-        summary = summarize_run(run(GameConfig(n_agents=11, seed=3, memory=2), 100),
-                                n_strategies=2)
+        summary = summarize_run(run(GameConfig(n_agents=11, seed=3, memory=2), 100))
         assert len(calls) == 1
         assert summary.critical is not None
         assert summary.mean_c_at_recurrence is not None
 
-    def test_strategy_count_is_required(self):
-        # tau0 settles to the split levels of the game's s: this s=3 game
-        # settles at tick 3, and never on the s=2 levels
+    def test_tau0_follows_the_records_game(self):
+        # tau0 settles to the split levels of the records' own s: this s=3
+        # game settles at tick 3, and never on the s=2 levels
         rec = run(GameConfig(n_agents=1447, seed=2, n_strategies=3, memory=3), 3000)
-        with pytest.raises(TypeError, match="n_strategies"):
-            summarize_run(rec)
-        assert summarize_run(rec, n_strategies=3).tau0 == 3
-        assert summarize_run(rec, n_strategies=2).tau0 is None
+        assert summarize_run(rec).tau0 == 3
+        relabelled = replace(rec, config=replace(rec.config, n_strategies=2))
+        assert summarize_run(relabelled).tau0 is None
 
 
 class TestSummaryTable:

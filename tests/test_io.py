@@ -215,13 +215,14 @@ class TestRecordFormats:
 
     def test_csv_single_tick_two_markets(self):
         rec = RunRecords(
-            memory=3,
+            config=GameConfig(n_agents=5, seed=0, memory=3),
             t=np.array([0]),
             occupancy=np.array([[3, 2]]),
             demand=np.array([[1, -2]]),
             minority=np.array([[-1, 1]]),
             history=np.array([[5, 0]]),
             n_switched=np.array([0]),
+            n_tied=np.array([0]),
         )
         assert render_records(rec, "csv") == (
             "t,k,O,A,astar,mu,C\n0,0,3,1,-1,5,0\n0,1,2,-2,1,0,0\n"
@@ -230,8 +231,9 @@ class TestRecordFormats:
     def test_empty_stream_is_header_only(self):
         empty = np.empty((0, 2), dtype=np.int64)
         rec = RunRecords(
-            memory=3, t=np.empty(0, dtype=np.int64), occupancy=empty, demand=empty,
-            minority=empty, history=empty, n_switched=np.empty(0, dtype=np.int64),
+            config=GameConfig(n_agents=5, seed=0, memory=3), t=np.empty(0, dtype=np.int64),
+            occupancy=empty, demand=empty, minority=empty, history=empty,
+            n_switched=np.empty(0, dtype=np.int64), n_tied=np.empty(0, dtype=np.int64),
         )
         assert render_records(rec, "csv") == "t,k,O,A,astar,mu,C\n"
         assert render_records(rec, "jsonl") == ""
@@ -255,11 +257,12 @@ class TestRecordFormats:
         game = run(GameConfig(n_agents=9, seed=k_markets, n_markets=k_markets, memory=3), 40)
         assert (game.demand < 0).any() and game.t[0] == 0 and game.n_switched[0] == 0
         draw = np.random.default_rng(k_markets).integers
-        wide = RunRecords(3, np.arange(30) * 7, *(draw(-5000, 5000, (30, k_markets)) for _ in range(4)),
-                          draw(-5000, 5000, 30))
+        wide = RunRecords(game.config, np.arange(30) * 7,
+                          *(draw(-5000, 5000, (30, k_markets)) for _ in range(4)),
+                          draw(-5000, 5000, 30), np.zeros(30, dtype=np.int64))
         keys = ("t", "O", "A", "astar", "mu", "C")
         fields = ("t", "occupancy", "demand", "minority", "history", "n_switched")
-        for rec in (game, wide, RunRecords.empty(0, k_markets, 3)):
+        for rec in (game, wide, RunRecords.empty(game.config, 0)):
             ticks = zip(*(getattr(rec, name).tolist() for name in fields))
             text = render_records(rec, "jsonl")
             assert text == "".join(
@@ -283,7 +286,7 @@ class TestRecordFormats:
 def one_shot_render(records, fmt):
     """The records' text built from one row list over the whole run: the
     bytes that rendering chunk by chunk reproduces."""
-    n_ticks, k_markets = records.n_ticks, records.n_markets
+    n_ticks, k_markets = records.n_ticks, records.config.n_markets
     if fmt == "csv":
         rows = np.column_stack([
             np.repeat(records.t, k_markets), np.tile(np.arange(k_markets), n_ticks),
@@ -300,15 +303,16 @@ def one_shot_render(records, fmt):
 def wide_records(ticks, k_markets, seed=0):
     """Records of ``ticks`` ticks holding multi-digit values of either sign."""
     draw = np.random.default_rng(seed).integers
-    return RunRecords(5, np.arange(ticks), *(draw(-5000, 5000, (ticks, k_markets)) for _ in range(4)),
-                      draw(0, 5000, ticks))
+    return RunRecords(GameConfig(n_agents=5, seed=seed, n_markets=k_markets), np.arange(ticks),
+                      *(draw(-5000, 5000, (ticks, k_markets)) for _ in range(4)),
+                      draw(0, 5000, ticks), np.zeros(ticks, dtype=np.int64))
 
 
 def head(records, ticks):
     """The first ``ticks`` ticks of ``records``."""
-    return RunRecords(records.memory, *(getattr(records, name)[:ticks] for name in
+    return RunRecords(records.config, *(getattr(records, name)[:ticks] for name in
                                         ("t", "occupancy", "demand", "minority", "history",
-                                         "n_switched")))
+                                         "n_switched", "n_tied")))
 
 
 class TestChunkedRender:

@@ -32,13 +32,14 @@ def make_records(occupancy, demand, history=None, n_switched=None, memory=5):
     if n_switched is None:
         n_switched = np.zeros(ticks, dtype=np.int64)
     return RunRecords(
-        memory=memory,
+        config=GameConfig(n_agents=int(occupancy[0].sum()), seed=0, n_markets=k, memory=memory),
         t=np.arange(ticks, dtype=np.int64),
         occupancy=occupancy,
         demand=demand,
         minority=np.where(demand > 0, -1, 1).astype(np.int64),
         history=np.asarray(history, dtype=np.int64),
         n_switched=np.asarray(n_switched, dtype=np.int64),
+        n_tied=np.zeros(ticks, dtype=np.int64),
     )
 
 
@@ -180,23 +181,23 @@ class TestRelaxationTime:
 
     def test_enters_and_stays(self):
         rec = make_records([[8, 8]] * 100 + self.level_series(300), [[0, 0]] * 400)
-        assert relaxation_time(rec, 2) == 100
+        assert relaxation_time(rec) == 100
 
     def test_never_inside(self):
         rec = make_records([[8, 8]] * 200, [[0, 0]] * 200)
-        assert relaxation_time(rec, 2) is None
+        assert relaxation_time(rec) is None
 
     def test_inside_from_start(self):
         rec = make_records(self.level_series(200), [[0, 0]] * 200)
-        assert relaxation_time(rec, 2) == 0
+        assert relaxation_time(rec) == 0
 
     def test_short_terminal_stay_rejected(self, monkeypatch):
         # a lucky landing on the levels for the last few ticks is not
         # stabilization
         rec = make_records([[8, 8]] * 197 + self.level_series(3), [[0, 0]] * 200)
-        assert relaxation_time(rec, 2) is None
+        assert relaxation_time(rec) is None
         monkeypatch.setattr(metrics, "RELAX_MIN_STAY", 3)
-        assert relaxation_time(rec, 2) == 197
+        assert relaxation_time(rec) == 197
 
     def test_widening_belt_never_increases_tau(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -207,7 +208,7 @@ class TestRelaxationTime:
         taus = []
         for belt in (0.05, 0.1, 0.2, 0.4):
             monkeypatch.setattr(metrics, "RELAX_BELT", belt)
-            taus.append(relaxation_time(rec, 2))
+            taus.append(relaxation_time(rec))
         defined = [t for t in taus if t is not None]
         assert defined == sorted(defined, reverse=True)
         for a, b in zip(taus, taus[1:]):
@@ -218,7 +219,7 @@ class TestRelaxationTime:
         # N=64, K=3, s=2: predicted levels 48, 12 and 4
         settled = [[48, 12, 4], [12, 48, 4], [4, 12, 48]] * 100
         rec = make_records([[22, 21, 21]] * 50 + settled, [[0, 0, 0]] * 350)
-        assert relaxation_time(rec, 2) == 50
+        assert relaxation_time(rec) == 50
 
 
 class TestPredictions:

@@ -55,7 +55,6 @@ version was faster in, and both traced peaks (``parent_peak_kib``,
 
 import argparse
 import importlib.util
-import inspect
 import json
 import statistics
 import sys
@@ -103,15 +102,6 @@ def parsed(pkg, text):
     """The game of config-file ``text``, built by ``pkg``'s own parser, so
     each version reads and validates it with its own code."""
     return importlib.import_module(f"{pkg.__name__}.io").parse_config(text).game
-
-
-def empty_records(pkg, cfg, ticks):
-    """``pkg``'s unfilled records of ``ticks`` ticks of ``cfg``; records that
-    hold their config were made by ``empty(cfg, ticks)``, the older ones by
-    ``empty(ticks, K, m)``."""
-    if "memory" in inspect.signature(pkg.RunRecords.empty).parameters:
-        return pkg.RunRecords.empty(ticks, cfg.n_markets, cfg.memory)
-    return pkg.RunRecords.empty(cfg, ticks)
 
 
 def us_per_tick(cfg, ticks):
@@ -176,7 +166,7 @@ def side_by_side(parent, text, ticks):
     for pkg in (parent, mmg):
         cfg = parsed(pkg, text)
         state = pkg.init_game(cfg, total)
-        sides.append((pkg.step, state, empty_records(pkg, cfg, total)))
+        sides.append((pkg.step, state, pkg.RunRecords.empty(cfg, total)))
     times = ([], [])
     for b in range(BLOCKS):
         for side in ((0, 1) if b % 2 == 0 else (1, 0)):

@@ -24,13 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import CONFIG_KEYS, TOPOLOGY_KINDS, ConfigError, GameConfig
+from .config import CONFIG_KEYS, ConfigError, GameConfig
 from .engine import run as run_game
 from .experiments import FIGURE_NAMES, ensemble_run, figure_dataset, q_sweep, summary_table
 from .io import (
     FILE_KEYS,
     ParsedConfig,
     content_hash,
+    convert,
     format_number,
     make_manifest,
     parse_config,
@@ -69,7 +70,7 @@ def _build_parser() -> _Parser:
         for key, (_, kind, help_text) in CONFIG_KEYS.items():
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text,
                            metavar=choices(kind))
-        p.add_argument("--topology", metavar=choices(TOPOLOGY_KINDS))
+        p.add_argument("--topology", metavar=choices(FILE_KEYS["topology"]))
         p.add_argument("--n1", help="agents on market 1 only (irregular)")
         p.add_argument("--n2", help="agents on both markets (irregular)")
 
@@ -92,18 +93,18 @@ def _build_parser() -> _Parser:
     p_fig = sub.add_parser("figure", help="generate a canned experiment dataset")
     p_fig.add_argument("name", choices=FIGURE_NAMES)
     p_fig.add_argument("--out", type=Path, help="output directory (default $MMG_OUT_DIR or .)")
-    p_fig.add_argument("--seed", type=int, default=0, help="master seed")
-    p_fig.add_argument("-T", "--ticks", type=int, dest="T")
-    p_fig.add_argument("--seeds", type=int, help="runs per ensemble point")
+    p_fig.add_argument("--seed", default="0", help="master seed")
+    p_fig.add_argument("-T", "--ticks", dest="T")
+    p_fig.add_argument("--seeds", help="runs per ensemble point")
 
     p_pred = sub.add_parser("predict", help="closed-form asymptotic occupancies")
-    p_pred.add_argument("--N", type=int, help="agent count (n1 + n2 if irregular)")
-    p_pred.add_argument("--K", type=int, default=GameConfig.n_markets,
+    p_pred.add_argument("--N", help="agent count (n1 + n2 if irregular)")
+    p_pred.add_argument("--K", default=str(GameConfig.n_markets),
                         help="market count (2 if irregular)")
-    p_pred.add_argument("--s", type=int, default=GameConfig.n_strategies,
+    p_pred.add_argument("--s", default=str(GameConfig.n_strategies),
                         help="strategies per market")
-    p_pred.add_argument("--n1", type=int, help="exclusive agents (irregular)")
-    p_pred.add_argument("--n2", type=int, help="shared agents (irregular)")
+    p_pred.add_argument("--n1", help="exclusive agents (irregular)")
+    p_pred.add_argument("--n2", help="shared agents (irregular)")
 
     p_verify = sub.add_parser("verify", help="replay a run manifest and check a records file")
     p_verify.add_argument("manifest", type=Path, help="manifest written by run --manifest")
@@ -161,18 +162,22 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    parsed = _load_config(args, "sweep", "T")
-    _write(render_table(q_sweep(parsed.sweep)), args.out)
+    parsed = _load_config(args, "sweep", "T", "seeds")
+    table = q_sweep(parsed.sweep, parsed.ticks, parsed.n_seeds, window=parsed.window)
+    _write(render_table(table), args.out)
     return 0
+
+
+def _flags(args, **names: str) -> dict:
+    """Each given flag of ``names`` (key -> name), converted as a config file's value."""
+    values = vars(args)
+    return {name: convert(key, values[key]) for key, name in names.items()
+            if values[key] is not None}
 
 
 def _cmd_figure(args) -> int:
     out_dir = args.out or Path(os.environ.get("MMG_OUT_DIR", "."))
-    overrides = {"seed": args.seed}
-    if args.T is not None:
-        overrides["ticks"] = args.T
-    if args.seeds is not None:
-        overrides["n_seeds"] = args.seeds
+    overrides = _flags(args, seed="seed", T="ticks", seeds="n_seeds")
     tables = figure_dataset(args.name, **overrides)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stem, table in tables.items():
@@ -183,13 +188,14 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    if args.n1 is not None or args.n2 is not None:
-        GameConfig.check_irregular(args.n1, args.n2, args.N, args.K)
-        values = predicted_irregular(args.n1, args.n2, args.s)
+    flags = _flags(args, N="N", K="K", s="s", n1="n1", n2="n2")
+    if "n1" in flags or "n2" in flags:
+        GameConfig.check_irregular(flags.get("n1"), flags.get("n2"), flags.get("N"), flags["K"])
+        values = predicted_irregular(flags["n1"], flags["n2"], flags["s"])
     else:
-        if args.N is None:
+        if "N" not in flags:
             raise UsageError("predict: need --N (regular) or --n1/--n2 (irregular)")
-        values = predicted_occupancies(args.N, args.K, args.s)
+        values = predicted_occupancies(flags["N"], flags["K"], flags["s"])
     print(" ".join(format_number(v) for v in values))
     return 0
 

@@ -18,21 +18,11 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "GameConfig",
-    "PAYOFF_KINDS",
-    "TIE_BREAKS",
-    "ZERO_DEMAND_RULES",
-    "INIT_UTILITIES",
-    "TOPOLOGY_KINDS",
     "CONFIG_KEYS",
     "MAX_MEMORY",
     "MAX_TABLE_BYTES",
 ]
 
-PAYOFF_KINDS = ("linear", "sign", "scaled")
-TIE_BREAKS = ("random", "lowest-index")
-ZERO_DEMAND_RULES = ("coin", "plus-one")
-INIT_UTILITIES = ("zero", "uniform")
-TOPOLOGY_KINDS = ("regular", "irregular")
 MAX_MEMORY = 24  # keeps 2**m indexable in a machine word with headroom
 # Largest strategy-table array a game may ask for: N*K*s*2**m int8 bytes.
 # A game keeps more than its tables: the scores, unlinked entries included
@@ -143,12 +133,10 @@ class GameConfig:
                 f"m: strategy tables need N*K*s*2**m = {self.table_bytes} bytes, over the "
                 f"budget of {MAX_TABLE_BYTES}; lower m, N, K or s"
             )
-        if self.payoff not in PAYOFF_KINDS:
-            raise ConfigError(f"payoff: must be one of {PAYOFF_KINDS}, got {self.payoff!r}")
-        if self.init_utilities not in INIT_UTILITIES:
-            raise ConfigError(
-                f"init_utilities: must be one of {INIT_UTILITIES}, got {self.init_utilities!r}"
-            )
+        for key, (field, kind, _) in CONFIG_KEYS.items():
+            value = getattr(self, field)
+            if isinstance(kind, tuple) and value not in kind:
+                raise ConfigError(f"{key}: must be one of {kind}, got {value!r}")
         if not math.isfinite(self.u_high - self.u_low):
             raise ConfigError(
                 f"u_low/u_high: need finite bounds with a finite u_high - u_low, "
@@ -156,12 +144,6 @@ class GameConfig:
             )
         if self.init_utilities == "uniform" and not self.u_low < self.u_high:
             raise ConfigError(f"u_low/u_high: need u_low < u_high, got [{self.u_low}, {self.u_high}]")
-        if self.tie_break not in TIE_BREAKS:
-            raise ConfigError(f"tie_break: must be one of {TIE_BREAKS}, got {self.tie_break!r}")
-        if self.zero_demand not in ZERO_DEMAND_RULES:
-            raise ConfigError(
-                f"zero_demand: must be one of {ZERO_DEMAND_RULES}, got {self.zero_demand!r}"
-            )
         if self.n_exclusive is not None:
             if self.n_exclusive > self.n_agents:
                 raise ConfigError(f"n1: must be <= N = {self.n_agents}, got {self.n_exclusive}")
@@ -181,10 +163,10 @@ CONFIG_KEYS: dict[str, tuple[str, type | tuple[str, ...], str | None]] = {
     "K": ("n_markets", int, "market count"),
     "s": ("n_strategies", int, "strategies per market per agent"),
     "m": ("memory", int, "memory length"),
-    "payoff": ("payoff", PAYOFF_KINDS, None),
-    "tie_break": ("tie_break", TIE_BREAKS, None),
-    "zero_demand": ("zero_demand", ZERO_DEMAND_RULES, None),
-    "init_utilities": ("init_utilities", INIT_UTILITIES, None),
+    "payoff": ("payoff", ("linear", "sign", "scaled"), None),
+    "tie_break": ("tie_break", ("random", "lowest-index"), None),
+    "zero_demand": ("zero_demand", ("coin", "plus-one"), None),
+    "init_utilities": ("init_utilities", ("zero", "uniform"), None),
     "u_low": ("u_low", float, None),
     "u_high": ("u_high", float, None),
 }

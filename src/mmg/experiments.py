@@ -139,7 +139,7 @@ def ensemble_run(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-parameter ensemble sweep.
+    """The games of a one-parameter sweep; ``q_sweep`` takes the run keys.
 
     ``param`` is "N" (regular games, total population varies) or "n1"
     (irregular games, exclusive population varies at the base's ``n2``).
@@ -148,16 +148,11 @@ class SweepSpec:
     base: GameConfig
     param: str
     values: tuple[int, ...]
-    n_seeds: int = 10
-    ticks: int = 5000
-    window: tuple[int, int] | None = None
-    theta: float = DEFAULT_THETA
 
     def validate(self) -> None:
         """Refuse, naming ``values`` or ``sweep``, values that are empty or
         repeat, a swept game without an agent and an n1 sweep of a regular
-        base; then run ``GameConfig.validate`` on every swept game and
-        ``check_run`` on the run keys."""
+        base; then run ``GameConfig.validate`` on every swept game."""
         if self.param == "n1" and self.base.n_exclusive is None:
             raise ConfigError("sweep=n1 requires topology=irregular with n1/n2")
         swept = self.configs()  # refuses an unknown parameter
@@ -171,7 +166,6 @@ class SweepSpec:
                               f"got {min(values)}")
         for _, cfg in swept:
             cfg.validate()
-        check_run(self.base, self.ticks, self.n_seeds, self.window, self.theta)
 
     def configs(self) -> list[tuple[int, GameConfig]]:
         if self.param == "N":
@@ -221,14 +215,22 @@ def sweep_row(
     return row
 
 
-def q_sweep(spec: SweepSpec) -> Table:
-    """Ensemble at every swept value, one ``sweep_row`` each, rows ordered
-    by Q. The value column is ``N``, or ``N1`` for an n1 sweep."""
+def q_sweep(
+    spec: SweepSpec,
+    ticks: int,
+    n_seeds: int,
+    theta: float = DEFAULT_THETA,
+    window: tuple[int, int] | None = None,
+) -> Table:
+    """``ensemble_run`` at every swept value, one ``sweep_row`` each, rows
+    ordered by Q; the value column is ``N``, or ``N1`` for an n1 sweep. A bad
+    sweep or run key raises ConfigError before the first game."""
     spec.validate()
+    check_run(spec.base, ticks, n_seeds, window, theta)
     value_col = "N" if spec.param == "N" else "N1"
     rows = []
     for value, cfg in spec.configs():
-        summaries = ensemble_run(cfg, spec.ticks, spec.n_seeds, spec.theta, spec.window)
+        summaries = ensemble_run(cfg, ticks, n_seeds, theta, window)
         q = value / (1 << cfg.memory)
         rows.append(sweep_row(value_col, value, q, summaries, cfg.n_markets))
     rows.sort(key=lambda row: row["Q"])
@@ -397,8 +399,9 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
 
     Overrides: ``seed`` (master, >= 0) and the figure's keys in
     ``_FIGURES``. An unknown one, more than one value for a figure that plays
-    one game (fig5, fig6, fig010), or what ``SweepSpec.validate`` refuses in
-    the figure's games raise ConfigError before a game is played.
+    one game (fig5, fig6, fig010), and what ``SweepSpec.validate`` refuses in
+    the figure's games or ``check_run`` in its run keys raise ConfigError
+    before a game is played.
     """
     if name not in _FIGURES:
         raise ValueError(f"unknown figure {name!r}; known: {', '.join(FIGURE_NAMES)}")
@@ -419,13 +422,14 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     values = tuple(int(v) for v in opts["values"])
     if len(_FIGURES[name]["values"]) == 1 and len(values) != 1:
         raise ConfigError(f"values: {name} plays one game and takes one value, got {values}")
-    spec = SweepSpec(base, "n1" if name == "fig8" else "N", values, ticks=int(opts["ticks"]),
-                     n_seeds=int(opts.get("n_seeds", 1)),
-                     theta=float(opts.get("theta", DEFAULT_THETA)))
+    ticks, n_seeds = int(opts["ticks"]), int(opts.get("n_seeds", 1))
+    theta = float(opts.get("theta", DEFAULT_THETA))
+    spec = SweepSpec(base, "n1" if name == "fig8" else "N", values)
     spec.validate()
+    check_run(base, ticks, n_seeds, theta=theta)
 
     if name in ("fig6_1", "fig7", "fig8"):
-        table = q_sweep(spec)
+        table = q_sweep(spec, ticks, n_seeds, theta)
         if name == "fig6_1":  # relaxation time against Q
             table["n_defined"] = table["tau0_defined"]
             keep = ("Q", "N", "tau0_mean", "tau0_std", "n_defined", "n_seeds")
@@ -434,13 +438,13 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
 
     cfgs = [replace(cfg, seed=subseed(seed, i)) for i, (_, cfg) in enumerate(spec.configs())]
     if name == "fig6":
-        return {name: _fig6_table(cfgs[0], spec.ticks, spec.theta)}
+        return {name: _fig6_table(cfgs[0], ticks, theta)}
     if name == "fig6_0":
-        return _fig6_0_tables(cfgs, spec.ticks)
+        return _fig6_0_tables(cfgs, ticks)
     columns = {
         "fig3": ("N", "t", "O1", "O2"),
         "fig4": ("N", "t", "A1", "A2"),
         "fig5": ("t", "O1", "O2", "A1", "A2", "C"),
         "fig010": ("t", "A1", "A2", "A3", "O1", "O2", "O3"),
     }
-    return {name: _records_table(cfgs, spec.ticks, columns[name])}
+    return {name: _records_table(cfgs, ticks, columns[name])}

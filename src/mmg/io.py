@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .config import CONFIG_KEYS, TOPOLOGY_KINDS, ConfigError, GameConfig
+from .config import CONFIG_KEYS, ConfigError, GameConfig
 from .engine import RunRecords
 from .experiments import SweepSpec, check_run
 
@@ -50,7 +50,7 @@ def _window(text: str) -> tuple[int, int] | None:
 #: ``CONFIG_KEYS``, the topology, and the run and sweep directives.
 FILE_KEYS = {
     **{key: kind for key, (_, kind, _) in CONFIG_KEYS.items()},
-    "topology": TOPOLOGY_KINDS,
+    "topology": ("regular", "irregular"),
     "n1": int,
     "n2": int,
     "T": int,
@@ -102,7 +102,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ParsedConfig:
         if key in raw:
             raise ConfigError(f"duplicate key {key!r}", lineno, col)
         try:
-            raw[key] = _convert(key, value)
+            raw[key] = convert(key, value)
         except ConfigError as exc:
             raise ConfigError(str(exc), lineno, col) from None
     if overrides:
@@ -110,11 +110,11 @@ def parse_config(text: str, overrides: dict | None = None) -> ParsedConfig:
             if key not in FILE_KEYS:
                 raise ConfigError(f"unknown key {key!r}")
             if value is not None:
-                raw[key] = _convert(key, str(value))
+                raw[key] = convert(key, str(value))
     return _build(raw)
 
 
-def _convert(key: str, value: str):
+def convert(key: str, value: str):
     """A value of ``key`` from its config-file text, or ConfigError naming ``key``."""
     kind = FILE_KEYS[key]
     if isinstance(kind, tuple):
@@ -150,9 +150,7 @@ def _build(raw: dict) -> ParsedConfig:
 
     sweep = None
     if "sweep" in raw:
-        run_keys = {"n_seeds": n_seeds, "ticks": ticks}  # unset ones keep SweepSpec's defaults
-        sweep = SweepSpec(game, raw["sweep"], tuple(raw.get("values", ())), window=window,
-                          **{k: v for k, v in run_keys.items() if v is not None})
+        sweep = SweepSpec(game, raw["sweep"], tuple(raw.get("values", ())))
         sweep.validate()
     elif "values" in raw:
         raise ConfigError("values: only valid together with sweep=")
@@ -313,8 +311,8 @@ def parse_manifest(text: str) -> RunManifest:
     for key, value in [*keys.items(), ("seed", obj["seed"])]:
         if FILE_KEYS[key] in (int, float) and isinstance(value, str):
             raise ConfigError(f"{key}: expected {_EXPECTED[FILE_KEYS[key]]}, got {value!r}")
-    parsed = _build({key: _convert(key, str(value)) for key, value in keys.items()})
-    if _convert("seed", str(obj["seed"])) != parsed.game.seed:
+    parsed = _build({key: convert(key, str(value)) for key, value in keys.items()})
+    if convert("seed", str(obj["seed"])) != parsed.game.seed:
         raise ConfigError(f"seed: {obj['seed']} differs from the config's seed "
                           f"{parsed.game.seed}")
     return RunManifest(config=parsed.game, ticks=parsed.ticks, fmt=obj["format"],

@@ -131,13 +131,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, key, flag", [
         (command, action.dest, action.option_strings[0])
-        for command in ("run", "ensemble", "sweep")
+        for command in ("run", "ensemble", "sweep", "figure", "predict")
         for action in subparser(command)._actions if action.dest in FILE_KEYS
     ])
-    def test_bad_flag_value_names_key(self, capsys, command, key, flag):
+    def test_bad_flag_value_names_key(self, tmp_path, capsys, command, key, flag):
         # a flag's value is converted as the same key's value in a file is
-        assert cli_main([command, flag, BAD_FILE_VALUES[key]]) == 2
+        argv = [command, "fig3", "--out", str(tmp_path)] if command == "figure" else [command]
+        assert cli_main([*argv, flag, BAD_FILE_VALUES[key]]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+    def test_sweep_without_seeds(self, tmp_path, capsys):
+        # as ensemble, sweep plays only the seeds it is given
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("N=8 m=3 seed=1 T=30 sweep=N values=8\n")
+        assert cli_main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "config error: seeds: required for sweep\n"
 
     @pytest.mark.parametrize("command", ["run", "ensemble", "sweep"])
     def test_unreadable_config_file(self, tmp_path, capsys, command):

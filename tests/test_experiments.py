@@ -153,8 +153,8 @@ class TestSummaryTable:
 
 class TestQSweep:
     def test_single_value_equals_ensemble(self):
-        spec = SweepSpec(base=tiny_cfg(), param="N", values=(9,), n_seeds=3, ticks=40)
-        table = q_sweep(spec)
+        spec = SweepSpec(base=tiny_cfg(), param="N", values=(9,))
+        table = q_sweep(spec, 40, 3)
         assert len(table["N"]) == 1
         direct = sweep_row("N", 9, 9 / 8, ensemble_run(tiny_cfg(), 40, 3), 2)
         assert list(table) == list(direct)
@@ -166,9 +166,9 @@ class TestQSweep:
         from mmg import experiments
 
         monkeypatch.setattr(experiments, "run", no_game)
-        spec = SweepSpec(base=tiny_cfg(), param="N", values=(), n_seeds=2, ticks=30)
+        spec = SweepSpec(base=tiny_cfg(), param="N", values=())
         with pytest.raises(ConfigError, match="^values:"):
-            q_sweep(spec)
+            q_sweep(spec, 30, 2)
 
     @pytest.mark.parametrize("param, base, values, key", [
         ("N", tiny_cfg(), (9, 9), "values"),
@@ -183,9 +183,9 @@ class TestQSweep:
         from mmg import experiments
 
         monkeypatch.setattr(experiments, "run", no_game)
-        spec = SweepSpec(base=base, param=param, values=values, n_seeds=2, ticks=30)
+        spec = SweepSpec(base=base, param=param, values=values)
         with pytest.raises(ConfigError, match=f"^{key}[:=]"):
-            q_sweep(spec)
+            q_sweep(spec, 30, 2)
 
     @pytest.mark.parametrize("kwargs, key", [
         (dict(window=(0, 500)), "window"),
@@ -195,27 +195,25 @@ class TestQSweep:
         from mmg import experiments
 
         monkeypatch.setattr(experiments, "run", no_game)
-        spec = SweepSpec(base=tiny_cfg(), param="N", values=(9,), n_seeds=2, ticks=50, **kwargs)
+        spec = SweepSpec(base=tiny_cfg(), param="N", values=(9,))
         with pytest.raises(ConfigError, match=f"^{key}: "):
-            q_sweep(spec)
+            q_sweep(spec, 50, 2, **kwargs)
 
     def test_points_ordered_by_q(self):
-        spec = SweepSpec(
-            base=tiny_cfg(), param="N", values=(16, 4, 8), n_seeds=2, ticks=30
-        )
-        table = q_sweep(spec)
+        spec = SweepSpec(base=tiny_cfg(), param="N", values=(16, 4, 8))
+        table = q_sweep(spec, 30, 2)
         assert table["N"].tolist() == [4, 8, 16]
         assert np.all(np.diff(table["Q"]) > 0)
 
     def test_big_plus_small_is_n(self):
-        spec = SweepSpec(base=tiny_cfg(), param="N", values=(12,), n_seeds=3, ticks=60)
-        table = q_sweep(spec)
+        spec = SweepSpec(base=tiny_cfg(), param="N", values=(12,))
+        table = q_sweep(spec, 60, 3)
         assert table["o_big_mean"][0] + table["o_small_mean"][0] == pytest.approx(12.0)
 
     def test_irregular_sweep_configs(self):
         base = tiny_cfg(n_agents=6, n_exclusive=3, n_markets=2)
-        spec = SweepSpec(base=base, param="n1", values=(2, 5), n_seeds=2, ticks=30)
-        table = q_sweep(spec)
+        spec = SweepSpec(base=base, param="n1", values=(2, 5))
+        table = q_sweep(spec, 30, 2)
         assert table["N1"].tolist() == [2, 5]
         # all agents accounted for at each point
         total = table["o_m1_mean"] + table["o_m2_mean"]

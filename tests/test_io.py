@@ -160,6 +160,11 @@ class TestParseConfig:
         assert parse_config("N=9 seed=1 T=30 window=0:30").window == (0, 30)
         assert parse_config("N=9 seed=1 window=20:50").window == (20, 50)
 
+    def test_sweep_window_is_checked_as_a_run_window(self):
+        # without T no window is out of range, with sweep= or without it
+        for text in ("N=8 seed=1", "N=8 seed=1 sweep=N values=8,16"):
+            assert parse_config(f"{text} window=0:6000").window == (0, 6000)
+
     def test_values_without_sweep(self):
         with pytest.raises(ConfigError, match="values"):
             parse_config("N=5 seed=1 values=1,2")
@@ -192,6 +197,22 @@ class TestConfigKeys:
 
     def test_file_defaults_are_dataclass_defaults(self):
         assert parse_config("N=5 seed=1").game == GameConfig(n_agents=5, seed=1)
+
+    @pytest.mark.parametrize("key", [
+        key for key, (_, kind, _) in CONFIG_KEYS.items() if isinstance(kind, tuple)
+    ])
+    def test_python_api_refuses_a_bad_choice(self, key):
+        # files, flags and manifests are refused earlier, by their converter
+        choices = {
+            "payoff": "('linear', 'sign', 'scaled')",
+            "tie_break": "('random', 'lowest-index')",
+            "zero_demand": "('coin', 'plus-one')",
+            "init_utilities": "('zero', 'uniform')",
+        }
+        field, _, _ = CONFIG_KEYS[key]
+        with pytest.raises(ConfigError) as info:
+            GameConfig(n_agents=5, seed=1, **{field: "bogus"}).validate()
+        assert str(info.value) == f"{key}: must be one of {choices[key]}, got 'bogus'"
 
     @pytest.mark.parametrize("topology", [{}, {"n_exclusive": 2}])
     def test_manifest_config_keys(self, topology):

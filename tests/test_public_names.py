@@ -30,6 +30,10 @@ ROOT_NAMES = {
 }
 # public names the root does not re-export, by the module that exports them
 MODULE_NAMES = {
+    "mmg.cli": ["cli_main", "main"],
+    "mmg.config": ["CONFIG_KEYS", "MAX_MEMORY", "MAX_TABLE_BYTES"],
+    "mmg.engine": [],
+    "mmg.experiments": ["FIGURE_NAMES", "check_run", "summary_table", "sweep_row"],
     "mmg.io": [
         "FILE_KEYS", "ParsedConfig", "RunManifest", "content_hash", "format_number",
         "parse_config", "parse_manifest", "render_records", "render_table", "serialize_manifest",

@@ -15,15 +15,15 @@ from mmg.experiments import FIGURE_NAMES, figure_dataset
 from mmg.io import render_table
 
 QUICK_OVERRIDES = {
-    "fig3": dict(ticks=500),
-    "fig4": dict(ticks=500),
-    "fig5": dict(ticks=300),
-    "fig6": dict(ticks=300),
-    "fig6_0": dict(ticks=500),
-    "fig6_1": dict(ticks=1000, n_seeds=3, values=[512, 1024, 1447]),
-    "fig7": dict(ticks=1000, n_seeds=3),
-    "fig8": dict(ticks=1000, n_seeds=3, values=[301, 1000, 3000]),
-    "fig010": dict(ticks=500),
+    "fig3": dict(T=500),
+    "fig4": dict(T=500),
+    "fig5": dict(T=300),
+    "fig6": dict(T=300),
+    "fig6_0": dict(T=500),
+    "fig6_1": dict(T=1000, seeds=3, values=[512, 1024, 1447]),
+    "fig7": dict(T=1000, seeds=3),
+    "fig8": dict(T=1000, seeds=3, values=[301, 1000, 3000]),
+    "fig010": dict(T=500),
 }
 
 

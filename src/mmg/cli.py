@@ -168,16 +168,15 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _flags(args, **names: str) -> dict:
-    """Each given flag of ``names`` (key -> name), converted as a config file's value."""
+def _flags(args, *keys: str) -> dict:
+    """Each given flag of ``keys``, converted as a config file's value."""
     values = vars(args)
-    return {name: convert(key, values[key]) for key, name in names.items()
-            if values[key] is not None}
+    return {key: convert(key, values[key]) for key in keys if values[key] is not None}
 
 
 def _cmd_figure(args) -> int:
     out_dir = args.out or Path(os.environ.get("MMG_OUT_DIR", "."))
-    overrides = _flags(args, seed="seed", T="ticks", seeds="n_seeds")
+    overrides = _flags(args, "seed", "T", "seeds")
     tables = figure_dataset(args.name, **overrides)
     out_dir.mkdir(parents=True, exist_ok=True)
     for stem, table in tables.items():
@@ -188,7 +187,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    flags = _flags(args, N="N", K="K", s="s", n1="n1", n2="n2")
+    flags = _flags(args, "N", "K", "s", "n1", "n2")
     if "n1" in flags or "n2" in flags:
         GameConfig.check_irregular(flags.get("n1"), flags.get("n2"), flags.get("N"), flags["K"])
         values = predicted_irregular(flags["n1"], flags["n2"], flags["s"])

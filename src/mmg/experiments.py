@@ -8,6 +8,7 @@ their error message instead of aborting the ensemble.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,11 +16,9 @@ import numpy as np
 from .config import ConfigError, GameConfig
 from .engine import RunRecords, init_game, run, step
 from .metrics import (
-    DEFAULT_THETA,
     CriticalFluctuation,
     SeriesStats,
     big_small_markets,
-    check_theta,
     classify_mode,
     detect_critical_history,
     fluctuation_frequency,
@@ -73,7 +72,6 @@ def summarize_run(
     records: RunRecords,
     run_index: int = 0,
     seed: int = 0,
-    theta: float = DEFAULT_THETA,
     window: tuple[int, int] | None = None,
 ) -> RunSummary:
     """Condense one run's records into the standard per-seed summary."""
@@ -81,8 +79,8 @@ def summarize_run(
     big, small = big_small_markets(stats)
     split = split_detected(records, window)
     tau0 = relaxation_time(records)
-    nu = fluctuation_frequency(records, big, theta, window)
-    crit = detect_critical_history(records, big, theta)
+    nu = fluctuation_frequency(records, big, window)
+    crit = detect_critical_history(records, big)
     return RunSummary(
         run_index=run_index,
         seed=seed,
@@ -99,38 +97,36 @@ def summarize_run(
 
 
 def check_run(cfg: GameConfig, ticks: int | None, n_seeds: int | None = None,
-              window: tuple[int, int] | None = None, theta: float = DEFAULT_THETA) -> None:
-    """Refuse, with a ConfigError naming the key, a ``ticks``, ``n_seeds``,
-    ``window`` or ``theta`` no ensemble of ``cfg`` can use; None is unchecked."""
+              window: tuple[int, int] | None = None) -> None:
+    """Refuse, with a ConfigError naming the key, a ``ticks``, ``n_seeds`` or
+    ``window`` no ensemble of ``cfg`` can use; None is unchecked."""
     if n_seeds is not None and n_seeds < 1:
         raise ConfigError(f"seeds: must be >= 1, got {n_seeds}")
     if ticks is not None:
         cfg.check_ticks(ticks)
     if window is not None:
         resolve_window(ticks, window)
-    check_theta(theta)
 
 
 def ensemble_run(
     cfg: GameConfig,
     ticks: int,
     n_seeds: int,
-    theta: float = DEFAULT_THETA,
     window: tuple[int, int] | None = None,
 ) -> list[RunSummary]:
     """Run ``n_seeds`` independent games on substreams of ``cfg.seed``.
 
     A run that raises is recorded as failed and does not abort the rest; a
-    bad ``ticks``, ``n_seeds``, ``window`` or ``theta`` raises ConfigError
+    bad ``ticks``, ``n_seeds`` or ``window`` raises ConfigError
     (``check_run``) before the first.
     """
-    check_run(cfg, ticks, n_seeds, window, theta)
+    check_run(cfg, ticks, n_seeds, window)
     out: list[RunSummary] = []
     for i in range(n_seeds):
         child = subseed(cfg.seed, i)
         try:
             records = run(replace(cfg, seed=child), ticks)
-            out.append(summarize_run(records, i, child, theta, window))
+            out.append(summarize_run(records, i, child, window))
         except Exception as exc:  # noqa: BLE001 - per-seed isolation is the contract
             error = f"{type(exc).__name__}: {exc}"
             out.append(RunSummary(run_index=i, seed=child, error=error))
@@ -219,18 +215,17 @@ def q_sweep(
     spec: SweepSpec,
     ticks: int,
     n_seeds: int,
-    theta: float = DEFAULT_THETA,
     window: tuple[int, int] | None = None,
 ) -> Table:
     """``ensemble_run`` at every swept value, one ``sweep_row`` each, rows
     ordered by Q; the value column is ``N``, or ``N1`` for an n1 sweep. A bad
     sweep or run key raises ConfigError before the first game."""
     spec.validate()
-    check_run(spec.base, ticks, n_seeds, window, theta)
+    check_run(spec.base, ticks, n_seeds, window)
     value_col = "N" if spec.param == "N" else "N1"
     rows = []
     for value, cfg in spec.configs():
-        summaries = ensemble_run(cfg, ticks, n_seeds, theta, window)
+        summaries = ensemble_run(cfg, ticks, n_seeds, window)
         q = value / (1 << cfg.memory)
         rows.append(sweep_row(value_col, value, q, summaries, cfg.n_markets))
     rows.sort(key=lambda row: row["Q"])
@@ -262,21 +257,18 @@ def estimate_critical_q(table: Table) -> float | None:
 
 # --- figure datasets -------------------------------------------------------
 
-#: Overrides each figure reads besides ``seed``, with their defaults. A
+#: Config keys each figure reads besides ``seed``, with their defaults. A
 #: figure whose default ``values`` holds one population plays one game.
 _FIGURES = {
-    "fig3": dict(ticks=5000, values=(11, 253, 1447)),
-    "fig4": dict(ticks=5000, values=(11, 253, 1447)),
-    "fig5": dict(ticks=300, values=(1600,)),
-    "fig6": dict(ticks=300, values=(1600,), theta=DEFAULT_THETA),
-    "fig6_0": dict(ticks=5000, values=(1447, 11)),
-    "fig6_1": dict(ticks=5000, values=(253, 362, 512, 724, 1024, 1447, 2048), n_seeds=10,
-                   theta=DEFAULT_THETA),
-    "fig7": dict(ticks=5000, values=(11, 64, 128, 256, 512, 1024, 1447), n_seeds=10,
-                 theta=DEFAULT_THETA),
-    "fig8": dict(ticks=5000, values=(301, 1000, 3000, 10000), n_seeds=10, theta=DEFAULT_THETA,
-                 n2=301),
-    "fig010": dict(ticks=5000, values=(3001,)),
+    "fig3": dict(T=5000, values=(11, 253, 1447)),
+    "fig4": dict(T=5000, values=(11, 253, 1447)),
+    "fig5": dict(T=300, values=(1600,)),
+    "fig6": dict(T=300, values=(1600,)),
+    "fig6_0": dict(T=5000, values=(1447, 11)),
+    "fig6_1": dict(T=5000, values=(253, 362, 512, 724, 1024, 1447, 2048), seeds=10),
+    "fig7": dict(T=5000, values=(11, 64, 128, 256, 512, 1024, 1447), seeds=10),
+    "fig8": dict(T=5000, values=(301, 1000, 3000, 10000), seeds=10, n2=301),
+    "fig010": dict(T=5000, values=(3001,)),
 }
 FIGURE_NAMES = tuple(_FIGURES)
 
@@ -296,7 +288,7 @@ def _records_table(cfgs: list[GameConfig], ticks: int, names: tuple[str, ...]) -
     return {name: np.concatenate(chunks) for name, chunks in zip(names, zip(*runs))}
 
 
-def _fig6_table(cfg: GameConfig, ticks: int, theta: float) -> Table:
+def _fig6_table(cfg: GameConfig, ticks: int) -> Table:
     """Utility traces of three agents picked by how many of their two
     strategies on the first fluctuating market won at the fluctuation tick
     (2, 1, 0); lowest agent index represents each class. The first is the
@@ -306,7 +298,7 @@ def _fig6_table(cfg: GameConfig, ticks: int, theta: float) -> Table:
         raise ConfigError(f"s: fig6 classes agents by 2, 1 or 0 good strategies of two, "
                           f"so it needs s = 2, got {cfg.n_strategies}")
     records = run(cfg, ticks)
-    firsts = [detect_critical_history(records, k, theta) for k in range(cfg.n_markets)]
+    firsts = [detect_critical_history(records, k) for k in range(cfg.n_markets)]
     crit = min(filter(None, firsts), key=lambda crit: crit.first_tick, default=None)
     if crit is None:
         raise RuntimeError(
@@ -397,11 +389,11 @@ def summary_table(summaries: list[RunSummary], k_markets: int) -> Table:
 def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     """Dataset behind a canned experiment, keyed by output file stem.
 
-    Overrides: ``seed`` (master, >= 0) and the figure's keys in
-    ``_FIGURES``. An unknown one, more than one value for a figure that plays
-    one game (fig5, fig6, fig010), and what ``SweepSpec.validate`` refuses in
-    the figure's games or ``check_run`` in its run keys raise ConfigError
-    before a game is played.
+    Overrides are config keys: ``seed`` (master, >= 0) and the figure's
+    keys in ``_FIGURES``. An unknown one, an entry that is not an integer,
+    more than one value for a figure that plays one game (fig5, fig6,
+    fig010), and what ``SweepSpec.validate`` refuses in the figure's games
+    or ``check_run`` in its run keys raise ConfigError before any game.
     """
     if name not in _FIGURES:
         raise ValueError(f"unknown figure {name!r}; known: {', '.join(FIGURE_NAMES)}")
@@ -411,7 +403,11 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
         raise ConfigError(
             f"{unused[0]}: {name} does not use it; it reads {', '.join(sorted(known))}"
         )
-    opts = {"seed": 0, **_FIGURES[name], **overrides}
+    opts = {"seed": 0, "seeds": 1, **_FIGURES[name], **overrides}
+    for key, value in opts.items():  # refused, not truncated: 40.7 is not T=40
+        for entry in value if key == "values" else (value,):
+            if isinstance(entry, bool) or not isinstance(entry, numbers.Integral):
+                raise ConfigError(f"{key}: expected an integer, got {entry!r}")
     seed = int(opts["seed"])
     game = {"fig5": dict(init_utilities="uniform"), "fig6": dict(init_utilities="uniform"),
             "fig010": dict(n_markets=3)}.get(name, {})
@@ -422,14 +418,13 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     values = tuple(int(v) for v in opts["values"])
     if len(_FIGURES[name]["values"]) == 1 and len(values) != 1:
         raise ConfigError(f"values: {name} plays one game and takes one value, got {values}")
-    ticks, n_seeds = int(opts["ticks"]), int(opts.get("n_seeds", 1))
-    theta = float(opts.get("theta", DEFAULT_THETA))
+    ticks, n_seeds = int(opts["T"]), int(opts["seeds"])
     spec = SweepSpec(base, "n1" if name == "fig8" else "N", values)
     spec.validate()
-    check_run(base, ticks, n_seeds, theta=theta)
+    check_run(base, ticks, n_seeds)
 
     if name in ("fig6_1", "fig7", "fig8"):
-        table = q_sweep(spec, ticks, n_seeds, theta)
+        table = q_sweep(spec, ticks, n_seeds)
         if name == "fig6_1":  # relaxation time against Q
             table["n_defined"] = table["tau0_defined"]
             keep = ("Q", "N", "tau0_mean", "tau0_std", "n_defined", "n_seeds")
@@ -438,7 +433,7 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
 
     cfgs = [replace(cfg, seed=subseed(seed, i)) for i, (_, cfg) in enumerate(spec.configs())]
     if name == "fig6":
-        return {name: _fig6_table(cfgs[0], ticks, theta)}
+        return {name: _fig6_table(cfgs[0], ticks)}
     if name == "fig6_0":
         return _fig6_0_tables(cfgs, ticks)
     columns = {

@@ -20,7 +20,6 @@ __all__ = [
     "MuHistogram",
     "CriticalFluctuation",
     "resolve_window",
-    "check_theta",
     "series_stats",
     "mu_histogram",
     "mean_c_at_recurrence",
@@ -34,9 +33,9 @@ __all__ = [
     "big_small_markets",
 ]
 
-#: Default threshold for a "large" fluctuation: |A| >= theta * O separates
+#: The threshold of a "large" fluctuation: |A| >= THETA * O separates
 #: full-market collective events from ordinary sqrt(O)-scale noise.
-DEFAULT_THETA = 0.9
+THETA = 0.9
 
 #: ``relaxation_time``'s band around each split level (a fraction of N) and
 #: the fewest ticks held in it up to the end of a run; ``split_detected``'s
@@ -47,16 +46,9 @@ SPLIT_GAP_FRAC = 0.2
 SPLIT_SUSTAIN = 0.9
 
 
-def check_theta(theta: float) -> None:
-    """Refuse a threshold outside (0, 1] with a ConfigError naming ``theta``."""
-    if not 0 < theta <= 1:
-        raise ConfigError(f"theta: must be in (0, 1], got {theta}")
-
-
-def _large_fluctuations(occ: np.ndarray, dem: np.ndarray, theta: float) -> np.ndarray:
-    """Where a non-empty market fluctuates by |A| >= theta * O."""
-    check_theta(theta)
-    return (occ > 0) & (np.abs(dem) >= theta * occ)
+def _large_fluctuations(occ: np.ndarray, dem: np.ndarray) -> np.ndarray:
+    """Where a non-empty market fluctuates by |A| >= THETA * O."""
+    return (occ > 0) & (np.abs(dem) >= THETA * occ)
 
 
 def resolve_window(n_ticks: int | None, window: tuple[int, int] | None) -> tuple[int, int]:
@@ -136,12 +128,10 @@ class CriticalFluctuation:
     recurrences: np.ndarray  # all later ticks where the history value recurs
 
 
-def detect_critical_history(
-    records: RunRecords, market: int, theta: float = DEFAULT_THETA
-) -> CriticalFluctuation | None:
-    """History preceding the first fluctuation with |A| >= theta * O > 0."""
+def detect_critical_history(records: RunRecords, market: int) -> CriticalFluctuation | None:
+    """History preceding the first fluctuation with |A| >= THETA * O > 0."""
     hits = np.flatnonzero(
-        _large_fluctuations(records.occupancy[:, market], records.demand[:, market], theta)
+        _large_fluctuations(records.occupancy[:, market], records.demand[:, market])
     )
     if len(hits) == 0:
         return None
@@ -169,14 +159,11 @@ def mean_c_at_recurrence(
 
 
 def fluctuation_frequency(
-    records: RunRecords,
-    market: int,
-    theta: float = DEFAULT_THETA,
-    window: tuple[int, int] | None = None,
+    records: RunRecords, market: int, window: tuple[int, int] | None = None
 ) -> float:
-    """Rate of ticks with |A| >= theta * O on a non-empty market."""
+    """Rate of ticks with |A| >= THETA * O on a non-empty market."""
     a, b = resolve_window(records.n_ticks, window)
-    large = _large_fluctuations(records.occupancy[a:b, market], records.demand[a:b, market], theta)
+    large = _large_fluctuations(records.occupancy[a:b, market], records.demand[a:b, market])
     return float(np.count_nonzero(large) / (b - a))
 
 

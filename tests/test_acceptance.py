@@ -12,6 +12,7 @@ import pytest
 
 from mmg import (
     GameConfig,
+    metrics,
     run,
     subseed,
 )
@@ -28,6 +29,12 @@ from mmg.metrics import (
 
 MASTER = 2026
 THETA = 0.9
+
+
+def test_threshold_is_the_products():
+    # criteria 4 and 6 count fluctuations at the product's threshold, so a
+    # change to it is a change to the acceptance criteria
+    assert metrics.THETA == THETA
 
 
 def report(num, name, ok, detail=""):
@@ -124,7 +131,7 @@ def test_criterion_4_fluctuation_frequency(ens1447):
     values = []
     for rec in ens1447:
         big, _ = big_small_markets(series_stats(rec))
-        nu = fluctuation_frequency(rec, big, THETA, window=(1000, 5000))
+        nu = fluctuation_frequency(rec, big, window=(1000, 5000))
         values.append(nu)
         hits += (0.02 <= nu <= 0.045)
     report(4, "fluctuation-frequency", hits >= 8,
@@ -133,7 +140,7 @@ def test_criterion_4_fluctuation_frequency(ens1447):
 
 
 def stationary_recurrences(rec, big):
-    crit = detect_critical_history(rec, big, THETA)
+    crit = detect_critical_history(rec, big)
     if crit is None:
         return None, np.array([], dtype=int)
     tau = relaxation_time(rec)

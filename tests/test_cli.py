@@ -477,7 +477,8 @@ class TestFigure:
 
         monkeypatch.setattr(experiments, "run", no_game)
         assert cli_main(["figure", "fig3", "-T", "50", "--seeds", "2", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("config error: n_seeds:")
+        assert capsys.readouterr().err == (
+            "config error: seeds: fig3 does not use it; it reads T, seed, values\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_figure_is_usage_error(self):

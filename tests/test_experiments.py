@@ -14,13 +14,14 @@ from mmg import (
     estimate_critical_q,
     figure_dataset,
     init_game,
+    metrics,
     q_sweep,
     run,
     subseed,
     summarize_run,
 )
 from mmg.experiments import FIGURE_NAMES, _FIGURES, _fig6_table, summary_table, sweep_row
-from mmg.io import render_table
+from mmg.io import FILE_KEYS, render_table
 
 
 def tiny_cfg(**kw):
@@ -85,11 +86,9 @@ class TestEnsembleRun:
     @pytest.mark.parametrize("kwargs, key", [
         (dict(window=(0, 500)), "window"),
         (dict(window=(30, 20)), "window"),
-        (dict(theta=0.0), "theta"),
-        (dict(theta=1.5), "theta"),
     ])
-    def test_bad_window_or_theta_raise_before_any_seed(self, monkeypatch, kwargs, key):
-        # both are known before the first seed; a bad one would fail every seed after its game
+    def test_bad_window_raise_before_any_seed(self, monkeypatch, kwargs, key):
+        # it is known before the first seed; a bad one would fail every seed after its game
         from mmg import experiments
 
         monkeypatch.setattr(experiments, "run", no_game)
@@ -189,9 +188,8 @@ class TestQSweep:
 
     @pytest.mark.parametrize("kwargs, key", [
         (dict(window=(0, 500)), "window"),
-        (dict(theta=0.0), "theta"),
     ])
-    def test_bad_window_or_theta_raise_before_any_game(self, monkeypatch, kwargs, key):
+    def test_bad_window_raise_before_any_game(self, monkeypatch, kwargs, key):
         from mmg import experiments
 
         monkeypatch.setattr(experiments, "run", no_game)
@@ -263,13 +261,13 @@ class TestCriticalQEstimator:
 
 class TestFigureDatasets:
     def test_fig5_columns(self):
-        tables = figure_dataset("fig5", ticks=40, values=[24], seed=3)
+        tables = figure_dataset("fig5", T=40, values=[24], seed=3)
         table = tables["fig5"]
         assert list(table) == ["t", "O1", "O2", "A1", "A2", "C"]
         assert all(len(v) == 40 for v in table.values())
 
     def test_fig3_stacks_populations(self):
-        tables = figure_dataset("fig3", ticks=15, values=[5, 9], seed=1)
+        tables = figure_dataset("fig3", T=15, values=[5, 9], seed=1)
         table = tables["fig3"]
         assert list(table) == ["N", "t", "O1", "O2"]
         assert len(table["t"]) == 30
@@ -277,15 +275,16 @@ class TestFigureDatasets:
         assert np.all(table["O1"] + table["O2"] == table["N"])
 
     def test_fig6_0_yields_four_histograms(self):
-        tables = figure_dataset("fig6_0", ticks=64, values=[9, 5], seed=2)
+        tables = figure_dataset("fig6_0", T=64, values=[9, 5], seed=2)
         assert len(tables) == 4
         for stem, table in tables.items():
             assert stem.startswith("fig6_0_N")
             assert list(table) == ["mu", "count", "p"]
             assert table["count"].sum() == 64
 
-    def test_fig6_classes_and_trace_length(self):
-        tables = figure_dataset("fig6", ticks=120, values=[200], seed=0, theta=0.7)
+    def test_fig6_classes_and_trace_length(self, monkeypatch):
+        monkeypatch.setattr(metrics, "THETA", 0.7)  # 200 agents seldom fluctuate by 0.9 O
+        tables = figure_dataset("fig6", T=120, values=[200], seed=0)
         table = tables["fig6"]
         assert set(table) == {
             "klass", "agent", "t", "U_m1_s1", "U_m1_s2", "U_m2_s1", "U_m2_s2",
@@ -302,34 +301,26 @@ class TestFigureDatasets:
             cfg = GameConfig(n_agents=200, seed=subseed(0, 0), n_strategies=s,
                              init_utilities="uniform")
             with pytest.raises(ConfigError, match="^s:"):
-                _fig6_table(cfg, 120, 0.7)
-
-    def test_fig6_theta_validated(self, monkeypatch):
-        # theta is known before the game, so a bad one must not cost a run
-        from mmg import experiments
-
-        monkeypatch.setattr(experiments, "run", no_game)
-        with pytest.raises(ConfigError, match="^theta: "):
-            figure_dataset("fig6", ticks=20, values=[64], seed=0, theta=0.0)
+                _fig6_table(cfg, 120)
 
     def test_fig6_without_fluctuation_raises(self):
         with pytest.raises(RuntimeError):
-            figure_dataset("fig6", ticks=3, values=[64], seed=6)
+            figure_dataset("fig6", T=3, values=[64], seed=6)
 
     def test_fig010_three_markets(self):
-        tables = figure_dataset("fig010", ticks=25, values=[13], seed=4)
+        tables = figure_dataset("fig010", T=25, values=[13], seed=4)
         table = tables["fig010"]
         assert list(table) == ["t", "A1", "A2", "A3", "O1", "O2", "O3"]
         assert np.all(table["O1"] + table["O2"] + table["O3"] == 13)
 
     def test_fig7_sweep_table(self):
-        tables = figure_dataset("fig7", ticks=40, values=[8, 16], n_seeds=2, seed=5)
+        tables = figure_dataset("fig7", T=40, values=[8, 16], seeds=2, seed=5)
         table = tables["fig7"]
         assert table["N"].tolist() == [8, 16]
         assert "split_fraction" in table and "var_big_mean" in table
 
     def test_fig6_1_rows_follow_q(self):
-        table = figure_dataset("fig6_1", ticks=60, values=[16, 8], n_seeds=2, seed=5)["fig6_1"]
+        table = figure_dataset("fig6_1", T=60, values=[16, 8], seeds=2, seed=5)["fig6_1"]
         assert list(table) == ["Q", "N", "tau0_mean", "tau0_std", "n_defined", "n_seeds"]
         assert table["N"].tolist() == [8, 16]
         assert table["Q"].tolist() == [0.25, 0.5]
@@ -343,6 +334,9 @@ class TestFigureDatasets:
         assert set(module.QUICK_OVERRIDES) == set(FIGURE_NAMES)
         for name, overrides in module.QUICK_OVERRIDES.items():
             assert set(overrides) <= set(_FIGURES[name]), name
+        # every input of a figure is a config key, under the config key's name
+        for name, keys in _FIGURES.items():
+            assert {"seed", *keys} <= set(FILE_KEYS), name
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
@@ -350,14 +344,14 @@ class TestFigureDatasets:
 
     def test_unused_override_rejected(self):
         with pytest.raises(ValueError):
-            figure_dataset("fig5", ticks=10, values=[8], bogus=1)
+            figure_dataset("fig5", T=10, values=[8], bogus=1)
 
     @pytest.mark.parametrize("name", ["fig5", "fig6", "fig010"])
     @pytest.mark.parametrize("values", [[24, 300], []])
     def test_one_game_figures_take_one_value(self, name, values):
         # these figures play one game; extra values were silently dropped
         with pytest.raises(ConfigError, match="^values:"):
-            figure_dataset(name, ticks=10, values=values, seed=3)
+            figure_dataset(name, T=10, values=values, seed=3)
 
     @pytest.mark.parametrize("name", FIGURE_NAMES)
     def test_empty_values_raise_before_any_game(self, monkeypatch, name):
@@ -365,7 +359,7 @@ class TestFigureDatasets:
 
         monkeypatch.setattr(experiments, "run", no_game)
         with pytest.raises(ConfigError, match="^values:"):
-            figure_dataset(name, ticks=10, values=[], seed=3)
+            figure_dataset(name, T=10, values=[], seed=3)
 
     @pytest.mark.parametrize("name", ["fig3", "fig6_0", "fig7"])
     def test_repeated_values_raise_before_any_game(self, monkeypatch, name):
@@ -375,13 +369,31 @@ class TestFigureDatasets:
 
         monkeypatch.setattr(experiments, "run", no_game)
         with pytest.raises(ConfigError, match="^values:"):
-            figure_dataset(name, ticks=10, values=[11, 11], seed=3)
+            figure_dataset(name, T=10, values=[11, 11], seed=3)
 
     def test_deterministic(self):
-        a = figure_dataset("fig5", ticks=30, values=[16], seed=8)["fig5"]
-        b = figure_dataset("fig5", ticks=30, values=[16], seed=8)["fig5"]
+        a = figure_dataset("fig5", T=30, values=[16], seed=8)["fig5"]
+        b = figure_dataset("fig5", T=30, values=[16], seed=8)["fig5"]
         for key in a:
             assert np.array_equal(a[key], b[key])
+
+    @pytest.mark.parametrize("name, overrides, key, got", [
+        ("fig5", dict(T=40.7), "T", "40.7"),
+        ("fig5", dict(values=[24.9]), "values", "24.9"),
+        ("fig5", dict(seed=True), "seed", "True"),
+        ("fig5", dict(seed=3.0), "seed", "3.0"),
+        ("fig7", dict(seeds=2.5), "seeds", "2.5"),
+        ("fig7", dict(values=[8, "16"]), "values", "'16'"),
+        ("fig8", dict(n2=5.5), "n2", "5.5"),
+    ])
+    def test_non_integer_entries_refused_before_any_game(self, monkeypatch, name, overrides,
+                                                         key, got):
+        # int() truncated these: T=40.7 played 40 ticks and seed=True seed 1
+        from mmg import experiments
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        with pytest.raises(ConfigError, match=f"^{key}: expected an integer, got {got}$"):
+            figure_dataset(name, **{"T": 40, "values": [24], "seed": 3, **overrides})
 
 
 def closed_form_fig6(cfg: GameConfig, ticks: int, theta: float) -> dict:
@@ -423,8 +435,9 @@ def closed_form_fig6(cfg: GameConfig, ticks: int, theta: float) -> dict:
     return table
 
 
-# (config, ticks, theta); the irregular game has unlinked entries, which
-# hold -inf in the float64 scores of ``init_game(cfg)``
+# (config, ticks, theta); ``metrics.THETA`` is patched to each game's theta,
+# low enough for its small game to fluctuate. The irregular game has
+# unlinked entries, which hold -inf in the float64 scores of ``init_game(cfg)``
 FIG6_GAMES = {
     "default": (GameConfig(n_agents=1600, seed=subseed(0, 0), init_utilities="uniform"),
                 300, 0.9),
@@ -438,7 +451,8 @@ FIG6_GAMES = {
 
 
 @pytest.mark.parametrize("game", sorted(FIG6_GAMES))
-def test_fig6_matches_closed_form(game):
+def test_fig6_matches_closed_form(monkeypatch, game):
     cfg, ticks, theta = FIG6_GAMES[game]
+    monkeypatch.setattr(metrics, "THETA", theta)
     expected = render_table(closed_form_fig6(cfg, ticks, theta))
-    assert render_table(_fig6_table(cfg, ticks, theta)) == expected
+    assert render_table(_fig6_table(cfg, ticks)) == expected

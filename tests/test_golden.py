@@ -16,7 +16,7 @@ import hashlib
 
 import pytest
 
-from mmg import GameConfig, experiments, run, subseed
+from mmg import GameConfig, experiments, metrics, run, subseed
 from mmg.cli import cli_main
 from mmg.experiments import FIGURE_NAMES, figure_dataset
 from mmg.io import render_records, render_table
@@ -133,46 +133,50 @@ GOLDEN = {
 }
 
 
-# overrides small enough for a test run; fig6 fluctuates at these, and the
-# fig6_1 points give one undefined and one defined tau0
+# overrides small enough for a test run; fig6 fluctuates at these with
+# ``metrics.THETA`` patched to ``FIGURE_THETAS``, and the fig6_1 points give
+# one undefined and one defined tau0
 FIGURES = {
     "fig3": (
-        dict(ticks=60, values=[11, 64], seed=1),
+        dict(T=60, values=[11, 64], seed=1),
         "2b1284be6e107e0d960e569f529ddfc63d080a8284c864b34cf58e9fe082f592",
     ),
     "fig4": (
-        dict(ticks=60, values=[11, 64], seed=2),
+        dict(T=60, values=[11, 64], seed=2),
         "b15caf1905988d94a74c85ecfd8234044e0a495888a5d5afd8a26387c0f6b87d",
     ),
     "fig5": (
-        dict(ticks=80, values=[200], seed=3),
+        dict(T=80, values=[200], seed=3),
         "3b6cd7f4116dcd021d2c7a91260d582adc381a76e455431c80481debe9064dc0",
     ),
     "fig6": (
-        dict(ticks=120, values=[200], seed=0, theta=0.7),
+        dict(T=120, values=[200], seed=0),
         "7c7a3e9c2e8ee99996ea165db00969b600905ebea820b9628dec157145c5b841",
     ),
     "fig6_0": (
-        dict(ticks=200, values=[128, 11], seed=4),
+        dict(T=200, values=[128, 11], seed=4),
         "0216168ceb4d0dfb7648528d2917fe08e8b59f46b3e7e362a9f9b201a92c00e4",
     ),
     "fig6_1": (
-        dict(ticks=1000, values=[253, 1447], n_seeds=2, seed=5),
+        dict(T=1000, values=[253, 1447], seeds=2, seed=5),
         "56a08c4346e1ab11be81708f45f747fcef6743a4f77b8a6257d97d56afa19deb",
     ),
     "fig7": (
-        dict(ticks=100, values=[8, 32, 64], n_seeds=3, seed=6),
+        dict(T=100, values=[8, 32, 64], seeds=3, seed=6),
         "271d6c7dc826a56388858a5f3a77662845ebd9f3ef2fb81ecf49855ca6b4b40c",
     ),
     "fig8": (
-        dict(ticks=100, values=[5, 40], n2=5, n_seeds=3, seed=7),
+        dict(T=100, values=[5, 40], n2=5, seeds=3, seed=7),
         "40690e9f3930cda57fb4f9f97d210dcf2ea614e676e69b7bbd800b159531e2ea",
     ),
     "fig010": (
-        dict(ticks=80, values=[31], seed=8),
+        dict(T=80, values=[31], seed=8),
         "35c0e51d1d4da0e6b2b577d1aea8cf65c22c9d51eece0678d60a9d3f9803d166",
     ),
 }
+
+
+FIGURE_THETAS = {"fig6": 0.7}
 
 
 def sha256(text: str) -> str:
@@ -200,8 +204,9 @@ def test_every_figure_is_pinned():
 
 
 @pytest.mark.parametrize("name", FIGURE_NAMES)
-def test_golden_figure(name):
+def test_golden_figure(monkeypatch, name):
     overrides, pinned = FIGURES[name]
+    monkeypatch.setattr(metrics, "THETA", FIGURE_THETAS.get(name, metrics.THETA))
     tables = figure_dataset(name, **overrides)
     text = "".join(f"{stem}\n{render_table(table)}" for stem, table in tables.items())
     assert sha256(text) == pinned

@@ -40,7 +40,7 @@ MODULE_NAMES = {
     ],
     "mmg.metrics": [
         "SeriesStats", "MuHistogram", "CriticalFluctuation", "big_small_markets",
-        "check_theta", "classify_mode", "detect_critical_history", "fluctuation_frequency",
+        "classify_mode", "detect_critical_history", "fluctuation_frequency",
         "mean_c_at_recurrence", "mu_histogram", "predicted_irregular",
         "predicted_occupancies", "relaxation_time", "resolve_window", "series_stats",
         "split_detected",

@@ -155,7 +155,7 @@ def _cmd_run(args) -> int:
 def _cmd_ensemble(args) -> int:
     parsed = _load_config(args, "T", "seeds")
     summaries = ensemble_run(parsed.game, parsed.ticks, parsed.n_seeds, window=parsed.window)
-    _write(render_table(summary_table(summaries, parsed.game.n_markets)), args.out)
+    _write(render_table(summary_table(summaries)), args.out)
     if all(s.failed for s in summaries):
         raise RuntimeError(f"all {len(summaries)} runs failed; run 0: {summaries[0].error}")
     return 0

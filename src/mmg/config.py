@@ -33,8 +33,9 @@ MAX_MEMORY = 24  # keeps 2**m indexable in a machine word with headroom
 # game under 512*K agents, on the bincount side (tracemalloc after
 # ``init_game`` and one ``step``, per byte of tables as N grows).
 # ``init_game`` draws the tables and uniform initial utilities in place, one
-# chunk of agents at a time, so it holds the arrays the game keeps plus one
-# chunk (``strategies._CHUNK_BYTES``), never a second copy of the tables.
+# chunk of agents and their link-mask rows at a time, so it holds the arrays
+# the game keeps plus one chunk (``strategies._CHUNK_BYTES``), never a second
+# copy of the tables nor the whole (N, K) mask.
 # A run's records, 8*T*(4K+3) bytes, are held to the same budget.
 MAX_TABLE_BYTES = 1 << 30
 
@@ -90,11 +91,13 @@ class GameConfig:
                 f"over the budget of {MAX_TABLE_BYTES}; lower T"
             )
 
-    def link_mask(self) -> np.ndarray:
-        """(N, K) boolean mask of the markets each agent is linked to."""
-        mask = np.ones((self.n_agents, self.n_markets), dtype=bool)
+    def link_mask(self, agents: slice = slice(None)) -> np.ndarray:
+        """(N, K) boolean mask of the markets each agent is linked to, or its rows
+        ``agents``, a slice of step 1."""
+        start, stop, _ = agents.indices(self.n_agents)
+        mask = np.ones((max(stop - start, 0), self.n_markets), dtype=bool)
         if self.n_exclusive is not None:
-            mask[: self.n_exclusive, 1] = False
+            mask[: max(self.n_exclusive - start, 0), 1] = False
         return mask
 
     @staticmethod

@@ -199,9 +199,10 @@ class GameState:
     ``ARGMAX_AGENTS`` agents reads neither ``weights``, ``rows`` nor
     ``count_ties``. ``step`` writes the next histories into ``histories`` in
     place. ``__post_init__`` writes the unlinked entries of ``scores`` from
-    the config's link mask: ``UNLINKED_SCORE`` in int32 scores and -inf in
-    float64 ones. A write through ``utilities`` must leave them so, or an
-    agent may pick a strategy on a market it is not linked to. Besides the
+    the config's whole link mask, built and dropped there (init holds one
+    chunk's rows of it at a time): ``UNLINKED_SCORE`` in int32 scores and
+    -inf in float64 ones. A write through ``utilities`` must leave them so,
+    or an agent may pick a strategy on a market it is not linked to. Besides the
     tables and the scores, a game keeps ``agents`` (8*N) and ``last_market``
     (8*N, or N on the one-hot side of ``step``), not ``choice_mask``; see
     ``config.MAX_TABLE_BYTES`` for what that adds up to.
@@ -262,20 +263,20 @@ def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
     Given the number of ticks to be played, an integral game gets int32
     scores (see ``UNLINKED_SCORE``); without it, the scores are float64.
     Tables and uniform initial utilities are drawn in place, one chunk of
-    agents at a time (``mmg.strategies.agent_chunks``), every table chunk
-    before the first utility chunk; so init holds the arrays the game keeps
-    plus one chunk, and reads the random stream as one call per draw would.
+    agents and their link-mask rows at a time (``mmg.strategies.agent_chunks``),
+    every table chunk before the first utility chunk; so init holds the arrays
+    the game keeps plus one chunk, no ``(N, K)`` mask, and reads the random
+    stream as one call per draw would.
     """
     cfg.validate()
     rng = game_rng(cfg.seed)
     n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
-    link_mask = cfg.link_mask()
-    tables = draw_strategies(rng, n, k_markets, s, cfg.memory, link_mask)
+    tables = draw_strategies(rng, cfg)
     scores = np.zeros((k_markets * s, n), dtype=_score_dtype(cfg, ticks))
     if cfg.init_utilities == "uniform":
         # (N, K, s) view of the scores; uniform reads one 64-bit word a value
         utilities = scores.reshape(k_markets, s, n).transpose(2, 0, 1)
-        for agents, mask in agent_chunks(link_mask, 8 * s):
+        for agents, mask in agent_chunks(cfg, 8 * s):
             pairs = int(np.count_nonzero(mask))
             utilities[agents][mask] = rng.uniform(cfg.u_low, cfg.u_high, size=(pairs, s))
     histories = rng.integers(0, 1 << cfg.memory, size=k_markets, dtype=np.int64)

@@ -48,10 +48,10 @@ __all__ = [
 
 @dataclass(eq=False)
 class RunSummary:
-    """Stationary-regime observables of one seeded run."""
+    """Stationary-regime observables of one seeded run, and its game (a failed run's too)."""
 
     run_index: int
-    seed: int
+    config: GameConfig
     stats: SeriesStats | None = None
     big_market: int | None = None
     small_market: int | None = None
@@ -71,10 +71,9 @@ class RunSummary:
 def summarize_run(
     records: RunRecords,
     run_index: int = 0,
-    seed: int = 0,
     window: tuple[int, int] | None = None,
 ) -> RunSummary:
-    """Condense one run's records into the standard per-seed summary."""
+    """Condense one run's records into the standard summary of their game."""
     stats = series_stats(records, window)
     big, small = big_small_markets(stats)
     split = split_detected(records, window)
@@ -83,7 +82,7 @@ def summarize_run(
     crit = detect_critical_history(records, big)
     return RunSummary(
         run_index=run_index,
-        seed=seed,
+        config=records.config,
         stats=stats,
         big_market=big,
         small_market=small,
@@ -123,13 +122,11 @@ def ensemble_run(
     check_run(cfg, ticks, n_seeds, window)
     out: list[RunSummary] = []
     for i in range(n_seeds):
-        child = subseed(cfg.seed, i)
+        game = replace(cfg, seed=subseed(cfg.seed, i))
         try:
-            records = run(replace(cfg, seed=child), ticks)
-            out.append(summarize_run(records, i, child, window))
+            out.append(summarize_run(run(game, ticks), i, window))
         except Exception as exc:  # noqa: BLE001 - per-seed isolation is the contract
-            error = f"{type(exc).__name__}: {exc}"
-            out.append(RunSummary(run_index=i, seed=child, error=error))
+            out.append(RunSummary(run_index=i, config=game, error=f"{type(exc).__name__}: {exc}"))
     return out
 
 
@@ -160,15 +157,15 @@ class SweepSpec:
         if min(values) < low:
             raise ConfigError(f"values: every game needs an agent, so values >= {low}, "
                               f"got {min(values)}")
-        for _, cfg in swept:
+        for cfg in swept:
             cfg.validate()
 
-    def configs(self) -> list[tuple[int, GameConfig]]:
+    def configs(self) -> list[GameConfig]:
         if self.param == "N":
-            return [(v, replace(self.base, n_agents=v, n_exclusive=None)) for v in self.values]
+            return [replace(self.base, n_agents=v, n_exclusive=None) for v in self.values]
         if self.param == "n1":
             n2 = self.base.n_agents - self.base.n_exclusive
-            return [(v, replace(self.base, n_agents=v + n2, n_markets=2, n_exclusive=v))
+            return [replace(self.base, n_agents=v + n2, n_markets=2, n_exclusive=v)
                     for v in self.values]
         raise ConfigError(f"sweep: unknown parameter {self.param!r}")
 
@@ -185,23 +182,25 @@ def _mean_std(column: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1)) if len(values) > 1 else 0.0
 
 
-def sweep_row(
-    value_col: str, value: int, q: float, summaries: list[RunSummary], k_markets: int
-) -> dict[str, float]:
-    """Reduce the per-seed table of one swept value to one sweep row.
+def sweep_row(summaries: list[RunSummary]) -> dict[str, float]:
+    """Reduce the per-seed table of one swept game to one sweep row.
 
-    Every observable of ``summary_table`` (then ``o_m{k}`` and ``var_m{k}``
-    market by market) gets the mean and std of its defined cells, so failed
-    runs, and runs without a tau0, drop out; ``tau0_defined`` counts the
-    runs with a tau0. 'big'/'small' follow each run's own labeling.
+    The game gives the value column and value, ``N`` of a regular game or
+    ``N1`` (its n1) of an irregular one, and Q = value / 2**m. Every
+    observable of ``summary_table`` (then ``o_m{k}`` and ``var_m{k}`` market
+    by market) gets the mean and std of its defined cells, so failed runs,
+    and runs without a tau0, drop out; ``tau0_defined`` counts the runs with
+    a tau0. 'big'/'small' follow each run's own labeling.
     """
-    per_seed = summary_table(summaries, k_markets)
+    cfg = summaries[0].config
+    value_col, value = ("N", cfg.n_agents) if cfg.n_exclusive is None else ("N1", cfg.n_exclusive)
+    per_seed = summary_table(summaries)
     ok = per_seed["error"] == ""
     if not ok.any():
         raise RuntimeError(f"all {len(summaries)} runs failed at value {value}")
     names = ["o_big", "o_small", "var_big", "var_small", "nu", "tau0"]
-    names += [f"{x}_m{k + 1}" for k in range(k_markets) for x in ("o", "var")]
-    row: dict[str, float] = {value_col: value, "Q": q}
+    names += [f"{x}_m{k + 1}" for k in range(cfg.n_markets) for x in ("o", "var")]
+    row: dict[str, float] = {value_col: value, "Q": value / (1 << cfg.memory)}
     for name in names:
         row[f"{name}_mean"], row[f"{name}_std"] = _mean_std(per_seed[name])
     row["tau0_defined"] = int(np.count_nonzero(~np.isnan(per_seed["tau0"])))
@@ -222,13 +221,8 @@ def q_sweep(
     sweep or run key raises ConfigError before the first game."""
     spec.validate()
     check_run(spec.base, ticks, n_seeds, window)
-    value_col = "N" if spec.param == "N" else "N1"
-    rows = []
-    for value, cfg in spec.configs():
-        summaries = ensemble_run(cfg, ticks, n_seeds, window)
-        q = value / (1 << cfg.memory)
-        rows.append(sweep_row(value_col, value, q, summaries, cfg.n_markets))
-    rows.sort(key=lambda row: row["Q"])
+    rows = sorted((sweep_row(ensemble_run(cfg, ticks, n_seeds, window)) for cfg in spec.configs()),
+                  key=lambda row: row["Q"])
     return {col: np.array([row[col] for row in rows]) for col in rows[0]}
 
 
@@ -348,8 +342,8 @@ def _fig6_0_tables(cfgs: list[GameConfig], ticks: int) -> dict[str, Table]:
     return out
 
 
-def summary_table(summaries: list[RunSummary], k_markets: int) -> Table:
-    """One row per run, in run-index order.
+def summary_table(summaries: list[RunSummary]) -> Table:
+    """One row per run, in run-index order; the games give the seeds and K.
 
     A failed run keeps its run index, seed and error; its other cells are
     NaN or "", which render empty. ``seed`` stays uint64: child seeds
@@ -362,7 +356,7 @@ def summary_table(summaries: list[RunSummary], k_markets: int) -> Table:
 
     table: Table = {
         "run": np.array([s.run_index for s in summaries]),
-        "seed": np.array([s.seed for s in summaries], dtype=np.uint64),
+        "seed": np.array([s.config.seed for s in summaries], dtype=np.uint64),
         "big_market": floats(lambda s: s.big_market),
         "split": floats(lambda s: s.split),
         "mode": np.array([s.mode or "" for s in summaries]),
@@ -373,6 +367,7 @@ def summary_table(summaries: list[RunSummary], k_markets: int) -> Table:
         "var_big": floats(lambda s: s.stats.per_capita_var[s.big_market]),
         "var_small": floats(lambda s: s.stats.per_capita_var[s.small_market]),
     }
+    k_markets = max((s.config.n_markets for s in summaries), default=0)
     for k in range(k_markets):
         table[f"o_m{k + 1}"] = floats(lambda s: s.stats.mean_occupancy[k])
     for k in range(k_markets):
@@ -390,10 +385,11 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     """Dataset behind a canned experiment, keyed by output file stem.
 
     Overrides are config keys: ``seed`` (master, >= 0) and the figure's
-    keys in ``_FIGURES``. An unknown one, an entry that is not an integer,
-    more than one value for a figure that plays one game (fig5, fig6,
-    fig010), and what ``SweepSpec.validate`` refuses in the figure's games
-    or ``check_run`` in its run keys raise ConfigError before any game.
+    keys in ``_FIGURES``. An unknown one, ``values`` that is not a list or
+    tuple, an entry that is not an integer, more than one value for a
+    figure that plays one game (fig5, fig6, fig010), a negative fig8 ``n2``,
+    and what ``SweepSpec.validate`` refuses in the figure's games or
+    ``check_run`` in its run keys raise ConfigError before any game.
     """
     if name not in _FIGURES:
         raise ValueError(f"unknown figure {name!r}; known: {', '.join(FIGURE_NAMES)}")
@@ -404,6 +400,8 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
             f"{unused[0]}: {name} does not use it; it reads {', '.join(sorted(known))}"
         )
     opts = {"seed": 0, "seeds": 1, **_FIGURES[name], **overrides}
+    if not isinstance(opts["values"], (list, tuple)):  # "8,16" is not [8, 16]
+        raise ConfigError(f"values: expected a list of integers, got {opts['values']!r}")
     for key, value in opts.items():  # refused, not truncated: 40.7 is not T=40
         for entry in value if key == "values" else (value,):
             if isinstance(entry, bool) or not isinstance(entry, numbers.Integral):
@@ -412,9 +410,9 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     game = {"fig5": dict(init_utilities="uniform"), "fig6": dict(init_utilities="uniform"),
             "fig010": dict(n_markets=3)}.get(name, {})
     base = GameConfig(n_agents=11, seed=seed, **game)
-    if name == "fig8":
-        n2 = int(opts["n2"])
-        base = GameConfig(n_agents=2 * n2, seed=seed, n_exclusive=n2)
+    if name == "fig8":  # n1 = 0: the sweep replaces it, keeping n2
+        base = GameConfig(n_agents=GameConfig.check_irregular(0, int(opts["n2"])), seed=seed,
+                          n_exclusive=0)
     values = tuple(int(v) for v in opts["values"])
     if len(_FIGURES[name]["values"]) == 1 and len(values) != 1:
         raise ConfigError(f"values: {name} plays one game and takes one value, got {values}")
@@ -431,7 +429,7 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
             table = {col: table[col] for col in keep}
         return {name: table}
 
-    cfgs = [replace(cfg, seed=subseed(seed, i)) for i, (_, cfg) in enumerate(spec.configs())]
+    cfgs = [replace(cfg, seed=subseed(seed, i)) for i, cfg in enumerate(spec.configs())]
     if name == "fig6":
         return {name: _fig6_table(cfgs[0], ticks)}
     if name == "fig6_0":

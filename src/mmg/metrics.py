@@ -8,6 +8,7 @@ the transient before the occupancies settle.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,14 @@ def _large_fluctuations(occ: np.ndarray, dem: np.ndarray) -> np.ndarray:
 
 
 def resolve_window(n_ticks: int | None, window: tuple[int, int] | None) -> tuple[int, int]:
-    """Validate ``window`` against the recorded range, unbounded when ``n_ticks``
-    is None, raising ConfigError naming ``window``; ``None`` -> last half."""
+    """Validate ``window``, two integers, against the recorded range,
+    unbounded when ``n_ticks`` is None, raising ConfigError naming
+    ``window``; ``None`` -> last half. A bool is not an integer."""
     if window is None:
         window = (n_ticks // 2, n_ticks)
+    if not (isinstance(window, (tuple, list)) and len(window) == 2 and all(
+            isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in window)):
+        raise ConfigError(f"window: need two integers [start, stop), got {window!r}")
     start, stop = int(window[0]), int(window[1])
     if not 0 <= start < stop <= (stop if n_ticks is None else n_ticks):
         raise ConfigError(f"window: need 0 <= start < stop <= T, got [{start}, {stop}) "

@@ -13,10 +13,11 @@ agent's s slots on market k at history mu, one ``(s, N)`` block, which is
 what the engine reads each tick. Agent n's slot-i action there is
 ``tables[k * 2**m + mu, i, n]``.
 
-The draw writes the tables in place, one chunk of whole agents at a time
-(``agent_chunks``), so it holds the tables plus one chunk, never a
-second array the size of the tables. The chunks read the random stream
-exactly as one call over the whole game would.
+The draw takes the game and writes its tables in place, one chunk of whole
+agents and their link-mask rows at a time (``agent_chunks``), so it holds
+the tables plus one chunk, never a second array the size of the tables nor
+the ``(N, K)`` mask. The chunks read the random stream exactly as one call
+over the whole game would.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 import numpy as np
+
+from .config import GameConfig
 
 __all__ = ["draw_strategies"]
 
@@ -33,25 +36,19 @@ __all__ = ["draw_strategies"]
 _CHUNK_BYTES = 1 << 18
 
 
-def agent_chunks(link_mask: np.ndarray, pair_bytes: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Runs of whole agents, in agent order, with each run's rows of
-    ``link_mask``: at most ``_CHUNK_BYTES`` a run, counting ``pair_bytes``
-    of values and 16 bytes of index per linked pair."""
-    n_agents, n_markets = link_mask.shape
-    step = max(_CHUNK_BYTES // (n_markets * (pair_bytes + 16)), 1)
-    for start in range(0, n_agents, step):
-        yield slice(start, start + step), link_mask[start:start + step]
+def agent_chunks(cfg: GameConfig, pair_bytes: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Runs of whole agents of the game ``cfg``, in agent order, with each
+    run's rows of its link mask: at most ``_CHUNK_BYTES`` a run, counting
+    ``pair_bytes`` of values and 16 bytes of index per linked pair."""
+    step = max(_CHUNK_BYTES // (cfg.n_markets * (pair_bytes + 16)), 1)
+    for start in range(0, cfg.n_agents, step):
+        agents = slice(start, start + step)
+        yield agents, cfg.link_mask(agents)
 
 
-def draw_strategies(
-    rng: np.random.Generator,
-    n_agents: int,
-    n_markets: int,
-    n_strategies: int,
-    memory: int,
-    link_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Draw every strategy table of a game, i.i.d. fair bits with replacement.
+def draw_strategies(rng: np.random.Generator, cfg: GameConfig) -> np.ndarray:
+    """Draw every strategy table of the game ``cfg``, i.i.d. fair bits with
+    replacement, from ``rng``; a bad game raises ``ConfigError``.
 
     Returns the ``(K * 2**m, s, N)`` int8 tables; the entries of unlinked
     (agent, market) pairs are zero and never consulted. Bits are consumed
@@ -66,19 +63,14 @@ def draw_strategies(
     of four, turns their bytes into values in place and carries the 0-3
     values past its own over: the chunks read the same words as one call.
     """
-    if min(n_agents, n_markets, n_strategies, memory) < 1:
-        raise ValueError("n_agents, n_markets, n_strategies and memory must be >= 1")
-    P = 1 << memory
-    if link_mask is None:
-        link_mask = np.ones((n_agents, n_markets), dtype=bool)
-    link_mask = np.asarray(link_mask, dtype=bool)
-    if link_mask.shape != (n_agents, n_markets):
-        raise ValueError("link_mask shape does not match (n_agents, n_markets)")
+    cfg.validate()
+    n_agents, n_markets, n_strategies = cfg.n_agents, cfg.n_markets, cfg.n_strategies
+    P = 1 << cfg.memory
     tables = np.zeros((n_markets * P, n_strategies, n_agents), dtype=np.int8)
     # (N, K, s, 2**m) view: agent, market, slot, history
     agent_first = tables.reshape(n_markets, P, n_strategies, n_agents).transpose(3, 0, 2, 1)
     carry = np.empty(0, dtype=np.int8)
-    for agents, mask in agent_chunks(link_mask, n_strategies * P):
+    for agents, mask in agent_chunks(cfg, n_strategies * P):
         pairs = int(np.count_nonzero(mask))
         need = pairs * n_strategies * P
         words = rng.integers(0, 1 << 32, size=(need - len(carry) + 3) // 4, dtype=np.uint32)

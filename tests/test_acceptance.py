@@ -66,14 +66,11 @@ def sweep(ens1447):
     rows = []
     for v in values:
         if v == 1447:  # the ens1447 games: same config, child seeds subseed(MASTER, i)
-            summaries = [
-                summarize_run(rec, run_index=i, seed=subseed(MASTER, i))
-                for i, rec in enumerate(ens1447)
-            ]
+            summaries = [summarize_run(rec, run_index=i) for i, rec in enumerate(ens1447)]
         else:
             summaries = ensemble_run(GameConfig(n_agents=v, seed=MASTER), 5000, 10)
         per_value[v] = summaries
-        rows.append(sweep_row("N", v, v / 32, summaries, 2))
+        rows.append(sweep_row(summaries))
     table = {col: np.array([row[col] for row in rows]) for col in rows[0]}
     return table, per_value
 

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,7 +43,7 @@ class TestEnsembleRun:
     def test_repeatable(self):
         a = ensemble_run(tiny_cfg(), 40, 4)
         b = ensemble_run(tiny_cfg(), 40, 4)
-        assert [s.seed for s in a] == [s.seed for s in b]
+        assert [s.config.seed for s in a] == [s.config.seed for s in b]
         for x, y in zip(a, b):
             assert np.array_equal(x.stats.mean_occupancy, y.stats.mean_occupancy)
             assert x.nu == y.nu and x.tau0 == y.tau0 and x.split == y.split
@@ -54,10 +55,10 @@ class TestEnsembleRun:
         direct = summarize_run(
             run(GameConfig(**{**cfg.__dict__, "seed": child}), 50),
             run_index=0,
-            seed=child,
         )
         got = summaries[0]
-        assert got.seed == child
+        assert got.config.seed == child
+        assert got.config == replace(cfg, seed=child)  # the game played
         assert np.array_equal(got.stats.mean_occupancy, direct.stats.mean_occupancy)
         assert got.nu == direct.nu and got.big_market == direct.big_market
 
@@ -65,7 +66,7 @@ class TestEnsembleRun:
         short = ensemble_run(tiny_cfg(), 30, 3)
         longer = ensemble_run(tiny_cfg(), 30, 5)
         for a, b in zip(short, longer):
-            assert a.seed == b.seed
+            assert a.config.seed == b.config.seed
             assert np.array_equal(a.stats.mean_occupancy, b.stats.mean_occupancy)
 
     def test_bad_seed_count(self):
@@ -104,6 +105,9 @@ class TestEnsembleRun:
         monkeypatch.setattr(experiments, "run", broken_run)
         summaries = ensemble_run(tiny_cfg(), 10, 2)
         assert [s.error for s in summaries] == ["TypeError: boom"] * 2
+        # a failed run keeps the game it was to play
+        assert [s.config for s in summaries] == [
+            replace(tiny_cfg(), seed=subseed(tiny_cfg().seed, i)) for i in range(2)]
 
 
 class TestSummarizeRun:
@@ -135,8 +139,9 @@ class TestSummarizeRun:
 class TestSummaryTable:
     def test_columns_and_failed_row(self):
         ok = ensemble_run(tiny_cfg(n_markets=3), 40, 1)[0]
-        failed = RunSummary(run_index=1, seed=2**64 - 1, error="E: a, b")
-        table = summary_table([ok, failed], 3)
+        failed = RunSummary(run_index=1, config=tiny_cfg(n_markets=3, seed=2**64 - 1),
+                            error="E: a, b")
+        table = summary_table([ok, failed])
         assert list(table)[:7] == ["run", "seed", "big_market", "split", "mode", "tau0", "nu"]
         assert [name for name in table if name.startswith("o_m")] == ["o_m1", "o_m2", "o_m3"]
         assert list(table)[-4:] == [
@@ -146,7 +151,7 @@ class TestSummaryTable:
         # a child seed above 2**53 prints exactly; the failed row is empty
         # but for run, seed and its quoted error
         assert rows[2] == "1,18446744073709551615," + "," * (len(table) - 3) + '"E: a, b"'
-        assert rows[1].startswith(f"0,{ok.seed},{ok.big_market},")
+        assert rows[1].startswith(f"0,{ok.config.seed},{ok.big_market},")
         assert rows[1].endswith(",")
 
 
@@ -155,11 +160,21 @@ class TestQSweep:
         spec = SweepSpec(base=tiny_cfg(), param="N", values=(9,))
         table = q_sweep(spec, 40, 3)
         assert len(table["N"]) == 1
-        direct = sweep_row("N", 9, 9 / 8, ensemble_run(tiny_cfg(), 40, 3), 2)
+        direct = sweep_row(ensemble_run(tiny_cfg(), 40, 3))
         assert list(table) == list(direct)
         assert table["o_big_mean"][0] == direct["o_big_mean"]
         assert table["o_big_std"][0] == direct["o_big_std"]
         assert table["split_fraction"][0] == direct["split_fraction"]
+
+    @pytest.mark.parametrize("base, col, value", [
+        (tiny_cfg(n_agents=12), "N", 12),
+        (tiny_cfg(n_agents=12, n_exclusive=5), "N1", 5),
+    ])
+    def test_row_reads_value_and_q_from_the_game(self, base, col, value):
+        # m=3: Q = N / 8 of a regular game and n1 / 8 of an irregular one
+        row = sweep_row(ensemble_run(base, 30, 2))
+        assert list(row)[:2] == [col, "Q"]
+        assert row[col] == value and row["Q"] == value / 8
 
     def test_empty_values_raise_before_any_game(self, monkeypatch):
         from mmg import experiments
@@ -221,8 +236,7 @@ class TestQSweep:
         # n_exclusive = 0 is an irregular base whose n2 is all N agents
         spec = SweepSpec(base=tiny_cfg(n_agents=5, n_exclusive=0), param="n1", values=(0, 3))
         spec.validate()
-        assert [(v, cfg.n_agents, cfg.n_exclusive) for v, cfg in spec.configs()] == [
-            (0, 5, 0), (3, 8, 3)]
+        assert [(cfg.n_agents, cfg.n_exclusive) for cfg in spec.configs()] == [(5, 0), (8, 3)]
 
 
 class TestRelaxationTrend:
@@ -394,6 +408,25 @@ class TestFigureDatasets:
         monkeypatch.setattr(experiments, "run", no_game)
         with pytest.raises(ConfigError, match=f"^{key}: expected an integer, got {got}$"):
             figure_dataset(name, **{"T": 40, "values": [24], "seed": 3, **overrides})
+
+    @pytest.mark.parametrize("values", [8, "8,16", {8, 16}, None], ids=repr)
+    def test_values_must_be_a_list_or_tuple(self, monkeypatch, values):
+        # an int raised TypeError, and "8,16" was read character by character
+        from mmg import experiments
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        with pytest.raises(ConfigError, match=f"^values: expected a list of integers, got "
+                                              f"{re.escape(repr(values))}$"):
+            figure_dataset("fig7", values=values, T=20, seeds=1)
+
+    @pytest.mark.parametrize("n2, values", [(-3, [10]), (-1, [1])])
+    def test_fig8_names_a_bad_n2(self, monkeypatch, n2, values):
+        # the n1 bound or the values bound was named instead
+        from mmg import experiments
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        with pytest.raises(ConfigError, match=f"^n2: must be >= 0, got {n2}$"):
+            figure_dataset("fig8", n2=n2, values=values, T=20, seeds=1)
 
 
 def closed_form_fig6(cfg: GameConfig, ticks: int, theta: float) -> dict:

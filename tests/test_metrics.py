@@ -84,6 +84,19 @@ class TestSeriesStats:
         with pytest.raises(ValueError):
             resolve_window(4, (0, 9))
 
+    @pytest.mark.parametrize("window", [
+        (0.5, 3.7), (0, 3.0), (False, True), ("2", "5"), (0, 10, 99), (5,), 5, "05",
+    ], ids=repr)
+    def test_window_of_two_integers_only(self, window):
+        # a float, bool or string bound was truncated or converted, and a
+        # third entry dropped, so the estimators measured another window
+        with pytest.raises(ConfigError, match="^window: "):
+            resolve_window(10, window)
+
+    def test_window_bounds_may_be_numpy_integers(self):
+        assert resolve_window(10, (np.int64(2), np.int32(5))) == (2, 5)
+        assert resolve_window(10, [0, 10]) == (0, 10)
+
 
 class TestMuHistogram:
     def test_counting(self):

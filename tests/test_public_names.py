@@ -10,6 +10,7 @@ play and study games; every other public name lives in its own module.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -68,6 +69,31 @@ def test_all_names_resolve(modname):
     module = importlib.import_module(modname)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+# parameters that stand for a game's fields, or a quantity read from a game
+GAME_FIELDS = {"seed", "n_agents", "n_markets", "k_markets", "n_strategies", "memory",
+               "link_mask", "q", "value_col"}
+# functions that rightly take them
+TAKES_FIELDS = {
+    "mmg.metrics.predicted_occupancies": "mmg predict builds no game, only counts",
+    "mmg.metrics.predicted_irregular": "mmg predict builds no game, only counts",
+    "mmg.rng.game_rng": "a seed is its input: it makes the game's generator",
+}
+
+
+@pytest.mark.parametrize("modname", MODULES)
+def test_public_functions_take_the_game_not_its_fields(modname):
+    module = importlib.import_module(modname)
+    found = [
+        f"{fn.__module__}.{name}({param})"
+        for name in module.__all__
+        if inspect.isfunction(fn := getattr(module, name))
+        and f"{fn.__module__}.{name}" not in TAKES_FIELDS
+        for param in inspect.signature(fn).parameters
+        if param in GAME_FIELDS
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("path", sorted(Path(mmg.__file__).parent.glob("*.py")),

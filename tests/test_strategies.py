@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import one_tick
-from mmg import GameConfig, init_game, run, strategies
+from mmg import ConfigError, GameConfig, init_game, run, strategies
 from mmg.rng import game_rng
 from mmg.strategies import draw_strategies
+
+
+def game(n_agents, n_markets, n_strategies, memory, **kw):
+    """The game whose tables ``draw_strategies`` draws; its seed is unused."""
+    return GameConfig(n_agents=n_agents, seed=0, n_markets=n_markets,
+                      n_strategies=n_strategies, memory=memory, **kw)
 
 
 def table_from_bits(bits, m):
@@ -111,33 +117,43 @@ class TestUpdateHistory:
 
 class TestDrawStrategies:
     def test_table_count(self):
-        tables = draw_strategies(game_rng(0), 2, 2, 2, 2)
+        tables = draw_strategies(game_rng(0), game(2, 2, 2, 2))
         assert tables.shape == (2 * 4, 2, 2)
         assert np.count_nonzero(tables) == 8 * 4  # 8 tables of 4 actions
 
     def test_determinism(self):
-        a = draw_strategies(game_rng(42), 3, 2, 2, 3)
-        b = draw_strategies(game_rng(42), 3, 2, 2, 3)
+        a = draw_strategies(game_rng(42), game(3, 2, 2, 3))
+        b = draw_strategies(game_rng(42), game(3, 2, 2, 3))
         assert np.array_equal(a, b)
 
     def test_values_are_actions(self):
-        tables = draw_strategies(game_rng(7), 5, 2, 2, 4)
+        tables = draw_strategies(game_rng(7), game(5, 2, 2, 4))
         assert set(np.unique(tables)) <= {-1, 1}
 
     def test_link_mask_zeroes_unlinked(self):
-        mask = np.array([[True, False], [True, True], [True, False]])
-        tables = draw_strategies(game_rng(3), 3, 2, 2, 3, link_mask=mask)
+        # n1 = 2: agents 0 and 1 are linked to market 0 only, agent 2 to both
+        tables = draw_strategies(game_rng(3), game(3, 2, 2, 3, n_exclusive=2))
         assert np.count_nonzero(tables) == 8 * 8  # 8 tables of 8 actions
         assert np.all(tables[1 << 3:, :, 0] == 0)
-        assert np.all(tables[1 << 3:, :, 2] == 0)
-        assert set(np.unique(tables[:, :, 1])) <= {-1, 1}
+        assert np.all(tables[1 << 3:, :, 1] == 0)
+        assert set(np.unique(tables[:, :, 2])) <= {-1, 1}
+
+    @pytest.mark.parametrize("kw, key", [
+        (dict(n_agents=0), "N"), (dict(n_markets=0), "K"), (dict(n_strategies=0), "s"),
+        (dict(memory=0), "m"), (dict(n_exclusive=9), "n1"), (dict(n_markets=3, n_exclusive=1), "K"),
+    ])
+    def test_bad_game_names_its_key(self, kw, key):
+        cfg = GameConfig(**{**dict(n_agents=5, seed=0, memory=2), **kw})
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            draw_strategies(game_rng(0), cfg)
 
     def test_uniform_over_tables(self):
         # N=K=s=1, m=1: four possible 2-bit tables, each expected 1/4 of seeds.
         scipy_stats = pytest.importorskip("scipy.stats")
         counts = np.zeros(4, dtype=int)
+        cfg = game(1, 1, 1, 1)
         for seed in range(10_000):
-            tables = draw_strategies(game_rng(seed), 1, 1, 1, 1)
+            tables = draw_strategies(game_rng(seed), cfg)
             bits = (tables[:, 0, 0] + 1) // 2
             counts[bits[0] * 2 + bits[1]] += 1
         res = scipy_stats.chisquare(counts)
@@ -145,7 +161,7 @@ class TestDrawStrategies:
 
     def test_good_strategy_fraction(self):
         # P(at least one of s tables says a0 at h0) = 1 - 1/2**s = 0.75 for s=2.
-        tables = draw_strategies(game_rng(11), 4000, 1, 2, 5)
+        tables = draw_strategies(game_rng(11), game(4000, 1, 2, 5))
         frac = np.mean(np.any(tables[(0 << 5) + 7] == 1, axis=0))
         assert abs(frac - 0.75) < 0.03
 
@@ -163,10 +179,11 @@ class TestDrawStrategies:
                                        state.tables[(1 << 3) + mu[1], 0, 0]]
 
 
-def one_call_draw(rng, n_agents, n_markets, n_strategies, memory, link_mask):
-    """Every table bit of a game from one ``integers`` call: the draw whose
-    tables and generator state the chunked draw reproduces."""
-    P = 1 << memory
+def one_call_draw(rng, cfg):
+    """Every table bit of the game ``cfg`` from one ``integers`` call: the
+    draw whose tables and generator state the chunked draw reproduces."""
+    n_agents, n_markets, n_strategies = cfg.n_agents, cfg.n_markets, cfg.n_strategies
+    P, link_mask = 1 << cfg.memory, cfg.link_mask()
     bits = rng.integers(0, 2, size=(int(link_mask.sum()), n_strategies, P), dtype=np.int8)
     tables = np.zeros((n_markets * P, n_strategies, n_agents), dtype=np.int8)
     agent_first = tables.reshape(n_markets, P, n_strategies, n_agents).transpose(3, 0, 2, 1)
@@ -180,7 +197,7 @@ def one_call_init(cfg):
     n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
     rng = game_rng(cfg.seed)
     link_mask = cfg.link_mask()
-    tables = one_call_draw(rng, n, k_markets, s, cfg.memory, link_mask)
+    tables = one_call_draw(rng, cfg)
     utilities = np.full((n, k_markets, s), -np.inf)
     utilities[link_mask] = rng.uniform(cfg.u_low, cfg.u_high, size=(int(link_mask.sum()), s))
     histories = rng.integers(0, 1 << cfg.memory, size=k_markets, dtype=np.int64)
@@ -198,6 +215,17 @@ GRID_GAMES = [(n, k, None) for n in (5, 6) for k in (1, 2, 3)] + [
 CHUNKS = [1, 160]
 
 
+@pytest.mark.parametrize("n, k_markets, n1", GRID_GAMES)
+def test_link_mask_rows_of_a_run_of_agents(n, k_markets, n1):
+    cfg = GameConfig(n_agents=n, seed=0, n_markets=k_markets, n_exclusive=n1)
+    whole = cfg.link_mask()
+    assert whole.shape == (n, k_markets)
+    cut = n1 or 2  # before, at and after n1, and past N
+    for a, b in [(0, cut - 1), (cut - 1, cut + 1), (cut, cut + 2), (cut + 1, n), (n - 1, n + 4),
+                 (n + 1, n + 3)]:
+        assert np.array_equal(cfg.link_mask(slice(a, b)), whole[a:b]), (a, b)
+
+
 class TestChunkedDraw:
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("s", [1, 2, 3])
@@ -205,22 +233,21 @@ class TestChunkedDraw:
     def test_tables_and_stream_match_one_call(self, monkeypatch, m, s, chunk):
         monkeypatch.setattr(strategies, "_CHUNK_BYTES", chunk)
         for n, k_markets, n1 in GRID_GAMES:
-            link_mask = GameConfig(n_agents=n, seed=0, n_markets=k_markets,
-                                   n_exclusive=n1).link_mask()
+            cfg = game(n, k_markets, s, m, n_exclusive=n1)
             seed = n * 100 + k_markets * 10 + m
             want_rng, rng = game_rng(seed), game_rng(seed)
-            want = one_call_draw(want_rng, n, k_markets, s, m, link_mask)
-            got = draw_strategies(rng, n, k_markets, s, m, link_mask)
+            want = one_call_draw(want_rng, cfg)
+            got = draw_strategies(rng, cfg)
             assert np.array_equal(got, want), (n, k_markets, n1)
             assert rng.bit_generator.state == want_rng.bit_generator.state, (n, k_markets, n1)
 
     def test_default_chunks_match_one_call(self):
         # the big_run game's 1.26 MiB of tables span several default chunks
-        n, link_mask = 10301, GameConfig(n_agents=10301, seed=3, n_exclusive=10000).link_mask()
+        cfg = GameConfig(n_agents=10301, seed=3, n_exclusive=10000)
         want_rng, rng = game_rng(3), game_rng(3)
-        want = one_call_draw(want_rng, n, 2, 2, 5, link_mask)
+        want = one_call_draw(want_rng, cfg)
         assert want.nbytes > 4 * strategies._CHUNK_BYTES
-        assert np.array_equal(draw_strategies(rng, n, 2, 2, 5, link_mask), want)
+        assert np.array_equal(draw_strategies(rng, cfg), want)
         assert rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -267,15 +294,14 @@ class TestInitMemory:
     @pytest.mark.parametrize("name", BIG_GAMES)
     def test_draw_holds_tables_plus_one_chunk(self, name):
         cfg = GameConfig(seed=1, **BIG_GAMES[name])
-        link_mask = cfg.link_mask()
-        over = traced_overhead(lambda: draw_strategies(
-            game_rng(1), cfg.n_agents, 2, cfg.n_strategies, cfg.memory, link_mask))
+        over = traced_overhead(lambda: draw_strategies(game_rng(1), cfg))
         assert over <= strategies._CHUNK_BYTES + SLACK
 
     @pytest.mark.parametrize("init_utilities", ["zero", "uniform"])
     @pytest.mark.parametrize("name", BIG_GAMES)
     def test_init_game_holds_kept_arrays_plus_one_chunk(self, name, init_utilities):
-        # besides one chunk, init holds the (N, K) link mask it draws with
+        # besides one chunk, N*K bytes: GameState builds the (N, K) link mask
+        # once to write the unlinked scores
         cfg = GameConfig(seed=1, init_utilities=init_utilities, **BIG_GAMES[name])
         over = traced_overhead(lambda: init_game(cfg, 300))
         assert over <= strategies._CHUNK_BYTES + cfg.n_agents * cfg.n_markets + SLACK

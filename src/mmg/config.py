@@ -59,6 +59,9 @@ class GameConfig:
     to every market. Set, it is the paper's n1 of the irregular game (two
     markets): the first n1 agents are linked only to market 0, the other
     n2 = N - n1 agents to both.
+
+    A game checks itself when built, ``dataclasses.replace`` included: a bad
+    field raises ConfigError naming its key.
     """
 
     n_agents: int
@@ -125,7 +128,7 @@ class GameConfig:
             if value < 1:
                 raise ConfigError(f"{key}: must be >= 1, got {value}")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         GameConfig.check_counts(N=self.n_agents, K=self.n_markets, s=self.n_strategies)
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")

@@ -266,9 +266,9 @@ def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
     agents and their link-mask rows at a time (``mmg.strategies.agent_chunks``),
     every table chunk before the first utility chunk; so init holds the arrays
     the game keeps plus one chunk, no ``(N, K)`` mask, and reads the random
-    stream as one call per draw would.
+    stream as one call per draw would. The game checked itself when it was
+    built.
     """
-    cfg.validate()
     rng = game_rng(cfg.seed)
     n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
     tables = draw_strategies(rng, cfg)

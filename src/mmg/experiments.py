@@ -134,40 +134,33 @@ def ensemble_run(
 class SweepSpec:
     """The games of a one-parameter sweep; ``q_sweep`` takes the run keys.
 
-    ``param`` is "N" (regular games, total population varies) or "n1"
-    (irregular games, exclusive population varies at the base's ``n2``).
+    The base game sets the parameter: a regular base sweeps N (total
+    population), an irregular one n1 (exclusive population, at the base's
+    n2). A sweep checks itself when built: values that are empty or repeat,
+    or a swept game without an agent, raise ConfigError naming ``values``;
+    then every swept game is built, so a bad one names its own key.
     """
 
     base: GameConfig
-    param: str
     values: tuple[int, ...]
 
-    def validate(self) -> None:
-        """Refuse, naming ``values`` or ``sweep``, values that are empty or
-        repeat, a swept game without an agent and an n1 sweep of a regular
-        base; then run ``GameConfig.validate`` on every swept game."""
-        if self.param == "n1" and self.base.n_exclusive is None:
-            raise ConfigError("sweep=n1 requires topology=irregular with n1/n2")
-        swept = self.configs()  # refuses an unknown parameter
+    def __post_init__(self) -> None:
         values = list(self.values)
         if not values or len(set(values)) < len(values):  # a repeat replays the same seeds
             raise ConfigError(f"values: need distinct values, at least one, got {values}")
         # every swept game needs N >= 1; an n1 sweep keeps the base's n2 = N - n1
-        low = 1 if self.param == "N" else max(0, 1 - self.base.n_agents + self.base.n_exclusive)
+        n1 = self.base.n_exclusive
+        low = 1 if n1 is None else max(0, 1 - self.base.n_agents + n1)
         if min(values) < low:
             raise ConfigError(f"values: every game needs an agent, so values >= {low}, "
                               f"got {min(values)}")
-        for cfg in swept:
-            cfg.validate()
+        self.configs()  # each swept game checks itself as it is built
 
     def configs(self) -> list[GameConfig]:
-        if self.param == "N":
-            return [replace(self.base, n_agents=v, n_exclusive=None) for v in self.values]
-        if self.param == "n1":
-            n2 = self.base.n_agents - self.base.n_exclusive
-            return [replace(self.base, n_agents=v + n2, n_markets=2, n_exclusive=v)
-                    for v in self.values]
-        raise ConfigError(f"sweep: unknown parameter {self.param!r}")
+        if self.base.n_exclusive is None:
+            return [replace(self.base, n_agents=v) for v in self.values]
+        n2 = self.base.n_agents - self.base.n_exclusive
+        return [replace(self.base, n_agents=v + n2, n_exclusive=v) for v in self.values]
 
 
 Table = dict[str, np.ndarray]
@@ -218,8 +211,8 @@ def q_sweep(
 ) -> Table:
     """``ensemble_run`` at every swept value, one ``sweep_row`` each, rows
     ordered by Q; the value column is ``N``, or ``N1`` for an n1 sweep. A bad
-    sweep or run key raises ConfigError before the first game."""
-    spec.validate()
+    run key raises ConfigError before the first game; ``spec`` checked itself
+    when it was built."""
     check_run(spec.base, ticks, n_seeds, window)
     rows = sorted((sweep_row(ensemble_run(cfg, ticks, n_seeds, window)) for cfg in spec.configs()),
                   key=lambda row: row["Q"])
@@ -388,8 +381,8 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     keys in ``_FIGURES``. An unknown one, ``values`` that is not a list or
     tuple, an entry that is not an integer, more than one value for a
     figure that plays one game (fig5, fig6, fig010), a negative fig8 ``n2``,
-    and what ``SweepSpec.validate`` refuses in the figure's games or
-    ``check_run`` in its run keys raise ConfigError before any game.
+    and what ``SweepSpec`` refuses in the figure's games or ``check_run`` in
+    its run keys raise ConfigError before any game.
     """
     if name not in _FIGURES:
         raise ValueError(f"unknown figure {name!r}; known: {', '.join(FIGURE_NAMES)}")
@@ -410,15 +403,15 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
     game = {"fig5": dict(init_utilities="uniform"), "fig6": dict(init_utilities="uniform"),
             "fig010": dict(n_markets=3)}.get(name, {})
     base = GameConfig(n_agents=11, seed=seed, **game)
-    if name == "fig8":  # n1 = 0: the sweep replaces it, keeping n2
-        base = GameConfig(n_agents=GameConfig.check_irregular(0, int(opts["n2"])), seed=seed,
-                          n_exclusive=0)
+    if name == "fig8":  # the sweep replaces n1, keeping n2; n1 = 1 gives n2 = 0 an agent
+        n1 = int(opts["n2"] == 0)
+        base = GameConfig(n_agents=GameConfig.check_irregular(n1, int(opts["n2"])), seed=seed,
+                          n_exclusive=n1)
     values = tuple(int(v) for v in opts["values"])
     if len(_FIGURES[name]["values"]) == 1 and len(values) != 1:
         raise ConfigError(f"values: {name} plays one game and takes one value, got {values}")
     ticks, n_seeds = int(opts["T"]), int(opts["seeds"])
-    spec = SweepSpec(base, "n1" if name == "fig8" else "N", values)
-    spec.validate()
+    spec = SweepSpec(base, values)
     check_run(base, ticks, n_seeds)
 
     if name in ("fig6_1", "fig7", "fig8"):

@@ -36,7 +36,8 @@ __all__ = [
 ]
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v)
+    # an empty entry, as in "8,,16", is refused by int(""), not dropped
+    return tuple(int(v) for v in text.split(",")) if text else ()
 
 
 def _window(text: str) -> tuple[int, int] | None:
@@ -143,15 +144,17 @@ def _build(raw: dict) -> ParsedConfig:
 
     fields = {field: raw[key] for key, (field, _, _) in CONFIG_KEYS.items() if key in raw}
     game = GameConfig(n_exclusive=n_exclusive, **fields)
-    game.validate()
 
     ticks, n_seeds, window = raw.get("T"), raw.get("seeds"), raw.get("window")
     check_run(game, ticks, n_seeds, window)
 
     sweep = None
-    if "sweep" in raw:
-        sweep = SweepSpec(game, raw["sweep"], tuple(raw.get("values", ())))
-        sweep.validate()
+    if "sweep" in raw:  # the topology sets what a sweep varies; the key must agree
+        swept = "N" if n_exclusive is None else "n1"
+        if raw["sweep"] != swept:
+            raise ConfigError(f"sweep: topology={raw.get('topology', 'regular')} sweeps {swept}, "
+                              f"got sweep={raw['sweep']}")
+        sweep = SweepSpec(game, tuple(raw.get("values", ())))
     elif "values" in raw:
         raise ConfigError("values: only valid together with sweep=")
 

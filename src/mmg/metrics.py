@@ -207,8 +207,7 @@ def predicted_occupancies(n_agents: int, n_markets: int, n_strategies: int) -> l
     GameConfig.check_counts(N=n_agents, K=n_markets, s=n_strategies)
     if n_markets == 1:
         return [float(n_agents)]
-    table_bytes = GameConfig(n_agents=n_agents, seed=0, n_markets=n_markets,
-                             n_strategies=n_strategies, memory=1).table_bytes
+    table_bytes = (n_agents * n_markets * n_strategies) << 1  # N*K*s*2**m at m=1
     if table_bytes > MAX_TABLE_BYTES:
         # K is at fault when the one-market game would fit
         key = "K" if table_bytes // n_markets <= MAX_TABLE_BYTES else "N"

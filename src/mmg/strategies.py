@@ -48,7 +48,7 @@ def agent_chunks(cfg: GameConfig, pair_bytes: int) -> Iterator[tuple[slice, np.n
 
 def draw_strategies(rng: np.random.Generator, cfg: GameConfig) -> np.ndarray:
     """Draw every strategy table of the game ``cfg``, i.i.d. fair bits with
-    replacement, from ``rng``; a bad game raises ``ConfigError``.
+    replacement, from ``rng``. The game checked itself when it was built.
 
     Returns the ``(K * 2**m, s, N)`` int8 tables; the entries of unlinked
     (agent, market) pairs are zero and never consulted. Bits are consumed
@@ -63,7 +63,6 @@ def draw_strategies(rng: np.random.Generator, cfg: GameConfig) -> np.ndarray:
     of four, turns their bytes into values in place and carries the 0-3
     values past its own over: the chunks read the same words as one call.
     """
-    cfg.validate()
     n_agents, n_markets, n_strategies = cfg.n_agents, cfg.n_markets, cfg.n_strategies
     P = 1 << cfg.memory
     tables = np.zeros((n_markets * P, n_strategies, n_agents), dtype=np.int8)

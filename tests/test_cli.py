@@ -167,12 +167,23 @@ class TestExitCodes:
         ("N=8 sweep=N values=0,8", "values"),
         ("topology=irregular n1=3 n2=3 sweep=n1 values=-3", "values"),
         ("N=8 sweep=N values=8 window=0:50", "window"),
+        # a regular game sweeps N, an irregular one n1: this N sweep played regular games
+        ("topology=irregular n1=5 n2=5 sweep=N values=8,16", "sweep"),
+        ("N=8 sweep=n1 values=2", "sweep"),
     ])
     def test_bad_sweep_input(self, tmp_path, capsys, game, key):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(f"{game} m=3 seed=1 T=30 seeds=1\n")
         assert cli_main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
+    @pytest.mark.parametrize("values", ["8,,16", "8,", ",8"])
+    def test_empty_sweep_value_refused(self, tmp_path, capsys, values):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"N=8 m=3 seed=1 T=30 seeds=1 sweep=N values={values}\n")
+        assert cli_main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"values: expected comma-separated integers, got '{values}'\n")
 
     @pytest.mark.parametrize("game", [
         "N=8 sweep=N values=8,2000",

@@ -1,6 +1,6 @@
 import importlib.util
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +157,7 @@ class TestSummaryTable:
 
 class TestQSweep:
     def test_single_value_equals_ensemble(self):
-        spec = SweepSpec(base=tiny_cfg(), param="N", values=(9,))
+        spec = SweepSpec(base=tiny_cfg(), values=(9,))
         table = q_sweep(spec, 40, 3)
         assert len(table["N"]) == 1
         direct = sweep_row(ensemble_run(tiny_cfg(), 40, 3))
@@ -180,26 +180,23 @@ class TestQSweep:
         from mmg import experiments
 
         monkeypatch.setattr(experiments, "run", no_game)
-        spec = SweepSpec(base=tiny_cfg(), param="N", values=())
         with pytest.raises(ConfigError, match="^values:"):
-            q_sweep(spec, 30, 2)
+            q_sweep(SweepSpec(base=tiny_cfg(), values=()), 30, 2)
 
-    @pytest.mark.parametrize("param, base, values, key", [
-        ("N", tiny_cfg(), (9, 9), "values"),
-        ("n1", tiny_cfg(n_agents=6, n_exclusive=3), (4, 0, 4), "values"),
-        ("N", tiny_cfg(), (9, 0), "values"),
-        ("n1", tiny_cfg(n_agents=3, n_exclusive=3), (0, 4), "values"),
-        ("n1", tiny_cfg(), (4,), "sweep"),
-        ("N", tiny_cfg(memory=20), (9, 2000), "m"),
+    @pytest.mark.parametrize("base, values, key", [
+        (tiny_cfg(), (9, 9), "values"),
+        (tiny_cfg(n_agents=6, n_exclusive=3), (4, 0, 4), "values"),
+        (tiny_cfg(), (9, 0), "values"),
+        (tiny_cfg(n_agents=3, n_exclusive=3), (0, 4), "values"),
+        (tiny_cfg(memory=20), (9, 2000), "m"),
     ])
-    def test_bad_spec_raises_before_any_game(self, monkeypatch, param, base, values, key):
+    def test_bad_spec_raises_before_any_game(self, monkeypatch, base, values, key):
         # a repeated value would replay the same child seeds and give identical rows
         from mmg import experiments
 
         monkeypatch.setattr(experiments, "run", no_game)
-        spec = SweepSpec(base=base, param=param, values=values)
         with pytest.raises(ConfigError, match=f"^{key}[:=]"):
-            q_sweep(spec, 30, 2)
+            q_sweep(SweepSpec(base=base, values=values), 30, 2)
 
     @pytest.mark.parametrize("kwargs, key", [
         (dict(window=(0, 500)), "window"),
@@ -208,24 +205,24 @@ class TestQSweep:
         from mmg import experiments
 
         monkeypatch.setattr(experiments, "run", no_game)
-        spec = SweepSpec(base=tiny_cfg(), param="N", values=(9,))
+        spec = SweepSpec(base=tiny_cfg(), values=(9,))
         with pytest.raises(ConfigError, match=f"^{key}: "):
             q_sweep(spec, 50, 2, **kwargs)
 
     def test_points_ordered_by_q(self):
-        spec = SweepSpec(base=tiny_cfg(), param="N", values=(16, 4, 8))
+        spec = SweepSpec(base=tiny_cfg(), values=(16, 4, 8))
         table = q_sweep(spec, 30, 2)
         assert table["N"].tolist() == [4, 8, 16]
         assert np.all(np.diff(table["Q"]) > 0)
 
     def test_big_plus_small_is_n(self):
-        spec = SweepSpec(base=tiny_cfg(), param="N", values=(12,))
+        spec = SweepSpec(base=tiny_cfg(), values=(12,))
         table = q_sweep(spec, 60, 3)
         assert table["o_big_mean"][0] + table["o_small_mean"][0] == pytest.approx(12.0)
 
     def test_irregular_sweep_configs(self):
         base = tiny_cfg(n_agents=6, n_exclusive=3, n_markets=2)
-        spec = SweepSpec(base=base, param="n1", values=(2, 5))
+        spec = SweepSpec(base=base, values=(2, 5))
         table = q_sweep(spec, 30, 2)
         assert table["N1"].tolist() == [2, 5]
         # all agents accounted for at each point
@@ -234,9 +231,19 @@ class TestQSweep:
 
     def test_n1_sweep_of_a_base_without_exclusive_agents(self):
         # n_exclusive = 0 is an irregular base whose n2 is all N agents
-        spec = SweepSpec(base=tiny_cfg(n_agents=5, n_exclusive=0), param="n1", values=(0, 3))
-        spec.validate()
+        spec = SweepSpec(base=tiny_cfg(n_agents=5, n_exclusive=0), values=(0, 3))
         assert [(cfg.n_agents, cfg.n_exclusive) for cfg in spec.configs()] == [(5, 0), (8, 3)]
+
+    def test_spec_is_refused_when_built(self):
+        with pytest.raises(ConfigError, match="^values:"):
+            SweepSpec(tiny_cfg(), (9, 9))
+
+    def test_base_game_sets_the_parameter(self):
+        assert [f.name for f in fields(SweepSpec)] == ["base", "values"]
+        regular = SweepSpec(tiny_cfg(), (4, 8)).configs()
+        assert [(cfg.n_agents, cfg.n_exclusive) for cfg in regular] == [(4, None), (8, None)]
+        irregular = SweepSpec(tiny_cfg(n_agents=6, n_exclusive=2), (1, 5)).configs()
+        assert [(cfg.n_agents, cfg.n_exclusive) for cfg in irregular] == [(5, 1), (9, 5)]
 
 
 class TestRelaxationTrend:
@@ -427,6 +434,12 @@ class TestFigureDatasets:
         monkeypatch.setattr(experiments, "run", no_game)
         with pytest.raises(ConfigError, match=f"^n2: must be >= 0, got {n2}$"):
             figure_dataset("fig8", n2=n2, values=values, T=20, seeds=1)
+
+    def test_fig8_without_shared_agents(self):
+        # n2 = 0: every agent is exclusive to market 0
+        table = figure_dataset("fig8", n2=0, values=[3], T=20, seeds=1)["fig8"]
+        assert table["N1"].tolist() == [3]
+        assert table["o_m1_mean"].tolist() == [3.0] and table["o_m2_mean"].tolist() == [0.0]
 
 
 def closed_form_fig6(cfg: GameConfig, ticks: int, theta: float) -> dict:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -45,15 +46,15 @@ class TestParseConfig:
         # 200000 agents at m=20 would ask for about 781 GiB of tables; the
         # config is refused before anything is allocated
         with pytest.raises(ConfigError, match="^m: .*838860800000 bytes"):
-            GameConfig(n_agents=200_000, seed=1, memory=20).validate()
+            GameConfig(n_agents=200_000, seed=1, memory=20)
         with pytest.raises(ConfigError, match="^m: "):
             parse_config("N=200000 m=20 seed=1")
 
     def test_table_budget_is_inclusive(self):
         n = MAX_TABLE_BYTES >> 12  # N*K*s*2**m at exactly the budget for K=s=2, m=10
-        GameConfig(n_agents=n, seed=1, memory=10).validate()
+        GameConfig(n_agents=n, seed=1, memory=10)
         with pytest.raises(ConfigError, match="^m: "):
-            GameConfig(n_agents=n + 1, seed=1, memory=10).validate()
+            GameConfig(n_agents=n + 1, seed=1, memory=10)
         with pytest.raises(ConfigError, match="^m: "):
             parse_config(f"N={n} K=3 m=10 seed=1")
 
@@ -147,6 +148,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="^values:"):
             parse_config(text)
 
+    @pytest.mark.parametrize("text", [
+        "topology=irregular n1=5 n2=5 seed=1 sweep=N values=8,16 T=10 seeds=1",
+        "N=8 seed=1 sweep=n1 values=2",
+    ])
+    def test_sweep_key_must_match_the_topology(self, text):
+        # a regular game sweeps N, an irregular one n1; an N sweep of an
+        # irregular game played regular games
+        with pytest.raises(ConfigError, match="^sweep"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("values", ["8,,16", "8,", ",8", ","])
+    def test_empty_list_entry_refused(self, values):
+        # each was read as the list without its empty entries
+        message = f"values: expected comma-separated integers, got '{values}'"
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            parse_config(f"N=8 seed=1 sweep=N values={values}")
+
+    def test_empty_values(self):
+        with pytest.raises(ConfigError, match="^values: need distinct values, at least one"):
+            parse_config("N=8 seed=1 sweep=N values=")
+
     def test_swept_n1_may_be_zero(self):
         parsed = parse_config("topology=irregular n1=3 n2=3 seed=1 sweep=n1 values=0,4")
         assert parsed.sweep.values == (0, 4)
@@ -180,13 +202,23 @@ class TestParseConfig:
         ("uniform", -1e308, 1e308),  # each bound finite, their difference not
     ])
     def test_non_finite_utility_bounds(self, init, low, high):
-        cfg = GameConfig(n_agents=5, seed=1, init_utilities=init, u_low=low, u_high=high)
         with pytest.raises(ConfigError, match="^u_low/u_high: "):
-            cfg.validate()
+            GameConfig(n_agents=5, seed=1, init_utilities=init, u_low=low, u_high=high)
 
     def test_malformed_token(self):
         with pytest.raises(ConfigError, match="key=value"):
             parse_config("N=5 seed=1 whatisthis")
+
+
+class TestValidByConstruction:
+    def test_bad_game_is_refused_when_built(self):
+        with pytest.raises(ConfigError, match="^N:"):
+            GameConfig(n_agents=0, seed=1)
+
+    def test_replace_checks_the_new_game(self):
+        valid = GameConfig(n_agents=5, seed=1)
+        with pytest.raises(ConfigError, match="^seed:"):
+            dataclasses.replace(valid, seed=-1)
 
 
 class TestConfigKeys:
@@ -211,7 +243,7 @@ class TestConfigKeys:
         }
         field, _, _ = CONFIG_KEYS[key]
         with pytest.raises(ConfigError) as info:
-            GameConfig(n_agents=5, seed=1, **{field: "bogus"}).validate()
+            GameConfig(n_agents=5, seed=1, **{field: "bogus"})
         assert str(info.value) == f"{key}: must be one of {choices[key]}, got 'bogus'"
 
     @pytest.mark.parametrize("topology", [{}, {"n_exclusive": 2}])

@@ -33,7 +33,9 @@ def make_records(occupancy, demand, history=None, n_switched=None, memory=5):
     if n_switched is None:
         n_switched = np.zeros(ticks, dtype=np.int64)
     return RunRecords(
-        config=GameConfig(n_agents=int(occupancy[0].sum()), seed=0, n_markets=k, memory=memory),
+        # a game has an agent: an all-empty first row stands for one
+        config=GameConfig(n_agents=int(occupancy[0].sum()) or 1, seed=0, n_markets=k,
+                          memory=memory),
         t=np.arange(ticks, dtype=np.int64),
         occupancy=occupancy,
         demand=demand,
@@ -287,7 +289,7 @@ class TestPredictions:
         with pytest.raises(ConfigError) as predicted:
             predicted_occupancies(n, k, s)
         with pytest.raises(ConfigError) as game:
-            GameConfig(n_agents=n, seed=1, n_markets=k, n_strategies=s).validate()
+            GameConfig(n_agents=n, seed=1, n_markets=k, n_strategies=s)
         assert str(predicted.value) == str(game.value) == f"{key}: must be >= 1, got 0"
         if key == "s":
             with pytest.raises(ConfigError) as irregular:

@@ -108,3 +108,18 @@ def test_no_underscore_name_imported_from_another_module(path):
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(mmg.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_validate_method(path):
+    # GameConfig and SweepSpec check themselves when built; a validate()
+    # method is a check each caller must remember, so none is defined or called
+    found = [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "validate"
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "validate"
+    ]
+    assert found == []

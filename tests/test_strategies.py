@@ -143,9 +143,9 @@ class TestDrawStrategies:
         (dict(memory=0), "m"), (dict(n_exclusive=9), "n1"), (dict(n_markets=3, n_exclusive=1), "K"),
     ])
     def test_bad_game_names_its_key(self, kw, key):
-        cfg = GameConfig(**{**dict(n_agents=5, seed=0, memory=2), **kw})
         with pytest.raises(ConfigError, match=f"^{key}: "):
-            draw_strategies(game_rng(0), cfg)
+            draw_strategies(game_rng(0),
+                            GameConfig(**{**dict(n_agents=5, seed=0, memory=2), **kw}))
 
     def test_uniform_over_tables(self):
         # N=K=s=1, m=1: four possible 2-bit tables, each expected 1/4 of seeds.

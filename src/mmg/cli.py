@@ -121,14 +121,17 @@ def _read(path: Path, what: str) -> str:
         raise ConfigError(f"{what}: cannot read {path}: {reason}") from None
 
 
-def _load_config(args, *required: str) -> ParsedConfig:
-    """Flags over the config file; each ``required`` key (T, seeds or sweep) must be set."""
+def _load_config(args, *required: str, optional: tuple[str, ...] = ()) -> ParsedConfig:
+    """Flags over the config file; each ``required`` directive (T, seeds or
+    sweep) must be set, and no directive but those and ``optional`` may be."""
     text = "" if args.config is None else _read(args.config, "config")
     overrides = {k: v for k, v in vars(args).items() if k in FILE_KEYS}  # flags named by key
     parsed = parse_config(text, overrides=overrides)
-    given = {"T": parsed.ticks, "seeds": parsed.n_seeds, "sweep": parsed.sweep}
+    for key in parsed.directives:
+        if key not in required + optional:
+            raise ConfigError(f"{key}: not read by {args.command}")
     for key in required:
-        if given[key] is None:
+        if key not in parsed.directives:
             raise ConfigError(f"{key}: required for {args.command}")
     return parsed
 
@@ -153,7 +156,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    parsed = _load_config(args, "T", "seeds")
+    parsed = _load_config(args, "T", "seeds", optional=("window",))
     summaries = ensemble_run(parsed.game, parsed.ticks, parsed.n_seeds, window=parsed.window)
     _write(render_table(summary_table(summaries)), args.out)
     if all(s.failed for s in summaries):
@@ -162,7 +165,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    parsed = _load_config(args, "sweep", "T", "seeds")
+    parsed = _load_config(args, "sweep", "T", "seeds", optional=("values", "window"))
     table = q_sweep(parsed.sweep, parsed.ticks, parsed.n_seeds, window=parsed.window)
     _write(render_table(table), args.out)
     return 0

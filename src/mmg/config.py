@@ -11,9 +11,8 @@ config format writes that game as ``topology=irregular n1= n2=``
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "ConfigError",
@@ -32,10 +31,9 @@ MAX_MEMORY = 24  # keeps 2**m indexable in a machine word with headroom
 # scores, one-hot side; 7.5x and 5.25x when int32), and 13x and 9x for a
 # game under 512*K agents, on the bincount side (tracemalloc after
 # ``init_game`` and one ``step``, per byte of tables as N grows).
-# ``init_game`` draws the tables and uniform initial utilities in place, one
-# chunk of agents and their link-mask rows at a time, so it holds the arrays
-# the game keeps plus one chunk (``strategies._CHUNK_BYTES``), never a second
-# copy of the tables nor the whole (N, K) mask.
+# ``init_game`` draws the tables and uniform initial utilities in place, so it
+# holds the arrays the game keeps plus one chunk (``strategies._CHUNK_BYTES``),
+# never a second copy of the tables nor a mask of the links.
 # A run's records, 8*T*(4K+3) bytes, are held to the same budget.
 MAX_TABLE_BYTES = 1 << 30
 
@@ -85,8 +83,7 @@ class GameConfig:
     def check_ticks(self, ticks: int) -> None:
         """Refuse a run of ``ticks`` ticks before anything is allocated: T < 1,
         or int64 records of 8*T*(4K+3) bytes over ``MAX_TABLE_BYTES``."""
-        if ticks < 1:
-            raise ConfigError(f"T: must be >= 1, got {ticks}")
+        GameConfig.check_counts(T=ticks)
         record_bytes = 8 * ticks * (4 * self.n_markets + 3)
         if record_bytes > MAX_TABLE_BYTES:
             raise ConfigError(
@@ -94,14 +91,13 @@ class GameConfig:
                 f"over the budget of {MAX_TABLE_BYTES}; lower T"
             )
 
-    def link_mask(self, agents: slice = slice(None)) -> np.ndarray:
-        """(N, K) boolean mask of the markets each agent is linked to, or its rows
-        ``agents``, a slice of step 1."""
-        start, stop, _ = agents.indices(self.n_agents)
-        mask = np.ones((max(stop - start, 0), self.n_markets), dtype=bool)
-        if self.n_exclusive is not None:
-            mask[: max(self.n_exclusive - start, 0), 1] = False
-        return mask
+    def agent_runs(self) -> list[tuple[slice, int]]:
+        """The runs of agents, in agent order, each with the count k of leading
+        markets its agents are linked to: ``[(slice(0, n1), 1), (slice(n1, N),
+        K)]``, empty runs left out, so a regular game is one run."""
+        n1 = self.n_exclusive or 0
+        runs = [(slice(0, n1), 1), (slice(n1, self.n_agents), self.n_markets)]
+        return [(agents, k) for agents, k in runs if agents.start < agents.stop]
 
     @staticmethod
     def check_irregular(n1: int | None, n2: int | None, n_agents: int | None = None,
@@ -122,13 +118,30 @@ class GameConfig:
         return n1 + n2
 
     @staticmethod
+    def check_kind(key: str, value, kind: type | tuple[str, ...]) -> None:
+        """Refuse, naming ``key``, a value not of ``kind`` (as in ``CONFIG_KEYS``):
+        a string not in the tuple, a bool, or for ``int`` a non-integral value
+        and for ``float`` a non-real one."""
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise ConfigError(f"{key}: must be one of {kind}, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if kind is int else numbers.Real):
+            raise ConfigError(f"{key}: expected {'an integer' if kind is int else 'a number'}, "
+                              f"got {value!r}")
+
+    @staticmethod
     def check_counts(**counts: int) -> None:
-        """Refuse, in the order given, a count (N, K or s) below 1, naming its key."""
+        """Refuse, in the order given, a count (N, K, s, T or seeds) that is not an
+        int or is below 1, naming its key."""
         for key, value in counts.items():
+            GameConfig.check_kind(key, value, int)
             if value < 1:
                 raise ConfigError(f"{key}: must be >= 1, got {value}")
 
     def __post_init__(self) -> None:
+        for key, (field, kind, _) in CONFIG_KEYS.items():
+            GameConfig.check_kind(key, getattr(self, field), kind)
         GameConfig.check_counts(N=self.n_agents, K=self.n_markets, s=self.n_strategies)
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
@@ -139,10 +152,6 @@ class GameConfig:
                 f"m: strategy tables need N*K*s*2**m = {self.table_bytes} bytes, over the "
                 f"budget of {MAX_TABLE_BYTES}; lower m, N, K or s"
             )
-        for key, (field, kind, _) in CONFIG_KEYS.items():
-            value = getattr(self, field)
-            if isinstance(kind, tuple) and value not in kind:
-                raise ConfigError(f"{key}: must be one of {kind}, got {value!r}")
         if not math.isfinite(self.u_high - self.u_low):
             raise ConfigError(
                 f"u_low/u_high: need finite bounds with a finite u_high - u_low, "
@@ -151,6 +160,7 @@ class GameConfig:
         if self.init_utilities == "uniform" and not self.u_low < self.u_high:
             raise ConfigError(f"u_low/u_high: need u_low < u_high, got [{self.u_low}, {self.u_high}]")
         if self.n_exclusive is not None:
+            GameConfig.check_kind("n1", self.n_exclusive, int)
             if self.n_exclusive > self.n_agents:
                 raise ConfigError(f"n1: must be <= N = {self.n_agents}, got {self.n_exclusive}")
             # n2 = N - n1 >= 0 here, so only n1 < 0 and K != 2 are left to refuse

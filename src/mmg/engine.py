@@ -198,13 +198,13 @@ class GameState:
     all of them every tick, except that a game with fewer than
     ``ARGMAX_AGENTS`` agents reads neither ``weights``, ``rows`` nor
     ``count_ties``. ``step`` writes the next histories into ``histories`` in
-    place. ``__post_init__`` writes the unlinked entries of ``scores`` from
-    the config's whole link mask, built and dropped there (init holds one
-    chunk's rows of it at a time): ``UNLINKED_SCORE`` in int32 scores and
-    -inf in float64 ones. A write through ``utilities`` must leave them so,
-    or an agent may pick a strategy on a market it is not linked to. Besides the
-    tables and the scores, a game keeps ``agents`` (8*N) and ``last_market``
-    (8*N, or N on the one-hot side of ``step``), not ``choice_mask``; see
+    place. ``__post_init__`` writes the unlinked entries of ``scores``, rows
+    ``k*s:`` of each run of agents (``GameConfig.agent_runs``):
+    ``UNLINKED_SCORE`` in int32 scores and -inf in float64 ones. A write
+    through ``utilities`` must leave them so, or an agent may pick a strategy
+    on a market it is not linked to. Besides the tables and the scores, a
+    game keeps ``agents`` (8*N) and ``last_market`` (8*N, or N on the
+    one-hot side of ``step``), not ``choice_mask``; see
     ``config.MAX_TABLE_BYTES`` for what that adds up to.
     """
 
@@ -226,9 +226,8 @@ class GameState:
         n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
         rows = k_markets * s
         unlinked = UNLINKED_SCORE if self.scores.dtype == np.int32 else -np.inf
-        # the (K, N) link mask broadcast over each market's s slots
-        np.copyto(self.scores.reshape(k_markets, s, n, copy=False), unlinked,
-                  where=~cfg.link_mask().T[:, None, :])
+        for agents, k in cfg.agent_runs():
+            self.scores[k * s:, agents] = unlinked
         self.weights = np.arange(rows, 0, -1, dtype=np.min_scalar_type(rows))[:, None]
         self.rows = rows - self.weights
         self.agents = np.arange(n)
@@ -238,8 +237,12 @@ class GameState:
 
     @property
     def choice_mask(self) -> np.ndarray:
-        """(N, K*s) linked-strategy mask, from the config's link mask; ``step`` never reads it."""
-        return np.repeat(self.config.link_mask(), self.config.n_strategies, 1)
+        """(N, K*s) linked-strategy mask, from the config's runs of agents;
+        ``step`` never reads it."""
+        mask = np.zeros(self.scores.shape[::-1], dtype=bool)
+        for agents, k in self.config.agent_runs():
+            mask[agents, :k * self.config.n_strategies] = True
+        return mask
 
     @property
     def utilities(self) -> np.ndarray:
@@ -262,11 +265,11 @@ def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
 
     Given the number of ticks to be played, an integral game gets int32
     scores (see ``UNLINKED_SCORE``); without it, the scores are float64.
-    Tables and uniform initial utilities are drawn in place, one chunk of
-    agents and their link-mask rows at a time (``mmg.strategies.agent_chunks``),
-    every table chunk before the first utility chunk; so init holds the arrays
-    the game keeps plus one chunk, no ``(N, K)`` mask, and reads the random
-    stream as one call per draw would. The game checked itself when it was
+    Tables and uniform initial utilities are written in place, one block of
+    a run of agents at a time (``mmg.strategies.agent_chunks``), every table
+    chunk before the first utility chunk; so init holds the arrays the game
+    keeps plus one chunk, no mask of the links, and reads the random stream
+    as one call per draw would. The game checked itself when it was
     built.
     """
     rng = game_rng(cfg.seed)
@@ -276,9 +279,9 @@ def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
     if cfg.init_utilities == "uniform":
         # (N, K, s) view of the scores; uniform reads one 64-bit word a value
         utilities = scores.reshape(k_markets, s, n).transpose(2, 0, 1)
-        for agents, mask in agent_chunks(cfg, 8 * s):
-            pairs = int(np.count_nonzero(mask))
-            utilities[agents][mask] = rng.uniform(cfg.u_low, cfg.u_high, size=(pairs, s))
+        for agents, k in agent_chunks(cfg, 8 * s):
+            block = utilities[agents, :k]
+            block[...] = rng.uniform(cfg.u_low, cfg.u_high, size=block.shape)
     histories = rng.integers(0, 1 << cfg.memory, size=k_markets, dtype=np.int64)
     return GameState(config=cfg, rng=rng, tables=tables, scores=scores, histories=histories)
 

@@ -8,7 +8,6 @@ their error message instead of aborting the ensemble.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,8 +98,8 @@ def check_run(cfg: GameConfig, ticks: int | None, n_seeds: int | None = None,
               window: tuple[int, int] | None = None) -> None:
     """Refuse, with a ConfigError naming the key, a ``ticks``, ``n_seeds`` or
     ``window`` no ensemble of ``cfg`` can use; None is unchecked."""
-    if n_seeds is not None and n_seeds < 1:
-        raise ConfigError(f"seeds: must be >= 1, got {n_seeds}")
+    if n_seeds is not None:
+        GameConfig.check_counts(seeds=n_seeds)
     if ticks is not None:
         cfg.check_ticks(ticks)
     if window is not None:
@@ -397,8 +396,7 @@ def figure_dataset(name: str, **overrides) -> dict[str, Table]:
         raise ConfigError(f"values: expected a list of integers, got {opts['values']!r}")
     for key, value in opts.items():  # refused, not truncated: 40.7 is not T=40
         for entry in value if key == "values" else (value,):
-            if isinstance(entry, bool) or not isinstance(entry, numbers.Integral):
-                raise ConfigError(f"{key}: expected an integer, got {entry!r}")
+            GameConfig.check_kind(key, entry, int)
     seed = int(opts["seed"])
     game = {"fig5": dict(init_utilities="uniform"), "fig6": dict(init_utilities="uniform"),
             "fig010": dict(n_markets=3)}.get(name, {})

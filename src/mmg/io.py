@@ -70,13 +70,15 @@ _EXPECTED = {
 
 @dataclass(frozen=True)
 class ParsedConfig:
-    """Validated game config plus run/sweep directives from the same file."""
+    """Validated game config plus run/sweep directives from the same file;
+    ``directives`` names those given, in the order read."""
 
     game: GameConfig
     ticks: int | None = None
     n_seeds: int | None = None
     sweep: SweepSpec | None = None
     window: tuple[int, int] | None = None
+    directives: tuple[str, ...] = ()
 
 
 def _tokenize(text: str):
@@ -158,7 +160,8 @@ def _build(raw: dict) -> ParsedConfig:
     elif "values" in raw:
         raise ConfigError("values: only valid together with sweep=")
 
-    return ParsedConfig(game=game, ticks=ticks, n_seeds=n_seeds, sweep=sweep, window=window)
+    directives = tuple(key for key in raw if key in ("T", "seeds", "sweep", "values", "window"))
+    return ParsedConfig(game, ticks, n_seeds, sweep, window, directives)
 
 
 # --- number and record formatting ------------------------------------------

@@ -8,7 +8,6 @@ the transient before the occupancies settle.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +57,10 @@ def resolve_window(n_ticks: int | None, window: tuple[int, int] | None) -> tuple
     ``window``; ``None`` -> last half. A bool is not an integer."""
     if window is None:
         window = (n_ticks // 2, n_ticks)
-    if not (isinstance(window, (tuple, list)) and len(window) == 2 and all(
-            isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in window)):
+    if not (isinstance(window, (tuple, list)) and len(window) == 2):
         raise ConfigError(f"window: need two integers [start, stop), got {window!r}")
+    for x in window:
+        GameConfig.check_kind("window", x, int)
     start, stop = int(window[0]), int(window[1])
     if not 0 <= start < stop <= (stop if n_ticks is None else n_ticks):
         raise ConfigError(f"window: need 0 <= start < stop <= T, got [{start}, {stop}) "

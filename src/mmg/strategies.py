@@ -13,11 +13,11 @@ agent's s slots on market k at history mu, one ``(s, N)`` block, which is
 what the engine reads each tick. Agent n's slot-i action there is
 ``tables[k * 2**m + mu, i, n]``.
 
-The draw takes the game and writes its tables in place, one chunk of whole
-agents and their link-mask rows at a time (``agent_chunks``), so it holds
-the tables plus one chunk, never a second array the size of the tables nor
-the ``(N, K)`` mask. The chunks read the random stream exactly as one call
-over the whole game would.
+The draw takes the game and writes its tables in place, one block of a
+run of agents at a time (``agent_chunks``): the agents of a run and the k
+leading markets they are linked to. So it holds the tables plus one chunk,
+never a second array the size of the tables nor a mask of the links. The
+chunks read the random stream exactly as one call over the whole game would.
 """
 
 from __future__ import annotations
@@ -30,20 +30,20 @@ from .config import GameConfig
 
 __all__ = ["draw_strategies"]
 
-# Most bytes one chunk of an in-place draw holds: its drawn values and the
-# two intp indices per linked (agent, market) pair that scatter them. A
-# chunk holds at least one agent.
+# Most bytes one chunk of an in-place draw holds. A chunk holds at least one
+# agent.
 _CHUNK_BYTES = 1 << 18
 
 
-def agent_chunks(cfg: GameConfig, pair_bytes: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Runs of whole agents of the game ``cfg``, in agent order, with each
-    run's rows of its link mask: at most ``_CHUNK_BYTES`` a run, counting
-    ``pair_bytes`` of values and 16 bytes of index per linked pair."""
-    step = max(_CHUNK_BYTES // (cfg.n_markets * (pair_bytes + 16)), 1)
-    for start in range(0, cfg.n_agents, step):
-        agents = slice(start, start + step)
-        yield agents, cfg.link_mask(agents)
+def agent_chunks(cfg: GameConfig, pair_bytes: int) -> Iterator[tuple[slice, int]]:
+    """Chunks of whole agents of the game ``cfg``, in agent order, each with
+    the count k of leading markets its agents are linked to: every run of
+    ``cfg.agent_runs()`` cut into chunks of at most ``_CHUNK_BYTES``, counting
+    ``pair_bytes`` per linked (agent, market) pair."""
+    for run, k in cfg.agent_runs():
+        step = max(_CHUNK_BYTES // (k * pair_bytes), 1)
+        for start in range(run.start, run.stop, step):
+            yield slice(start, min(start + step, run.stop)), k
 
 
 def draw_strategies(rng: np.random.Generator, cfg: GameConfig) -> np.ndarray:
@@ -55,7 +55,7 @@ def draw_strategies(rng: np.random.Generator, cfg: GameConfig) -> np.ndarray:
     agent-major, then market, then slot, then history index, and only for
     linked (agent, market) pairs, so a seed pins the tables bit for bit.
     The storage order does not change the draw order: each chunk of agents
-    is scattered through an agent-major view of the tables.
+    is written to its block of an agent-major view of the tables.
 
     NumPy's int8 draw in [0, 2) reads each value from the top bit of a byte
     of a 32-bit word, low byte first, and drops a call's unused last bytes.
@@ -69,9 +69,12 @@ def draw_strategies(rng: np.random.Generator, cfg: GameConfig) -> np.ndarray:
     # (N, K, s, 2**m) view: agent, market, slot, history
     agent_first = tables.reshape(n_markets, P, n_strategies, n_agents).transpose(3, 0, 2, 1)
     carry = np.empty(0, dtype=np.int8)
-    for agents, mask in agent_chunks(cfg, n_strategies * P):
-        pairs = int(np.count_nonzero(mask))
-        need = pairs * n_strategies * P
+    # a chunk's words are a byte a value; counting 4 bounds all the draw holds
+    # at once: the last chunk's words too, kept until the next draw returns,
+    # and the joined copy when values carry over
+    for agents, k in agent_chunks(cfg, 4 * n_strategies * P):
+        block = agent_first[agents, :k]
+        need = block.size
         words = rng.integers(0, 1 << 32, size=(need - len(carry) + 3) // 4, dtype=np.uint32)
         bits = words.astype("<u4", copy=False).view(np.uint8)  # little-endian bytes
         bits = np.right_shift(bits, 7, out=bits).view(np.int8)
@@ -80,5 +83,5 @@ def draw_strategies(rng: np.random.Generator, cfg: GameConfig) -> np.ndarray:
         bits, carry = bits[:need], bits[need:]
         bits *= 2
         bits -= 1
-        agent_first[agents][mask] = bits.reshape(pairs, n_strategies, P)
+        block[...] = bits.reshape(block.shape)
     return tables

@@ -1,6 +1,9 @@
-"""Test helpers: play one tick of a game through ``mmg.step``; name a game's topology."""
+"""Test helpers: play one tick of a game through ``mmg.step``; name a game's
+topology and build its link mask."""
 
 from types import SimpleNamespace
+
+import numpy as np
 
 from mmg import RunRecords, step
 
@@ -19,3 +22,11 @@ def one_tick(state):
 def topology_kind(cfg):
     """``regular``, or ``irregular`` when ``cfg`` sets ``n_exclusive`` (the paper's n1)."""
     return "regular" if cfg.n_exclusive is None else "irregular"
+
+
+def link_mask(cfg):
+    """(N, K) mask of the markets each agent of ``cfg`` is linked to, built
+    from ``n_exclusive`` alone: the first n1 agents lack market 1."""
+    mask = np.ones((cfg.n_agents, cfg.n_markets), dtype=bool)
+    mask[: cfg.n_exclusive or 0, 1:] = False
+    return mask

@@ -147,6 +147,25 @@ class TestExitCodes:
         assert cli_main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "config error: seeds: required for sweep\n"
 
+    @pytest.mark.parametrize("command, directives, key", [
+        ("run", "seeds=3 window=0:3", "seeds"),
+        ("run", "window=0:3 seeds=3", "window"),
+        ("run", "window=last-half", "window"),
+        ("run", "sweep=N values=8,16", "sweep"),
+        ("ensemble", "seeds=2 sweep=N values=8,16", "sweep"),
+    ])
+    def test_unread_directive_is_refused(self, tmp_path, capsys, monkeypatch, command,
+                                         directives, key):
+        # the same keys as flags are usage errors; in a file they were ignored
+        monkeypatch.setattr(cli, "run_game", no_game)
+        monkeypatch.setattr(experiments, "run", no_game)
+        cfg = tmp_path / "game.cfg"
+        cfg.write_text(f"N=8 m=3 seed=1 T=30 {directives}\n")
+        out = tmp_path / "out.csv"
+        assert cli_main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: not read by {command}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "ensemble", "sweep"])
     def test_unreadable_config_file(self, tmp_path, capsys, command):
         # an unreadable file is bad input, like a bad key, not a runtime failure

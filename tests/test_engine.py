@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import one_tick, topology_kind
+from helpers import link_mask, one_tick, topology_kind
 from mmg import ConfigError, GameConfig, RunRecords, engine, init_game, run, step
 from mmg.engine import (
     ARGMAX_AGENTS, ONE_HOT_AGENTS, ONE_HOT_ROWS, SCALAR_DRAWS, UNLINKED_SCORE,
@@ -332,7 +332,7 @@ class TestInvariants:
             assert np.array_equal(state.utilities, expected)
         else:
             # the unlinked entries stay at -inf, where a difference is nan
-            linked = cfg.link_mask()
+            linked = link_mask(cfg)
             tol = 2**-40 * ticks * cfg.n_agents
             assert np.max(np.abs(state.utilities[linked] - expected[linked])) <= tol
             assert np.array_equal(state.utilities[~linked], expected[~linked])

@@ -96,6 +96,21 @@ class TestEnsembleRun:
         with pytest.raises(ConfigError, match=f"^{key}: "):
             ensemble_run(tiny_cfg(), 50, 2, **kwargs)
 
+    @pytest.mark.parametrize("ticks, n_seeds, key", [
+        (10.5, 2, "T"), (True, 2, "T"), ("10", 2, "T"), (10, True, "seeds"), (10, 2.0, "seeds"),
+    ])
+    def test_run_key_of_the_wrong_kind_names_it(self, monkeypatch, ticks, n_seeds, key):
+        # refused before any seed, not recorded as failed seeds
+        from mmg import experiments
+
+        monkeypatch.setattr(experiments, "run", no_game)
+        with pytest.raises(ConfigError, match=f"^{key}: expected an integer, got "):
+            ensemble_run(tiny_cfg(), ticks, n_seeds)
+
+    def test_numpy_run_keys_are_accepted(self):
+        summaries = ensemble_run(tiny_cfg(), np.int64(20), np.int32(2))
+        assert len(summaries) == 2 and not any(s.failed for s in summaries)
+
     def test_failure_keeps_exception_type(self, monkeypatch):
         from mmg import experiments
 

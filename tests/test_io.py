@@ -220,6 +220,24 @@ class TestValidByConstruction:
         with pytest.raises(ConfigError, match="^seed:"):
             dataclasses.replace(valid, seed=-1)
 
+    @pytest.mark.parametrize("kw, key", [
+        (dict(seed=1.5), "seed"), (dict(n_agents=True), "N"), (dict(n_agents=8.5), "N"),
+        (dict(n_agents="8"), "N"), (dict(n_markets=np.float64(2)), "K"),
+        (dict(n_strategies=False), "s"), (dict(memory=3.0), "m"), (dict(u_low="0"), "u_low"),
+        (dict(u_high=None), "u_high"), (dict(u_high=True), "u_high"),
+        (dict(n_exclusive=2.5), "n1"), (dict(n_exclusive=True), "n1"),
+    ])
+    def test_value_of_the_wrong_kind_names_its_key(self, kw, key):
+        # files, flags and manifests convert first; the Python API is checked here
+        kind = "a number" if key.startswith("u_") else "an integer"
+        with pytest.raises(ConfigError, match=f"^{key}: expected {kind}, got "):
+            GameConfig(**{"n_agents": 8, "seed": 1, **kw})
+
+    def test_numpy_numbers_are_accepted(self):
+        cfg = GameConfig(n_agents=np.int64(8), seed=np.uint64(3), memory=np.int32(3),
+                         u_low=np.float32(-1.0), n_exclusive=np.int16(2))
+        assert cfg.agent_runs() == [(slice(0, 2), 1), (slice(2, 8), 2)]
+
 
 class TestConfigKeys:
     def test_one_key_per_field(self):
@@ -492,7 +510,10 @@ class TestManifest:
         # only the first n1 agents' second market is blocked
         blocked = np.zeros((n1 + n2, 2), dtype=bool)
         blocked[:n1, 1] = True
-        assert np.array_equal(~cfg.link_mask(), blocked)
+        linked = np.zeros((n1 + n2, 2), dtype=bool)
+        for agents, k in cfg.agent_runs():
+            linked[agents, :k] = True
+        assert np.array_equal(~linked, blocked)
 
     @staticmethod
     def manifest_with(config=None, **top):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import one_tick
+from helpers import link_mask, one_tick
 from mmg import ConfigError, GameConfig, init_game, run, strategies
+from mmg.engine import UNLINKED_SCORE
 from mmg.rng import game_rng
 from mmg.strategies import draw_strategies
 
@@ -183,11 +184,11 @@ def one_call_draw(rng, cfg):
     """Every table bit of the game ``cfg`` from one ``integers`` call: the
     draw whose tables and generator state the chunked draw reproduces."""
     n_agents, n_markets, n_strategies = cfg.n_agents, cfg.n_markets, cfg.n_strategies
-    P, link_mask = 1 << cfg.memory, cfg.link_mask()
-    bits = rng.integers(0, 2, size=(int(link_mask.sum()), n_strategies, P), dtype=np.int8)
+    P, linked = 1 << cfg.memory, link_mask(cfg)
+    bits = rng.integers(0, 2, size=(int(linked.sum()), n_strategies, P), dtype=np.int8)
     tables = np.zeros((n_markets * P, n_strategies, n_agents), dtype=np.int8)
     agent_first = tables.reshape(n_markets, P, n_strategies, n_agents).transpose(3, 0, 2, 1)
-    agent_first[link_mask] = 2 * bits - 1
+    agent_first[linked] = 2 * bits - 1
     return tables
 
 
@@ -196,10 +197,10 @@ def one_call_init(cfg):
     from uniform initial utilities, each draw one call over the whole game."""
     n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
     rng = game_rng(cfg.seed)
-    link_mask = cfg.link_mask()
+    linked = link_mask(cfg)
     tables = one_call_draw(rng, cfg)
     utilities = np.full((n, k_markets, s), -np.inf)
-    utilities[link_mask] = rng.uniform(cfg.u_low, cfg.u_high, size=(int(link_mask.sum()), s))
+    utilities[linked] = rng.uniform(cfg.u_low, cfg.u_high, size=(int(linked.sum()), s))
     histories = rng.integers(0, 1 << cfg.memory, size=k_markets, dtype=np.int64)
     return tables, utilities, histories, rng.bit_generator.state
 
@@ -216,14 +217,35 @@ CHUNKS = [1, 160]
 
 
 @pytest.mark.parametrize("n, k_markets, n1", GRID_GAMES)
-def test_link_mask_rows_of_a_run_of_agents(n, k_markets, n1):
+def test_chunks_follow_the_runs(monkeypatch, n, k_markets, n1):
+    # agents 0..N-1 once and in order, split at n1: k = 1 below it, K from it
     cfg = GameConfig(n_agents=n, seed=0, n_markets=k_markets, n_exclusive=n1)
-    whole = cfg.link_mask()
-    assert whole.shape == (n, k_markets)
-    cut = n1 or 2  # before, at and after n1, and past N
-    for a, b in [(0, cut - 1), (cut - 1, cut + 1), (cut, cut + 2), (cut + 1, n), (n - 1, n + 4),
-                 (n + 1, n + 3)]:
-        assert np.array_equal(cfg.link_mask(slice(a, b)), whole[a:b]), (a, b)
+    cut = n1 or 0
+    for chunk in [*CHUNKS, strategies._CHUNK_BYTES]:
+        monkeypatch.setattr(strategies, "_CHUNK_BYTES", chunk)
+        for pair_bytes in (1, 24, 160):
+            chunks = list(strategies.agent_chunks(cfg, pair_bytes))
+            assert [a for run, _ in chunks for a in range(run.start, run.stop)] == list(range(n))
+            for run, k in chunks:
+                assert run.start < run.stop and run.step is None
+                assert (run.start < cut) == (run.stop <= cut)  # no chunk spans n1
+                assert k == (1 if run.start < cut else k_markets)
+                # within the chunk bytes, or one agent
+                assert run.stop - run.start == 1 or (run.stop - run.start) * k * pair_bytes <= chunk
+
+
+@pytest.mark.parametrize("ticks", [300, None], ids=["int32", "float64"])
+@pytest.mark.parametrize("n, k_markets, n1", GRID_GAMES)
+def test_choice_mask_and_sentinels_follow_the_links(n, k_markets, n1, ticks):
+    cfg = GameConfig(n_agents=n, seed=n, n_markets=k_markets, n_strategies=3, memory=2,
+                     n_exclusive=n1)
+    state = init_game(cfg, ticks)
+    assert state.scores.dtype == (np.int32 if ticks else np.float64)
+    linked = np.repeat(link_mask(cfg), 3, axis=1)  # (N, K*s), slots of a market together
+    assert np.array_equal(state.choice_mask, linked)
+    # the linked scores start at zero, above the sentinel
+    sentinel = UNLINKED_SCORE if ticks else -np.inf
+    assert np.array_equal(state.scores.T == sentinel, ~linked)
 
 
 class TestChunkedDraw:
@@ -300,8 +322,6 @@ class TestInitMemory:
     @pytest.mark.parametrize("init_utilities", ["zero", "uniform"])
     @pytest.mark.parametrize("name", BIG_GAMES)
     def test_init_game_holds_kept_arrays_plus_one_chunk(self, name, init_utilities):
-        # besides one chunk, N*K bytes: GameState builds the (N, K) link mask
-        # once to write the unlinked scores
         cfg = GameConfig(seed=1, init_utilities=init_utilities, **BIG_GAMES[name])
         over = traced_overhead(lambda: init_game(cfg, 300))
-        assert over <= strategies._CHUNK_BYTES + cfg.n_agents * cfg.n_markets + SLACK
+        assert over <= strategies._CHUNK_BYTES + SLACK

@@ -11,24 +11,28 @@ every linked market -- active and passive alike -- is scored with
 agents whose active market changed since the previous tick is recorded.
 
 Randomness is consumed in a pinned order: at init, endowment bits (NumPy's
-int8 bits, read from its 32-bit words; see ``mmg.strategies``), then
-uniform initial utilities (when enabled), then one initial history per
-market; per tick, one draw in ``[0, n)`` per agent tied between n
-maximizers, in agent index order, picking among them in flat (market,
-slot) order (random tie-breaking only), then one coin per balanced market
-in market index order (coin rule only). A (config, seed) pair therefore
-determines the full trajectory bit for bit. The tie-breaks read the same
-stream whether they are made one scalar call at a time or in one array
-call, and so do the coins; their count this tick picks which
-(``SCALAR_DRAWS``). An agent's draw p picks its (p+1)-th maximizer; with
-many tied agents (``GameState.count_ties``) that is the row whose running
-count of maximizers down the K*s rows first exceeds p, for every agent at
-once, and otherwise it is found among the gathered rows of the tied agents
-alone. Both pick the same row, so the tie count picks only the cheaper
-path. A game with fewer than ``ARGMAX_AGENTS`` agents takes every agent's
-first maximizer from ``argmax`` and finds its tied agents as those whose
-last maximizer (an ``argmax`` up the reversed rows) is another row; it
-picks among the tied agents' own columns, never from the running count.
+int8 bits, read from 32-bit words; see ``mmg.strategies``), then uniform
+initial utilities (when enabled), then one initial history per market; per
+tick, one draw in ``[0, n)`` per agent tied between n maximizers, in agent
+index order, picking among them in flat (market, slot) order (random
+tie-breaking only), then one coin per balanced market in market index order
+(coin rule only). Every draw is made by ``GameState.draws``
+(``mmg.rng.Draws``) from the raw words of the game's PCG64 generator, each
+equal to the NumPy ``Generator`` call it stands for, so the bytes depend
+only on PCG64 and ``SeedSequence``, which NumPy keeps fixed across
+versions, and a (config, seed) pair determines the full trajectory bit for
+bit. The tie-breaks read the same stream whether they are made one scalar
+draw at a time or in one array draw, and so do the coins; their count this
+tick picks which (``SCALAR_DRAWS``). An agent's draw p picks its (p+1)-th
+maximizer; with many tied agents (``GameState.count_ties``) that is the row
+whose running count of maximizers down the K*s rows first exceeds p, for
+every agent at once, and otherwise it is found among the gathered rows of
+the tied agents alone. Both pick the same row, so the tie count picks only
+the cheaper path. A game with fewer than ``ARGMAX_AGENTS`` agents takes
+every agent's first maximizer from ``argmax`` and finds its tied agents as
+those whose last maximizer (an ``argmax`` up the reversed rows) is another
+row; it picks among the tied agents' own columns, never from the running
+count.
 
 ``step`` works on whole arrays of agents and is the only implementation of
 the tick; there are no per-agent helpers. Its arrays keep the agent axis
@@ -72,7 +76,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import GameConfig
-from .rng import game_rng
+from .rng import Draws, game_rng
 from .strategies import agent_chunks, draw_strategies
 
 __all__ = [
@@ -83,22 +87,25 @@ __all__ = [
     "run",
 ]
 
-# A tick with at most this many tie-breaks makes them one scalar
-# ``integers(0, n)`` call each, each picking among its agent's own maximizer
-# rows, and with more makes them in one call with an array of n, picking as
-# set out below. Likewise a tick with at most this many balanced markets
-# draws their coins one scalar ``integers(0, 2)`` call each, and with more
-# in one ``size=`` call. Both read the same numbers and leave the generator
-# in the same state, so the count picks only the cheaper path. Measured at
-# N=11, K*s=4 (numpy 2.4.6, 2-vCPU Xeon): one array call costs about as
-# much as 5-6 scalar tie draws; one ``size=1`` coin about 8.6 us against
-# 2.2 us for a scalar one.
-SCALAR_DRAWS = 4
+# A tick with at most this many tie-breaks makes them one scalar draw
+# (``Draws.integer``) each, each picking among its agent's own maximizer
+# rows, and with more makes them in one array draw (``Draws.integers``),
+# picking as set out below. Likewise a tick with at most this many balanced
+# markets draws their coins one scalar draw each, and with more in one sized
+# draw. Both read the same numbers and leave the generator in the same state,
+# so the count picks only the cheaper path. Per call (numpy 2.4.6, 2-vCPU
+# Xeon), a scalar draw costs about 0.35 us, an array draw of 8 highs 4.4 us
+# and a sized draw of 8 coins 3.6 us. On whole ticks (``scripts/tickbench.py
+# --parent``, m=5, s=2, random ties; us per tick, blocks won of 21), 8 over
+# 4: N11 21.2 -> 20.6 (17), N64 29.2 -> 26.6 (20), N128 30.7 -> 28.1 (20),
+# N11K40 51.8 -> 46.7 (21), N1447s 57.8 -> 57.5 (12); 12 and 16 over 8 moved
+# no game by more than 0.8 us.
+SCALAR_DRAWS = 8
 
 # A game with fewer than this many agents takes each agent's first maximizer
 # from ``argmax`` down its K*s rows and, under random ties, finds the tied
 # agents as those whose first and last maximizers differ, then picks among
-# the tied agents' own columns (one scalar call each, or one gather); it
+# the tied agents' own columns (one scalar draw each, or one gather); it
 # never reads ``weights``, ``rows`` or ``count_ties``. Larger games keep the
 # weights formula and the count of maximizers, since ``argmax`` along axis 0
 # runs one inner loop per agent. Measured on whole ticks, both sides
@@ -193,7 +200,9 @@ class GameState:
     ``mmg.strategies`` and the module docstring); ``utilities`` is the
     read-only ``(N, K, s)`` view of ``scores``, whose items write into
     ``scores``; no module of ``mmg`` reads it (``experiments`` traces fig6
-    from ``scores``). A deep copy or an unpickled state owns copies of both.
+    from ``scores``). ``draws`` makes every draw of the game and ``rng`` is
+    its generator, synced (``mmg.rng.Draws``). A deep copy or an unpickled
+    state owns copies of the arrays and of the generator.
     The fields after ``t`` are derived once from the config; ``step`` reads
     all of them every tick, except that a game with fewer than
     ``ARGMAX_AGENTS`` agents reads neither ``weights``, ``rows`` nor
@@ -209,7 +218,7 @@ class GameState:
     """
 
     config: GameConfig
-    rng: np.random.Generator
+    draws: Draws
     tables: np.ndarray  # (K*2**m, s, N) int8, row k*2**m + mu is market k at history mu
     scores: np.ndarray  # (K*s, N) int32 or float64, row k*s + i is slot i on market k
     histories: np.ndarray  # (K,) int64
@@ -245,6 +254,12 @@ class GameState:
         return mask
 
     @property
+    def rng(self) -> np.random.Generator:
+        """The game's generator, in the state NumPy's own calls for the same
+        draws would leave it in (``Draws.sync``)."""
+        return self.draws.sync()
+
+    @property
     def utilities(self) -> np.ndarray:
         """(N, K, s) view of ``scores``."""
         k_markets, s = self.config.n_markets, self.config.n_strategies
@@ -270,20 +285,22 @@ def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
     chunk before the first utility chunk; so init holds the arrays the game
     keeps plus one chunk, no mask of the links, and reads the random stream
     as one call per draw would. The game checked itself when it was
-    built.
+    built; ``ticks``, when given, is checked here as ``T``.
     """
+    if ticks is not None:
+        GameConfig.check_counts(T=ticks)
     rng = game_rng(cfg.seed)
     n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
     tables = draw_strategies(rng, cfg)
+    draws = Draws(rng)
     scores = np.zeros((k_markets * s, n), dtype=_score_dtype(cfg, ticks))
     if cfg.init_utilities == "uniform":
-        # (N, K, s) view of the scores; uniform reads one 64-bit word a value
+        # (N, K, s) view of the scores; uniform holds one 64-bit word a value
         utilities = scores.reshape(k_markets, s, n).transpose(2, 0, 1)
         for agents, k in agent_chunks(cfg, 8 * s):
-            block = utilities[agents, :k]
-            block[...] = rng.uniform(cfg.u_low, cfg.u_high, size=block.shape)
-    histories = rng.integers(0, 1 << cfg.memory, size=k_markets, dtype=np.int64)
-    return GameState(config=cfg, rng=rng, tables=tables, scores=scores, histories=histories)
+            draws.uniform(cfg.u_low, cfg.u_high, utilities[agents, :k])
+    histories = draws.integers(1 << cfg.memory, size=k_markets)
+    return GameState(config=cfg, draws=draws, tables=tables, scores=scores, histories=histories)
 
 
 def _gain(demand: np.ndarray, cfg: GameConfig, dtype: type) -> np.ndarray:
@@ -311,11 +328,11 @@ def _choose_all(state: GameState, dtype: np.typing.DTypeLike) -> tuple[np.ndarra
             for j in tied.tolist():
                 column = scores[:, j]
                 rows = (column == column[choice[j]]).nonzero()[0]
-                choice[j] = rows[state.rng.integers(0, len(rows))]
+                choice[j] = rows[state.draws.integer(len(rows))]
         else:
             columns = scores[:, tied]
             is_max = columns == columns.max(axis=0)
-            _gather(state.rng, choice, tied, is_max, is_max.sum(axis=0))
+            _gather(state.draws, choice, tied, is_max, is_max.sum(axis=0))
         return choice, len(tied)
     is_max = scores == scores.max(axis=0)
     weights = state.weights
@@ -333,7 +350,7 @@ def _choose_all(state: GameState, dtype: np.typing.DTypeLike) -> tuple[np.ndarra
             ranks[d:] += ranks[:-d]
             d *= 2
         pick = np.zeros(len(counts), dtype=weights.dtype)
-        pick[tied] = state.rng.integers(0, counts[tied].astype(np.int64))
+        pick[tied] = state.draws.integers(counts[tied])
         # the (pick+1)-th maximizer: the rows above it count at most pick
         above = (ranks <= pick).view(np.uint8)
         return above.sum(axis=0, dtype=weights.dtype).astype(dtype, copy=False), len(tied)
@@ -341,20 +358,20 @@ def _choose_all(state: GameState, dtype: np.typing.DTypeLike) -> tuple[np.ndarra
     if len(tied) <= SCALAR_DRAWS:
         for j in tied.tolist():
             rows = is_max[:, j].nonzero()[0]
-            choice[j] = rows[state.rng.integers(0, len(rows))]
+            choice[j] = rows[state.draws.integer(len(rows))]
     else:
-        _gather(state.rng, choice, tied, is_max[:, tied], counts[tied].astype(np.int64))
+        _gather(state.draws, choice, tied, is_max[:, tied], counts[tied].astype(np.int64))
     return choice, len(tied)
 
 
-def _gather(rng: np.random.Generator, choice: np.ndarray, tied: np.ndarray,
+def _gather(draws: Draws, choice: np.ndarray, tied: np.ndarray,
             is_max: np.ndarray, highs: np.ndarray) -> None:
     """Draw each ``tied`` agent's row among its maximizers into ``choice``,
-    in one array call; ``is_max`` is the (K*s, len(tied)) maximizer mask of
+    in one array draw; ``is_max`` is the (K*s, len(tied)) maximizer mask of
     the tied agents and ``highs`` its int64 column counts."""
     # maximizer rows of every tied agent, agent by agent in row order
     rows = is_max.T.nonzero()[1]
-    choice[tied] = rows[np.cumsum(highs) - highs + rng.integers(0, highs)]
+    choice[tied] = rows[np.cumsum(highs) - highs + draws.integers(highs)]
 
 
 def step(state: GameState, out: RunRecords, i: int) -> None:
@@ -396,9 +413,9 @@ def step(state: GameState, out: RunRecords, i: int) -> None:
     if cfg.zero_demand == "coin" and 0 in demands:
         balanced = demands.count(0)
         if balanced <= SCALAR_DRAWS:
-            coins = iter([int(state.rng.integers(0, 2)) for _ in range(balanced)])
+            coins = iter([state.draws.integer(2) for _ in range(balanced)])
         else:
-            coins = iter(state.rng.integers(0, 2, size=balanced).tolist())
+            coins = iter(state.draws.integers(2, size=balanced).tolist())
         minority = [2 * next(coins) - 1 if a == 0 else x for a, x in zip(demands, minority)]
 
     # (4) score every linked strategy, active and passive; unlinked entries

@@ -27,6 +27,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .config import GameConfig
+from .rng import Draws
 
 __all__ = ["draw_strategies"]
 
@@ -59,24 +60,27 @@ def draw_strategies(rng: np.random.Generator, cfg: GameConfig) -> np.ndarray:
 
     NumPy's int8 draw in [0, 2) reads each value from the top bit of a byte
     of a 32-bit word, low byte first, and drops a call's unused last bytes.
-    So each chunk draws those words for its values rounded up to a multiple
-    of four, turns their bytes into values in place and carries the 0-3
-    values past its own over: the chunks read the same words as one call.
+    So each chunk draws those words (``mmg.rng.Draws.words``) for its values
+    rounded up to a multiple of four, turns their bytes into values in place
+    and carries the 0-3 values past its own over: the chunks read the same
+    words as one call. ``rng`` is left in the state that call leaves it in.
     """
     n_agents, n_markets, n_strategies = cfg.n_agents, cfg.n_markets, cfg.n_strategies
     P = 1 << cfg.memory
     tables = np.zeros((n_markets * P, n_strategies, n_agents), dtype=np.int8)
     # (N, K, s, 2**m) view: agent, market, slot, history
     agent_first = tables.reshape(n_markets, P, n_strategies, n_agents).transpose(3, 0, 2, 1)
+    draws = Draws(rng)
     carry = np.empty(0, dtype=np.int8)
     # a chunk's words are a byte a value; counting 4 bounds all the draw holds
     # at once: the last chunk's words too, kept until the next draw returns,
-    # and the joined copy when values carry over
+    # and a copy of the words, made when they follow a buffered half or when
+    # values carry over
     for agents, k in agent_chunks(cfg, 4 * n_strategies * P):
         block = agent_first[agents, :k]
         need = block.size
-        words = rng.integers(0, 1 << 32, size=(need - len(carry) + 3) // 4, dtype=np.uint32)
-        bits = words.astype("<u4", copy=False).view(np.uint8)  # little-endian bytes
+        words = draws.words((need - len(carry) + 3) // 4)
+        bits = words.view(np.uint8)  # little-endian bytes
         bits = np.right_shift(bits, 7, out=bits).view(np.int8)
         if len(carry):
             bits = np.concatenate([carry, bits])
@@ -84,4 +88,5 @@ def draw_strategies(rng: np.random.Generator, cfg: GameConfig) -> np.ndarray:
         bits *= 2
         bits -= 1
         block[...] = bits.reshape(block.shape)
+    draws.sync()
     return tables

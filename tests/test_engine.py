@@ -82,6 +82,15 @@ class TestInitGame:
         with pytest.raises(ConfigError):
             init_game(GameConfig(n_agents=2, seed=1, memory=25))
 
+    @pytest.mark.parametrize("ticks, message", [
+        (10.5, "expected an integer"), (True, "expected an integer"), ("10", "expected an integer"),
+        (-3, "must be >= 1"), (0, "must be >= 1"),
+    ])
+    def test_refuses_ticks_that_are_no_count(self, ticks, message):
+        # the ticks pick the score dtype, so they are checked before any draw
+        with pytest.raises(ConfigError, match=f"^T: {message}"):
+            init_game(GameConfig(n_agents=8, seed=1), ticks)
+
 
 def two_slot_agent(utilities):
     """One agent on two markets whose slot 0 plays +1 and slot 1 plays -1 at
@@ -655,10 +664,10 @@ class TestArgmaxBound:
         assert sides == {0, 1, 2, 3}
 
     def test_scalar_and_sized_coins(self):
-        # eleven agents on eight markets balance from one to seven markets a
-        # tick, so the coins come one scalar call each on some ticks and in
-        # one sized call on others
-        cfg = GameConfig(n_agents=11, seed=3, n_markets=8, memory=3)
+        # eleven agents on twelve markets balance from five to eleven
+        # markets a tick, so the coins come one scalar draw each on some
+        # ticks and in one sized draw on others
+        cfg = GameConfig(n_agents=11, seed=3, n_markets=12, memory=3)
         _, ref = assert_steps_like_reference(init_game(cfg, 200), 200)
         balanced = (run(cfg, 200).demand == 0).sum(axis=1)
         assert ref.coin_draws == balanced.sum()

@@ -46,7 +46,7 @@ MODULE_NAMES = {
         "predicted_occupancies", "relaxation_time", "resolve_window", "series_stats",
         "split_detected",
     ],
-    "mmg.rng": ["game_rng"],
+    "mmg.rng": ["Draws", "game_rng"],
     "mmg.strategies": ["draw_strategies"],
 }
 

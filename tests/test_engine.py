@@ -460,12 +460,14 @@ LARGE_GRID = [
 
 # Tick 0 of a zero-utility game ties every agent between all its linked
 # strategies, so N sets the number of tie draws that tick: one, exactly
-# SCALAR_DRAWS, one more, and far more. Each count is played on the regular
-# topology and on the irregular one, where the unlinked mask leaves the
-# first n1 agents s maximizers instead of K*s.
+# SCALAR_DRAWS, one more, and far more. Four and five, the bound while the
+# scalar draws went through ``Generator.integers``, stay as draws below it.
+# Each count is played on the regular topology and on the irregular one,
+# where the unlinked mask leaves the first n1 agents s maximizers instead of
+# K*s.
 TIE_BOUNDARY_GRID = [
     GameConfig(n_agents=n, seed=40 + n, memory=3, payoff=payoff, n_exclusive=n_exclusive)
-    for n in (1, SCALAR_DRAWS, SCALAR_DRAWS + 1, 60)
+    for n in sorted({1, 4, 5, SCALAR_DRAWS, SCALAR_DRAWS + 1, 60})
     for payoff, n_exclusive in (("linear", None), ("sign", n // 2))
 ]
 

@@ -16,8 +16,9 @@ initial utilities (when enabled), then one initial history per market; per
 tick, one draw in ``[0, n)`` per agent tied between n maximizers, in agent
 index order, picking among them in flat (market, slot) order (random
 tie-breaking only), then one coin per balanced market in market index order
-(coin rule only). Every draw is made by ``GameState.draws``
-(``mmg.rng.Draws``) from the raw words of the game's PCG64 generator, each
+(coin rule only). Every draw, from the first table bit on, is made by the
+game's one ``mmg.rng.Draws``, built from its seed by ``init_game`` and kept
+as ``GameState.draws``, from the raw words of its PCG64 generator, each
 equal to the NumPy ``Generator`` call it stands for, so the bytes depend
 only on PCG64 and ``SeedSequence``, which NumPy keeps fixed across
 versions, and a (config, seed) pair determines the full trajectory bit for
@@ -76,7 +77,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import GameConfig
-from .rng import Draws, game_rng
+from .rng import Draws
 from .strategies import agent_chunks, draw_strategies
 
 __all__ = [
@@ -276,7 +277,8 @@ def _score_dtype(cfg: GameConfig, ticks: int | None) -> type:
 
 
 def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
-    """Draw the strategy tables, initial utilities and initial histories.
+    """Draw the strategy tables, initial utilities and initial histories,
+    in that order, from the one ``Draws`` of the game's seed.
 
     Given the number of ticks to be played, an integral game gets int32
     scores (see ``UNLINKED_SCORE``); without it, the scores are float64.
@@ -289,10 +291,9 @@ def init_game(cfg: GameConfig, ticks: int | None = None) -> GameState:
     """
     if ticks is not None:
         GameConfig.check_counts(T=ticks)
-    rng = game_rng(cfg.seed)
+    draws = Draws(cfg.seed)
     n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
-    tables = draw_strategies(rng, cfg)
-    draws = Draws(rng)
+    tables = draw_strategies(draws, cfg)
     scores = np.zeros((k_markets * s, n), dtype=_score_dtype(cfg, ticks))
     if cfg.init_utilities == "uniform":
         # (N, K, s) view of the scores; uniform holds one 64-bit word a value

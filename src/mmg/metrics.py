@@ -179,9 +179,13 @@ def relaxation_time(records: RunRecords) -> int | None:
 
     "Forever" is only checkable to the end of the run; to keep a lucky
     final tick from counting as stabilization, the terminal in-band
-    stretch must span at least ``RELAX_MIN_STAY`` ticks, else None.
+    stretch must span at least ``RELAX_MIN_STAY`` ticks, else None. A
+    single market holds all N agents from the start, its one level, so it
+    has no split to relax to: None.
     """
     cfg = records.config
+    if cfg.n_markets == 1:
+        return None
     levels = np.array(predicted_occupancies(cfg.n_agents, cfg.n_markets, cfg.n_strategies))
     near = np.abs(records.occupancy[:, :, None] - levels) <= RELAX_BELT * cfg.n_agents
     ok = near.any(axis=2).all(axis=1)

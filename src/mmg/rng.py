@@ -1,32 +1,29 @@
 """Seeded random streams.
 
-One game run owns exactly one generator. Ensembles derive one child seed
-per run from a master seed via indexed spawn keys, so growing an ensemble
-never disturbs the streams of runs already computed.
+One game run owns exactly one generator, held by one ``Draws`` built from
+the game's seed, which makes every draw of the game from set-up to its last
+tick. Ensembles derive one child seed per run from a master seed via
+indexed spawn keys, so growing an ensemble never disturbs the streams of
+runs already computed.
 
-A game makes its draws through ``Draws``, from the raw 64-bit words of its
-PCG64 generator, with the algorithms of NumPy's ``Generator`` written out
-here. NumPy's policy on random streams (NEP 19) keeps a bit generator's
-words fixed across versions but lets ``Generator`` methods change theirs,
-so the bytes of a game depend only on PCG64 and ``SeedSequence``.
+``Draws`` reads the raw 64-bit words of its PCG64 generator, with the
+algorithms of NumPy's ``Generator`` written out here. NumPy's policy on
+random streams (NEP 19) keeps a bit generator's words fixed across versions
+but lets ``Generator`` methods change theirs, so the bytes of a game depend
+only on PCG64 and ``SeedSequence``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Draws", "game_rng", "subseed"]
+__all__ = ["Draws", "subseed"]
 
 _MASK32 = 0xFFFFFFFF
 _TWO32 = 1 << 32
 # a raw word, and its two halves in the order NumPy reads them, low first
 _WORD = np.dtype("<u8")
 _HALVES = np.dtype("<u4")
-
-
-def game_rng(seed: int) -> np.random.Generator:
-    """PCG64 generator owned by a single game run."""
-    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def subseed(master_seed: int, index: int) -> int:
@@ -38,26 +35,28 @@ def subseed(master_seed: int, index: int) -> int:
 
 
 class Draws:
-    """The draws of a game from its PCG64 generator ``rng``, each equal to
-    the NumPy ``Generator`` call it names, values and generator state alike.
+    """The draws of a game from the PCG64 generator of its ``seed``, each
+    equal to the NumPy ``Generator`` call it names, values and generator
+    state alike.
 
     NumPy draws an integer below n <= 2**32 from 32-bit halves of the raw
     words, low half first (Lemire's method: the high 32 bits of half * n,
     redrawn while the low 32 bits fall below 2**32 mod n), and keeps the high
     half it has not used for the next such draw (``has_uint32``; ``uinteger``
     holds the last high half drawn, used or not). Here that half is kept in
-    this object while it draws, and ``sync`` writes it back. A ``uniform``
-    value takes a whole word.
+    this object, which holds the stream from the start, and ``sync``
+    writes it back. A ``uniform`` value takes a whole word.
 
     Between ``sync`` and the next integer draw here, the generator holds the
     stream: a draw made on it directly is read back then. A deep copy or an
     unpickled copy draws from its own copy of the generator.
     """
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        self._bits = rng.bit_generator
-        self._lent = True  # the generator holds the buffered half
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self._bits = self._rng.bit_generator
+        self._lent = False  # the generator holds the buffered half
+        # a fresh generator has no half buffered, and its last high half is 0
         self._has = 0  # a high half is buffered
         self._half = 0  # the last high half drawn
 
@@ -97,9 +96,8 @@ class Draws:
 
     def _halves(self, k: int) -> np.ndarray:
         """The next k halves NumPy would read, and one more, left buffered,
-        when the last word's high half is not among them."""
-        if self._lent:
-            self._take()
+        when the last word's high half is not among them; this object holds
+        the stream (``_take``)."""
         raw = self._bits.random_raw((k - self._has + 1) // 2).astype(_WORD, copy=False)
         halves = raw.view(_HALVES)
         if self._has:
@@ -116,41 +114,30 @@ class Draws:
         size=size)`` for one, as int64; every high in [2, 2**32].
 
         Each value reads one half unless it is redrawn, so the values come
-        from one product of the next halves and the highs, and only when the
-        low 32 bits of a product fall below its high are they drawn one by
-        one."""
+        from one product of the next halves and the highs. Only when the low
+        32 bits of a product fall below its high does the call put its words
+        back (PCG64 steps backwards) and draw the values one by one."""
         count = len(high) if size is None else size
+        if self._lent:
+            self._take()
+        start = self._has, self._half
         halves = self._halves(count)
         product = np.multiply(halves[:count], high, dtype=np.uint64, casting="unsafe")
         # a power of two, whose 2**32 mod n is 0, is never redrawn
         redraw = size is None or high & (high - 1)
         if redraw and np.count_nonzero(product.astype(np.uint32) < high):
+            # rewind the words this call drew, a buffered half aside
+            self._bits.advance(-(len(halves) // 2))
+            self._has, self._half = start
             highs = high.tolist() if size is None else [high] * size
-            return np.array(self._one_by_one(halves.tolist(), highs), dtype=np.int64)
+            return np.array([self.integer(n) for n in highs], dtype=np.int64)
         product >>= 32
         return product.view(np.int64)
 
-    def _one_by_one(self, halves: list[int], highs: list[int]) -> list[int]:
-        """The draws below ``highs``, reading ``halves`` (the next halves
-        NumPy would read, and a buffered one) before any new word."""
-        values = []
-        used = 0
-        self._has = 0
-        for n in highs:
-            while used < len(halves):
-                product = halves[used] * n
-                used += 1
-                if product & _MASK32 >= _TWO32 % n:
-                    values.append(product >> 32)
-                    break
-            else:
-                values.append(self.integer(n))
-        if used < len(halves):
-            self._has = 1
-        return values
-
     def words(self, count: int) -> np.ndarray:
         """``integers(0, 2**32, size=count, dtype=np.uint32)``, little-endian."""
+        if self._lent:
+            self._take()
         return self._halves(count)[:count]
 
     def uniform(self, low: float, high: float, out: np.ndarray) -> None:

@@ -13,11 +13,13 @@ agent's s slots on market k at history mu, one ``(s, N)`` block, which is
 what the engine reads each tick. Agent n's slot-i action there is
 ``tables[k * 2**m + mu, i, n]``.
 
-The draw takes the game and writes its tables in place, one block of a
-run of agents at a time (``agent_chunks``): the agents of a run and the k
-leading markets they are linked to. So it holds the tables plus one chunk,
-never a second array the size of the tables nor a mask of the links. The
-chunks read the random stream exactly as one call over the whole game would.
+The draw takes the game's stream (``mmg.rng.Draws``, the one that makes
+every later draw of the game) and the game, and writes its tables in
+place, one block of a run of agents at a time (``agent_chunks``): the
+agents of a run and the k leading markets they are linked to. So it holds
+the tables plus one chunk, never a second array the size of the tables nor
+a mask of the links. The chunks read the random stream exactly as one call
+over the whole game would.
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ def agent_chunks(cfg: GameConfig, pair_bytes: int) -> Iterator[tuple[slice, int]
             yield slice(start, min(start + step, run.stop)), k
 
 
-def draw_strategies(rng: np.random.Generator, cfg: GameConfig) -> np.ndarray:
+def draw_strategies(draws: Draws, cfg: GameConfig) -> np.ndarray:
     """Draw every strategy table of the game ``cfg``, i.i.d. fair bits with
-    replacement, from ``rng``. The game checked itself when it was built.
+    replacement, from the game's stream ``draws``. The game checked itself
+    when it was built.
 
     Returns the ``(K * 2**m, s, N)`` int8 tables; the entries of unlinked
     (agent, market) pairs are zero and never consulted. Bits are consumed
@@ -63,14 +66,13 @@ def draw_strategies(rng: np.random.Generator, cfg: GameConfig) -> np.ndarray:
     So each chunk draws those words (``mmg.rng.Draws.words``) for its values
     rounded up to a multiple of four, turns their bytes into values in place
     and carries the 0-3 values past its own over: the chunks read the same
-    words as one call. ``rng`` is left in the state that call leaves it in.
+    words as one call. ``draws`` is left in the state that call leaves it in.
     """
     n_agents, n_markets, n_strategies = cfg.n_agents, cfg.n_markets, cfg.n_strategies
     P = 1 << cfg.memory
     tables = np.zeros((n_markets * P, n_strategies, n_agents), dtype=np.int8)
     # (N, K, s, 2**m) view: agent, market, slot, history
     agent_first = tables.reshape(n_markets, P, n_strategies, n_agents).transpose(3, 0, 2, 1)
-    draws = Draws(rng)
     carry = np.empty(0, dtype=np.int8)
     # a chunk's words are a byte a value; counting 4 bounds all the draw holds
     # at once: the last chunk's words too, kept until the next draw returns,
@@ -88,5 +90,4 @@ def draw_strategies(rng: np.random.Generator, cfg: GameConfig) -> np.ndarray:
         bits *= 2
         bits -= 1
         block[...] = bits.reshape(block.shape)
-    draws.sync()
     return tables

@@ -14,6 +14,7 @@ from mmg.engine import (
     ARGMAX_AGENTS, ONE_HOT_AGENTS, ONE_HOT_ROWS, SCALAR_DRAWS, UNLINKED_SCORE,
 )
 from mmg.io import parse_config
+from mmg.rng import Draws
 from reference import reference_run
 
 
@@ -420,6 +421,21 @@ class TestDrawStream:
         drawn = words_rng.integers(0, 2**32, size=words, dtype=np.uint32)
         assert np.array_equal(bits, drawn.astype("<u4").view(np.uint8) >> 7)
         assert bits_rng.bit_generator.state == words_rng.bit_generator.state
+
+    def test_a_run_never_reads_or_writes_the_generator_state(self, monkeypatch):
+        # one Draws holds the stream from the first table bit to the last
+        # tick; only asking for ``GameState.rng`` writes the state back
+        calls = []
+        for name in ("_take", "sync"):
+            method = getattr(Draws, name)
+            monkeypatch.setattr(Draws, name, lambda self, _name=name, _method=method:
+                                calls.append(_name) or _method(self))
+        for kw in (dict(n_agents=11), dict(n_agents=1447, payoff="sign"),
+                   dict(n_agents=11, n_markets=40), dict(n_agents=11, init_utilities="uniform")):
+            run(GameConfig(seed=3, **kw), 50)
+        assert calls == []
+        assert isinstance(init_game(GameConfig(n_agents=11, seed=3)).rng, np.random.Generator)
+        assert calls == ["sync"]
 
 
 def reference_grid():

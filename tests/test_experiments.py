@@ -150,6 +150,14 @@ class TestSummarizeRun:
         relabelled = replace(rec, config=replace(rec.config, n_strategies=2))
         assert summarize_run(relabelled).tau0 is None
 
+    def test_no_tau0_at_one_market(self):
+        # a single-market game has no split, so a sweep row counts no tau0
+        summaries = ensemble_run(GameConfig(n_agents=65, seed=5, n_markets=1, payoff="sign"),
+                                 400, 3)
+        assert [s.tau0 for s in summaries] == [None] * 3
+        row = sweep_row(summaries)
+        assert row["tau0_defined"] == 0 and np.isnan(row["tau0_mean"])
+
 
 class TestSummaryTable:
     def test_columns_and_failed_row(self):

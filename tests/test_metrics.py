@@ -228,6 +228,11 @@ class TestRelaxationTime:
             if a is not None:
                 assert b is not None and b <= a
 
+    def test_one_market_has_no_split_to_relax_to(self):
+        # K = 1: the one market always holds all N agents, its only level
+        rec = make_records([[16]] * 200, [[0]] * 200)
+        assert relaxation_time(rec) is None
+
     def test_three_market_levels(self):
         # N=64, K=3, s=2: predicted levels 48, 12 and 4
         settled = [[48, 12, 4], [12, 48, 4], [4, 12, 48]] * 100

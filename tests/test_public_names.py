@@ -46,7 +46,7 @@ MODULE_NAMES = {
         "predicted_occupancies", "relaxation_time", "resolve_window", "series_stats",
         "split_detected",
     ],
-    "mmg.rng": ["Draws", "game_rng"],
+    "mmg.rng": ["Draws"],
     "mmg.strategies": ["draw_strategies"],
 }
 
@@ -78,7 +78,6 @@ GAME_FIELDS = {"seed", "n_agents", "n_markets", "k_markets", "n_strategies", "me
 TAKES_FIELDS = {
     "mmg.metrics.predicted_occupancies": "mmg predict builds no game, only counts",
     "mmg.metrics.predicted_irregular": "mmg predict builds no game, only counts",
-    "mmg.rng.game_rng": "a seed is its input: it makes the game's generator",
 }
 
 

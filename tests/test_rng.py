@@ -1,11 +1,12 @@
 """``mmg.rng.Draws`` against the NumPy ``Generator`` calls it reproduces.
 
-Each test plays the same draws through NumPy and through ``Draws`` on two
-generators of one seed, over 200 seeds, and compares every value and then
-the whole ``bit_generator.state`` dict, the buffered 32-bit half
-(``has_uint32``) and the last high half drawn (``uinteger``) included.
-``lead`` coins drawn through NumPy before ``Draws`` takes over leave that
-half buffered or not.
+Each test plays the same draws through NumPy, on a generator of a seed,
+and through ``Draws`` of the same seed, over 200 seeds, and compares every
+value and then the whole ``bit_generator.state`` dict, the buffered 32-bit
+half (``has_uint32``) and the last high half drawn (``uinteger``) included.
+``lead`` coins drawn on the generator ``Draws.sync`` returns, before
+``Draws`` takes the stream back, leave that half buffered or not; with no
+lead, ``Draws`` draws from its fresh generator from the start.
 """
 
 import copy
@@ -26,12 +27,37 @@ NEAR_2_31 = [(1 << 31) + 1, (1 << 31) + 3, (1 << 31) + (1 << 29), 3 << 30, 1 << 
 
 
 def pair(seed, lead):
-    """A generator to draw from through NumPy, and ``Draws`` over a second
-    one of the same seed, both after ``lead`` coins drawn through NumPy."""
-    want, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for g in (want, rng):
-        g.integers(0, 2, size=lead)
-    return want, Draws(rng)
+    """A generator to draw from through NumPy, and ``Draws(seed)``, both
+    after ``lead`` coins drawn through NumPy."""
+    want, draws = np.random.default_rng(seed), Draws(seed)
+    want.integers(0, 2, size=lead)
+    if lead:
+        draws.sync().integers(0, 2, size=lead)
+    return want, draws
+
+
+class CountsRewinds:
+    """A bit generator passed through, its steps backwards counted in
+    ``rewinds``."""
+
+    def __init__(self, bits, rewinds):
+        self.bits, self.rewinds = bits, rewinds
+
+    def random_raw(self, *args):
+        return self.bits.random_raw(*args)
+
+    @property
+    def state(self):
+        return self.bits.state
+
+    @state.setter
+    def state(self, value):
+        self.bits.state = value
+
+    def advance(self, delta):
+        if delta < 0:
+            self.rewinds.append(delta)
+        return self.bits.advance(delta)
 
 
 def assert_same_state(want, draws):
@@ -105,16 +131,15 @@ def test_a_high_of_one_draws_nothing(lead):
 
 
 @pytest.mark.parametrize("lead", [0, 1])
-def test_redraws_near_2_31(monkeypatch, lead):
-    # the scalar draw's rejection loop, and the array draw's one-by-one
-    # fallback, which must read the halves already drawn before new words
+def test_redraws_near_2_31(lead):
+    # the scalar draw's rejection loop, and the array draw's fallback, which
+    # puts back the words it drew and the half it started from, then draws
+    # one by one
     fallbacks = []
-    one_by_one = Draws._one_by_one
-    monkeypatch.setattr(Draws, "_one_by_one",
-                        lambda self, *args: fallbacks.append(1) or one_by_one(self, *args))
     redrawn = 0
     for seed in SEEDS:
         want, draws = pair(seed, lead)
+        draws._bits = CountsRewinds(draws._bits, fallbacks)
         for n in NEAR_2_31:
             assert draws.integer(n) == int(want.integers(0, n)), (seed, n)
         assert_same_state(want, draws)

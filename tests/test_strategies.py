@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import link_mask, one_tick
 from mmg import ConfigError, GameConfig, init_game, run, strategies
 from mmg.engine import UNLINKED_SCORE
-from mmg.rng import game_rng
+from mmg.rng import Draws
 from mmg.strategies import draw_strategies
 
 
@@ -118,22 +118,22 @@ class TestUpdateHistory:
 
 class TestDrawStrategies:
     def test_table_count(self):
-        tables = draw_strategies(game_rng(0), game(2, 2, 2, 2))
+        tables = draw_strategies(Draws(0), game(2, 2, 2, 2))
         assert tables.shape == (2 * 4, 2, 2)
         assert np.count_nonzero(tables) == 8 * 4  # 8 tables of 4 actions
 
     def test_determinism(self):
-        a = draw_strategies(game_rng(42), game(3, 2, 2, 3))
-        b = draw_strategies(game_rng(42), game(3, 2, 2, 3))
+        a = draw_strategies(Draws(42), game(3, 2, 2, 3))
+        b = draw_strategies(Draws(42), game(3, 2, 2, 3))
         assert np.array_equal(a, b)
 
     def test_values_are_actions(self):
-        tables = draw_strategies(game_rng(7), game(5, 2, 2, 4))
+        tables = draw_strategies(Draws(7), game(5, 2, 2, 4))
         assert set(np.unique(tables)) <= {-1, 1}
 
     def test_link_mask_zeroes_unlinked(self):
         # n1 = 2: agents 0 and 1 are linked to market 0 only, agent 2 to both
-        tables = draw_strategies(game_rng(3), game(3, 2, 2, 3, n_exclusive=2))
+        tables = draw_strategies(Draws(3), game(3, 2, 2, 3, n_exclusive=2))
         assert np.count_nonzero(tables) == 8 * 8  # 8 tables of 8 actions
         assert np.all(tables[1 << 3:, :, 0] == 0)
         assert np.all(tables[1 << 3:, :, 1] == 0)
@@ -145,7 +145,7 @@ class TestDrawStrategies:
     ])
     def test_bad_game_names_its_key(self, kw, key):
         with pytest.raises(ConfigError, match=f"^{key}: "):
-            draw_strategies(game_rng(0),
+            draw_strategies(Draws(0),
                             GameConfig(**{**dict(n_agents=5, seed=0, memory=2), **kw}))
 
     def test_uniform_over_tables(self):
@@ -154,7 +154,7 @@ class TestDrawStrategies:
         counts = np.zeros(4, dtype=int)
         cfg = game(1, 1, 1, 1)
         for seed in range(10_000):
-            tables = draw_strategies(game_rng(seed), cfg)
+            tables = draw_strategies(Draws(seed), cfg)
             bits = (tables[:, 0, 0] + 1) // 2
             counts[bits[0] * 2 + bits[1]] += 1
         res = scipy_stats.chisquare(counts)
@@ -162,7 +162,7 @@ class TestDrawStrategies:
 
     def test_good_strategy_fraction(self):
         # P(at least one of s tables says a0 at h0) = 1 - 1/2**s = 0.75 for s=2.
-        tables = draw_strategies(game_rng(11), game(4000, 1, 2, 5))
+        tables = draw_strategies(Draws(11), game(4000, 1, 2, 5))
         frac = np.mean(np.any(tables[(0 << 5) + 7] == 1, axis=0))
         assert abs(frac - 0.75) < 0.03
 
@@ -196,7 +196,7 @@ def one_call_init(cfg):
     """Tables, (N, K, s) utilities, histories and generator state of a game
     from uniform initial utilities, each draw one call over the whole game."""
     n, k_markets, s = cfg.n_agents, cfg.n_markets, cfg.n_strategies
-    rng = game_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     linked = link_mask(cfg)
     tables = one_call_draw(rng, cfg)
     utilities = np.full((n, k_markets, s), -np.inf)
@@ -257,20 +257,21 @@ class TestChunkedDraw:
         for n, k_markets, n1 in GRID_GAMES:
             cfg = game(n, k_markets, s, m, n_exclusive=n1)
             seed = n * 100 + k_markets * 10 + m
-            want_rng, rng = game_rng(seed), game_rng(seed)
+            want_rng, draws = np.random.default_rng(seed), Draws(seed)
             want = one_call_draw(want_rng, cfg)
-            got = draw_strategies(rng, cfg)
+            got = draw_strategies(draws, cfg)
             assert np.array_equal(got, want), (n, k_markets, n1)
-            assert rng.bit_generator.state == want_rng.bit_generator.state, (n, k_markets, n1)
+            assert draws.sync().bit_generator.state == want_rng.bit_generator.state, \
+                (n, k_markets, n1)
 
     def test_default_chunks_match_one_call(self):
         # the big_run game's 1.26 MiB of tables span several default chunks
         cfg = GameConfig(n_agents=10301, seed=3, n_exclusive=10000)
-        want_rng, rng = game_rng(3), game_rng(3)
+        want_rng, draws = np.random.default_rng(3), Draws(3)
         want = one_call_draw(want_rng, cfg)
         assert want.nbytes > 4 * strategies._CHUNK_BYTES
-        assert np.array_equal(draw_strategies(rng, cfg), want)
-        assert rng.bit_generator.state == want_rng.bit_generator.state
+        assert np.array_equal(draw_strategies(draws, cfg), want)
+        assert draws.sync().bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("s", [1, 2, 3])
@@ -316,7 +317,7 @@ class TestInitMemory:
     @pytest.mark.parametrize("name", BIG_GAMES)
     def test_draw_holds_tables_plus_one_chunk(self, name):
         cfg = GameConfig(seed=1, **BIG_GAMES[name])
-        over = traced_overhead(lambda: draw_strategies(game_rng(1), cfg))
+        over = traced_overhead(lambda: draw_strategies(Draws(1), cfg))
         assert over <= strategies._CHUNK_BYTES + SLACK
 
     @pytest.mark.parametrize("init_utilities", ["zero", "uniform"])

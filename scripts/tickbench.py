@@ -48,7 +48,8 @@ game/tie-rule to the parent's and this version's median microseconds per
 tick and the number of blocks this version was faster in. Each game/init maps to both versions' median
 ``init_game`` microseconds over ``BLOCKS`` alternated calls, the calls this
 version was faster in, and both traced peaks (``parent_peak_kib``,
-``change_peak_kib``). Both must write the same records, or it stops:
+``change_peak_kib``). Both must write the same records, ``n_tied``
+included, and leave the same stream (``state.draws.sync()``), or it stops:
 
     PYTHONPATH=src python3 scripts/tickbench.py --parent ../parent
 """
@@ -69,7 +70,7 @@ from mmg.engine import ARGMAX_AGENTS, ONE_HOT_AGENTS, ONE_HOT_ROWS, RunRecords, 
 
 RUNS = 5
 BLOCKS = 21
-FIELDS = ("t", "occupancy", "demand", "minority", "history", "n_switched")
+FIELDS = ("t", "occupancy", "demand", "minority", "history", "n_switched", "n_tied")
 TIES = ("random", "lowest-index")
 
 
@@ -178,6 +179,9 @@ def side_by_side(parent, text, ticks):
     for name in FIELDS:
         if not np.array_equal(getattr(sides[0][2], name), getattr(sides[1][2], name)):
             raise SystemExit(f"{text}: the two versions wrote different {name} records")
+    streams = [state.draws.sync().bit_generator.state for _, state, _ in sides]
+    if streams[0] != streams[1]:
+        raise SystemExit(f"{text}: the two versions left different streams")
     return times
 
 

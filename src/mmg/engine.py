@@ -18,11 +18,11 @@ index order, picking among them in flat (market, slot) order (random
 tie-breaking only), then one coin per balanced market in market index order
 (coin rule only). Every draw, from the first table bit on, is made by the
 game's one ``mmg.rng.Draws``, built from its seed by ``init_game`` and kept
-as ``GameState.draws``, from the raw words of its PCG64 generator, each
-equal to the NumPy ``Generator`` call it stands for, so the bytes depend
-only on PCG64 and ``SeedSequence``, which NumPy keeps fixed across
-versions, and a (config, seed) pair determines the full trajectory bit for
-bit. The tie-breaks read the same stream whether they are made one scalar
+as ``GameState.draws``, which alone holds the game's PCG64 and draws from
+its raw words, each equal to the NumPy ``Generator`` call it stands for,
+so the bytes depend only on PCG64 and ``SeedSequence``, which NumPy keeps
+fixed across versions, and a (config, seed) pair determines the full
+trajectory bit for bit. The tie-breaks read the same stream whether they are made one scalar
 draw at a time or in one array draw, and so do the coins; their count this
 tick picks which (``SCALAR_DRAWS``). An agent's draw p picks its (p+1)-th
 maximizer; with many tied agents (``GameState.count_ties``) that is the row
@@ -93,7 +93,7 @@ __all__ = [
 # rows, and with more makes them in one array draw (``Draws.integers``),
 # picking as set out below. Likewise a tick with at most this many balanced
 # markets draws their coins one scalar draw each, and with more in one sized
-# draw. Both read the same numbers and leave the generator in the same state,
+# draw. Both read the same numbers and leave the stream in the same state,
 # so the count picks only the cheaper path. Per call (numpy 2.4.6, 2-vCPU
 # Xeon), a scalar draw costs about 0.35 us, an array draw of 8 highs 4.4 us
 # and a sized draw of 8 coins 3.6 us. On whole ticks (``scripts/tickbench.py
@@ -201,9 +201,10 @@ class GameState:
     ``mmg.strategies`` and the module docstring); ``utilities`` is the
     read-only ``(N, K, s)`` view of ``scores``, whose items write into
     ``scores``; no module of ``mmg`` reads it (``experiments`` traces fig6
-    from ``scores``). ``draws`` makes every draw of the game and ``rng`` is
-    its generator, synced (``mmg.rng.Draws``). A deep copy or an unpickled
-    state owns copies of the arrays and of the generator.
+    from ``scores``). ``draws`` makes every draw of the game and holds its
+    stream alone; ``draws.sync()`` is a NumPy generator in that stream's
+    state (``mmg.rng.Draws``). A deep copy or an unpickled state owns copies
+    of the arrays and of the stream.
     The fields after ``t`` are derived once from the config; ``step`` reads
     all of them every tick, except that a game with fewer than
     ``ARGMAX_AGENTS`` agents reads neither ``weights``, ``rows`` nor
@@ -253,12 +254,6 @@ class GameState:
         for agents, k in self.config.agent_runs():
             mask[agents, :k * self.config.n_strategies] = True
         return mask
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The game's generator, in the state NumPy's own calls for the same
-        draws would leave it in (``Draws.sync``)."""
-        return self.draws.sync()
 
     @property
     def utilities(self) -> np.ndarray:

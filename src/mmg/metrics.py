@@ -39,7 +39,8 @@ THETA = 0.9
 
 #: ``relaxation_time``'s band around each split level (a fraction of N) and
 #: the fewest ticks held in it up to the end of a run; ``split_detected``'s
-#: occupancy gap (a fraction of N) and the share of window ticks above it.
+#: lead of the top market over the next (a fraction of N) and the share of
+#: window ticks above it.
 RELAX_BELT = 0.05
 RELAX_MIN_STAY = 50
 SPLIT_GAP_FRAC = 0.2
@@ -234,12 +235,16 @@ def predicted_irregular(n1: int, n2: int, n_strategies: int) -> tuple[float, flo
 
 
 def split_detected(records: RunRecords, window: tuple[int, int] | None = None) -> bool:
-    """True when the occupancy gap exceeds SPLIT_GAP_FRAC * N on at least a
-    ``SPLIT_SUSTAIN`` fraction of the window's ticks."""
+    """True when the most occupied market leads the runner-up by more than
+    SPLIT_GAP_FRAC * N on at least a ``SPLIT_SUSTAIN`` fraction of the
+    window's ticks; at K = 2 that lead is the occupancy gap. A single market
+    has no split."""
     a, b = resolve_window(records.n_ticks, window)
-    occ = records.occupancy[a:b]
-    gap = occ.max(axis=1) - occ.min(axis=1)
-    return bool(np.mean(gap > SPLIT_GAP_FRAC * records.config.n_agents) >= SPLIT_SUSTAIN)
+    if records.config.n_markets == 1:
+        return False
+    top = np.partition(records.occupancy[a:b], -2, axis=1)
+    lead = top[:, -1] - top[:, -2]
+    return bool(np.mean(lead > SPLIT_GAP_FRAC * records.config.n_agents) >= SPLIT_SUSTAIN)
 
 
 #: Per-capita variance bands for the mode labels; 1.0 (random agents) lies

@@ -1,16 +1,17 @@
 """Seeded random streams.
 
-One game run owns exactly one generator, held by one ``Draws`` built from
-the game's seed, which makes every draw of the game from set-up to its last
-tick. Ensembles derive one child seed per run from a master seed via
-indexed spawn keys, so growing an ensemble never disturbs the streams of
-runs already computed.
+One game run owns exactly one stream, the PCG64 bit generator that one
+``Draws`` builds from the game's seed and holds alone; it makes every draw
+of the game from set-up to its last tick, and ``Draws.sync`` hands out
+snapshots of it. Ensembles derive one child seed per run from a master
+seed via indexed spawn keys, so growing an ensemble never disturbs the
+streams of runs already computed.
 
-``Draws`` reads the raw 64-bit words of its PCG64 generator, with the
-algorithms of NumPy's ``Generator`` written out here. NumPy's policy on
-random streams (NEP 19) keeps a bit generator's words fixed across versions
-but lets ``Generator`` methods change theirs, so the bytes of a game depend
-only on PCG64 and ``SeedSequence``.
+``Draws`` reads the raw 64-bit words of its PCG64, with the algorithms of
+NumPy's ``Generator`` written out here. NumPy's policy on random streams
+(NEP 19) keeps a bit generator's words fixed across versions but lets
+``Generator`` methods change theirs, so the bytes of a game depend only on
+PCG64 and ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -44,42 +45,30 @@ class Draws:
     redrawn while the low 32 bits fall below 2**32 mod n), and keeps the high
     half it has not used for the next such draw (``has_uint32``; ``uinteger``
     holds the last high half drawn, used or not). Here that half is kept in
-    this object, which holds the stream from the start, and ``sync``
-    writes it back. A ``uniform`` value takes a whole word.
-
-    Between ``sync`` and the next integer draw here, the generator holds the
-    stream: a draw made on it directly is read back then. A deep copy or an
-    unpickled copy draws from its own copy of the generator.
+    this object, which alone holds the stream, and ``sync`` writes it into
+    the state of a new generator. A ``uniform`` value takes a whole word.
+    A deep copy or an unpickled copy draws from its own copy of the PCG64.
     """
 
     def __init__(self, seed: int) -> None:
-        self._rng = np.random.default_rng(seed)
-        self._bits = self._rng.bit_generator
-        self._lent = False  # the generator holds the buffered half
+        self._bits = np.random.PCG64(seed)  # the stream of default_rng(seed)
         # a fresh generator has no half buffered, and its last high half is 0
         self._has = 0  # a high half is buffered
         self._half = 0  # the last high half drawn
 
     def sync(self) -> np.random.Generator:
-        """The generator, its state written as NumPy's after the same draws."""
-        if not self._lent:
-            state = self._bits.state
-            state["has_uint32"], state["uinteger"] = self._has, self._half
-            self._bits.state = state
-            self._lent = True
-        return self._rng
-
-    def _take(self) -> None:
+        """A new generator in the state NumPy's own calls for the same draws
+        would leave theirs in; a draw made on it leaves this stream as is."""
         state = self._bits.state
-        self._has, self._half = state["has_uint32"], state["uinteger"]
-        self._lent = False
+        state["has_uint32"], state["uinteger"] = self._has, self._half
+        bits = np.random.PCG64()
+        bits.state = state
+        return np.random.Generator(bits)
 
     def integer(self, n: int) -> int:
         """``integers(0, n)`` for 1 <= n <= 2**32; n = 1 draws nothing."""
         if n == 1:
             return 0
-        if self._lent:
-            self._take()
         while True:
             if self._has:
                 half = self._half
@@ -96,8 +85,7 @@ class Draws:
 
     def _halves(self, k: int) -> np.ndarray:
         """The next k halves NumPy would read, and one more, left buffered,
-        when the last word's high half is not among them; this object holds
-        the stream (``_take``)."""
+        when the last word's high half is not among them."""
         raw = self._bits.random_raw((k - self._has + 1) // 2).astype(_WORD, copy=False)
         halves = raw.view(_HALVES)
         if self._has:
@@ -118,8 +106,6 @@ class Draws:
         32 bits of a product fall below its high does the call put its words
         back (PCG64 steps backwards) and draw the values one by one."""
         count = len(high) if size is None else size
-        if self._lent:
-            self._take()
         start = self._has, self._half
         halves = self._halves(count)
         product = np.multiply(halves[:count], high, dtype=np.uint64, casting="unsafe")
@@ -136,8 +122,6 @@ class Draws:
 
     def words(self, count: int) -> np.ndarray:
         """``integers(0, 2**32, size=count, dtype=np.uint32)``, little-endian."""
-        if self._lent:
-            self._take()
         return self._halves(count)[:count]
 
     def uniform(self, low: float, high: float, out: np.ndarray) -> None:

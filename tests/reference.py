@@ -5,12 +5,14 @@ model description rather than to be fast. It covers any K, s and m, the
 irregular game (``GameConfig.n_exclusive``), all three payoffs, both tie
 rules and both zero-demand rules.
 
-It starts from a state built by ``init_game`` and draws from that state's
-generator in the order ``step`` does: one ``integers(0, len(maximizers))``
-per tied agent, in agent order, picking from the maximizers in flat
-(market, slot) order; then one ``integers(0, 2)`` per balanced market, in
-market order. Fed a copy of the same initial state, it must reproduce
-``step`` bit for bit: records, utilities and the final generator state.
+It starts from a state built by ``init_game`` and draws from a snapshot of
+that state's stream (``state.draws.sync()``) in the order ``step`` does:
+one ``integers(0, len(maximizers))`` per tied agent, in agent order,
+picking from the maximizers in flat (market, slot) order; then one
+``integers(0, 2)`` per balanced market, in market order. It copies what it
+reads, so it leaves the state as it found it. Started from the same
+initial state, it must reproduce ``step`` bit for bit: records, utilities
+and the final generator state.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ class RefTick(NamedTuple):
 
 
 class ReferenceGame:
-    """Per-agent lists copied from a ``GameState``; shares its generator."""
+    """Per-agent lists copied from a ``GameState``, and a snapshot of its
+    stream."""
 
     def __init__(self, state):
         cfg = state.config
         self.cfg = cfg
-        self.rng = state.rng
+        self.rng = state.draws.sync()
         self.tables = state.tables.tolist()  # [market * 2**m + mu][slot][agent]
         self.utilities = state.utilities.tolist()  # [agent][market][slot]
         self.histories = [int(h) for h in state.histories]

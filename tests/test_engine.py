@@ -249,10 +249,10 @@ class TestStep:
 
     def test_deterministic_modes_consume_no_rng(self):
         state = init_game(small_config(seed=8))
-        before = state.rng.bit_generator.state
+        before = state.draws.sync().bit_generator.state
         for _ in range(20):
             one_tick(state)
-        assert state.rng.bit_generator.state == before
+        assert state.draws.sync().bit_generator.state == before
 
     def test_single_tick_run(self):
         rec = run(small_config(seed=6), 1)
@@ -374,7 +374,7 @@ class TestSingleMarketReduction:
                 zero_demand="plus-one",
             )
             state = init_game(cfg)
-            ticks, _ = reference_run(copy.deepcopy(state), 100)
+            ticks, _ = reference_run(state, 100)
             expected = [tick.demand[0] for tick in ticks]
             got = [int(one_tick(state).demand[0]) for _ in range(100)]
             assert got == expected, f"case {case}: {cfg}"
@@ -424,18 +424,38 @@ class TestDrawStream:
 
     def test_a_run_never_reads_or_writes_the_generator_state(self, monkeypatch):
         # one Draws holds the stream from the first table bit to the last
-        # tick; only asking for ``GameState.rng`` writes the state back
+        # tick; only ``Draws.sync`` reads its state, into a new generator
         calls = []
-        for name in ("_take", "sync"):
-            method = getattr(Draws, name)
-            monkeypatch.setattr(Draws, name, lambda self, _name=name, _method=method:
-                                calls.append(_name) or _method(self))
+        sync = Draws.sync
+        monkeypatch.setattr(Draws, "sync", lambda self: calls.append(self) or sync(self))
         for kw in (dict(n_agents=11), dict(n_agents=1447, payoff="sign"),
                    dict(n_agents=11, n_markets=40), dict(n_agents=11, init_utilities="uniform")):
             run(GameConfig(seed=3, **kw), 50)
         assert calls == []
-        assert isinstance(init_game(GameConfig(n_agents=11, seed=3)).rng, np.random.Generator)
-        assert calls == ["sync"]
+        state = init_game(GameConfig(n_agents=11, seed=3))
+        assert isinstance(state.draws.sync(), np.random.Generator)
+        assert calls == [state.draws]
+
+    @pytest.mark.parametrize("kw", [dict(n_agents=1447, payoff="sign"),
+                                    dict(n_agents=11, n_markets=40)], ids=["ties", "coins"])
+    def test_a_draw_on_a_synced_generator_leaves_the_game(self, kw):
+        # draws made between ticks on a snapshot of the stream move no later
+        # tie-break or coin: the records and the final stream are those of
+        # the untouched game
+        cfg, ticks = GameConfig(seed=3, **kw), 40
+        games = []
+        for touched in (False, True):
+            state, out = init_game(cfg, ticks), RunRecords.empty(cfg, ticks)
+            for i in range(ticks):
+                if touched:  # an odd count leaves a half buffered
+                    state.draws.sync().integers(0, 7, size=i % 3 + 1)
+                step(state, out, i)
+            games.append((out, state.draws.sync().bit_generator.state))
+        (want, want_stream), (got, got_stream) = games
+        for name in ("t", "occupancy", "demand", "minority", "history", "n_switched", "n_tied"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got_stream == want_stream
+        assert want_stream != init_game(cfg, ticks).draws.sync().bit_generator.state
 
 
 def reference_grid():
@@ -509,15 +529,15 @@ def tick_tuple(rec):
 
 
 def assert_steps_like_reference(state, ticks):
-    """Step ``state`` next to the reference engine started from a copy of
-    it; return the records and the reference game."""
-    ref_ticks, ref = reference_run(copy.deepcopy(state), ticks)
+    """Step ``state`` next to the reference engine started from it; return
+    the records and the reference game."""
+    ref_ticks, ref = reference_run(state, ticks)
     got = []
     for expected in ref_ticks:
         got.append(tick_tuple(one_tick(state)))
         assert got[-1] == tuple(expected), f"tick {got[-1][0]}"
     assert np.array_equal(state.utilities, np.array(ref.utilities))
-    assert state.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert state.draws.sync().bit_generator.state == ref.rng.bit_generator.state
     return got, ref
 
 
@@ -864,7 +884,7 @@ class TestStateViews:
         for twin in twins:
             assert np.array_equal(twin.tables, state.tables)
             assert np.array_equal(twin.utilities, state.utilities)
-            assert twin.rng.bit_generator.state == state.rng.bit_generator.state
+            assert twin.draws.sync().bit_generator.state == state.draws.sync().bit_generator.state
 
     def test_storage_is_agent_minor(self):
         state = played_game()

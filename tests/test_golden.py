@@ -242,7 +242,7 @@ SWEEPS = {
     ),
     "k3": (
         "K=3 N=13 m=3 seed=1 T=80 sweep=N values=13,31 seeds=2",
-        "6171e095ea50f061ad6e7d8a628ed9bb158e3611e7daae9a7db58cd13a6321de",
+        "92e2ef3f2ae7b188934a5089635d1bbd6795276da907e0d03c12a13b319c5a5f",
     ),
     "n1": (
         "topology=irregular n1=5 n2=5 m=3 seed=7 T=80 sweep=n1 values=5,40 seeds=2",

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mmg import ConfigError, GameConfig, RunRecords, metrics, run
 from mmg.config import MAX_TABLE_BYTES
+from mmg.rng import subseed
 from mmg.metrics import (
     big_small_markets,
     classify_mode,
@@ -336,6 +337,41 @@ class TestSplitAndModes:
         occ = [[80, 20]] * 30 + [[50, 50]] * 20
         rec = make_records(occ, [[0, 0]] * 50)
         assert not split_detected(rec, (0, 50))
+
+    def test_split_is_the_lead_of_the_top_market(self):
+        # at K = 5 two crowded markets level with each other are no split,
+        # however empty the others are
+        rec = make_records([[40, 38, 10, 7, 5]] * 50, [[0] * 5] * 50)
+        assert not split_detected(rec, (0, 50))
+        rec = make_records([[70, 12, 10, 5, 3]] * 50, [[0] * 5] * 50)
+        assert split_detected(rec, (0, 50))
+
+    @pytest.mark.parametrize("k, s, n, splits", [(5, 3, 64, 0), (5, 3, 11, 0),
+                                                 (3, 2, 1447, 6), (5, 3, 2048, 6)],
+                             ids=["K5s3N64", "K5s3N11", "K3s2N1447", "K5s3N2048"])
+    def test_splits_at_k_over_2(self, k, s, n, splits):
+        # of six 2000-tick games, over the default window; non-herding K = 5
+        # games have markets near N/K, a few far below
+        games = [GameConfig(n_agents=n, seed=subseed(3, i), n_markets=k, n_strategies=s)
+                 for i in range(6)]
+        assert sum(split_detected(run(cfg, 2000)) for cfg in games) == splits
+
+    @pytest.mark.parametrize("n", [11, 301])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_two_markets_split_by_their_gap_tick_for_tick(self, s, n):
+        # at K = 2 the top market's lead is max - min: a one-tick window
+        # reads the gap rule on that tick
+        rec = run(GameConfig(n_agents=n, seed=subseed(3, s), memory=3, n_strategies=s), 400)
+        gap = rec.occupancy.max(axis=1) - rec.occupancy.min(axis=1) > metrics.SPLIT_GAP_FRAC * n
+        got = [split_detected(rec, (t, t + 1)) for t in range(rec.n_ticks)]
+        assert got == gap.tolist()
+        assert split_detected(rec) == (np.mean(gap[200:]) >= metrics.SPLIT_SUSTAIN)
+        if n == 11:  # ticks on both sides of the gap
+            assert 0 < gap.sum() < len(gap)
+
+    def test_one_market_never_splits(self):
+        rec = run(GameConfig(n_agents=11, seed=3, n_markets=1), 50)
+        assert not split_detected(rec) and not split_detected(rec, (0, 1))
 
     def stats_with_var(self, v1, v2):
         occ = [[4, 4]] * 10

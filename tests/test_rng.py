@@ -3,10 +3,10 @@
 Each test plays the same draws through NumPy, on a generator of a seed,
 and through ``Draws`` of the same seed, over 200 seeds, and compares every
 value and then the whole ``bit_generator.state`` dict, the buffered 32-bit
-half (``has_uint32``) and the last high half drawn (``uinteger``) included.
-``lead`` coins drawn on the generator ``Draws.sync`` returns, before
-``Draws`` takes the stream back, leave that half buffered or not; with no
-lead, ``Draws`` draws from its fresh generator from the start.
+half (``has_uint32``) and the last high half drawn (``uinteger``) included,
+of the generator ``Draws.sync`` returns. ``lead`` coins drawn first leave
+that half buffered or not; with no lead, ``Draws`` draws from its fresh
+PCG64 from the start.
 """
 
 import copy
@@ -28,11 +28,10 @@ NEAR_2_31 = [(1 << 31) + 1, (1 << 31) + 3, (1 << 31) + (1 << 29), 3 << 30, 1 << 
 
 def pair(seed, lead):
     """A generator to draw from through NumPy, and ``Draws(seed)``, both
-    after ``lead`` coins drawn through NumPy."""
+    after ``lead`` coins drawn each way."""
     want, draws = np.random.default_rng(seed), Draws(seed)
     want.integers(0, 2, size=lead)
-    if lead:
-        draws.sync().integers(0, 2, size=lead)
+    draws.integers(2, size=lead)
     return want, draws
 
 
@@ -195,13 +194,20 @@ def test_uniform_equals_numpy_bit_for_bit(low, high):
         assert_same_state(want, draws)
 
 
-def test_a_draw_on_the_synced_generator_is_read_back():
+@pytest.mark.parametrize("lead", [0, 1])
+def test_a_draw_on_the_synced_generator_leaves_the_stream(lead):
+    # the generator ``sync`` returns is a snapshot: what is drawn on it is
+    # never read back, whether it leaves a half buffered or takes one
     for seed in SEEDS:
-        want, draws = pair(seed, 0)
+        want, draws = pair(seed, lead)
         assert draws.integer(5) == want.integers(0, 5)
-        assert draws.sync().integers(0, 7) == want.integers(0, 7)  # leaves a half buffered
+        draws.sync().integers(0, 7)
         assert draws.integer(9) == want.integers(0, 9)
+        draws.sync().integers(0, 1 << 32, size=3, dtype=np.uint32)
         assert draws.integers(np.array([3, 4])).tolist() == want.integers(0, [3, 4]).tolist()
+        draws.sync().uniform(size=2)
+        expected, got = play(want, draws, "words", 3)
+        assert got == expected, seed
         assert_same_state(want, draws)
 
 
@@ -211,7 +217,6 @@ def test_a_copy_draws_from_its_own_generator(duplicate):
     want, draws = pair(3, 0)
     assert draws.integer(6) == want.integers(0, 6)  # a half is buffered
     twin = duplicate(draws)
-    assert twin.sync() is not draws.sync()
     twin_want = copy.deepcopy(want)
     for d, w in ((twin, twin_want), (draws, want)):
         for n in (5, 9, 1 << 20):

@@ -287,7 +287,7 @@ class TestChunkedDraw:
             assert np.array_equal(state.tables, tables), cfg
             assert np.array_equal(state.utilities, utilities), cfg
             assert np.array_equal(state.histories, histories), cfg
-            assert state.rng.bit_generator.state == rng_state, cfg
+            assert state.draws.sync().bit_generator.state == rng_state, cfg
 
 
 def traced_overhead(fn):

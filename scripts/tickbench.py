@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Time ``engine.step`` and ``init_game`` in process on fixed games.
+"""Time ``engine.step`` and ``init_game`` of two ``mmg`` versions side by side.
 
-Every game has m=5 and s=2 unless named otherwise; each is played under
-both tie rules. A run draws the game with ``init_game(cfg, ticks)``, as
-``run`` does, so a linear or sign game from zero utilities has the integer
-scores that ``run`` plays and every other game float64 scores (not timed),
-and then times only its ``step`` calls; the figure for a game is the median
-of 5 runs. The games:
+Both versions play fixed games in one process. Every game has m=5 and s=2
+unless named otherwise; each is played under both tie rules. A side draws
+the game with ``init_game(cfg, ticks)``, as ``run`` does, so a linear or
+sign game from zero utilities has the integer scores that ``run`` plays
+and every other game float64 scores (not timed), and then times only its
+``step`` calls. The games:
 
 - N11, N128: regular, K=2, linear payoff;
 - N1447s: regular, K=2, sign payoff (many tied agents per tick);
@@ -31,30 +31,29 @@ of 5 runs. The games:
 - N11K5: regular, 5 markets, coin rule (at most four balanced markets a
   tick, so each coin is one scalar call).
 
-Prints one JSON line, game/tie-rule -> microseconds per tick, and
-game/init -> ``init_game``'s median microseconds (``us``) and the peak bytes
-tracemalloc traces while it runs, in KiB (``peak_kib``). Runs in 10-20 s:
-
-    PYTHONPATH=src python3 scripts/tickbench.py
-
-Where the host's speed drifts, one run per side can differ by more than a
-change does. ``--parent DIR`` compares the ``mmg`` on the path with the one
-under ``DIR/src`` (say, a checkout of the parent commit) in one process:
-each builds every game from the same config-file text with its own
+Where the host's speed drifts, one run per version can differ by more than
+a change does, so both play in one process. The ``mmg`` on the path plays
+against the one under ``DIR/src`` given as ``--parent DIR`` (say, a
+checkout of the parent commit), or without it against a second import of
+this checkout's ``src``, whose line shows the spread that a change must
+beat. Each builds every game from the same config-file text with its own
 ``mmg.io.parse_config`` and its records with its own ``RunRecords.empty``,
-both play it side by side, alternated in blocks of
-ticks (which side goes first alternates too), and the line maps
-game/tie-rule to the parent's and this version's median microseconds per
-tick and the number of blocks this version was faster in. Each game/init maps to both versions' median
-``init_game`` microseconds over ``BLOCKS`` alternated calls, the calls this
-version was faster in, and both traced peaks (``parent_peak_kib``,
-``change_peak_kib``). Both must write the same records, ``n_tied``
-included, and leave the same stream (``state.draws.sync()``), or it stops:
+and both play it alternated in ``BLOCKS`` blocks of a fifth of its ticks
+(which side goes first alternates too). Prints one JSON line mapping each
+game/tie-rule to the other side's (``parent``) and this version's
+(``change``) median microseconds per tick and the blocks this version was
+faster in, and each game/init to both versions' median ``init_game``
+microseconds over ``BLOCKS`` alternated calls, the calls this version was
+faster in, and the peak KiB tracemalloc traces during one call of each
+(``parent_peak_kib``, ``change_peak_kib``). Both must write the same values
+in every field of this version's ``RunRecords``, ``n_tied`` included, and
+leave the same stream (``state.draws.sync()``), or it stops:
 
-    PYTHONPATH=src python3 scripts/tickbench.py --parent ../parent
+    PYTHONPATH=src python3 scripts/tickbench.py [--parent ../parent]
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import json
 import statistics
@@ -66,11 +65,9 @@ from pathlib import Path
 import numpy as np
 
 import mmg
-from mmg.engine import ARGMAX_AGENTS, ONE_HOT_AGENTS, ONE_HOT_ROWS, RunRecords, init_game, step
+from mmg.engine import ARGMAX_AGENTS, ONE_HOT_AGENTS, ONE_HOT_ROWS, RunRecords
 
-RUNS = 5
 BLOCKS = 21
-FIELDS = ("t", "occupancy", "demand", "minority", "history", "n_switched", "n_tied")
 TIES = ("random", "lowest-index")
 
 
@@ -105,15 +102,6 @@ def parsed(pkg, text):
     return importlib.import_module(f"{pkg.__name__}.io").parse_config(text).game
 
 
-def us_per_tick(cfg, ticks):
-    state = init_game(cfg, ticks)
-    out = RunRecords.empty(cfg, ticks)
-    start = time.perf_counter()
-    for i in range(ticks):
-        step(state, out, i)
-    return (time.perf_counter() - start) / ticks * 1e6
-
-
 def init_us(init, cfg, ticks):
     """Microseconds of one ``init(cfg, ticks)``."""
     start = time.perf_counter()
@@ -131,20 +119,6 @@ def init_peak_kib(init, cfg, ticks):
         tracemalloc.stop()
 
 
-def medians():
-    result = {}
-    for name, text, ticks in games():
-        for tie in TIES:
-            cfg = parsed(mmg, f"{text} tie_break={tie}")
-            times = [us_per_tick(cfg, ticks) for _ in range(RUNS)]
-            result[f"{name}/{tie}"] = round(statistics.median(times), 1)
-        cfg = parsed(mmg, text)
-        times = [init_us(init_game, cfg, ticks) for _ in range(RUNS)]
-        result[f"{name}/init"] = {"us": round(statistics.median(times), 1),
-                                  "peak_kib": init_peak_kib(init_game, cfg, ticks)}
-    return result
-
-
 def import_parent(root):
     """The ``mmg`` package under ``root/src``, imported as ``mmg_parent``."""
     init = Path(root, "src", "mmg", "__init__.py")
@@ -158,10 +132,9 @@ def import_parent(root):
 
 def side_by_side(parent, text, ticks):
     """Play the game of config-file ``text`` on ``parent`` and on this
-    ``mmg`` in ``BLOCKS`` alternated blocks of ``ticks // RUNS`` ticks;
-    return the per-tick microseconds of each block, parent's then this
-    version's."""
-    block = max(ticks // RUNS, 1)
+    ``mmg`` in ``BLOCKS`` alternated blocks of ``ticks // 5`` ticks; return
+    the per-tick microseconds of each block, parent's then this version's."""
+    block = max(ticks // 5, 1)
     total = BLOCKS * block
     sides = []
     for pkg in (parent, mmg):
@@ -176,7 +149,7 @@ def side_by_side(parent, text, ticks):
             for i in range(b * block, (b + 1) * block):
                 play(state, out, i)
             times[side].append((time.perf_counter() - start) / block * 1e6)
-    for name in FIELDS:
+    for name in (f.name for f in dataclasses.fields(RunRecords) if f.name != "config"):
         if not np.array_equal(getattr(sides[0][2], name), getattr(sides[1][2], name)):
             raise SystemExit(f"{text}: the two versions wrote different {name} records")
     streams = [state.draws.sync().bit_generator.state for _, state, _ in sides]
@@ -212,10 +185,10 @@ def against_parent(root):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", metavar="DIR",
-                        help="compare with the mmg under DIR/src, in one process")
+    parser.add_argument("--parent", metavar="DIR", default=Path(__file__).resolve().parents[1],
+                        help="compare with the mmg under DIR/src (default: this checkout)")
     args = parser.parse_args()
-    print(json.dumps(against_parent(args.parent) if args.parent else medians()))
+    print(json.dumps(against_parent(args.parent)))
 
 
 if __name__ == "__main__":

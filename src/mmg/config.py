@@ -34,7 +34,6 @@ MAX_MEMORY = 24  # keeps 2**m indexable in a machine word with headroom
 # ``init_game`` draws the tables and uniform initial utilities in place, so it
 # holds the arrays the game keeps plus one chunk (``strategies._CHUNK_BYTES``),
 # never a second copy of the tables nor a mask of the links.
-# A run's records, 8*T*(4K+3) bytes, are held to the same budget.
 MAX_TABLE_BYTES = 1 << 30
 
 
@@ -79,17 +78,6 @@ class GameConfig:
     def table_bytes(self) -> int:
         """Size of the int8 strategy tables, N*K*s*2**m bytes."""
         return (self.n_agents * self.n_markets * self.n_strategies) << self.memory
-
-    def check_ticks(self, ticks: int) -> None:
-        """Refuse a run of ``ticks`` ticks before anything is allocated: T < 1,
-        or int64 records of 8*T*(4K+3) bytes over ``MAX_TABLE_BYTES``."""
-        GameConfig.check_counts(T=ticks)
-        record_bytes = 8 * ticks * (4 * self.n_markets + 3)
-        if record_bytes > MAX_TABLE_BYTES:
-            raise ConfigError(
-                f"T: records of T={ticks} ticks need 8*T*(4K+3) = {record_bytes} bytes, "
-                f"over the budget of {MAX_TABLE_BYTES}; lower T"
-            )
 
     def agent_runs(self) -> list[tuple[slice, int]]:
         """The runs of agents, in agent order, each with the count k of leading

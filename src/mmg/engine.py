@@ -45,9 +45,10 @@ contiguous rows rather than along a short inner axis, and a tick reads its
 actions as one ``take`` of K table rows. ``GameState.utilities`` is a
 transposed view of the scores in the agent-first shape ``(N, K, s)``. The
 plain-Python per-agent loop in ``tests/reference.py`` follows the same
-order and random stream and serves as its oracle. ``run`` allocates the
-columnar ``RunRecords`` of its config once, and ``step`` writes tick i into
-its row i; that is the one layout io renders and every estimator reads.
+order and random stream and serves as its oracle. ``run`` sizes and
+allocates the columnar ``RunRecords`` of its config once, and ``step`` writes
+tick i into its row i, so no column holds t; that is the one layout io
+renders and every estimator reads.
 Aggregation depends on agents per market and on K*s. From
 ``ONE_HOT_AGENTS`` agents per market up, while K*s <= ``ONE_HOT_ROWS``,
 each market's counts come from its block of the one-hot ``(K, s, N)`` of
@@ -76,7 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import GameConfig
+from .config import MAX_TABLE_BYTES, ConfigError, GameConfig
 from .rng import Draws
 from .strategies import agent_chunks, draw_strategies
 
@@ -167,13 +168,12 @@ class RunRecords:
     """Observables of a whole run, one row per tick, and the game they came from.
 
     This is the only layout records are stored and serialized in;
-    ``step`` writes tick i into row i. ``config`` is the played game, which
-    the estimators read N, K, s and m from; neither it nor ``n_tied`` is
-    serialized.
+    ``step`` writes tick i into row i, so a row's index is its tick.
+    ``config`` is the played game, which the estimators read N, K, s and m
+    from; neither it nor ``n_tied`` is serialized.
     """
 
     config: GameConfig
-    t: np.ndarray  # (T,)
     occupancy: np.ndarray  # (T, K)
     demand: np.ndarray  # (T, K)
     minority: np.ndarray  # (T, K)
@@ -181,16 +181,28 @@ class RunRecords:
     n_switched: np.ndarray  # (T,)
     n_tied: np.ndarray  # (T,) tie draws
 
+    @staticmethod
+    def check(cfg: GameConfig, ticks: int) -> None:
+        """Refuse records of ``ticks`` ticks of ``cfg`` before anything is
+        allocated: T < 1, or the 8*T*(4K+2) bytes of ``empty`` over
+        ``MAX_TABLE_BYTES``."""
+        GameConfig.check_counts(T=ticks)
+        record_bytes = 8 * ticks * (4 * cfg.n_markets + 2)
+        if record_bytes > MAX_TABLE_BYTES:
+            raise ConfigError(
+                f"T: records of T={ticks} ticks need 8*T*(4K+2) = {record_bytes} bytes, "
+                f"over the budget of {MAX_TABLE_BYTES}; lower T"
+            )
+
     @classmethod
     def empty(cls, cfg: GameConfig, ticks: int) -> RunRecords:
         """Unfilled records of ``ticks`` ticks of the game ``cfg``."""
         per_market = [np.empty((ticks, cfg.n_markets), dtype=np.int64) for _ in range(4)]
-        return cls(cfg, np.empty(ticks, dtype=np.int64), *per_market,
-                   np.empty(ticks, dtype=np.int64), np.empty(ticks, dtype=np.int64))
+        return cls(cfg, *per_market, *(np.empty(ticks, dtype=np.int64) for _ in range(2)))
 
     @property
     def n_ticks(self) -> int:
-        return self.t.shape[0]
+        return len(self.n_switched)
 
 
 @dataclass(eq=False)
@@ -205,7 +217,7 @@ class GameState:
     stream alone; ``draws.sync()`` is a NumPy generator in that stream's
     state (``mmg.rng.Draws``). A deep copy or an unpickled state owns copies
     of the arrays and of the stream.
-    The fields after ``t`` are derived once from the config; ``step`` reads
+    The fields after ``last_market`` are derived once from the config; ``step`` reads
     all of them every tick, except that a game with fewer than
     ``ARGMAX_AGENTS`` agents reads neither ``weights``, ``rows`` nor
     ``count_ties``. ``step`` writes the next histories into ``histories`` in
@@ -225,7 +237,6 @@ class GameState:
     scores: np.ndarray  # (K*s, N) int32 or float64, row k*s + i is slot i on market k
     histories: np.ndarray  # (K,) int64
     last_market: np.ndarray | None = None  # (N,) active market at t-1
-    t: int = 0
     weights: np.ndarray = field(init=False)  # (K*s, 1) K*s down to 1, in flat order
     rows: np.ndarray = field(init=False)  # (K*s, 1) 0 up to K*s - 1, dtype of ``weights``
     agents: np.ndarray = field(init=False)  # (N,) agent indices
@@ -429,16 +440,14 @@ def step(state: GameState, out: RunRecords, i: int) -> None:
         n_switched = np.count_nonzero(market != state.last_market)
     state.last_market = market
 
-    out.t[i] = state.t
     out.minority[i] = minority
     out.history[i] = mu
     out.n_switched[i] = n_switched
-    state.t += 1
 
 
 def run(cfg: GameConfig, ticks: int) -> RunRecords:
     """Play ``ticks`` ticks from a fresh game and return the columnar record."""
-    cfg.check_ticks(ticks)
+    RunRecords.check(cfg, ticks)
     state = init_game(cfg, ticks)
     out = RunRecords.empty(cfg, ticks)
     for i in range(ticks):

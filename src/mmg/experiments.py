@@ -101,7 +101,7 @@ def check_run(cfg: GameConfig, ticks: int | None, n_seeds: int | None = None,
     if n_seeds is not None:
         GameConfig.check_counts(seeds=n_seeds)
     if ticks is not None:
-        cfg.check_ticks(ticks)
+        RunRecords.check(cfg, ticks)
     if window is not None:
         resolve_window(ticks, window)
 
@@ -266,7 +266,7 @@ def _records_table(cfgs: list[GameConfig], ticks: int, names: tuple[str, ...]) -
     runs = []
     for cfg in cfgs:
         rec = run(cfg, ticks)  # refuses a bad T before the N column is built
-        columns = {"N": np.full(ticks, cfg.n_agents), "t": rec.t, "C": rec.n_switched}
+        columns = {"N": np.full(ticks, cfg.n_agents), "t": np.arange(ticks), "C": rec.n_switched}
         for k in range(cfg.n_markets):
             columns[f"O{k + 1}"] = rec.occupancy[:, k]
             columns[f"A{k + 1}"] = rec.demand[:, k]

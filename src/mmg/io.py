@@ -5,8 +5,9 @@ comments; unknown and duplicate keys are rejected with a source location.
 Run records serialize to long-form CSV (header ``t,k,O,A,astar,mu,C``,
 one row per tick and market, t-major) or JSONL (one object per tick with
 per-market arrays). Both are rendered straight from the column arrays of
-``RunRecords``. Integers print verbatim and reals with 17 significant
-digits, so identical data always yields identical bytes.
+``RunRecords``, t from the row index. Integers print verbatim and reals
+with 17 significant digits, so identical data always yields identical
+bytes.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def format_number(x) -> str:
 
 
 _CSV_ROW = (",".join(["{}"] * 7) + "\n").format
-_FIELDS = ("t", "occupancy", "demand", "minority", "history", "n_switched")
+_FIELDS = ("occupancy", "demand", "minority", "history", "n_switched")
 
 # Ticks rendered at a time: besides the records and the text, rendering
 # holds the Python rows of one chunk of ticks.
@@ -187,7 +188,7 @@ _RENDER_TICKS = 1 << 12
 
 def _csv_lines(records: RunRecords, ticks: slice) -> str:
     k_markets = records.config.n_markets
-    t = records.t[ticks]
+    t = np.arange(*ticks.indices(records.n_ticks))
     rows = np.column_stack([
         np.repeat(t, k_markets), np.tile(np.arange(k_markets), len(t)),
         records.occupancy[ticks].ravel(), records.demand[ticks].ravel(),
@@ -202,7 +203,8 @@ def _jsonl_lines(records: RunRecords, ticks: slice) -> str:
     arrays = "".join(f',"{key}":[' + ",".join(["{}"] * records.config.n_markets) + "]"
                      for key in ("O", "A", "astar", "mu"))
     line = ('{{"t":{}' + arrays + ',"C":{}}}\n').format
-    rows = np.column_stack([getattr(records, name)[ticks] for name in _FIELDS]).tolist()
+    rows = np.column_stack([np.arange(*ticks.indices(records.n_ticks))]
+                           + [getattr(records, name)[ticks] for name in _FIELDS]).tolist()
     return "".join([line(*row) for row in rows])
 
 

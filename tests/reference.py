@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 
 class RefTick(NamedTuple):
-    t: int
     occupancy: list[int]
     demand: list[int]
     minority: list[int]
@@ -47,7 +46,6 @@ class ReferenceGame:
             for agent in range(cfg.n_agents)
         ]
         self.last_market = None if state.last_market is None else state.last_market.tolist()
-        self.t = state.t
         self.tick_tie_draws = []  # tie draws of each tick played
         self.coin_draws = 0
 
@@ -123,9 +121,7 @@ class ReferenceGame:
             n_switched = sum(a != b for a, b in zip(markets, self.last_market))
         self.last_market = markets
 
-        tick = RefTick(self.t, occupancy, demand, minority, list(mu), n_switched)
-        self.t += 1
-        return tick
+        return RefTick(occupancy, demand, minority, list(mu), n_switched)
 
 
 def reference_run(state, ticks: int) -> tuple[list[RefTick], ReferenceGame]:

@@ -340,12 +340,11 @@ class TestCriterion12Properties:
         report(12, "complement-antisymmetry", True)
 
     def test_replay_determinism(self):
+        from helpers import columns
+
         cfg = GameConfig(n_agents=50, seed=77)
         a, b = run(cfg, 500), run(cfg, 500)
-        ok = all(
-            np.array_equal(getattr(a, f), getattr(b, f))
-            for f in ("t", "occupancy", "demand", "minority", "history", "n_switched")
-        )
+        ok = all(np.array_equal(column, getattr(b, name)) for name, column in columns(a).items())
         report(12, "replay-determinism", ok)
         assert ok
 

@@ -251,7 +251,7 @@ class TestExitCodes:
         *(["figure", name] for name in FIGURE_NAMES),
     ], ids=lambda argv: "-".join(argv[:2]) if argv[0] == "figure" else argv[0])
     def test_records_over_budget(self, tmp_path, capsys, monkeypatch, argv):
-        # 10**11 ticks of two markets need 8*T*(4K+3) = 8.8e12 bytes of records
+        # 10**11 ticks of two markets need 8*T*(4K+2) = 8e12 bytes of records
         def no_game(*args, **kwargs):
             raise AssertionError("a game was started")
 
@@ -264,6 +264,17 @@ class TestExitCodes:
         assert cli_main(argv + ["-T", "100000000000", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: T: ")
         assert not out.exists()
+
+    def test_record_budget_edge(self, tmp_path, capsys, monkeypatch):
+        # at K=2 the records take 80*T bytes: the largest T within the
+        # budget reaches the game, one tick more is refused before it
+        monkeypatch.setattr(cli, "run_game", no_game)
+        argv = ["run", "--N", "11", "--seed", "0", "--out", str(tmp_path / "out.csv"), "-T"]
+        with pytest.raises(Played):
+            cli_main(argv + ["13421772"])
+        assert cli_main(argv + ["13421773"]) == 2
+        assert capsys.readouterr().err.startswith("config error: T: records of T=13421773")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_runtime_failure(self, tmp_path):
         # fig6 needs a large fluctuation; two ticks cannot contain one

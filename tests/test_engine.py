@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import link_mask, one_tick, topology_kind
+from helpers import columns, link_mask, one_tick, topology_kind
 from mmg import ConfigError, GameConfig, RunRecords, engine, init_game, run, step
+from mmg.config import MAX_TABLE_BYTES
 from mmg.engine import (
     ARGMAX_AGENTS, ONE_HOT_AGENTS, ONE_HOT_ROWS, SCALAR_DRAWS, UNLINKED_SCORE,
 )
@@ -139,9 +140,7 @@ class TestChooseActiveStrategy:
             rec_a = one_tick(state_a)
             rec_b = one_tick(state_b)
             assert np.array_equal(state_a.last_market, state_b.last_market)
-            for name in ("occupancy", "demand", "minority", "history"):
-                assert np.array_equal(getattr(rec_a, name), getattr(rec_b, name))
-            assert rec_a.n_switched == rec_b.n_switched
+            assert tick_tuple(rec_a) == tick_tuple(rec_b)
 
 
 def fixed_action_game(actions, n_markets=1, payoff="linear", zero_demand="plus-one"):
@@ -211,9 +210,8 @@ class TestStep:
         state = init_game(cfg)
         state.tables[:1 << 1, 0, 0] = 1
         state.tables[:1 << 1, 0, 1] = -1
-        for t in range(3):
+        for _ in range(3):
             rec = one_tick(state)
-            assert rec.t == t
             assert rec.occupancy.tolist() == [2, 0]
             assert rec.demand.tolist() == [0, 0]
             assert rec.minority.tolist() == [1, 1]
@@ -238,8 +236,8 @@ class TestStep:
         cfg = GameConfig(n_agents=25, seed=123, memory=3)
         a = run(cfg, 1000)
         b = run(cfg, 1000)
-        for field in ("t", "occupancy", "demand", "minority", "history", "n_switched"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        for name, column in columns(a).items():
+            assert np.array_equal(column, getattr(b, name)), name
 
     def test_single_market_occupancy(self):
         cfg = GameConfig(n_agents=7, seed=2, n_markets=1, memory=2)
@@ -256,11 +254,25 @@ class TestStep:
 
     def test_single_tick_run(self):
         rec = run(small_config(seed=6), 1)
-        assert rec.n_ticks == 1 and rec.t[0] == 0 and rec.n_switched[0] == 0
+        assert rec.n_ticks == 1 and rec.n_switched[0] == 0
 
     def test_run_rejects_nonpositive_ticks(self):
         with pytest.raises(ConfigError):
             run(small_config(), 0)
+
+    @pytest.mark.parametrize("k_markets", [1, 2, 3])
+    def test_record_budget_counts_what_is_allocated(self, k_markets):
+        # the check counts the bytes ``empty`` allocates: the largest T it
+        # accepts is the budget over one tick's bytes, and one tick more is
+        # refused with the bytes those ticks would take
+        cfg = GameConfig(n_agents=5, seed=1, n_markets=k_markets)
+        nbytes = sum(column.nbytes for column in columns(RunRecords.empty(cfg, 7)).values())
+        per_tick = nbytes // 7
+        assert per_tick * 7 == nbytes
+        most = MAX_TABLE_BYTES // per_tick
+        RunRecords.check(cfg, most)
+        with pytest.raises(ConfigError, match=f"^T: .* = {per_tick * (most + 1)} bytes"):
+            RunRecords.check(cfg, most + 1)
 
     @pytest.mark.parametrize("n_exclusive", [None, 4], ids=["regular", "irregular"])
     def test_run_is_step_row_by_row(self, n_exclusive):
@@ -273,9 +285,8 @@ class TestStep:
         assert out.config == want.config
         for i in range(ticks):
             step(state, out, i)
-            for name in ("t", "occupancy", "demand", "minority", "history", "n_switched"):
-                assert np.array_equal(getattr(out, name)[i], getattr(want, name)[i]), (i, name)
-        assert state.t == ticks
+            for name, column in columns(out).items():
+                assert np.array_equal(column[i], getattr(want, name)[i]), (i, name)
 
     @pytest.mark.parametrize("cfg", [
         GameConfig(n_agents=11, seed=4),
@@ -452,8 +463,8 @@ class TestDrawStream:
                 step(state, out, i)
             games.append((out, state.draws.sync().bit_generator.state))
         (want, want_stream), (got, got_stream) = games
-        for name in ("t", "occupancy", "demand", "minority", "history", "n_switched", "n_tied"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name, column in columns(got).items():
+            assert np.array_equal(column, getattr(want, name)), name
         assert got_stream == want_stream
         assert want_stream != init_game(cfg, ticks).draws.sync().bit_generator.state
 
@@ -523,19 +534,19 @@ ONE_HOT_BOUNDARY_GRID = [
 
 def tick_tuple(rec):
     return (
-        rec.t, rec.occupancy.tolist(), rec.demand.tolist(),
-        rec.minority.tolist(), rec.history.tolist(), rec.n_switched,
+        rec.occupancy.tolist(), rec.demand.tolist(), rec.minority.tolist(),
+        rec.history.tolist(), rec.n_switched, rec.n_tied,
     )
 
 
 def assert_steps_like_reference(state, ticks):
-    """Step ``state`` next to the reference engine started from it; return
-    the records and the reference game."""
+    """Step ``state`` next to the reference engine started from it, tie draws
+    included; return the records and the reference game."""
     ref_ticks, ref = reference_run(state, ticks)
     got = []
-    for expected in ref_ticks:
+    for i, expected in enumerate(ref_ticks):
         got.append(tick_tuple(one_tick(state)))
-        assert got[-1] == tuple(expected), f"tick {got[-1][0]}"
+        assert got[-1] == (*expected, ref.tick_tie_draws[i]), f"tick {i}"
     assert np.array_equal(state.utilities, np.array(ref.utilities))
     assert state.draws.sync().bit_generator.state == ref.rng.bit_generator.state
     return got, ref
@@ -786,7 +797,7 @@ class TestIntegerScores:
 
         monkeypatch.setattr(engine, "init_game", init_and_keep)
         run(GameConfig(n_agents=11, seed=1, n_exclusive=5), 50)
-        assert played[0].scores.dtype == np.int32 and played[0].t == 50
+        assert played[0].scores.dtype == np.int32 and played[0].last_market is not None
 
     @pytest.mark.parametrize("cfg", [
         GameConfig(n_agents=1200, seed=2, n_exclusive=900),
@@ -800,8 +811,8 @@ class TestIntegerScores:
         for i in range(ticks):
             step(want, out, i)
         got = run(cfg, ticks)
-        for name in ("t", "occupancy", "demand", "minority", "history", "n_switched"):
-            assert np.array_equal(getattr(got, name), getattr(out, name)), name
+        for name, column in columns(got).items():
+            assert np.array_equal(column, getattr(out, name)), name
 
     @pytest.mark.parametrize("payoff, n, ticks, dtype", [
         ("linear", 33, (2**30 - 1) // 33, np.int32),  # N*T = 2**30 - 1

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import columns
 from mmg import ConfigError, GameConfig, RunRecords, io, run
 from mmg.config import CONFIG_KEYS, MAX_MEMORY, MAX_TABLE_BYTES
 from mmg.io import (
@@ -59,17 +60,20 @@ class TestParseConfig:
             parse_config(f"N={n} K=3 m=10 seed=1")
 
     def test_record_budget_names_ticks(self):
-        # a run's records take 8*T*(4K+3) bytes, 88*T at K=2: T is refused
+        # a run's records take 8*T*(4K+2) bytes, 80*T at K=2: T is refused
         # over the budget, inclusively, before anything is allocated
-        most = MAX_TABLE_BYTES // 88
+        most = MAX_TABLE_BYTES // 80
+        assert most == 13421772
         cfg = GameConfig(n_agents=11, seed=1)
-        cfg.check_ticks(most)
+        RunRecords.check(cfg, most)
         with pytest.raises(ConfigError, match="^T: "):
-            cfg.check_ticks(most + 1)
+            RunRecords.check(cfg, most + 1)
         with pytest.raises(ConfigError, match="^T: must be >= 1"):
-            cfg.check_ticks(0)
+            RunRecords.check(cfg, 0)
         assert parse_config(f"N=11 seed=1 T={most}").ticks == most
-        with pytest.raises(ConfigError, match="^T: .*8800000000000 bytes"):
+        with pytest.raises(ConfigError, match="^T: "):
+            parse_config(f"N=11 seed=1 T={most + 1}")
+        with pytest.raises(ConfigError, match="^T: .*8000000000000 bytes"):
             parse_config("N=11 seed=1 T=100000000000")
         with pytest.raises(ConfigError, match="^T: "):
             parse_config(f"N=11 K=3 seed=1 T={most}")
@@ -287,7 +291,6 @@ class TestRecordFormats:
     def test_csv_single_tick_two_markets(self):
         rec = RunRecords(
             config=GameConfig(n_agents=5, seed=0, memory=3),
-            t=np.array([0]),
             occupancy=np.array([[3, 2]]),
             demand=np.array([[1, -2]]),
             minority=np.array([[-1, 1]]),
@@ -302,9 +305,9 @@ class TestRecordFormats:
     def test_empty_stream_is_header_only(self):
         empty = np.empty((0, 2), dtype=np.int64)
         rec = RunRecords(
-            config=GameConfig(n_agents=5, seed=0, memory=3), t=np.empty(0, dtype=np.int64),
-            occupancy=empty, demand=empty, minority=empty, history=empty,
-            n_switched=np.empty(0, dtype=np.int64), n_tied=np.empty(0, dtype=np.int64),
+            config=GameConfig(n_agents=5, seed=0, memory=3), occupancy=empty, demand=empty,
+            minority=empty, history=empty, n_switched=np.empty(0, dtype=np.int64),
+            n_tied=np.empty(0, dtype=np.int64),
         )
         assert render_records(rec, "csv") == "t,k,O,A,astar,mu,C\n"
         assert render_records(rec, "jsonl") == ""
@@ -326,19 +329,25 @@ class TestRecordFormats:
         # has negative demands and, at t=0, the first tick's C=0, the
         # random record multi-digit negatives in every column
         game = run(GameConfig(n_agents=9, seed=k_markets, n_markets=k_markets, memory=3), 40)
-        assert (game.demand < 0).any() and game.t[0] == 0 and game.n_switched[0] == 0
+        assert (game.demand < 0).any() and game.n_switched[0] == 0
         draw = np.random.default_rng(k_markets).integers
-        wide = RunRecords(game.config, np.arange(30) * 7,
-                          *(draw(-5000, 5000, (30, k_markets)) for _ in range(4)),
+        wide = RunRecords(game.config, *(draw(-5000, 5000, (30, k_markets)) for _ in range(4)),
                           draw(-5000, 5000, 30), np.zeros(30, dtype=np.int64))
-        keys = ("t", "O", "A", "astar", "mu", "C")
-        fields = ("t", "occupancy", "demand", "minority", "history", "n_switched")
         for rec in (game, wide, RunRecords.empty(game.config, 0)):
-            ticks = zip(*(getattr(rec, name).tolist() for name in fields))
-            text = render_records(rec, "jsonl")
-            assert text == "".join(
-                json.dumps(dict(zip(keys, tick)), separators=(",", ":")) + "\n" for tick in ticks
-            )
+            assert render_records(rec, "jsonl") == json_lines(rec)
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_t_is_the_row_index(self, monkeypatch, fmt):
+        # hand-built records hold no t: each row renders its index, chunk
+        # after chunk
+        monkeypatch.setattr(io, "_RENDER_TICKS", 4)
+        rec = wide_records(10, 3)
+        lines = render_records(rec, fmt).splitlines()
+        if fmt == "csv":
+            t = [int(line.split(",")[0]) for line in lines[1:]]
+            assert t == np.repeat(np.arange(10), 3).tolist()
+        else:
+            assert [json.loads(line)["t"] for line in lines] == list(range(10))
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -360,30 +369,35 @@ def one_shot_render(records, fmt):
     n_ticks, k_markets = records.n_ticks, records.config.n_markets
     if fmt == "csv":
         rows = np.column_stack([
-            np.repeat(records.t, k_markets), np.tile(np.arange(k_markets), n_ticks),
+            np.repeat(np.arange(n_ticks), k_markets), np.tile(np.arange(k_markets), n_ticks),
             records.occupancy.ravel(), records.demand.ravel(), records.minority.ravel(),
             records.history.ravel(), np.repeat(records.n_switched, k_markets),
         ]).tolist()
         return "\n".join(["t,k,O,A,astar,mu,C"] + [",".join(map(str, row)) for row in rows]) + "\n"
-    fields = ("t", "occupancy", "demand", "minority", "history", "n_switched")
-    keys = ("t", "O", "A", "astar", "mu", "C")
-    ticks = zip(*(getattr(records, name).tolist() for name in fields))
-    return "".join(json.dumps(dict(zip(keys, tick)), separators=(",", ":")) + "\n" for tick in ticks)
+    return json_lines(records)
+
+
+def json_lines(records):
+    """The object json.dumps writes for each tick of ``records``, t its row index."""
+    ticks = zip(records.occupancy.tolist(), records.demand.tolist(), records.minority.tolist(),
+                records.history.tolist(), records.n_switched.tolist())
+    return "".join(json.dumps({"t": t, "O": o, "A": a, "astar": x, "mu": mu, "C": c},
+                              separators=(",", ":")) + "\n"
+                   for t, (o, a, x, mu, c) in enumerate(ticks))
 
 
 def wide_records(ticks, k_markets, seed=0):
     """Records of ``ticks`` ticks holding multi-digit values of either sign."""
     draw = np.random.default_rng(seed).integers
-    return RunRecords(GameConfig(n_agents=5, seed=seed, n_markets=k_markets), np.arange(ticks),
+    return RunRecords(GameConfig(n_agents=5, seed=seed, n_markets=k_markets),
                       *(draw(-5000, 5000, (ticks, k_markets)) for _ in range(4)),
                       draw(0, 5000, ticks), np.zeros(ticks, dtype=np.int64))
 
 
 def head(records, ticks):
     """The first ``ticks`` ticks of ``records``."""
-    return RunRecords(records.config, *(getattr(records, name)[:ticks] for name in
-                                        ("t", "occupancy", "demand", "minority", "history",
-                                         "n_switched", "n_tied")))
+    return RunRecords(records.config, **{name: column[:ticks]
+                                         for name, column in columns(records).items()})
 
 
 class TestChunkedRender:

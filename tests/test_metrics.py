@@ -37,7 +37,6 @@ def make_records(occupancy, demand, history=None, n_switched=None, memory=5):
         # a game has an agent: an all-empty first row stands for one
         config=GameConfig(n_agents=int(occupancy[0].sum()) or 1, seed=0, n_markets=k,
                           memory=memory),
-        t=np.arange(ticks, dtype=np.int64),
         occupancy=occupancy,
         demand=demand,
         minority=np.where(demand > 0, -1, 1).astype(np.int64),

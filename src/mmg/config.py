@@ -23,17 +23,15 @@ __all__ = [
 ]
 
 MAX_MEMORY = 24  # keeps 2**m indexable in a machine word with headroom
-# Largest strategy-table array a game may ask for: N*K*s*2**m int8 bytes.
-# A game keeps more than its tables: the scores, unlinked entries included
-# (4*N*K*s bytes when int32, 8*N*K*s otherwise), ``agents`` (8*N) and
-# ``last_market`` (8*N, or N on the one-hot side of ``engine.step``). At
-# m=1, s=1 that is 9.5x the tables for K=1 and 7.25x for K=2 (float64
-# scores, one-hot side; 7.5x and 5.25x when int32), and 13x and 9x for a
-# game under 512*K agents, on the bincount side (tracemalloc after
-# ``init_game`` and one ``step``, per byte of tables as N grows).
-# ``init_game`` draws the tables and uniform initial utilities in place, so it
-# holds the arrays the game keeps plus one chunk (``strategies._CHUNK_BYTES``),
-# never a second copy of the tables nor a mask of the links.
+# Largest size ``GameConfig.check_budget`` lets the strategy tables (N*K*s*2**m
+# int8 bytes), a run's records or fig6's arrays reach, each on its own. A game
+# keeps more than its tables: the scores, unlinked entries included (4*N*K*s
+# bytes when int32, 8*N*K*s otherwise), ``agents`` (8*N) and ``last_market``
+# (8*N, or N on the one-hot side of ``engine.step``). At m=1, s=1 that is 9.5x
+# the tables for K=1 and 7.25x for K=2 (float64 scores, one-hot side; 7.5x and
+# 5.25x when int32), and 13x and 9x for a game under 512*K agents, on the
+# bincount side (tracemalloc after ``init_game`` and one ``step``, per byte of
+# tables as N grows); ``init_game`` itself holds one chunk more.
 MAX_TABLE_BYTES = 1 << 30
 
 
@@ -127,6 +125,14 @@ class GameConfig:
             if value < 1:
                 raise ConfigError(f"{key}: must be >= 1, got {value}")
 
+    @staticmethod
+    def check_budget(key: str, what: str, nbytes: int, remedy: str) -> None:
+        """Refuse, naming ``key``, ``what`` of ``nbytes`` bytes over ``MAX_TABLE_BYTES``:
+        the one check of every size, made before anything is allocated."""
+        if nbytes > MAX_TABLE_BYTES:
+            raise ConfigError(f"{key}: {what} = {nbytes} bytes, over the budget of "
+                              f"{MAX_TABLE_BYTES}; lower {remedy}")
+
     def __post_init__(self) -> None:
         for key, (field, kind, _) in CONFIG_KEYS.items():
             GameConfig.check_kind(key, getattr(self, field), kind)
@@ -135,11 +141,8 @@ class GameConfig:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if not 1 <= self.memory <= MAX_MEMORY:
             raise ConfigError(f"m: must be in [1, {MAX_MEMORY}], got {self.memory}")
-        if self.table_bytes > MAX_TABLE_BYTES:
-            raise ConfigError(
-                f"m: strategy tables need N*K*s*2**m = {self.table_bytes} bytes, over the "
-                f"budget of {MAX_TABLE_BYTES}; lower m, N, K or s"
-            )
+        GameConfig.check_budget("m", "strategy tables need N*K*s*2**m", self.table_bytes,
+                                "m, N, K or s")
         if not math.isfinite(self.u_high - self.u_low):
             raise ConfigError(
                 f"u_low/u_high: need finite bounds with a finite u_high - u_low, "

@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import MAX_TABLE_BYTES, ConfigError, GameConfig
+from .config import GameConfig
 from .rng import Draws
 from .strategies import agent_chunks, draw_strategies
 
@@ -182,17 +182,14 @@ class RunRecords:
     n_tied: np.ndarray  # (T,) tie draws
 
     @staticmethod
-    def check(cfg: GameConfig, ticks: int) -> None:
-        """Refuse records of ``ticks`` ticks of ``cfg`` before anything is
-        allocated: T < 1, or the 8*T*(4K+2) bytes of ``empty`` over
-        ``MAX_TABLE_BYTES``."""
+    def check(cfg: GameConfig, ticks: int) -> int:
+        """Refuse records of ``ticks`` ticks of ``cfg`` before anything is allocated:
+        T < 1, or the 8*T*(4K+2) bytes of ``empty`` past the budget. Return those bytes."""
         GameConfig.check_counts(T=ticks)
         record_bytes = 8 * ticks * (4 * cfg.n_markets + 2)
-        if record_bytes > MAX_TABLE_BYTES:
-            raise ConfigError(
-                f"T: records of T={ticks} ticks need 8*T*(4K+2) = {record_bytes} bytes, "
-                f"over the budget of {MAX_TABLE_BYTES}; lower T"
-            )
+        GameConfig.check_budget("T", f"records of T={ticks} ticks need 8*T*(4K+2)",
+                                record_bytes, "T")
+        return record_bytes
 
     @classmethod
     def empty(cls, cfg: GameConfig, ticks: int) -> RunRecords:

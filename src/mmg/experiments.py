@@ -283,6 +283,11 @@ def _fig6_table(cfg: GameConfig, ticks: int) -> Table:
     if cfg.n_strategies != 2:
         raise ConfigError(f"s: fig6 classes agents by 2, 1 or 0 good strategies of two, "
                           f"so it needs s = 2, got {cfg.n_strategies}")
+    # held at once: the records and, for each of at most 3 picks and T+1 ticks,
+    # K*s float64 scores and a klass (<U9), an agent and a t cell
+    per_tick = 3 * (8 * cfg.n_markets * cfg.n_strategies + 52)
+    GameConfig.check_budget("T", f"fig6 of T={ticks} ticks needs its records + 3*(T+1)*(8*K*s+52)",
+                            RunRecords.check(cfg, ticks) + (ticks + 1) * per_tick, "T")
     records = run(cfg, ticks)
     firsts = [detect_critical_history(records, k) for k in range(cfg.n_markets)]
     crit = min(filter(None, firsts), key=lambda crit: crit.first_tick, default=None)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_TABLE_BYTES, ConfigError, GameConfig
+from .config import ConfigError, GameConfig
 from .engine import RunRecords
 
 __all__ = [
@@ -206,21 +206,16 @@ def predicted_occupancies(n_agents: int, n_markets: int, n_strategies: int) -> l
     With r = 1/2**s, the k-th largest market keeps N(1-r)r**(k-1) agents
     and the smallest keeps the remainder N r**(K-1). Past one market, the
     inputs are bounded like a game's: N, K and s whose strategy tables
-    exceed ``MAX_TABLE_BYTES`` even at m=1 are refused before anything is
-    built.
+    exceed the budget even at m=1 are refused before anything is built,
+    naming N if one market's would too and K otherwise.
     """
     GameConfig.check_counts(N=n_agents, K=n_markets, s=n_strategies)
     if n_markets == 1:
         return [float(n_agents)]
-    table_bytes = (n_agents * n_markets * n_strategies) << 1  # N*K*s*2**m at m=1
-    if table_bytes > MAX_TABLE_BYTES:
-        # K is at fault when the one-market game would fit
-        key = "K" if table_bytes // n_markets <= MAX_TABLE_BYTES else "N"
-        raise ConfigError(
-            f"{key}: no game with N={n_agents}, K={n_markets}, s={n_strategies} can be "
-            f"played: its strategy tables need {table_bytes} bytes even at m=1, over the "
-            f"budget of {MAX_TABLE_BYTES}; lower N, K or s"
-        )
+    for key, k in (("N", 1), ("K", n_markets)):
+        GameConfig.check_budget(key, f"no game with N={n_agents}, K={k}, s={n_strategies} can "
+                                f"be played: its strategy tables need N*K*s*2 at m=1",
+                                (n_agents * k * n_strategies) << 1, "N, K or s")
     r = 2.0 ** -n_strategies
     out = [n_agents * (1 - r) * r**k for k in range(n_markets - 1)]
     out.append(n_agents * r ** (n_markets - 1))

@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from mmg import cli, engine, experiments
+from helpers import columns
+from mmg import GameConfig, RunRecords, cli, engine, experiments
 from mmg.cli import _build_parser, cli_main
-from mmg.config import CONFIG_KEYS
+from mmg.config import CONFIG_KEYS, MAX_TABLE_BYTES
 from mmg.experiments import FIGURE_NAMES
 from mmg.io import FILE_KEYS, content_hash, parse_manifest
 
@@ -275,6 +276,30 @@ class TestExitCodes:
         assert cli_main(argv + ["13421773"]) == 2
         assert capsys.readouterr().err.startswith("config error: T: records of T=13421773")
         assert not (tmp_path / "out.csv").exists()
+
+    def test_fig6_budget_edge(self, tmp_path, capsys, monkeypatch):
+        # fig6 holds its records and its table at once, the table T+1 rows of
+        # each pick's traces and klass, agent and t cells: the largest T whose
+        # arrays fit the budget reaches the game, one tick more is refused
+        # before it and writes no file
+        short = 300
+        table = experiments.figure_dataset("fig6", T=short)["fig6"]
+        assert len(set(table["agent"])) == 3
+        table_bytes = sum(column.nbytes for column in table.values())
+        per_row = table_bytes // (short + 1)
+        assert per_row * (short + 1) == table_bytes
+        records = columns(RunRecords.empty(GameConfig(n_agents=1600, seed=0), short))
+        per_tick = sum(column.nbytes for column in records.values()) // short
+        most = (MAX_TABLE_BYTES - per_row) // (per_tick + per_row)
+        monkeypatch.setattr(experiments, "run", no_game)
+        argv = ["figure", "fig6", "--out", str(tmp_path / "out"), "-T"]
+        with pytest.raises(Played):
+            cli_main(argv + [str(most)])
+        assert cli_main(argv + [str(most + 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: T: ")
+        assert f" = {per_tick * (most + 1) + per_row * (most + 2)} bytes" in err
+        assert not (tmp_path / "out").exists()
 
     def test_runtime_failure(self, tmp_path):
         # fig6 needs a large fluctuation; two ticks cannot contain one

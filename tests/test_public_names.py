@@ -122,3 +122,21 @@ def test_no_validate_method(path):
         and node.func.attr == "validate"
     ]
     assert found == []
+
+
+def test_one_byte_budget():
+    # every size is refused by GameConfig.check_budget alone: no other module
+    # reads MAX_TABLE_BYTES, and the refusal is worded in one place
+    readers, wordings = [], []
+    for path in sorted(Path(mmg.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        readers += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Name) and node.id == "MAX_TABLE_BYTES"
+            or isinstance(node, ast.Attribute) and node.attr == "MAX_TABLE_BYTES"
+            or isinstance(node, ast.alias) and node.name == "MAX_TABLE_BYTES"
+        ]
+        wordings += [path.name] * text.count("over the budget")
+    assert all(reader.startswith("config.py:") for reader in readers) and readers
+    assert wordings == ["config.py"]

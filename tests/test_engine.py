@@ -630,6 +630,16 @@ class TestRunningCount:
         _, ref = assert_steps_like_reference(state, 50)
         assert ref.tick_tie_draws[0] == cfg.n_agents
 
+    @pytest.mark.parametrize("cfg", REFERENCE_GRID + LARGE_GRID + TIE_BOUNDARY_GRID,
+                             ids=lambda cfg: f"N{cfg.n_agents}-K{cfg.n_markets}-"
+                             f"s{cfg.n_strategies}-{cfg.tie_break}-{cfg.seed}")
+    def test_tie_draws_recorded(self, cfg):
+        # run records each tick's tie draws, as the reference counts them
+        # (none under lowest-index ties)
+        ticks = 100
+        _, ref = reference_run(init_game(cfg), ticks)
+        assert run(cfg, ticks).n_tied.tolist() == ref.tick_tie_draws
+
 
 # Games one agent below and at ARGMAX_AGENTS, where the choice switches
 # from argmax to the weights formula and the count of maximizers: regular
